@@ -158,6 +158,7 @@ def _cmd_severi_quadric(args) -> int:
 
 
 def _cmd_severi_oracle(args) -> int:
+    stats = {}
     if args.method == "floor":
         if args.surface != "p2":
             raise InputError("the floor-diagram oracle only covers the plane")
@@ -168,14 +169,14 @@ def _cmd_severi_oracle(args) -> int:
         if args.surface == "p2":
             if args.d is None:
                 raise InputError("plane pencil oracle needs -d")
-            value = pencil_discriminant_oracle("p2", args.d, seed=args.seed)
+            value = pencil_discriminant_oracle("p2", args.d, seed=args.seed, stats=stats)
         else:
             if args.a is None or args.b is None:
                 raise InputError("quadric pencil oracle needs -a and -b")
             value = pencil_discriminant_oracle(
-                "p1xp1", (args.a, args.b), seed=args.seed
+                "p1xp1", (args.a, args.b), seed=args.seed, stats=stats
             )
-    return _emit(args, value, None, str(value))
+    return _emit(args, value, stats, str(value))
 
 
 def _cmd_fit_nodes(args) -> int:

@@ -5,16 +5,27 @@ diagrams with marking counts; exponential, desk scale only.
 
 pencil_discriminant_oracle: counts singular members of a random pencil
 by eliminating the pencil parameter, taking a resultant in y, and
-counting distinct roots; repeated with independent samples that must
-agree.  All arithmetic exact over the integers.
+counting its roots once it is proved squarefree; repeated with
+independent samples that must agree.  Every answer is exact, though the
+bignum steps run modulo word-size primes:
+
+- the resultant's values at integer nodes are exact Bareiss determinants;
+  their interpolant is computed modulo successive primes and combined by
+  CRT until the modulus exceeds twice a Hadamard bound on its
+  coefficients, and the lift is accepted only if it reproduces every exact
+  value;
+- squarefreeness is certified modulo a prime q > deg p not dividing the
+  leading coefficient: a constant gcd(p, p') mod q proves p squarefree
+  over Q.  When no certificate prime applies or certifies, the exact
+  integer gcd decides, and it alone can answer "not squarefree", which is
+  how degenerate samples are rejected.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from functools import lru_cache, partial
+from math import comb, factorial, gcd, isqrt
 
 from .errors import InconsistencyError, InputError
 
@@ -182,6 +193,20 @@ def floor_diagram_oracle(d: int, delta: int) -> int:
 # ---------------------------------------------------------------------------
 # integer univariate polynomial helpers (coefficient lists, index = power)
 
+# The 16 largest primes below 2**61, literal so that importing the module
+# computes nothing.  Their product (976 bits) exceeds twice every resultant
+# coefficient bound the supported ranges can produce (at most 271 bits, at
+# plane d = 5 with every coefficient 9 in absolute value).
+_PRIMES = (
+    2305843009213693951, 2305843009213693921, 2305843009213693907,
+    2305843009213693723, 2305843009213693693, 2305843009213693669,
+    2305843009213693613, 2305843009213693561, 2305843009213693549,
+    2305843009213693487, 2305843009213693421, 2305843009213693373,
+    2305843009213693277, 2305843009213693193, 2305843009213693153,
+    2305843009213693133,
+)
+_SQUAREFREE_PRIMES = _PRIMES[:2]
+
 
 def _trim_poly(p: list) -> list:
     while p and p[-1] == 0:
@@ -198,17 +223,7 @@ def _poly_derivative(p: list) -> list:
 
 
 def _poly_content(p: list) -> int:
-    g = 0
-    for c in p:
-        g = _gcd_int(g, c)
-    return g or 1
-
-
-def _gcd_int(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
+    return gcd(*p) or 1
 
 
 def _poly_primitive(p: list) -> list:
@@ -246,14 +261,39 @@ def _poly_gcd(u: list, v: list) -> list:
     return u
 
 
-def _distinct_root_count(p: list) -> int:
-    """deg p minus deg gcd(p, p'), i.e. the number of distinct complex roots."""
-    g = _poly_gcd(p, _poly_derivative(list(p)))
-    return _poly_degree(p) - _poly_degree(g)
+def _poly_gcd_degree_mod(u: list, v: list, q: int) -> int:
+    """Degree of gcd(u mod q, v mod q) over GF(q), q prime (-1 if both vanish)."""
+    u = _trim_poly([c % q for c in u])
+    v = _trim_poly([c % q for c in v])
+    while v:
+        inv = pow(v[-1], -1, q)
+        v = [c * inv % q for c in v]
+        dv = len(v) - 1
+        while len(u) > dv:
+            lead, shift = u.pop(), len(u) - dv
+            for k in range(dv):
+                u[k + shift] = (u[k + shift] - lead * v[k]) % q
+            _trim_poly(u)
+        u, v = v, u
+    return _poly_degree(u)
 
 
-def _is_squarefree(p: list) -> bool:
-    return _poly_degree(_poly_gcd(p, _poly_derivative(list(p)))) == 0
+def _is_squarefree(p: list, stats: dict = None) -> bool:
+    """True when p has no repeated factor over Q.
+
+    Modular certificate first: for a prime q > deg p not dividing lc(p),
+    p mod q keeps its degree and so does every factor of p, so a square
+    factor h**2 of p would leave h mod q in gcd(p mod q, p' mod q).  A
+    constant gcd therefore proves p squarefree.  Only the exact gcd can
+    answer False.
+    """
+    dp = _poly_derivative(p)
+    for q in _SQUAREFREE_PRIMES:
+        if p and q > _poly_degree(p) and p[-1] % q and _poly_gcd_degree_mod(p, dp, q) == 0:
+            return True
+    if stats is not None:
+        stats["exact_squarefree_fallbacks"] += 1
+    return _poly_degree(_poly_gcd(p, dp)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +368,14 @@ def _bareiss_det(M: list) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def _resultant_y(A: dict, B: dict) -> list:
-    """Res_y(A, B) as an integer polynomial in x (actual y-degrees)."""
+def _resultant_y(A: dict, B: dict, stats: dict = None) -> list:
+    """Res_y(A, B) as an integer polynomial in x (actual y-degrees).
+
+    Exact Sylvester determinants at deg_bound + 1 integer nodes,
+    interpolated under the Hadamard bound of the Sylvester matrix whose
+    entries are replaced by the 1-norms of their x-coefficients; that
+    bound holds on |x| = 1 and so bounds every coefficient of the result.
+    """
     ca = _y_coefficients(A)
     cb = _y_coefficients(B)
     m, n = len(ca) - 1, len(cb) - 1
@@ -337,6 +383,9 @@ def _resultant_y(A: dict, B: dict) -> list:
         raise InputError("resultant needs positive y-degree in both arguments")
     size = m + n
     deg_bound = n * max(_poly_degree(p) for p in ca) + m * max(_poly_degree(p) for p in cb)
+    row_a = sum(sum(map(abs, p)) ** 2 for p in ca)
+    row_b = sum(sum(map(abs, p)) ** 2 for p in cb)
+    bound = isqrt(row_a ** n * row_b ** m) + 1
     nodes = []
     t = 0
     while len(nodes) < deg_bound + 1:
@@ -352,32 +401,60 @@ def _resultant_y(A: dict, B: dict) -> list:
         for s in range(m):
             M.append([0] * s + brow[::-1] + [0] * (size - s - n - 1))
         values.append(_bareiss_det(M))
-    return _interpolate_integer_poly(nodes, values)
+    return _interpolate_integer_poly(nodes, values, bound, stats)
 
 
-def _interpolate_integer_poly(nodes: list, values: list) -> list:
-    # Newton divided differences, exact rational, then monomial expansion
+def _newton_mod(nodes: list, values: list, q: int) -> list:
+    """Monomial coefficients mod q of the interpolant through the nodes."""
     k = len(nodes)
-    coef = [Fraction(v) for v in values]
+    coef = [v % q for v in values]
+    inverses = {}
     for level in range(1, k):
         for i in range(k - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - level])
-    poly = [Fraction(0)] * k
-    acc = [Fraction(1)]  # product of (x - nodes[0..level-1])
-    for level in range(k):
-        for p, c in enumerate(acc):
-            poly[p] += coef[level] * c
-        nxt = [Fraction(0)] * (len(acc) + 1)
-        for p, c in enumerate(acc):
-            nxt[p] -= c * nodes[level]
-            nxt[p + 1] += c
-        acc = nxt
-    out = []
-    for q in poly:
-        if q.denominator != 1:
-            raise InconsistencyError("resultant interpolation produced a non-integer")
-        out.append(q.numerator)
-    return _trim_poly(out)
+            diff = nodes[i] - nodes[i - level]
+            inv = inverses.get(diff)
+            if inv is None:
+                inv = inverses[diff] = pow(diff, -1, q)
+            coef[i] = (coef[i] - coef[i - 1]) * inv % q
+    # Horner in the Newton basis: poly = coef[level] + (x - nodes[level]) * poly
+    poly = [coef[-1]]
+    for level in range(k - 2, -1, -1):
+        t = nodes[level]
+        shifted = [0] + poly
+        for p, c in enumerate(poly):
+            shifted[p] = (shifted[p] - t * c) % q
+        shifted[0] = (shifted[0] + coef[level]) % q
+        poly = shifted
+    return poly
+
+
+def _interpolate_integer_poly(nodes: list, values: list, bound: int, stats: dict = None) -> list:
+    """The integer polynomial of degree < len(nodes) through (nodes, values),
+    given that each of its coefficients is at most `bound` in absolute value.
+
+    Newton interpolation modulo successive primes, combined by CRT until
+    the modulus exceeds 2 * bound, then lifted to the symmetric range.  The
+    lift is accepted only if it reproduces every exact value, so values with
+    no integer interpolant raise instead of returning a wrong polynomial.
+    """
+    modulus = 1
+    poly = [0] * len(nodes)
+    for q in _PRIMES:
+        residues = _newton_mod(nodes, values, q)
+        inv = pow(modulus, -1, q)
+        poly = [c + modulus * ((r - c) * inv % q) for c, r in zip(poly, residues)]
+        modulus *= q
+        if stats is not None:
+            stats["crt_primes"] += 1
+        if modulus > 2 * bound:
+            break
+    else:
+        raise InconsistencyError("resultant coefficient bound exceeds the CRT prime table")
+    half = modulus // 2
+    poly = [c - modulus if c > half else c for c in poly]
+    if any(_poly_eval(poly, t) != v for t, v in zip(nodes, values)):
+        raise InconsistencyError("resultant interpolation produced a non-integer")
+    return _trim_poly(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +473,18 @@ def _sample_poly(rng, xdeg: int, ydeg: int, total_cap: int = None) -> dict:
     return out
 
 
+def _y_degree(A: dict) -> int:
+    return max((j for (_, j) in A), default=-1)
+
+
 def _lc_is_constant(A: dict, expected_ydeg: int) -> bool:
-    if not A:
+    if _y_degree(A) != expected_ydeg:
         return False
-    ydeg = max(j for (_, j) in A)
-    if ydeg != expected_ydeg:
-        return False
-    return all(i == 0 for (i, j) in A if j == ydeg)
+    return all(i == 0 for (i, j) in A if j == expected_ydeg)
 
 
 def _lcy_poly(A: dict) -> list:
-    ydeg = max(j for (_, j) in A)
+    ydeg = _y_degree(A)
     row = {}
     for (i, j), c in A.items():
         if j == ydeg:
@@ -417,94 +495,101 @@ def _lcy_poly(A: dict) -> list:
     return _trim_poly(out)
 
 
-def _pencil_count_plane(d: int, rng) -> int:
-    for _attempt in range(12):
-        F = _sample_poly(rng, d, d, total_cap=d)
-        G = _sample_poly(rng, d, d, total_cap=d)
-        Fx, Fy = _p2_dx(F), _p2_dy(F)
-        Gx, Gy = _p2_dx(G), _p2_dy(G)
-        E1 = _p2_sub(_p2_mul(Fx, Gy), _p2_mul(Fy, Gx))
-        E2 = _p2_sub(_p2_mul(F, Gx), _p2_mul(Fx, G))
-        if not (
-            _lc_is_constant(E1, 2 * d - 2)
-            and _lc_is_constant(E2, 2 * d - 1)
-            and _lc_is_constant(Fx, d - 1)
-            and _lc_is_constant(Gx, d - 1)
-        ):
-            continue
-        fake = _resultant_y(Fx, Gx)
-        if not fake or _poly_degree(fake) != (d - 1) ** 2 or not _is_squarefree(fake):
-            continue
-        R = _resultant_y(E1, E2)
-        if not R or not _is_squarefree(R):
-            continue
-        count = _poly_degree(R) - (d - 1) ** 2
-        if count < 0:
-            continue
-        return count
-    raise InconsistencyError(
-        "pencil oracle could not draw a non-degenerate plane sample after retries"
-    )
+def _plane_sample(d: int, rng, stats: dict):
+    """One-node count from one random plane pencil, or None if degenerate."""
+    F = _sample_poly(rng, d, d, total_cap=d)
+    G = _sample_poly(rng, d, d, total_cap=d)
+    Fx, Fy = _p2_dx(F), _p2_dy(F)
+    Gx, Gy = _p2_dx(G), _p2_dy(G)
+    E1 = _p2_sub(_p2_mul(Fx, Gy), _p2_mul(Fy, Gx))
+    E2 = _p2_sub(_p2_mul(F, Gx), _p2_mul(Fx, G))
+    if not (
+        _lc_is_constant(E1, 2 * d - 2)
+        and _lc_is_constant(E2, 2 * d - 1)
+        and _lc_is_constant(Fx, d - 1)
+        and _lc_is_constant(Gx, d - 1)
+    ):
+        return None
+    fake = _resultant_y(Fx, Gx, stats)
+    if not fake or _poly_degree(fake) != (d - 1) ** 2 or not _is_squarefree(fake, stats):
+        return None
+    R = _resultant_y(E1, E2, stats)
+    if not R or not _is_squarefree(R, stats):
+        return None
+    count = _poly_degree(R) - (d - 1) ** 2
+    return count if count >= 0 else None
 
 
-def _pencil_count_quadric(a: int, b: int, rng) -> int:
-    # Counts are symmetric in the bidegree, so normalise to a <= b; the
-    # elimination below needs the y-direction to carry the larger degree.
-    if a > b:
-        a, b = b, a
+def _quadric_sample(a: int, b: int, rng, stats: dict):
+    """One-node count from one random pencil of bidegree (a, b), a <= b,
+    or None if degenerate."""
     # With a >= 2 the pair (E1, F*Gx - Fx*G) is unusable: both top
     # y-coefficients are multiples of fb'*gb - fb*gb', so the resultant
     # always degenerates at infinity.  Pairing E1 with F*Gy - Fy*G instead
     # gives coprime leading coefficients; its spurious zeros are the common
     # roots of (Fy, Gy), of which there are 2a(b-1).
     expected_fake = 0 if a == 1 else 2 * a * (b - 1)
+    F = _sample_poly(rng, a, b)
+    G = _sample_poly(rng, a, b)
+    Fx, Fy = _p2_dx(F), _p2_dy(F)
+    Gx, Gy = _p2_dx(G), _p2_dy(G)
+    E1 = _p2_sub(_p2_mul(Fx, Gy), _p2_mul(Fy, Gx))
+    if a == 1:
+        E2 = _p2_sub(_p2_mul(F, Gx), _p2_mul(Fx, G))
+    else:
+        E2 = _p2_sub(_p2_mul(F, Gy), _p2_mul(Fy, G))
+    # A sample whose E1 or E2 drops below its generic y-degree has lost
+    # roots at y = infinity.  For a >= 2, F*Gy - Fy*G loses its top term
+    # identically, so its generic y-degree is 2b - 2.
+    if _y_degree(E1) != 2 * b - 1 or _y_degree(E2) != (2 * b if a == 1 else 2 * b - 2):
+        return None
+    if _poly_degree(_poly_gcd(_lcy_poly(E1), _lcy_poly(E2))) != 0:
+        return None
+    if a > 1:
+        if not Fy or not Gy:
+            return None
+        if _poly_degree(_poly_gcd(_lcy_poly(Fy), _lcy_poly(Gy))) != 0:
+            return None
+        fake = _resultant_y(Fy, Gy, stats)
+        if not fake or _poly_degree(fake) != expected_fake or not _is_squarefree(fake, stats):
+            return None
+    R = _resultant_y(E1, E2, stats)
+    if not R or not _is_squarefree(R, stats):
+        return None
+    count = _poly_degree(R) - expected_fake
+    return count if count >= 0 else None
+
+
+def _draw_count(sample, rng, stats: dict, surface: str) -> int:
     for _attempt in range(12):
-        F = _sample_poly(rng, a, b)
-        G = _sample_poly(rng, a, b)
-        Fx, Fy = _p2_dx(F), _p2_dy(F)
-        Gx, Gy = _p2_dx(G), _p2_dy(G)
-        E1 = _p2_sub(_p2_mul(Fx, Gy), _p2_mul(Fy, Gx))
-        if a == 1:
-            E2 = _p2_sub(_p2_mul(F, Gx), _p2_mul(Fx, G))
-        else:
-            E2 = _p2_sub(_p2_mul(F, Gy), _p2_mul(Fy, G))
-        if not E1 or not E2:
-            continue
-        if _poly_degree(_poly_gcd(_lcy_poly(E1), _lcy_poly(E2))) != 0:
-            continue
-        if a > 1:
-            if not Fy or not Gy:
-                continue
-            if _poly_degree(_poly_gcd(_lcy_poly(Fy), _lcy_poly(Gy))) != 0:
-                continue
-            fake = _resultant_y(Fy, Gy)
-            if not fake or _poly_degree(fake) != expected_fake or not _is_squarefree(fake):
-                continue
-        R = _resultant_y(E1, E2)
-        if not R or not _is_squarefree(R):
-            continue
-        count = _poly_degree(R) - expected_fake
-        if count < 0:
-            continue
-        return count
+        stats["samples"] += 1
+        count = sample(rng, stats)
+        if count is not None:
+            return count
+        stats["retries"] += 1
     raise InconsistencyError(
-        "pencil oracle could not draw a non-degenerate quadric sample after retries"
+        f"pencil oracle could not draw a non-degenerate {surface} sample after retries"
     )
 
 
-def pencil_discriminant_oracle(surface: str, degree, seed: int = 0) -> int:
+def pencil_discriminant_oracle(surface: str, degree, seed: int = 0, stats: dict = None) -> int:
     """Count singular members of a random pencil; three independent
     samples must agree or the call fails loudly.
+
+    If `stats` is a dict, it receives deterministic counters summed over
+    the three draws: samples, retries, crt_primes and
+    exact_squarefree_fallbacks.
     """
+    if stats is None:
+        stats = {}
+    for key in ("samples", "retries", "crt_primes", "exact_squarefree_fallbacks"):
+        stats.setdefault(key, 0)
     surface_key = str(surface).upper()
-    values = []
     if surface_key == "P2":
         d = degree
         if not isinstance(d, int) or not (2 <= d <= 5):
             raise InputError("plane pencil oracle supports 2 <= d <= 5")
-        for i in range(3):
-            rng = random.Random(1000003 * seed + i)
-            values.append(_pencil_count_plane(d, rng))
+        sample, name = partial(_plane_sample, d), "plane"
     elif surface_key == "P1XP1":
         try:
             a, b = degree
@@ -514,11 +599,15 @@ def pencil_discriminant_oracle(surface: str, degree, seed: int = 0) -> int:
             1 <= a <= 3 and 1 <= b <= 3
         ):
             raise InputError("quadric pencil oracle supports 1 <= a, b <= 3")
-        for i in range(3):
-            rng = random.Random(1000003 * seed + i)
-            values.append(_pencil_count_quadric(a, b, rng))
+        # Counts are symmetric in the bidegree, so normalise to a <= b; the
+        # elimination needs the y-direction to carry the larger degree.
+        sample, name = partial(_quadric_sample, min(a, b), max(a, b)), "quadric"
     else:
         raise InputError(f"unknown surface {surface!r}; use P2 or P1XP1")
+    values = [
+        _draw_count(sample, random.Random(1000003 * seed + i), stats, name)
+        for i in range(3)
+    ]
     if len(set(values)) != 1:
         raise InconsistencyError(
             f"pencil oracle samples disagree: {values}; inputs {surface} {degree}"

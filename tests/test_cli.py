@@ -229,6 +229,15 @@ def test_json_output_is_byte_deterministic(capsys):
     _, first, _ = run_cli(capsys, "germ", "catalog", "--json")
     _, second, _ = run_cli(capsys, "germ", "catalog", "--json")
     assert first == second
+    pencil = ("severi", "oracle", "--method", "pencil", "--surface", "p1xp1",
+              "-a", "1", "-b", "1", "--seed", "21", "--json")
+    _, first, _ = run_cli(capsys, *pencil)
+    _, second, _ = run_cli(capsys, *pencil)
+    assert first == second
+    # the one degenerate draw of this seed shows up in the counters
+    assert json.loads(first)["stats"] == {
+        "samples": 4, "retries": 1, "crt_primes": 3, "exact_squarefree_fallbacks": 0,
+    }
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

@@ -1,7 +1,19 @@
+import random
+
 import pytest
 
-from curvelab.errors import InputError
-from curvelab.oracles import floor_diagram_oracle, pencil_discriminant_oracle
+from curvelab.errors import InconsistencyError, InputError
+from curvelab.oracles import (
+    _PRIMES,
+    _SQUAREFREE_PRIMES,
+    _interpolate_integer_poly,
+    _is_squarefree,
+    _poly_derivative,
+    _poly_eval,
+    _poly_gcd,
+    floor_diagram_oracle,
+    pencil_discriminant_oracle,
+)
 from curvelab.severi import SeveriEngine
 
 
@@ -52,8 +64,87 @@ def test_pencil_seed_determinism():
     again = pencil_discriminant_oracle("p2", 3, seed=7)
     assert first == again == 12
     # the count is an invariant of the linear system, not of the sample
-    assert {pencil_discriminant_oracle("p2", 3, seed=s) for s in range(3)} == {12}
+    for d in range(2, 6):
+        counts = {pencil_discriminant_oracle("p2", d, seed=s) for s in range(5)}
+        assert counts == {3 * (d - 1) ** 2}, d
     assert pencil_discriminant_oracle("p1xp1", (2, 2), seed=11) == 12
+
+
+def test_pencil_quadric_redraws_samples_degenerate_at_y_infinity():
+    # each seed draws a sample whose E1 or E2 drops its top y-degree
+    for bidegree, seed, count in [
+        ((1, 1), 21, 2), ((1, 2), 15, 4), ((2, 1), 15, 4), ((1, 3), 25, 6),
+    ]:
+        stats = {}
+        assert pencil_discriminant_oracle("p1xp1", bidegree, seed=seed, stats=stats) == count
+        assert stats["retries"] >= 1, bidegree
+        assert stats["samples"] == 3 + stats["retries"]
+
+
+def _random_poly(rng, degree, size=9):
+    lead = rng.choice([-1, 1]) * rng.randint(1, size)
+    return [rng.randint(-size, size) for _ in range(degree)] + [lead]
+
+
+def _mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _exactly_squarefree(p):
+    return len(_poly_gcd(p, _poly_derivative(list(p)))) == 1
+
+
+def test_is_squarefree_agrees_with_exact_gcd():
+    rng = random.Random(3)
+    stats = {"exact_squarefree_fallbacks": 0}
+    not_squarefree = 0
+    for _ in range(40):
+        p = _random_poly(rng, rng.randint(1, 12))
+        exact = _exactly_squarefree(p)
+        assert _is_squarefree(p, stats) == exact
+        not_squarefree += not exact
+    # the modular certificate settles every squarefree input
+    assert stats["exact_squarefree_fallbacks"] == not_squarefree
+    for _ in range(20):
+        p, q = _random_poly(rng, rng.randint(0, 5)), _random_poly(rng, rng.randint(1, 4))
+        assert not _is_squarefree(_mul(p, _mul(q, q)))
+
+
+def test_is_squarefree_falls_back_when_no_certificate_prime_applies():
+    lc = _SQUAREFREE_PRIMES[0] * _SQUAREFREE_PRIMES[1]
+    for p, expected in [([-1, 0, lc], True), ([1, 2 * lc, lc * lc], False)]:
+        stats = {"exact_squarefree_fallbacks": 0}
+        assert _is_squarefree(p, stats) is expected
+        assert stats["exact_squarefree_fallbacks"] == 1
+    stats = {"exact_squarefree_fallbacks": 0}
+    assert _is_squarefree([-1, 0, 1], stats)
+    assert stats["exact_squarefree_fallbacks"] == 0
+
+
+def test_interpolation_round_trips_coefficients_beyond_two_primes():
+    rng = random.Random(5)
+    big = _PRIMES[0] * _PRIMES[1]
+    for degree in (0, 1, 7, 20):
+        poly = [rng.randint(-3 * big, 3 * big) for _ in range(degree)]
+        poly.append(rng.choice([-1, 1]) * (2 * big + rng.randint(1, big)))
+        nodes = list(range(degree + 1))
+        values = [_poly_eval(poly, t) for t in nodes]
+        bound = max(map(abs, poly), default=0)
+        stats = {"crt_primes": 0}
+        assert _interpolate_integer_poly(nodes, values, bound, stats) == poly
+        assert stats["crt_primes"] >= 3
+
+
+def test_interpolation_rejects_values_without_integer_interpolant():
+    # x*(x-1)/2 takes integer values everywhere but has rational coefficients
+    nodes = [0, 1, 2, 3]
+    values = [t * (t - 1) // 2 for t in nodes]
+    with pytest.raises(InconsistencyError, match="non-integer"):
+        _interpolate_integer_poly(nodes, values, 10)
 
 
 def test_pencil_input_validation():
