@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from math import factorial
 
 from .errors import InconsistencyError, InputError
 from .germs import GermPoly, parse_germ
 from .jets import determinacy_window, milnor_number, scheme_length, tjurina_number
+from .series import aut_count
 
 ALIASES = {"node": "A1", "cusp": "A2"}
 
@@ -130,17 +130,6 @@ def lookup(label: str) -> SingularityType:
     if key not in table:
         raise InputError(f"unknown singularity label {label!r}")
     return table[key]
-
-
-def aut_count(parts) -> int:
-    """Order of the permutation symmetry of a multiset of labels."""
-    counts = {}
-    for p in parts:
-        counts[p] = counts.get(p, 0) + 1
-    out = 1
-    for c in counts.values():
-        out *= factorial(c)
-    return out
 
 
 def collection_stats(parts) -> CollectionStats:

@@ -28,9 +28,17 @@ NODE_LABEL = "A1"
 MAX_ORDER = 8
 
 DEFAULT_PLANE_DEGREES = tuple(range(6, 13))
-DEFAULT_QUADRIC_BIDEGREES = tuple(
-    (a, b) for a in range(3, 6) for b in range(a, 6)
-)
+
+
+def default_quadric_bidegrees(r_max: int) -> tuple:
+    """Quadric bidegrees 3 <= a <= b <= top for a fit up to order r_max.
+
+    The plane rows alone span only 3 of the 4 Chern directions, and a
+    quadric row votes only up to order min(a, b) - 1, so top grows with
+    r_max: 5 up to order 4, r_max + 2 beyond.
+    """
+    top = 5 if r_max <= 4 else r_max + 2
+    return tuple((a, b) for a in range(3, top + 1) for b in range(a, top + 1))
 
 
 def chern_p2(d: int) -> tuple:
@@ -150,7 +158,7 @@ def fit_nodes(
     if plane_degrees is None:
         plane_degrees = DEFAULT_PLANE_DEGREES
     if quadric_bidegrees is None:
-        quadric_bidegrees = DEFAULT_QUADRIC_BIDEGREES
+        quadric_bidegrees = default_quadric_bidegrees(r_max)
     plane_degrees = tuple(sorted(set(plane_degrees)))
     quadric_bidegrees = tuple(sorted(set(tuple(p) for p in quadric_bidegrees)))
     for d in plane_degrees:

@@ -99,15 +99,6 @@ class JetSubspace:
             return True
         return self.contains({monomial_index(i, j): Fraction(1)})
 
-    def contains_poly(self, f: GermPoly) -> bool:
-        K = self.truncation_order
-        row = {
-            monomial_index(i, j): c
-            for (i, j), c in f.terms.items()
-            if i + j < K
-        }
-        return self.contains(row)
-
     def contains_all_of_degree(self, k: int) -> bool:
         return all(self.contains_monomial(k - j, j) for j in range(k + 1))
 

@@ -381,7 +381,6 @@ def _resultant_y(A: dict, B: dict, stats: dict = None) -> list:
     m, n = len(ca) - 1, len(cb) - 1
     if m < 1 or n < 1:
         raise InputError("resultant needs positive y-degree in both arguments")
-    size = m + n
     deg_bound = n * max(_poly_degree(p) for p in ca) + m * max(_poly_degree(p) for p in cb)
     row_a = sum(sum(map(abs, p)) ** 2 for p in ca)
     row_b = sum(sum(map(abs, p)) ** 2 for p in cb)
@@ -391,17 +390,23 @@ def _resultant_y(A: dict, B: dict, stats: dict = None) -> list:
     while len(nodes) < deg_bound + 1:
         nodes.append(t)
         t = -t if t > 0 else -t + 1
-    values = []
-    for t in nodes:
-        arow = [_poly_eval(p, t) for p in ca]
-        brow = [_poly_eval(p, t) for p in cb]
-        M = []
-        for s in range(n):
-            M.append([0] * s + arow[::-1] + [0] * (size - s - m - 1))
-        for s in range(m):
-            M.append([0] * s + brow[::-1] + [0] * (size - s - n - 1))
-        values.append(_bareiss_det(M))
+    values = [_sylvester_det(ca, cb, t) for t in nodes]
     return _interpolate_integer_poly(nodes, values, bound, stats)
+
+
+def _sylvester_det(ca: list, cb: list, t: int) -> int:
+    """Determinant of the Sylvester matrix in y of two polynomials, given
+    by their y-coefficient lists, with x set to t."""
+    m, n = len(ca) - 1, len(cb) - 1
+    size = m + n
+    arow = [_poly_eval(p, t) for p in ca]
+    brow = [_poly_eval(p, t) for p in cb]
+    M = []
+    for s in range(n):
+        M.append([0] * s + arow[::-1] + [0] * (size - s - m - 1))
+    for s in range(m):
+        M.append([0] * s + brow[::-1] + [0] * (size - s - n - 1))
+    return _bareiss_det(M)
 
 
 def _newton_mod(nodes: list, values: list, q: int) -> list:
@@ -520,6 +525,17 @@ def _plane_sample(d: int, rng, stats: dict):
     return count if count >= 0 else None
 
 
+def _quadric_pair(F: dict, G: dict, a: int) -> tuple:
+    """The pair (E1, E2) whose common roots locate the singular members
+    of the pencil spanned by F and G of x-degree a (see _quadric_sample)."""
+    Fx, Fy = _p2_dx(F), _p2_dy(F)
+    Gx, Gy = _p2_dx(G), _p2_dy(G)
+    E1 = _p2_sub(_p2_mul(Fx, Gy), _p2_mul(Fy, Gx))
+    if a == 1:
+        return E1, _p2_sub(_p2_mul(F, Gx), _p2_mul(Fx, G))
+    return E1, _p2_sub(_p2_mul(F, Gy), _p2_mul(Fy, G))
+
+
 def _quadric_sample(a: int, b: int, rng, stats: dict):
     """One-node count from one random pencil of bidegree (a, b), a <= b,
     or None if degenerate."""
@@ -531,13 +547,7 @@ def _quadric_sample(a: int, b: int, rng, stats: dict):
     expected_fake = 0 if a == 1 else 2 * a * (b - 1)
     F = _sample_poly(rng, a, b)
     G = _sample_poly(rng, a, b)
-    Fx, Fy = _p2_dx(F), _p2_dy(F)
-    Gx, Gy = _p2_dx(G), _p2_dy(G)
-    E1 = _p2_sub(_p2_mul(Fx, Gy), _p2_mul(Fy, Gx))
-    if a == 1:
-        E2 = _p2_sub(_p2_mul(F, Gx), _p2_mul(Fx, G))
-    else:
-        E2 = _p2_sub(_p2_mul(F, Gy), _p2_mul(Fy, G))
+    E1, E2 = _quadric_pair(F, G, a)
     # A sample whose E1 or E2 drops below its generic y-degree has lost
     # roots at y = infinity.  For a >= 2, F*Gy - Fy*G loses its top term
     # identically, so its generic y-degree is 2b - 2.
@@ -545,7 +555,15 @@ def _quadric_sample(a: int, b: int, rng, stats: dict):
         return None
     if _poly_degree(_poly_gcd(_lcy_poly(E1), _lcy_poly(E2))) != 0:
         return None
+    # Likewise at x = infinity: the pair built from F and G reversed in x
+    # (the chart u = 1/x) must share no root on the fibre u = 0, or R
+    # loses x-degree.
+    Fr, Gr = ({(a - i, j): c for (i, j), c in P.items()} for P in (F, G))
+    ca, cb = map(_y_coefficients, _quadric_pair(Fr, Gr, a))
+    if len(ca) < 2 or len(cb) < 2 or _sylvester_det(ca, cb, 0) == 0:
+        return None
     if a > 1:
+        Fy, Gy = _p2_dy(F), _p2_dy(G)
         if not Fy or not Gy:
             return None
         if _poly_degree(_poly_gcd(_lcy_poly(Fy), _lcy_poly(Gy))) != 0:

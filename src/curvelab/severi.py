@@ -1,15 +1,21 @@
 """Severi degrees on the plane and the quadric surface.
 
-Both counts run on a tangency-profile recursion relative to a fixed
+Both counts run on one tangency-profile recursion relative to a fixed
 line (a ruling line on the quadric): either one unassigned contact is
 promoted to an assigned one, or the fixed line splits off and leaves a
-lower-degree residual curve with adjusted profiles and node count.
+residual curve with adjusted profiles and node count.  One step function
+maps a memo key to its weighted child keys, and one evaluator walks
+those edges depth-first on an explicit stack, so the depth of the
+recursion is bounded by memory, not by the Python call stack.  The
+surfaces differ only in a small per-surface table: the base case, the
+residual class, its intersection with the fixed line and its node cap.
 Every value is an exact arbitrary-precision integer, memoized in a
 store that can persist to a line-oriented cache file.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb
 
 from .errors import (
@@ -122,7 +128,6 @@ class MemoStore:
 
     def __init__(self):
         self.table = {}
-        self.origin = {}
         self.computed = 0
         self.hits = 0
         self.loaded = 0
@@ -147,7 +152,6 @@ class MemoStore:
         if value < 0:
             raise InconsistencyError(f"negative count {value} for key {key}")
         self.table[key] = value
-        self.origin[key] = origin
         if origin == "computed":
             self.computed += 1
         else:
@@ -164,7 +168,7 @@ class MemoStore:
     @staticmethod
     def _key_to_line(key, value) -> str:
         surface, degree, delta, alpha, beta = key
-        deg = f"{degree[0]},{degree[1]}" if surface == "P1XP1" else str(degree)
+        deg = ",".join(map(str, degree)) if isinstance(degree, tuple) else degree
         return (
             f"{surface} {deg} {delta} "
             f"{_format_profile(alpha)} {_format_profile(beta)} {value}"
@@ -218,134 +222,124 @@ def quadric_node_cap(a: int, b: int) -> int:
     return a * b
 
 
+# The only data in which the surfaces differ: the value of a base key
+# (None for any other key), the residual class left when the fixed line
+# splits off, the number of points in which a class meets the fixed line,
+# and the most nodes a reduced curve of a class carries.
+_Surface = namedtuple("_Surface", "base residual meet node_cap")
+
+_SURFACES = {
+    "P2": _Surface(
+        base=lambda d, delta, alpha, beta: int(delta == 0) if d == 1 else None,
+        residual=lambda d: d - 1,
+        meet=lambda d: d,
+        node_cap=plane_node_cap,
+    ),
+    # class (0,b): b ruling lines, transversal to the fixed line, no
+    # nodes; profiles may only hold order-1 contacts
+    "P1XP1": _Surface(
+        base=lambda ab, delta, alpha, beta: (
+            int(delta == 0 and len(alpha) <= 1 and len(beta) <= 1) if ab[0] == 0 else None
+        ),
+        residual=lambda ab: (ab[0] - 1, ab[1]),
+        meet=lambda ab: ab[1],
+        node_cap=lambda ab: quadric_node_cap(*ab),
+    ),
+}
+
+
+def _step(key):
+    """(base value, iterator of (factor, child key) edges) of a memo key:
+    its count is the base value plus the sum of factor * child count."""
+    rule = _SURFACES[key[0]]
+    base = rule.base(*key[1:])
+    return (base, ()) if base is not None else (0, _edges(key, rule))
+
+
+def _edges(key, rule):
+    surface, degree, delta, alpha, beta = key
+    # promote one unassigned contact of order i+1 to an assigned one
+    for i, count in enumerate(beta):
+        if count > 0:
+            yield i + 1, (surface, degree, delta, _bump(alpha, i), _bump(beta, i, -1))
+    # split off the fixed line; the residual meets it in `meet` points
+    residual = rule.residual(degree)
+    meet = rule.meet(residual)
+    cap = rule.node_cap(residual)
+    moment_beta = profile_moment(beta)
+    for alpha_p in _subprofiles(alpha):
+        rem = meet - profile_moment(alpha_p) - moment_beta
+        if rem < 0:
+            continue
+        alpha_p = trim(alpha_p)
+        comb_alpha = 1
+        for i, c in enumerate(alpha_p):
+            comb_alpha *= comb(alpha[i], c)
+        for gamma in _partition_profiles(rem):
+            delta_p = delta - meet + profile_size(gamma)
+            if delta_p < 0 or delta_p > cap:
+                continue
+            beta_p = _add_profiles(beta, gamma)
+            factor = comb_alpha
+            for i, c in enumerate(gamma):
+                if c:
+                    factor *= (i + 1) ** c * comb(beta_p[i], beta[i] if i < len(beta) else 0)
+            yield factor, (surface, residual, delta_p, alpha_p, beta_p)
+
+
 class SeveriEngine:
     def __init__(self, store: MemoStore = None, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
         self.store = store if store is not None else MemoStore()
         self.degree_ceiling = degree_ceiling
 
-    # -- plane ------------------------------------------------------------
-
     def severi_p2(self, d: int, delta: int) -> int:
         if not isinstance(d, int) or not isinstance(delta, int) or d < 1 or delta < 0:
             raise InputError("need degree d >= 1 and node count delta >= 0")
-        if d > self.degree_ceiling:
-            raise CeilingError(f"degree {d} exceeds ceiling {self.degree_ceiling}")
-        if delta > plane_node_cap(d):
-            raise AdmissibilityError(
-                f"delta={delta} exceeds the nodal cap {plane_node_cap(d)} for degree {d}"
-            )
-        return self._p2(d, delta, (), (d,))
-
-    def _p2(self, d: int, delta: int, alpha: tuple, beta: tuple) -> int:
-        key = ("P2", d, delta, alpha, beta)
-        cached = self.store.get(key)
-        if cached is not None:
-            return cached
-
-        if d == 1:
-            value = 1 if delta == 0 else 0
-            self.store.put(key, value)
-            return value
-
-        value = 0
-        # promote one unassigned contact of order k to an assigned one
-        for i, count in enumerate(beta):
-            if count > 0:
-                value += (i + 1) * self._p2(
-                    d, delta, _bump(alpha, i), _bump(beta, i, -1)
-                )
-        # split off the fixed line; residual has degree d-1
-        dd = d - 1
-        moment_beta = profile_moment(beta)
-        for alpha_p in _subprofiles(alpha):
-            rem = dd - profile_moment(alpha_p) - moment_beta
-            if rem < 0:
-                continue
-            alpha_p = trim(alpha_p)
-            comb_alpha = 1
-            for i, c in enumerate(alpha_p):
-                comb_alpha *= comb(alpha[i], c)
-            for gamma in _partition_profiles(rem):
-                delta_p = delta - dd + profile_size(gamma)
-                if delta_p < 0 or delta_p > plane_node_cap(dd):
-                    continue
-                beta_p = _add_profiles(beta, gamma)
-                factor = comb_alpha
-                for i, c in enumerate(gamma):
-                    if c:
-                        factor *= (i + 1) ** c * comb(beta_p[i], beta[i] if i < len(beta) else 0)
-                value += factor * self._p2(dd, delta_p, alpha_p, beta_p)
-
-        self.store.put(key, value)
-        return value
-
-    # -- quadric ----------------------------------------------------------
+        return self._count("P2", d, delta, d, f"degree {d}")
 
     def severi_quadric(self, a: int, b: int, delta: int) -> int:
-        if (
-            not isinstance(a, int)
-            or not isinstance(b, int)
-            or not isinstance(delta, int)
-            or a < 1
-            or b < 1
-            or delta < 0
-        ):
+        if not all(isinstance(v, int) for v in (a, b, delta)) or min(a, b) < 1 or delta < 0:
             raise InputError("need bidegree a, b >= 1 and node count delta >= 0")
-        if max(a, b) > self.degree_ceiling:
-            raise CeilingError(
-                f"bidegree ({a},{b}) exceeds ceiling {self.degree_ceiling}"
-            )
-        if delta > quadric_node_cap(a, b):
-            raise AdmissibilityError(
-                f"delta={delta} exceeds the nodal cap {quadric_node_cap(a, b)} "
-                f"for bidegree ({a},{b})"
-            )
-        return self._quadric(a, b, delta, (), (b,))
+        return self._count("P1XP1", (a, b), delta, max(a, b), f"bidegree ({a},{b})")
 
-    def _quadric(self, a: int, b: int, delta: int, alpha: tuple, beta: tuple) -> int:
-        key = ("P1XP1", (a, b), delta, alpha, beta)
-        cached = self.store.get(key)
-        if cached is not None:
-            return cached
+    def _count(self, surface: str, degree, delta: int, size: int, label: str) -> int:
+        if size > self.degree_ceiling:
+            raise CeilingError(f"{label} exceeds ceiling {self.degree_ceiling}")
+        rule = _SURFACES[surface]
+        cap = rule.node_cap(degree)
+        if delta > cap:
+            raise AdmissibilityError(f"delta={delta} exceeds the nodal cap {cap} for {label}")
+        # every contact with the fixed line starts unassigned and of order 1
+        return self._evaluate((surface, degree, delta, (), (rule.meet(degree),)))
 
-        if a == 0:
-            # class (0,b): b ruling lines, transversal to the fixed line,
-            # no nodes; profiles may only hold order-1 contacts
-            ok = delta == 0 and len(alpha) <= 1 and len(beta) <= 1
-            value = 1 if ok else 0
-            self.store.put(key, value)
+    def _evaluate(self, key) -> int:
+        """Depth-first walk of the edges below `key` on an explicit stack.
+
+        Each edge costs one store lookup, and a finished child hands its
+        value straight to its parent, so every computed key is missed
+        exactly once and the store's counters do not depend on the order
+        of the walk.
+        """
+        store = self.store
+        value = store.get(key)
+        if value is not None:
             return value
-
-        value = 0
-        for i, count in enumerate(beta):
-            if count > 0:
-                value += (i + 1) * self._quadric(
-                    a, b, delta, _bump(alpha, i), _bump(beta, i, -1)
-                )
-        # split off the fixed ruling line; residual class (a-1, b) still
-        # meets the line in b points
-        moment_beta = profile_moment(beta)
-        for alpha_p in _subprofiles(alpha):
-            rem = b - profile_moment(alpha_p) - moment_beta
-            if rem < 0:
-                continue
-            alpha_p = trim(alpha_p)
-            comb_alpha = 1
-            for i, c in enumerate(alpha_p):
-                comb_alpha *= comb(alpha[i], c)
-            for gamma in _partition_profiles(rem):
-                delta_p = delta - b + profile_size(gamma)
-                if delta_p < 0 or delta_p > (a - 1) * b:
-                    continue
-                beta_p = _add_profiles(beta, gamma)
-                factor = comb_alpha
-                for i, c in enumerate(gamma):
-                    if c:
-                        factor *= (i + 1) ** c * comb(beta_p[i], beta[i] if i < len(beta) else 0)
-                value += factor * self._quadric(a - 1, b, delta_p, alpha_p, beta_p)
-
-        self.store.put(key, value)
-        return value
+        # frame: [key, running total, edge iterator, factor in the parent]
+        stack = [[key, *_step(key), 1]]
+        while True:
+            frame = stack[-1]
+            for factor, child in frame[2]:
+                value = store.get(child)
+                if value is None:
+                    stack.append([child, *_step(child), factor])
+                    break
+                frame[1] += factor * value
+            else:
+                key, value, _, factor = stack.pop()
+                store.put(key, value)
+                if not stack:
+                    return value
+                stack[-1][1] += factor * value
 
 
 def severi_p2(d: int, delta: int, engine: SeveriEngine = None) -> int:

@@ -12,7 +12,13 @@ from math import factorial
 
 from curvelab.catalog import load_catalog, lookup
 from curvelab.errors import CeilingError
-from curvelab.fitter import chern_p2, chern_quadric, fit_nodes, threshold_scan
+from curvelab.fitter import (
+    chern_p2,
+    chern_quadric,
+    default_quadric_bidegrees,
+    fit_nodes,
+    threshold_scan,
+)
 from curvelab.germs import GermPoly, parse_germ
 from curvelab.jets import (
     determinacy_window,
@@ -117,17 +123,17 @@ def test_acceptance_4_multiplicative_fit(capsys):
     def body():
         result = _shared_fit()
         assert result.residual_consistent
+        for r_max in range(1, 9):
+            # overdetermined at every order of the default data: the plane
+            # rows with d >= r+2 plus at least one quadric row with
+            # min(a,b) >= r+1, against 4 unknowns
+            for r in range(1, r_max + 1):
+                plane_rows = sum(1 for d in range(6, 13) if d >= r + 2)
+                quadric_rows = sum(
+                    1 for a, b in default_quadric_bidegrees(r_max) if min(a, b) >= r + 1
+                )
+                assert quadric_rows >= 1 and plane_rows + quadric_rows > 4, (r_max, r)
         for r in range(1, 5):
-            # overdetermined at every order: the plane rows with d >= r+2
-            # plus the quadric rows with min(a,b) >= r+1, against 4 unknowns
-            plane_rows = sum(1 for d in range(6, 13) if d >= r + 2)
-            quadric_rows = sum(
-                1
-                for a in range(3, 6)
-                for b in range(3, 6)
-                if min(a, b) >= r + 1
-            )
-            assert plane_rows + quadric_rows > 4
             assert result.a[r].is_linear()
         for r in range(5):
             assert result.T[r].total_degree() == r

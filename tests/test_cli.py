@@ -131,6 +131,11 @@ def test_fit_nodes_output(capsys):
     payload = json.loads(out)
     assert payload["result"]["residual_consistent"] is True
     assert [[1, 0, 0, 0], "3"] in payload["result"]["a"]["1"]
+    # the default quadric rows grow with --max-r, so order 5 still spans
+    # all four Chern directions
+    code, out, err = run_cli(capsys, "fit", "nodes", "--max-r", "5")
+    assert (code, err) == (0, "")
+    assert out.endswith("consistent: true\n")
 
 
 def test_fit_scan(capsys):

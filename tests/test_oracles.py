@@ -71,9 +71,12 @@ def test_pencil_seed_determinism():
 
 
 def test_pencil_quadric_redraws_samples_degenerate_at_y_infinity():
-    # each seed draws a sample whose E1 or E2 drops its top y-degree
+    # each of the first four seeds draws a sample whose E1 or E2 drops its
+    # top y-degree; each of the last four draws one whose E1 and E2 share a
+    # root on the fibre x = infinity, which used to undercount that draw
     for bidegree, seed, count in [
         ((1, 1), 21, 2), ((1, 2), 15, 4), ((2, 1), 15, 4), ((1, 3), 25, 6),
+        ((1, 2), 62, 4), ((2, 1), 62, 4), ((2, 2), 99, 12), ((2, 3), 119, 20),
     ]:
         stats = {}
         assert pencil_discriminant_oracle("p1xp1", bidegree, seed=seed, stats=stats) == count

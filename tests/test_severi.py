@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from curvelab import severi
 from curvelab.errors import (
     AdmissibilityError,
     CeilingError,
@@ -88,6 +89,31 @@ def test_maximal_nodes_counts_line_arrangements(engine):
             )
 
 
+def test_long_ruling_chain_needs_no_call_stack():
+    # 600 nested residual classes (a, 1) -> (a-1, 1): far deeper than the
+    # Python call stack allows
+    eng = SeveriEngine(degree_ceiling=600)
+    assert eng.severi_quadric(600, 1, 1) == 1200
+
+
+def test_one_evaluator_for_both_surfaces(monkeypatch):
+    stepped = []
+    step = severi._step
+    monkeypatch.setattr(severi, "_step", lambda key: stepped.append(key) or step(key))
+    eng = SeveriEngine()
+    lookups = []
+    get = eng.store.get
+    monkeypatch.setattr(eng.store, "get", lambda key: lookups.append(key) or get(key))
+    eng.severi_p2(4, 2)
+    eng.severi_quadric(3, 2, 2)
+    # every memo key of either surface went through the one step function
+    # exactly once, and each computed key was missed exactly once
+    assert {key[0] for key in stepped} == {"P2", "P1XP1"}
+    assert len(stepped) == len(set(stepped)) == eng.store.computed
+    assert set(stepped) == set(eng.store.table)
+    assert eng.store.hits == len(lookups) - eng.store.computed
+
+
 def test_admissibility_cap():
     eng = SeveriEngine()
     with pytest.raises(AdmissibilityError):
@@ -124,7 +150,8 @@ def test_module_level_helpers():
     assert severi_quadric(2, 2, 1) == 12
     shared = SeveriEngine()
     assert severi_p2(4, 2, engine=shared) == 225
-    assert shared.store.stats()["computed"] > 0
+    # the stats the README shows for `severi p2 -d 4 --nodes 2 --json`
+    assert shared.store.stats() == {"computed": 39, "hits": 21, "loaded": 0, "size": 39}
 
 
 def test_memo_hits_grow(engine):
