@@ -10,17 +10,24 @@ recursion is bounded by memory, not by the Python call stack.  The
 surfaces differ only in a small per-surface table: the base case, the
 residual class, its intersection with the fixed line and its node cap.
 Every value is an exact arbitrary-precision integer, memoized in a
-store that can persist to a line-oriented cache file.
+store that can persist to a cache file: a header line with the SHA-256
+digest of the body, then one sorted, canonical line per memo key.
+Loading reads the file once, checking the digest, the order and the
+canonical form of every line; a store that holds exactly what it loaded
+is not written back.
 """
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
+from functools import cache
 from math import comb
 
 from .errors import (
     AdmissibilityError,
     CeilingError,
+    CurvelabError,
     InconsistencyError,
     InputError,
 )
@@ -37,10 +44,6 @@ def trim(profile) -> tuple:
     while t and t[-1] == 0:
         t = t[:-1]
     return t
-
-
-def profile_size(profile) -> int:
-    return sum(profile)
 
 
 def profile_moment(profile) -> int:
@@ -76,47 +79,102 @@ def _subprofiles(profile):
             yield (c,) + rest
 
 
-_PARTITIONS_CACHE: dict = {}
+@cache
+def _partitions_with_parts(n: int, k: int) -> tuple:
+    """All profiles gamma with sum of (i+1)*gamma[i] = n and k parts."""
 
-
-def _partition_profiles(n: int) -> list:
-    """All profiles gamma with sum of (i+1)*gamma[i] = n."""
-    if n in _PARTITIONS_CACHE:
-        return _PARTITIONS_CACHE[n]
-
-    def rec(remaining, max_part):
-        if remaining == 0:
-            yield ()
+    def rec(remaining, parts, max_part):
+        if parts == 0:
+            if remaining == 0:
+                yield ()
             return
-        for part in range(min(remaining, max_part), 0, -1):
-            for tail in rec(remaining - part, part):
+        # the largest part is at least remaining / parts and leaves at
+        # least 1 for each of the other parts
+        smallest = max(-(-remaining // parts), 1)
+        for part in range(min(max_part, remaining - parts + 1), smallest - 1, -1):
+            for tail in rec(remaining - part, parts - 1, part):
                 yield (part,) + tail
 
     out = []
-    for parts in rec(n, n):
+    for parts in rec(n, k, n):
         gamma = [0] * (parts[0] if parts else 0)
         for p in parts:
             gamma[p - 1] += 1
-        out.append(trim(tuple(gamma)))
-    _PARTITIONS_CACHE[n] = out
-    return out
+        out.append(tuple(gamma))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # memo store with persistence
+#
+# A cache file is a header line `curvelab-memo/v1 <sha256 hex of the body>`
+# and a body of one canonical line per memo key, sorted, each ending in a
+# newline.  The lines are printable ASCII, so their byte order with the
+# newline included is their sort order.
+
+_MAGIC = b"curvelab-memo/v1 "
+_HEADER_LEN = len(_MAGIC) + 64 + 1
+
+
+def _sha256():
+    # imported here: hashlib loads OpenSSL, which would cost every
+    # command a few milliseconds, and only cache files need it
+    import hashlib
+
+    return hashlib.sha256()
 
 
 def _format_profile(profile) -> str:
     return ",".join(str(c) for c in profile) if profile else "-"
 
 
+def _format_head(surface, degree, delta) -> str:
+    deg = ",".join(map(str, degree)) if isinstance(degree, tuple) else degree
+    return f"{surface} {deg} {delta}"
+
+
+def _natural(text) -> int:
+    if not text.isdigit():
+        raise ValueError(text)
+    return int(text)
+
+
+def _parse_head(text: str) -> tuple:
+    surface, deg, delta = text.split(" ")
+    if surface == "P2":
+        degree = _natural(deg)
+    elif surface == "P1XP1":
+        a, b = deg.split(",")
+        degree = (_natural(a), _natural(b))
+    else:
+        raise ValueError(surface)
+    return surface, degree, _natural(delta)
+
+
 def _parse_profile(text: str) -> tuple:
-    if text == "-":
-        return ()
-    try:
-        return trim(tuple(int(c) for c in text.split(",")))
-    except ValueError as exc:
-        raise InputError(f"bad profile field {text!r} in cache file") from exc
+    return () if text == "-" else trim(_natural(c) for c in text.split(","))
+
+
+class _FieldMemo(dict):
+    """Parsed cache fields by their bytes.  A field is parsed once, and
+    only a field that its formatter writes back byte for byte is
+    accepted, so every value has exactly one spelling in a file."""
+
+    def __init__(self, parse, fmt):
+        super().__init__()
+        self.parse, self.fmt = parse, fmt
+
+    def __missing__(self, field: bytes):
+        try:
+            text = field.decode("ascii")
+            value = self.parse(text)
+            canonical = self.fmt(value) == text
+        except ValueError:
+            canonical = False
+        if not canonical:
+            raise InputError(f"bad field {field.decode('ascii', 'replace')!r}")
+        self[field] = value
+        return value
 
 
 class MemoStore:
@@ -131,6 +189,10 @@ class MemoStore:
         self.computed = 0
         self.hits = 0
         self.loaded = 0
+        # (path, size) after a load into an empty store; keys are never
+        # removed or remapped, so while the size holds, that file already
+        # has the bytes save would write
+        self._loaded_from = None
 
     def __len__(self):
         return len(self.table)
@@ -168,44 +230,93 @@ class MemoStore:
     @staticmethod
     def _key_to_line(key, value) -> str:
         surface, degree, delta, alpha, beta = key
-        deg = ",".join(map(str, degree)) if isinstance(degree, tuple) else degree
         return (
-            f"{surface} {deg} {delta} "
-            f"{_format_profile(alpha)} {_format_profile(beta)} {value}"
+            f"{_format_head(surface, degree, delta)} "
+            f"{_format_profile(alpha)} {_format_profile(beta)} {value}\n"
         )
 
-    @staticmethod
-    def _line_to_key(line: str):
-        fields = line.split()
-        if len(fields) != 6:
-            raise InputError(f"bad cache line {line!r}")
-        surface, deg, delta, alpha, beta, value = fields
-        if surface == "P2":
-            degree = int(deg)
-        elif surface == "P1XP1":
-            a, _, b = deg.partition(",")
-            if not b:
-                raise InputError(f"bad bidegree field {deg!r} in cache file")
-            degree = (int(a), int(b))
-        else:
-            raise InputError(f"unknown surface {surface!r} in cache file")
-        key = (surface, degree, int(delta), _parse_profile(alpha), _parse_profile(beta))
-        return key, int(value)
-
     def save(self, path):
+        """Write the table, unless the file already holds it.  The new
+        file replaces the old one whole, so an interrupted save leaves
+        the old file in place."""
+        path = os.fspath(path)
+        if self._loaded_from == (path, len(self.table)):
+            return
         lines = sorted(self._key_to_line(k, v) for k, v in self.table.items())
-        with open(path, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+        body = "".join(lines).encode("ascii")
+        digest = _sha256()
+        digest.update(body)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(_MAGIC + digest.hexdigest().encode() + b"\n")
+                fh.write(body)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
     def load(self, path):
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                key, value = self._line_to_key(line)
+        """Read a cache file in one pass.  Its body must match the digest
+        in its header, be strictly sorted and canonical, and agree with
+        the table; nothing is stored unless every check passes."""
+        path = os.fspath(path)
+        table = {}
+        heads = _FieldMemo(_parse_head, lambda head: _format_head(*head))
+        profiles = _FieldMemo(_parse_profile, _format_profile)
+        digest = _sha256()
+        error, number = None, 1
+        with open(path, "rb") as fh:
+            header = fh.readline()
+            if len(header) != _HEADER_LEN or not header.startswith(_MAGIC) \
+                    or not header.endswith(b"\n"):
+                raise InconsistencyError(
+                    f"cache file {path!r} has no curvelab-memo/v1 header; "
+                    "delete it to regenerate"
+                )
+            previous = b""
+            try:
+                for number, raw in enumerate(fh, 2):
+                    digest.update(raw)
+                    if raw <= previous:
+                        raise InputError("line out of order or repeated")
+                    previous = raw
+                    head, alpha, beta, text = raw[:-1].rsplit(b" ", 3)
+                    if not text.isdigit() or (text[0] == 48 and len(text) > 1):
+                        raise InputError(f"bad value {text.decode('ascii', 'replace')!r}")
+                    key = heads[head] + (profiles[alpha], profiles[beta])
+                    value = int(text)
+                    if key in table:
+                        raise InconsistencyError(
+                            f"memo key {key} holds both {table[key]} and {value}"
+                        )
+                    table[key] = value
+                if previous and not previous.endswith(b"\n"):
+                    raise InputError("last line lacks its newline")
+            except ValueError:
+                error = InputError("expected 6 space-separated fields")
+            except CurvelabError as exc:
+                error = exc
+            # a body that fails its digest is reported as corrupt,
+            # whatever else is wrong with it
+            digest.update(fh.read())
+        if digest.hexdigest().encode() != header[len(_MAGIC):-1]:
+            raise InconsistencyError(
+                f"cache file {path!r} does not match the digest in its header "
+                "(corrupt or edited); delete it to regenerate"
+            )
+        if error is not None:
+            raise type(error)(f"cache file {path!r} line {number}: {error}")
+        if self.table:
+            for key, value in table.items():
                 self.put(key, value, origin="loaded")
+        else:
+            self.table = table
+            self.loaded += len(table)
+            self._loaded_from = (path, len(table))
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +386,17 @@ def _edges(key, rule):
         comb_alpha = 1
         for i, c in enumerate(alpha_p):
             comb_alpha *= comb(alpha[i], c)
-        for gamma in _partition_profiles(rem):
-            delta_p = delta - meet + profile_size(gamma)
-            if delta_p < 0 or delta_p > cap:
-                continue
-            beta_p = _add_profiles(beta, gamma)
-            factor = comb_alpha
-            for i, c in enumerate(gamma):
-                if c:
-                    factor *= (i + 1) ** c * comb(beta_p[i], beta[i] if i < len(beta) else 0)
-            yield factor, (surface, residual, delta_p, alpha_p, beta_p)
+        # the residual keeps delta - meet + k nodes, k the parts of gamma,
+        # and that must lie in 0..cap
+        for k in range(max(meet - delta, 0), min(meet - delta + cap, rem) + 1):
+            delta_p = delta - meet + k
+            for gamma in _partitions_with_parts(rem, k):
+                beta_p = _add_profiles(beta, gamma)
+                factor = comb_alpha
+                for i, c in enumerate(gamma):
+                    if c:
+                        factor *= (i + 1) ** c * comb(beta_p[i], beta[i] if i < len(beta) else 0)
+                yield factor, (surface, residual, delta_p, alpha_p, beta_p)
 
 
 class SeveriEngine:

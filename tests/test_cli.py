@@ -215,6 +215,7 @@ def test_cache_flag_round_trip(tmp_path, capsys):
     )
     assert code == 0
     assert cache.exists()
+    before = cache.read_bytes(), cache.stat().st_mtime_ns
     code, warm, _ = run_cli(
         capsys, "severi", "p2", "-d", "7", "--nodes", "2",
         "--cache", str(cache), "--json",
@@ -225,6 +226,60 @@ def test_cache_flag_round_trip(tmp_path, capsys):
     assert warm_payload["stats"]["computed"] == 0
     assert warm_payload["stats"]["loaded"] > 0
     assert warm_payload["stats"]["computed"] < cold_payload["stats"]["computed"]
+    # the warm run computed nothing, so it left the file unwritten
+    assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
+
+
+def _assert_one_line_error(err, cache):
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(cache) in err
+
+
+def test_cache_corrupt_file_exits_4(tmp_path, capsys):
+    cache = tmp_path / "memo.txt"
+    query = ("severi", "p2", "-d", "3", "--nodes", "1", "--cache", str(cache))
+    assert run_cli(capsys, *query)[0] == 0
+    data = cache.read_bytes()
+    # an edited value is refused on the key itself and on a count that
+    # builds on it (the true counts are 12 and 27)
+    cache.write_bytes(data.replace(b"P2 3 1 - 3 12\n", b"P2 3 1 - 3 13\n"))
+    for d in ("3", "4"):
+        code, out, err = run_cli(capsys, "severi", "p2", "-d", d, "--nodes", "1",
+                                 "--cache", str(cache))
+        assert (code, out) == (4, "")
+        _assert_one_line_error(err, cache)
+    for bad in [
+        data.split(b"\n", 1)[1],  # a cache written before the header existed
+        data[: len(data) * 2 // 3],
+    ]:
+        cache.write_bytes(bad)
+        code, out, err = run_cli(capsys, *query)
+        assert (code, out) == (4, "")
+        _assert_one_line_error(err, cache)
+        assert cache.read_bytes() == bad
+
+
+def test_cache_malformed_lines_exit_2(tmp_path, capsys, write_cache):
+    cache = tmp_path / "memo.txt"
+    for lines in [
+        ["P2 x 1 - 3 12"],
+        ["P2 3 1 - 3 1x2"],
+        ["P2 3 1 - 3 12", "P2 2 1 - 2 3"],
+        ["P2 2 1 - 2 3", "P2 2 1 - 2 3"],
+        ["P2 3 1 - 3,0 12"],
+        ["P2 03 1 - 3 12"],
+    ]:
+        write_cache(cache, lines)
+        code, out, err = run_cli(capsys, "severi", "p2", "-d", "3", "--nodes", "1",
+                                 "--cache", str(cache))
+        assert (code, out) == (2, "")
+        _assert_one_line_error(err, cache)
+
+
+def test_severi_one_node_count_at_degree_45(capsys):
+    code, out, _ = run_cli(capsys, "severi", "p2", "-d", "45", "--nodes", "1",
+                           "--ceiling", "60")
+    assert (code, out) == (0, f"{3 * 44 ** 2}\n")
 
 
 def test_json_output_is_byte_deterministic(capsys):

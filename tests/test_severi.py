@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -187,6 +188,11 @@ def test_cache_round_trip(tmp_path):
     # warm run answers straight from the table
     assert warm_store.computed == 0
 
+    MemoStore().save(path)
+    empty = MemoStore()
+    empty.load(path)
+    assert empty.stats() == {"computed": 0, "hits": 0, "loaded": 0, "size": 0}
+
 
 def test_cache_bytes_are_deterministic(tmp_path):
     first = SeveriEngine()
@@ -202,6 +208,18 @@ def test_cache_bytes_are_deterministic(tmp_path):
     second.store.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
 
+    # a store that was loaded and then grew is saved like a cold one
+    p3 = tmp_path / "c.txt"
+    SeveriEngine().store.save(p3)
+    partial = SeveriEngine()
+    partial.severi_p2(4, 1)
+    partial.store.save(p3)
+    grown = MemoStore()
+    grown.load(p3)
+    SeveriEngine(grown).severi_quadric(3, 2, 2)
+    grown.save(p3)
+    assert p3.read_bytes() == p1.read_bytes()
+
 
 def test_cache_line_format(tmp_path):
     store = MemoStore()
@@ -209,34 +227,116 @@ def test_cache_line_format(tmp_path):
     store.put(("P1XP1", (2, 3), 1, (1,), (0, 1)), 7)
     path = tmp_path / "memo.txt"
     store.save(path)
-    lines = path.read_text().splitlines()
-    assert "P2 4 2 - 4 225" in lines
-    assert "P1XP1 2,3 1 1 0,1 7" in lines
+    header, body = path.read_bytes().split(b"\n", 1)
+    assert header == b"curvelab-memo/v1 " + hashlib.sha256(body).hexdigest().encode()
+    lines = body.decode().splitlines()
+    assert lines == ["P1XP1 2,3 1 1 0,1 7", "P2 4 2 - 4 225"]
 
     back = MemoStore()
     back.load(path)
     assert back.table == store.table
 
 
-def test_cache_rejects_malformed_lines(tmp_path):
-    for text in [
-        "P2 4 2 - 4",
-        "P3 4 2 - 4 225",
-        "P1XP1 4 2 - 4 225",
-        "P2 4 2 x 4 225",
+def test_cache_rejects_malformed_lines(tmp_path, write_cache):
+    for lines in [
+        ["P2 4 2 - 4"],
+        ["P3 4 2 - 4 225"],
+        ["P1XP1 4 2 - 4 225"],
+        ["P2 4 2 x 4 225"],
+        # out of order, repeated, or not in canonical form
+        ["P2 3 1 - 3 12", "P2 2 1 - 2 3"],
+        ["P2 3 1 - 3 12", "P2 3 1 - 3 12"],
+        ["P2 3 1 - 3,0 12"],
+        ["P2 03 1 - 3 12"],
+        ["P2 3 1 - 3 012"],
+        ["P2 3 1 - 0 12"],
+        ["P2 3 1 - 3 +12"],
+        ["P1XP1 2,03 1 - 3 12"],
+        ["P2 3 1 - 3 12", ""],
     ]:
         path = tmp_path / "bad.txt"
-        path.write_text(text + "\n")
+        write_cache(path, lines)
         with pytest.raises(InputError):
             MemoStore().load(path)
 
 
-def test_cache_load_conflict(tmp_path):
+def test_cache_load_conflict(tmp_path, write_cache):
     good = tmp_path / "good.txt"
     bad = tmp_path / "bad.txt"
-    good.write_text("P2 3 1 - 3 12\n")
-    bad.write_text("P2 3 1 - 3 999\n")
+    write_cache(good, ["P2 3 1 - 3 12"])
+    write_cache(bad, ["P2 3 1 - 3 999"])
     store = MemoStore()
     store.load(good)
     with pytest.raises(InconsistencyError):
         store.load(bad)
+    # one key with two values within one file
+    write_cache(bad, ["P2 3 1 - 3 12", "P2 3 1 - 3 13"])
+    with pytest.raises(InconsistencyError):
+        MemoStore().load(bad)
+
+
+def test_cache_refuses_a_body_that_fails_its_digest(tmp_path):
+    eng = SeveriEngine()
+    eng.severi_p2(4, 2)
+    path = tmp_path / "memo.txt"
+    eng.store.save(path)
+    data = path.read_bytes()
+    header, body = data.split(b"\n", 1)
+    for bad in [
+        body,  # no header, as written before the header existed
+        data.replace(b"P2 3 1 - 3 12\n", b"P2 3 1 - 3 13\n"),
+        data[: len(data) // 2],
+        data[: data.rindex(b"\n", 0, -1) + 1],
+        b"curvelab-memo/v2" + data[16:],
+        b"",
+    ]:
+        path.write_bytes(bad)
+        store = MemoStore()
+        with pytest.raises(InconsistencyError):
+            store.load(path)
+        assert len(store) == 0
+
+
+def test_interrupted_save_keeps_the_old_cache(tmp_path, monkeypatch):
+    path = tmp_path / "memo.txt"
+    eng = SeveriEngine()
+    eng.severi_p2(3, 1)
+    eng.store.save(path)
+    before = path.read_bytes()
+    eng.severi_p2(4, 2)
+
+    def interrupt(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(severi.os, "replace", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        eng.store.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["memo.txt"]
+    back = MemoStore()
+    back.load(path)
+    assert back.loaded == before.count(b"\n") - 1 > 0
+
+
+def _all_partition_profiles(n, largest):
+    """Every profile gamma with sum of (i+1)*gamma[i] = n and no part
+    above `largest`, listed by the count of the largest part."""
+    if largest == 0:
+        return [()] if n == 0 else []
+    return [
+        severi._bump(rest, largest - 1, c)
+        for c in range(n // largest + 1)
+        for rest in _all_partition_profiles(n - c * largest, largest - 1)
+    ]
+
+
+def test_partitions_by_part_count():
+    for n in range(21):
+        every = _all_partition_profiles(n, n)
+        assert len(set(every)) == len(every)
+        for k in range(n + 2):
+            want = sorted(g for g in every if sum(g) == k)
+            got = severi._partitions_with_parts(n, k)
+            assert sorted(got) == want
+            assert len(set(got)) == len(got)
+    assert len(_all_partition_profiles(20, 20)) == 627
