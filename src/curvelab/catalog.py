@@ -2,8 +2,8 @@
 
 Entries live in data/catalog.json (label, flavor, normal form, jet order,
 equisingular-stratum dimension, and the cached numeric invariants).  The
-cache is never trusted: every number is recomputed at load time and a
-mismatch aborts loudly.
+cache is never trusted: every number of an entry is recomputed the first
+time the entry is used, and a mismatch aborts loudly.
 """
 
 from __future__ import annotations
@@ -101,23 +101,33 @@ def _validate(raw: dict) -> SingularityType:
     )
 
 
-_CATALOG: dict | None = None
+_RAW: dict | None = None
+_VALIDATED: dict = {}
+
+
+def _raw_entries() -> dict:
+    """Label -> raw catalog entry, read once per process; labels are unique."""
+    global _RAW
+    if _RAW is None:
+        text = resources.files("curvelab").joinpath("data/catalog.json").read_text()
+        table = {}
+        for raw in json.loads(text)["entries"]:
+            if raw["label"] in table:
+                raise InconsistencyError(f"duplicate catalog label {raw['label']}")
+            table[raw["label"]] = raw
+        _RAW = table
+    return _RAW
+
+
+def _validated(label: str) -> SingularityType:
+    if label not in _VALIDATED:
+        _VALIDATED[label] = _validate(_raw_entries()[label])
+    return _VALIDATED[label]
 
 
 def load_catalog() -> dict:
-    """Label -> SingularityType, validated once per process."""
-    global _CATALOG
-    if _CATALOG is None:
-        text = resources.files("curvelab").joinpath("data/catalog.json").read_text()
-        doc = json.loads(text)
-        table = {}
-        for raw in doc["entries"]:
-            entry = _validate(raw)
-            if entry.label in table:
-                raise InconsistencyError(f"duplicate catalog label {entry.label}")
-            table[entry.label] = entry
-        _CATALOG = table
-    return _CATALOG
+    """Label -> SingularityType, every entry validated once per process."""
+    return {label: _validated(label) for label in _raw_entries()}
 
 
 def labels() -> list[str]:
@@ -125,11 +135,11 @@ def labels() -> list[str]:
 
 
 def lookup(label: str) -> SingularityType:
-    table = load_catalog()
+    """One entry by label or alias, validated on first lookup."""
     key = ALIASES.get(label, label)
-    if key not in table:
+    if key not in _raw_entries():
         raise InputError(f"unknown singularity label {label!r}")
-    return table[key]
+    return _validated(key)
 
 
 def collection_stats(parts) -> CollectionStats:

@@ -73,14 +73,19 @@ def _load_a_table(path: str) -> dict:
         raise InputError(f"cannot read a-table file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"a-table file {path!r} is not valid JSON") from exc
+    table = {}
     try:
-        entries = obj["entries"]
-        return {
-            tuple(key): ChernPolynomial.from_json_obj(poly)
-            for key, poly in entries
-        }
+        for key, poly in obj["entries"]:
+            key = tuple(sorted(key))
+            if key in table:
+                raise InputError(
+                    f"a-table file {path!r} lists the multiset "
+                    f"{','.join(map(str, key))} twice"
+                )
+            table[key] = ChernPolynomial.from_json_obj(poly)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed a-table file {path!r}") from exc
+    return table
 
 
 def _dump_a_table(table: dict) -> str:
@@ -206,14 +211,13 @@ def _cmd_series_eval(args) -> int:
     table = _load_a_table(args.a_table)
     parts = _parse_parts(args.parts)
     chern = _parse_chern(args.chern)
-    value = Fraction(assemble_from_table(table, chern, parts))
-    return _emit(args, _as_json_number(value), None, format_rational(value))
+    stats = {}
+    value = Fraction(assemble_from_table(table, chern, parts, stats))
+    return _emit(args, _as_json_number(value), stats, format_rational(value))
 
 
 def _cmd_series_assemble(args) -> int:
-    table = {
-        tuple(sorted(key)): poly for key, poly in _load_a_table(args.a_table).items()
-    }
+    table = _load_a_table(args.a_table)
     weights = {}
     for key in table:
         for label in key:
@@ -221,10 +225,13 @@ def _cmd_series_assemble(args) -> int:
                 weights[label] = lookup(label).codim
     default_cap = max((sum(weights[l] for l in key) for key in table), default=0)
     cap = args.cap if args.cap is not None else default_cap
-    series = assemble_series(table, weights, cap)
+    stats = {}
+    series = assemble_series(table, weights, cap, stats)
+    if args.json:
+        return _emit(args, series.to_json_obj(), stats)
     keys = sorted((k for k in series.coeffs if k), key=lambda k: (len(k), k))
     text = "\n".join(f"{','.join(k)}: {series.coeffs[k].to_string()}" for k in keys)
-    return _emit(args, series.to_json_obj(), None, text)
+    return _emit(args, None, stats, text)
 
 
 # ---------------------------------------------------------------------------

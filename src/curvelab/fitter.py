@@ -17,10 +17,10 @@ from .errors import CeilingError, InconsistencyError, InputError
 from .series import (
     ChernPolynomial,
     TruncatedSeries,
-    assemble_series,
     exp_series,
     extract_universal,
     log_series,
+    scaled_entries,
 )
 from .severi import SeveriEngine, plane_node_cap, quadric_node_cap
 
@@ -292,13 +292,18 @@ def _sub_multisets(parts: tuple) -> list:
     return subs
 
 
-def assemble_from_table(a_table: dict, chern, parts):
+def assemble_from_table(a_table: dict, chern, parts, stats: dict = None):
     """Predicted count for a singularity multiset from user-supplied
     log-coefficients; every sub-multiset of `parts` must be tabulated.
+
+    Evaluation at `chern` is a ring homomorphism, so only the entries of
+    the sub-multisets of `parts` are evaluated and that numeric series is
+    exponentiated; `stats` receives the counters of exp_series.
     """
     table = _normalize_table(a_table)
     parts = tuple(sorted(parts))
-    for needed in _sub_multisets(parts):
+    subs = _sub_multisets(parts)
+    for needed in subs:
         if needed not in table:
             raise InputError(f"missing entry {','.join(needed)}")
 
@@ -308,5 +313,10 @@ def assemble_from_table(a_table: dict, chern, parts):
             if label not in weights:
                 weights[label] = lookup(label).codim
     cap = sum(weights[label] for label in parts)
-    series = assemble_series(table, weights, cap)
-    return _as_number(extract_universal(series, parts).evaluate(chern))
+    entries = scaled_entries(table)
+    values = {key: ChernPolynomial.constant(entries[key].evaluate(chern)) for key in subs}
+    # an entry for the empty multiset stays a polynomial, so exp_series
+    # refuses a nonzero one as it does in assemble_series
+    values[()] = entries.get((), ChernPolynomial.zero())
+    series = exp_series(TruncatedSeries(weights, cap, values), stats)
+    return _as_number(extract_universal(series, parts).constant_part())

@@ -9,7 +9,7 @@ variables (x, y, z, t) with rational coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import InputError
 
@@ -30,6 +30,15 @@ def parse_rational(text: str) -> Fraction:
         raise InputError(f"cannot parse rational {text!r}") from exc
 
 
+def _exponents(key) -> tuple:
+    key = tuple(key)
+    if len(key) != 4 or not all(type(e) is int and e >= 0 for e in key):
+        raise InputError(
+            f"a Chern monomial needs four nonnegative integer exponents, got {list(key)!r}"
+        )
+    return key
+
+
 class ChernPolynomial:
     """Polynomial in (x, y, z, t) = (L^2, L.K, c1^2, c2), exact rationals."""
 
@@ -41,8 +50,15 @@ class ChernPolynomial:
             for key, c in dict(terms).items():
                 c = Fraction(c)
                 if c != 0:
-                    table[tuple(int(e) for e in key)] = c
+                    table[_exponents(key)] = c
         self.terms = table
+
+    @classmethod
+    def _of(cls, terms: dict) -> "ChernPolynomial":
+        """Wrap nonzero Fractions keyed by exponent 4-tuples, unchecked."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
 
     @classmethod
     def zero(cls) -> "ChernPolynomial":
@@ -128,7 +144,10 @@ class ChernPolynomial:
     @classmethod
     def from_json_obj(cls, obj) -> "ChernPolynomial":
         try:
-            return cls({tuple(k): parse_rational(c) for k, c in obj})
+            terms = {tuple(k): parse_rational(c) for k, c in obj}
+            if len(terms) != len(obj):
+                raise InputError(f"polynomial data repeats a monomial: {obj!r}")
+            return cls(terms)
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed polynomial data: {obj!r}") from exc
 
@@ -269,10 +288,6 @@ class TruncatedSeries:
             {k: p.scale(c) for k, p in self.coeffs.items()},
         )
 
-    def min_positive_weight(self) -> int:
-        weights = [self.key_weight(k) for k in self.coeffs if k != ()]
-        return min(weights) if weights else self.cap + 1
-
     def to_json_obj(self) -> dict:
         return {
             "cap": self.cap,
@@ -295,44 +310,125 @@ class TruncatedSeries:
             raise InputError("malformed series data") from exc
 
 
-def exp_series(s: TruncatedSeries) -> TruncatedSeries:
-    """exp of a series with zero constant term."""
+def _numerators(s: TruncatedSeries) -> tuple:
+    """(bits, D, levels) for the non-constant terms of s.
+
+    D is the lcm of the denominators in s, and levels[n] maps each key of
+    weight n to its coefficient times D**n as {packed monomial: int}. A
+    monomial packs its four exponents into fields of `bits` bits, wide
+    enough for any product of at most cap coefficients (every key weighs
+    at least 1), so the code of a product is the sum of the codes.
+    """
+    degree = max((p.total_degree() for p in s.coeffs.values()), default=0)
+    bits = max(degree * s.cap, 1).bit_length()
+    d = 1
+    for poly in s.coeffs.values():
+        for c in poly.terms.values():
+            d = lcm(d, c.denominator)
+    levels = {}
+    for key, poly in s.coeffs.items():
+        if key:
+            n = s.key_weight(key)
+            levels.setdefault(n, {})[key] = {
+                e[0] | e[1] << bits | e[2] << 2 * bits | e[3] << 3 * bits:
+                    c.numerator * (d ** n // c.denominator)
+                for e, c in poly.terms.items()
+            }
+    return bits, d, levels
+
+
+def _from_numerators(s: TruncatedSeries, bits: int, d: int, levels: dict, coeffs: dict):
+    """A series like s with `coeffs` plus the numerators in `levels`, each
+    divided by D**n * n! at weight n."""
+    mask = (1 << bits) - 1
+    for n, level in levels.items():
+        denom = d ** n * factorial(n)
+        for key, poly in level.items():
+            coeffs[key] = ChernPolynomial._of({
+                (m & mask, m >> bits & mask, m >> 2 * bits & mask, m >> 3 * bits):
+                    Fraction(c, denom)
+                for m, c in poly.items()
+            })
+    return TruncatedSeries(s.weights, s.cap, coeffs)
+
+
+def _euler_step(acc: dict, left: dict, right: dict, n: int, factor) -> int:
+    """Add factor(a) * L_A * R_B to acc[A + B] for every A in left[a] and
+    B in right[n - a]; drop what cancels and return the number of pairs."""
+    pairs = 0
+    for a in range(1, n + 1):
+        lefts, rights = left.get(a), right.get(n - a)
+        if not lefts or not rights:
+            continue
+        f = factor(a)
+        for ka, pa in lefts.items():
+            pa = [(m, f * c) for m, c in pa.items()]
+            for kb, pb in rights.items():
+                target = acc.setdefault(tuple(sorted(ka + kb)), {})
+                get = target.get
+                for ma, ca in pa:
+                    for mb, cb in pb.items():
+                        m = ma + mb
+                        target[m] = get(m, 0) + ca * cb
+        pairs += len(lefts) * len(rights)
+    for key in list(acc):
+        poly = {m: c for m, c in acc[key].items() if c}
+        if poly:
+            acc[key] = poly
+        else:
+            del acc[key]
+    return pairs
+
+
+def exp_series(s: TruncatedSeries, stats: dict = None) -> TruncatedSeries:
+    """exp of a series with zero constant term.
+
+    Solves w(K)*E_K = sum over non-empty A <= K of w(A)*S_A*E_(K-A) in
+    order of weight, on the integer numerators G_K = D^w(K)*w(K)!*E_K
+    (D the lcm of the denominators in s), so each step is an integer
+    multiply-add: G_K = sum w(A)*(D^w(A)*S_A)*G_(K-A)*(w(K)-1)!/(w(K)-w(A))!.
+    `stats`, if given, receives the counts of entries, keys and products.
+    """
     if not s.constant_coefficient().is_zero():
         raise InputError("exp needs a series with zero constant term")
-    result = TruncatedSeries.one(s.weights, s.cap)
-    power = TruncatedSeries.one(s.weights, s.cap)
-    w = s.min_positive_weight()
-    if w > s.cap:
-        return result
-    m = 1
-    while m * w <= s.cap:
-        power = power * s
-        result = result + power.scale(Fraction(1, factorial(m)))
-        m += 1
+    bits, d, terms = _numerators(s)
+    g = {0: {(): {0: 1}}}
+    products = 0
+    for n in range(1, s.cap + 1):
+        g[n] = {}
+        products += _euler_step(
+            g[n], terms, g, n, lambda a: a * factorial(n - 1) // factorial(n - a)
+        )
+    del g[0]
+    result = _from_numerators(s, bits, d, g, {(): ChernPolynomial.constant(1)})
+    if stats is not None:
+        stats.update(entries=len(s.coeffs), keys=len(result.coeffs), products=products)
     return result
 
 
 def log_series(t: TruncatedSeries) -> TruncatedSeries:
-    """log of a series with constant term 1."""
+    """log of a series with constant term 1.
+
+    Solves w(K)*U_K = w(K)*T_K - sum over A < K of w(A)*U_A*T_(K-A) in
+    order of weight, on the integer numerators H_K = D^w(K)*w(K)!*U_K:
+    H_K = w(K)!*D^w(K)*T_K - sum H_A*(D^w(K-A)*T_(K-A))*(w(K)-1)!/(w(A)-1)!.
+    """
     if t.constant_coefficient() != ChernPolynomial.constant(1):
         raise InputError("log needs a series with constant term 1")
-    u = t - TruncatedSeries.one(t.weights, t.cap)
-    result = TruncatedSeries.zero(t.weights, t.cap)
-    power = TruncatedSeries.one(t.weights, t.cap)
-    w = u.min_positive_weight()
-    if w > t.cap:
-        return result
-    m = 1
-    while m * w <= t.cap:
-        power = power * u
-        sign = Fraction(1, m) if m % 2 == 1 else Fraction(-1, m)
-        result = result + power.scale(sign)
-        m += 1
-    return result
+    bits, d, terms = _numerators(t)
+    h = {}
+    for n in range(1, t.cap + 1):
+        top = factorial(n)
+        h[n] = {
+            key: {m: top * c for m, c in poly.items()}
+            for key, poly in terms.get(n, {}).items()
+        }
+        _euler_step(h[n], h, terms, n, lambda a: -factorial(n - 1) // factorial(a - 1))
+    return _from_numerators(t, bits, d, h, {})
 
 
-def assemble_series(a_table: dict, weights: dict, cap: int = 10) -> TruncatedSeries:
-    """Build the generating series exp(sum a_key/#Aut(key) * x_key).
+def scaled_entries(a_table: dict) -> dict:
+    """Table entries a_key/#Aut(key), keyed by sorted label multiset.
 
     Table entries are the #Aut-scaled logarithmic coefficients attached
     to each label multiset; each must be a linear Chern polynomial.
@@ -347,8 +443,14 @@ def assemble_series(a_table: dict, weights: dict, cap: int = 10) -> TruncatedSer
                 f"table entry for {','.join(key)} must be linear in the Chern variables"
             )
         coeffs[key] = poly.scale(Fraction(1, aut_count(key)))
-    log_part = TruncatedSeries(weights, cap, coeffs)
-    return exp_series(log_part)
+    return coeffs
+
+
+def assemble_series(
+    a_table: dict, weights: dict, cap: int = 10, stats: dict = None
+) -> TruncatedSeries:
+    """Build the generating series exp(sum a_key/#Aut(key) * x_key)."""
+    return exp_series(TruncatedSeries(weights, cap, scaled_entries(a_table)), stats)
 
 
 def extract_universal(series: TruncatedSeries, parts) -> ChernPolynomial:

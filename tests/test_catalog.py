@@ -1,7 +1,10 @@
+import json
+from types import SimpleNamespace
+
 import pytest
 
 from curvelab import catalog
-from curvelab.errors import InputError
+from curvelab.errors import InconsistencyError, InputError
 from curvelab.germs import parse_germ
 from curvelab.jets import determinacy_window, dim_s0, scheme_length, tjurina_number
 
@@ -9,6 +12,40 @@ from curvelab.jets import determinacy_window, dim_s0, scheme_length, tjurina_num
 def test_catalog_loads_and_validates():
     table = catalog.load_catalog()
     assert len(table) == 24
+
+
+def test_lookup_validates_only_the_entry_it_returns(monkeypatch):
+    validated = []
+    original = catalog._validate
+
+    def counting(raw):
+        validated.append(raw["label"])
+        return original(raw)
+
+    monkeypatch.setattr(catalog, "_validate", counting)
+    monkeypatch.setattr(catalog, "_VALIDATED", {})
+    assert catalog.lookup("node").label == "A1"
+    assert catalog.lookup("A1").tau == 1
+    assert catalog.collection_stats(["A1", "A2", "A1"]).codim == 4
+    assert validated == ["A1", "A2"]
+    assert len(catalog.load_catalog()) == 24
+    assert len(catalog.load_catalog()) == 24
+    assert sorted(validated) == sorted(catalog.labels())
+
+
+def test_duplicate_label_is_rejected_when_the_file_is_read(monkeypatch):
+    entries = [
+        {"label": "A1", "flavor": "analytic", "normal_form": "x*y", "k_used": 2,
+         "dim_es": 0, "mu": 1, "tau": 1, "N": 5, "codim": 1},
+    ] * 2
+    text = json.dumps({"entries": entries})
+    files = SimpleNamespace(joinpath=lambda name: SimpleNamespace(read_text=lambda: text))
+    monkeypatch.setattr(catalog, "resources", SimpleNamespace(files=lambda pkg: files))
+    monkeypatch.setattr(catalog, "_RAW", None)
+    monkeypatch.setattr(catalog, "_VALIDATED", {})
+    with pytest.raises(InconsistencyError) as err:
+        catalog.lookup("A2")
+    assert str(err.value) == "duplicate catalog label A1"
 
 
 def test_node_entry():

@@ -207,6 +207,40 @@ def test_series_eval_errors(tmp_path, capsys):
     assert code == 2
 
 
+def _write_a_table(path, entries):
+    path.write_text(json.dumps({"entries": entries}))
+    return str(path)
+
+
+def _series_commands(table):
+    return [
+        ("series", "assemble", "--a-table", table),
+        ("series", "eval", "--a-table", table, "--parts", "A1", "--chern", "1,1,1,1"),
+    ]
+
+
+def test_a_table_rejects_malformed_exponent_vectors(tmp_path, capsys):
+    for exps in ([1.5, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0], [-1, 0, 0, 0],
+                 ["1", 0, 0, 0], [True, 0, 0, 0], "1000"):
+        table = _write_a_table(tmp_path / "atable.json", [[["A1"], [[exps, "3"]]]])
+        for argv in _series_commands(table):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), (exps, argv)
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_table_rejects_a_repeated_multiset(tmp_path, capsys):
+    line = [[[1, 0, 0, 0], "3"]]
+    for first, second in [(["A1"], ["A1"]), (["A1", "A2"], ["A2", "A1"])]:
+        entries = [[["A1"], line], [["A2"], line], [first, line], [second, line]]
+        table = _write_a_table(tmp_path / "atable.json", entries)
+        for argv in _series_commands(table):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == (f"error: a-table file {table!r} lists the multiset "
+                           f"{','.join(sorted(first))} twice\n")
+
+
 def test_cache_flag_round_trip(tmp_path, capsys):
     cache = tmp_path / "memo.txt"
     code, cold, _ = run_cli(
@@ -282,10 +316,24 @@ def test_severi_one_node_count_at_degree_45(capsys):
     assert (code, out) == (0, f"{3 * 44 ** 2}\n")
 
 
-def test_json_output_is_byte_deterministic(capsys):
-    _, first, _ = run_cli(capsys, "fit", "nodes", "--max-r", "2", "--json")
+def test_json_output_is_byte_deterministic(tmp_path, capsys):
+    table = str(tmp_path / "atable.json")
+    _, first, _ = run_cli(capsys, "fit", "nodes", "--max-r", "2", "--json",
+                          "--a-table-out", table)
     _, second, _ = run_cli(capsys, "fit", "nodes", "--max-r", "2", "--json")
     assert first == second
+    series = {
+        ("series", "assemble", "--a-table", table, "--json"):
+            {"entries": 2, "keys": 3, "products": 3},
+        ("series", "eval", "--a-table", table, "--parts", "A1,A1",
+         "--chern", "36,-18,9,3", "--json"):
+            {"entries": 2, "keys": 3, "products": 3},
+    }
+    for argv, stats in series.items():
+        _, first, _ = run_cli(capsys, *argv)
+        _, second, _ = run_cli(capsys, *argv)
+        assert first == second
+        assert json.loads(first)["stats"] == stats
     _, first, _ = run_cli(capsys, "germ", "catalog", "--json")
     _, second, _ = run_cli(capsys, "germ", "catalog", "--json")
     assert first == second

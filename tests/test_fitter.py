@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
@@ -12,7 +14,7 @@ from curvelab.fitter import (
     fit_nodes,
     threshold_scan,
 )
-from curvelab.series import ChernPolynomial
+from curvelab.series import ChernPolynomial, assemble_series
 from curvelab.severi import MemoStore, SeveriEngine
 
 A1_LINE = ChernPolynomial.linear(3, 2, 0, 1)
@@ -176,3 +178,50 @@ def test_assemble_from_table_rejects_nonlinear(fit4):
     bad = fit4.a[1] * fit4.a[1]
     with pytest.raises(InputError):
         assemble_from_table({("A1",): bad}, chern_p2(4), ("A1",))
+
+
+def test_assemble_from_table_checks_in_order(fit4):
+    node, cusp = fit4.a[1], ChernPolynomial.linear(0, 1, 0, 0)
+    bad = node * node
+    cases = [
+        # missing sub-multiset, then unknown label, then non-linear entry,
+        # each checked over the whole table, not only the sub-multisets
+        ({("A1",): bad, ("Z9",): node}, ("A1", "A2"), "missing entry A2"),
+        ({("A1",): node, ("A2",): bad, ("Z9",): node}, ("A1",), "unknown singularity label 'Z9'"),
+        ({("A1",): node, ("A2",): bad}, ("A1",), "table entry for A2 must be linear"),
+        ({("A1",): node, (): cusp}, ("A1",), "exp needs a series with zero constant term"),
+    ]
+    for table, parts, message in cases:
+        with pytest.raises(InputError) as err:
+            assemble_from_table(table, chern_p2(4), parts)
+        assert str(err.value).startswith(message)
+
+
+def test_assemble_from_table_equals_full_assembly():
+    # evaluating before exponentiating gives the full series' coefficient
+    # at the Chern vector, for every multiset of weight <= 8
+    rng = random.Random(8)
+    weights = {"A1": 1, "A2": 2, "A3": 3, "D4": 4}
+    keys = [
+        key
+        for size in range(1, 9)
+        for key in combinations_with_replacement(sorted(weights), size)
+        if sum(weights[label] for label in key) <= 8
+    ]
+    table = {
+        key: ChernPolynomial.linear(
+            *(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
+        )
+        for key in keys
+    }
+    full = assemble_series(table, weights, 8)
+    chern = tuple(rng.randint(-40, 40) for _ in range(4))
+    stats = {}
+    for key in keys:
+        got = assemble_from_table(table, chern, key, stats)
+        assert got == full.coefficient(key).evaluate(chern)
+    assert len(keys) == 52
+    # the last key is A1 x 8: its sub-multisets A1 x k for k = 1..8, the keys
+    # A1 x 0..8, and n pairs at weight n = 1..8
+    assert keys[-1] == ("A1",) * 8
+    assert stats == {"entries": 8, "keys": 9, "products": 36}

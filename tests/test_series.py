@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -64,8 +65,10 @@ def test_polynomial_json_round_trip():
     p = A1 * A1 + ChernPolynomial.constant(Fraction(5, 3))
     obj = p.to_json_obj()
     assert ChernPolynomial.from_json_obj(obj) == p
-    with pytest.raises(InputError):
-        ChernPolynomial.from_json_obj([["not-exponents"]])
+    for bad in ([["not-exponents"]], [[[1, 0, 0, 0], "3"], [[1, 0, 0, 0], "4"]],
+                [[[1.5, 0, 0, 0], "3"]], [[[1, 0, 0, 0, 0], "3"]]):
+        with pytest.raises(InputError):
+            ChernPolynomial.from_json_obj(bad)
 
 
 def test_aut_count():
@@ -148,6 +151,83 @@ def test_exp_log_round_trips_to_weight_six():
         assert exp_series(log_series(one + s)) == one + s
 
 
+def _power_sum_exp(s: TruncatedSeries) -> TruncatedSeries:
+    """Reference exp: the sum of s^m/m! over m <= cap, by full products."""
+    result = power = TruncatedSeries.one(s.weights, s.cap)
+    for m in range(1, s.cap + 1):
+        power = power * s
+        result = result + power.scale(Fraction(1, factorial(m)))
+    return result
+
+
+def _power_sum_log(t: TruncatedSeries) -> TruncatedSeries:
+    """Reference log: the sum of (-1)^(m+1) u^m/m over m <= cap, u = t - 1."""
+    one = TruncatedSeries.one(t.weights, t.cap)
+    u = t - one
+    result, power = TruncatedSeries.zero(t.weights, t.cap), one
+    for m in range(1, t.cap + 1):
+        power = power * u
+        result = result + power.scale(Fraction((-1) ** (m + 1), m))
+    return result
+
+
+def _sparse_series(rng, weights, cap, entries, max_degree) -> TruncatedSeries:
+    """A1 and `entries` - 1 more random keys of weight <= cap, if any fit."""
+    labels = sorted(weights)
+    keys = sorted({
+        tuple(sorted(rng.choice(labels) for _ in range(rng.randint(1, 3))))
+        for _ in range(50)
+    })
+    keys = [k for k in keys if sum(weights[label] for label in k) <= cap]
+    chosen = [("A1",)] + rng.sample(keys, min(entries - 1, len(keys)))
+    return TruncatedSeries(
+        weights, cap, {k: _random_poly(rng, max_degree) for k in chosen}
+    )
+
+
+def test_exp_and_log_match_power_sums_at_caps_0_to_10():
+    rng = random.Random(7)
+    weights = {"A1": 1, "A2": 2, "D4": 4}
+    for cap in range(11):
+        for _ in range(3):
+            s = _sparse_series(rng, weights, cap, 6, 2 if cap <= 7 else 1)
+            e = exp_series(s)
+            assert e == _power_sum_exp(s)
+            assert log_series(e) == s
+            one = TruncatedSeries.one(weights, cap)
+            assert log_series(one + s) == _power_sum_log(one + s)
+
+
+def test_exp_cancels_to_zero_coefficients():
+    # exp(log(1 + t)) = 1 + t: every key outside t, and every monomial that
+    # t lacks, has to cancel exactly
+    rng = random.Random(11)
+    weights = {"A1": 1, "A2": 2, "E6": 3}
+    for cap in (4, 7, 10):
+        one = TruncatedSeries.one(weights, cap)
+        t = one + _sparse_series(rng, weights, cap, 3, 1)
+        s = _power_sum_log(t)
+        assert exp_series(s) == _power_sum_exp(s) == t
+        assert all(not p.is_zero() for p in exp_series(s).coeffs.values())
+        assert log_series(t) == s
+    # one monomial cancels inside a surviving coefficient
+    x = ChernPolynomial({(1, 0, 0, 0): 1})
+    y = ChernPolynomial({(0, 1, 0, 0): 1})
+    s = TruncatedSeries({"A1": 1}, 2, {("A1",): x + y, ("A1", "A1"): (x * x).scale(Fraction(-1, 2))})
+    assert exp_series(s).coefficient(("A1", "A1")) == x * y + (y * y).scale(Fraction(1, 2))
+
+
+def test_exp_counters():
+    weights = {"A1": 1, "A2": 2}
+    s = TruncatedSeries(weights, 3, {("A1",): A1, ("A2",): A1})
+    stats = {}
+    e = exp_series(s, stats)
+    # keys A1, A2, A1A1, A1A2, A1A1A1 and the constant; pairs (S_A, E_B) with
+    # w(A) + w(B) <= 3: A1 with E_0, E_A1, E_A1A1, E_A2; A2 with E_0, E_A1
+    assert stats == {"entries": 2, "keys": 6, "products": 6}
+    assert len(e.coeffs) == 6
+
+
 def test_log_turns_products_into_sums():
     rng = random.Random(99)
     weights = {"A1": 1, "A2": 2}
@@ -211,10 +291,3 @@ def test_series_json_round_trip():
     assert TruncatedSeries.from_json_obj(s.to_json_obj()) == s
     with pytest.raises(InputError):
         TruncatedSeries.from_json_obj({"cap": 3})
-
-
-def test_min_positive_weight():
-    weights = {"A1": 1, "A2": 2}
-    assert TruncatedSeries.zero(weights, 4).min_positive_weight() == 5
-    s = TruncatedSeries(weights, 4, {("A2",): ChernPolynomial.constant(1)})
-    assert s.min_positive_weight() == 2
