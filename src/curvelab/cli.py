@@ -37,13 +37,14 @@ def _emit(args, result, stats=None, text="") -> int:
 
 def _engine_from_args(args):
     store = MemoStore()
-    cache = getattr(args, "cache", None)
-    if cache and os.path.exists(cache):
-        store.load(cache)
     ceiling = getattr(args, "ceiling", None)
     if ceiling is None:
         ceiling = DEFAULT_DEGREE_CEILING
-    return SeveriEngine(store, degree_ceiling=ceiling), store
+    engine = SeveriEngine(store, degree_ceiling=ceiling)
+    cache = getattr(args, "cache", None)
+    if cache and os.path.exists(cache):
+        store.load(cache)
+    return engine, store
 
 
 def _save_cache(args, store):
@@ -169,7 +170,7 @@ def _cmd_severi_oracle(args) -> int:
             raise InputError("the floor-diagram oracle only covers the plane")
         if args.d is None or args.nodes is None:
             raise InputError("floor oracle needs -d and --nodes")
-        value = floor_diagram_oracle(args.d, args.nodes)
+        value = floor_diagram_oracle(args.d, args.nodes, stats)
     else:
         if args.surface == "p2":
             if args.d is None:

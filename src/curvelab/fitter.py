@@ -244,8 +244,11 @@ def threshold_scan(
     Scans the given degrees and returns the first admissible d such that
     every admissible degree from d onward agrees with severi_p2.
     """
-    if r < 1 or r not in result.T:
-        raise InputError(f"threshold scan needs a fitted order 1..{result.r_max}")
+    if not 1 <= r <= MAX_ORDER:
+        raise InputError(f"threshold scan needs an order r in 1..{MAX_ORDER}, got {r}")
+    if r not in result.T:
+        raise InputError(f"threshold scan of order {r} needs a fit up to order {r}, "
+                         f"not {result.r_max}")
     if d_range is None:
         d_range = range(1, 13)
     engine = engine if engine is not None else SeveriEngine()
@@ -271,6 +274,8 @@ def _normalize_table(a_table: dict) -> dict:
         if isinstance(key, str):
             key = (key,)
         key = tuple(sorted(key))
+        if key in out:
+            raise InputError(f"a-table lists the multiset {','.join(key)} twice")
         if not isinstance(poly, ChernPolynomial):
             poly = ChernPolynomial(poly)
         out[key] = poly

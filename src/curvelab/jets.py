@@ -139,6 +139,13 @@ def _require_germ(f: GermPoly):
         raise InputError("constant term nonzero: not a germ at the origin")
 
 
+def _require_ceiling(ceiling: int):
+    # below 1 no order is scanned, and "not isolated up to ceiling 0"
+    # would report a limit that nothing reached
+    if ceiling < 1:
+        raise InputError(f"ceiling must be at least 1, got {ceiling}")
+
+
 def _quotient_colength(gens, ceiling: int, what: str) -> int:
     """dim C{x,y}/I for the ideal spanned by gens, via jet saturation.
 
@@ -146,6 +153,7 @@ def _quotient_colength(gens, ceiling: int, what: str) -> int:
     truncated ideal; by the Nakayama jet criterion the quotient then
     equals its image at that order.
     """
+    _require_ceiling(ceiling)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise CeilingError(f"{what} not isolated up to ceiling {ceiling}")
@@ -186,6 +194,7 @@ def determinacy_window(f: GermPoly, ceiling: int = DEFAULT_CEILING) -> tuple[int
     coordinate change, and k_low is the matching lower bound.
     """
     _require_germ(f)
+    _require_ceiling(ceiling)
     gens = [g for g in _gradient_frame(f) if not g.is_zero()]
     if not gens:
         raise CeilingError(f"determinacy exceeds ceiling {ceiling}")

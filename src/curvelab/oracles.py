@@ -125,13 +125,21 @@ def _marking_count(d: int, edges: list) -> int:
     return mu * (labeled // denom)
 
 
-def floor_diagram_oracle(d: int, delta: int) -> int:
+def floor_diagram_oracle(d: int, delta: int, stats: dict = None) -> int:
     """Nodal count by summing multiplicity x markings over all diagrams.
 
     Diagrams: vertices 1..d, directed weighted multi-edges i -> j (i < j),
     with 1 - in(v) + out(v) >= 0 at every vertex and exactly
     d(d-1)/2 - delta edges.
+
+    If `stats` is a dict, it receives deterministic counters: diagrams,
+    the diagrams counted, and frames, the calls of the step that picks
+    the sources of a vertex's incoming edges.
     """
+    if stats is None:
+        stats = {}
+    for key in ("diagrams", "frames"):
+        stats.setdefault(key, 0)
     if not isinstance(d, int) or not isinstance(delta, int):
         raise InputError("degree and node count must be integers")
     if not (1 <= d <= 6) or not (0 <= delta <= 4):
@@ -160,6 +168,7 @@ def floor_diagram_oracle(d: int, delta: int) -> int:
         nonlocal total
         if j == 1:
             if len(edges) == edge_target:
+                stats["diagrams"] += 1
                 total += _marking_count(d, edges)
             return
         if len(edges) > edge_target:
@@ -169,6 +178,7 @@ def floor_diagram_oracle(d: int, delta: int) -> int:
         budget = 1 + out_w[j]
 
         def pick_source(i: int, left: int):
+            stats["frames"] += 1
             if i == 0:
                 fill_target(j - 1)
                 return

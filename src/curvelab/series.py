@@ -431,11 +431,14 @@ def scaled_entries(a_table: dict) -> dict:
     """Table entries a_key/#Aut(key), keyed by sorted label multiset.
 
     Table entries are the #Aut-scaled logarithmic coefficients attached
-    to each label multiset; each must be a linear Chern polynomial.
+    to each label multiset; each must be a linear Chern polynomial, and
+    two keys that sort to one multiset are refused.
     """
     coeffs = {}
     for key, poly in a_table.items():
         key = tuple(sorted(key))
+        if key in coeffs:
+            raise InputError(f"a-table lists the multiset {','.join(key)} twice")
         if not isinstance(poly, ChernPolynomial):
             poly = ChernPolynomial(poly)
         if not poly.is_linear():

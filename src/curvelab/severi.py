@@ -4,17 +4,18 @@ Both counts run on one tangency-profile recursion relative to a fixed
 line (a ruling line on the quadric): either one unassigned contact is
 promoted to an assigned one, or the fixed line splits off and leaves a
 residual curve with adjusted profiles and node count.  One step function
-maps a memo key to its weighted child keys, and one evaluator walks
-those edges depth-first on an explicit stack, so the depth of the
-recursion is bounded by memory, not by the Python call stack.  The
-surfaces differ only in a small per-surface table: the base case, the
-residual class, its intersection with the fixed line and its node cap.
-Every value is an exact arbitrary-precision integer, memoized in a
-store that can persist to a cache file: a header line with the SHA-256
-digest of the body, then one sorted, canonical line per memo key.
-Loading reads the file once, checking the digest, the order and the
-canonical form of every line; a store that holds exactly what it loaded
-is not written back.
+maps a memo key to its weighted child keys, read from tables built once
+per distinct tangency profile, and one evaluator walks those edges
+depth-first on an explicit stack, so the depth of the recursion is
+bounded by memory, not by the Python call stack.  The surfaces differ
+only in a small per-surface table: the base case, the residual class,
+its intersection with the fixed line and its node cap.  Every value is
+an exact arbitrary-precision integer, memoized in a store that can
+persist to a cache file: a header line with the SHA-256 digest of the
+body, then one sorted, canonical line per memo key.  Loading reads the
+file once, checking the digest, the order and the canonical form of
+every line; saving spells each distinct field once; a store that holds
+exactly what it loaded is not written back.
 """
 
 from __future__ import annotations
@@ -37,6 +38,19 @@ DEFAULT_DEGREE_CEILING = 12
 
 # ---------------------------------------------------------------------------
 # tangency profiles: entry i counts contacts of order i+1
+#
+# A query's tens of thousands of memo keys hold only a few hundred
+# distinct profiles.  So the profile arithmetic of an edge is read from
+# tables built once per profile (`_bump`, `_alpha_splits`, `_gamma_moves`),
+# and every profile that enters a memo key is interned: the keys share one
+# tuple per profile instead of holding a copy each.
+
+_PROFILES = {}
+
+
+def _intern(profile: tuple) -> tuple:
+    """The one tuple that stands for this profile in every memo key."""
+    return _PROFILES.setdefault(profile, profile)
 
 
 def trim(profile) -> tuple:
@@ -50,12 +64,14 @@ def profile_moment(profile) -> int:
     return sum((i + 1) * c for i, c in enumerate(profile))
 
 
-def _bump(profile, index: int, amount: int = 1) -> tuple:
+@cache
+def _bump(profile: tuple, index: int, amount: int = 1) -> tuple:
+    """The profile with `amount` more contacts of order index+1."""
     t = list(profile)
     while len(t) <= index:
         t.append(0)
     t[index] += amount
-    return trim(t)
+    return _intern(trim(t))
 
 
 def _add_profiles(p, q) -> tuple:
@@ -101,6 +117,34 @@ def _partitions_with_parts(n: int, k: int) -> tuple:
         for p in parts:
             gamma[p - 1] += 1
         out.append(tuple(gamma))
+    return tuple(out)
+
+
+@cache
+def _alpha_splits(alpha: tuple) -> tuple:
+    """(alpha', moment of alpha', product of comb(alpha[i], alpha'[i])) for
+    every profile alpha' that alpha dominates componentwise."""
+    out = []
+    for sub in _subprofiles(alpha):
+        comb_alpha = 1
+        for total, kept in zip(alpha, sub):
+            comb_alpha *= comb(total, kept)
+        out.append((_intern(trim(sub)), profile_moment(sub), comb_alpha))
+    return tuple(out)
+
+
+@cache
+def _gamma_moves(beta: tuple, rem: int, k: int) -> tuple:
+    """(factor, beta + gamma) for every gamma of moment rem with k parts:
+    the new unassigned contacts of a residual, and their weight."""
+    out = []
+    for gamma in _partitions_with_parts(rem, k):
+        beta_p = _add_profiles(beta, gamma)
+        factor = 1
+        for i, c in enumerate(gamma):
+            if c:
+                factor *= (i + 1) ** c * comb(beta_p[i], beta[i] if i < len(beta) else 0)
+        out.append((factor, _intern(beta_p)))
     return tuple(out)
 
 
@@ -152,7 +196,7 @@ def _parse_head(text: str) -> tuple:
 
 
 def _parse_profile(text: str) -> tuple:
-    return () if text == "-" else trim(_natural(c) for c in text.split(","))
+    return () if text == "-" else _intern(trim(_natural(c) for c in text.split(",")))
 
 
 class _FieldMemo(dict):
@@ -227,14 +271,6 @@ class MemoStore:
             "size": len(self.table),
         }
 
-    @staticmethod
-    def _key_to_line(key, value) -> str:
-        surface, degree, delta, alpha, beta = key
-        return (
-            f"{_format_head(surface, degree, delta)} "
-            f"{_format_profile(alpha)} {_format_profile(beta)} {value}\n"
-        )
-
     def save(self, path):
         """Write the table, unless the file already holds it.  The new
         file replaces the old one whole, so an interrupted save leaves
@@ -242,7 +278,13 @@ class MemoStore:
         path = os.fspath(path)
         if self._loaded_from == (path, len(self.table)):
             return
-        lines = sorted(self._key_to_line(k, v) for k, v in self.table.items())
+        # a few hundred distinct heads and profiles spell every line, so
+        # each is formatted once, as load parses each once
+        head, profile = cache(_format_head), cache(_format_profile)
+        lines = sorted(
+            f"{head(*key[:3])} {profile(key[3])} {profile(key[4])} {value}\n"
+            for key, value in self.table.items()
+        )
         body = "".join(lines).encode("ascii")
         digest = _sha256()
         digest.update(body)
@@ -373,34 +415,29 @@ def _edges(key, rule):
     for i, count in enumerate(beta):
         if count > 0:
             yield i + 1, (surface, degree, delta, _bump(alpha, i), _bump(beta, i, -1))
-    # split off the fixed line; the residual meets it in `meet` points
+    # split off the fixed line; the residual meets it in `meet` points,
+    # of which `free` are not taken by the contacts in beta
     residual = rule.residual(degree)
     meet = rule.meet(residual)
     cap = rule.node_cap(residual)
-    moment_beta = profile_moment(beta)
-    for alpha_p in _subprofiles(alpha):
-        rem = meet - profile_moment(alpha_p) - moment_beta
+    free = meet - profile_moment(beta)
+    # the residual keeps delta - meet + k nodes, k the parts of gamma,
+    # and that must lie in 0..cap
+    least, most = max(meet - delta, 0), meet - delta + cap
+    for alpha_p, moment_alpha, comb_alpha in _alpha_splits(alpha):
+        rem = free - moment_alpha
         if rem < 0:
             continue
-        alpha_p = trim(alpha_p)
-        comb_alpha = 1
-        for i, c in enumerate(alpha_p):
-            comb_alpha *= comb(alpha[i], c)
-        # the residual keeps delta - meet + k nodes, k the parts of gamma,
-        # and that must lie in 0..cap
-        for k in range(max(meet - delta, 0), min(meet - delta + cap, rem) + 1):
+        for k in range(least, min(most, rem) + 1):
             delta_p = delta - meet + k
-            for gamma in _partitions_with_parts(rem, k):
-                beta_p = _add_profiles(beta, gamma)
-                factor = comb_alpha
-                for i, c in enumerate(gamma):
-                    if c:
-                        factor *= (i + 1) ** c * comb(beta_p[i], beta[i] if i < len(beta) else 0)
-                yield factor, (surface, residual, delta_p, alpha_p, beta_p)
+            for factor, beta_p in _gamma_moves(beta, rem, k):
+                yield comb_alpha * factor, (surface, residual, delta_p, alpha_p, beta_p)
 
 
 class SeveriEngine:
     def __init__(self, store: MemoStore = None, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
+        if degree_ceiling < 1:
+            raise InputError(f"degree ceiling must be at least 1, got {degree_ceiling}")
         self.store = store if store is not None else MemoStore()
         self.degree_ceiling = degree_ceiling
 
@@ -422,7 +459,7 @@ class SeveriEngine:
         if delta > cap:
             raise AdmissibilityError(f"delta={delta} exceeds the nodal cap {cap} for {label}")
         # every contact with the fixed line starts unassigned and of order 1
-        return self._evaluate((surface, degree, delta, (), (rule.meet(degree),)))
+        return self._evaluate((surface, degree, delta, (), _intern((rule.meet(degree),))))
 
     def _evaluate(self, key) -> int:
         """Depth-first walk of the edges below `key` on an explicit stack.
@@ -433,25 +470,28 @@ class SeveriEngine:
         of the walk.
         """
         store = self.store
-        value = store.get(key)
+        get = store.get
+        value = get(key)
         if value is not None:
             return value
         # frame: [key, running total, edge iterator, factor in the parent]
         stack = [[key, *_step(key), 1]]
         while True:
             frame = stack[-1]
+            total = frame[1]
             for factor, child in frame[2]:
-                value = store.get(child)
+                value = get(child)
                 if value is None:
+                    frame[1] = total
                     stack.append([child, *_step(child), factor])
                     break
-                frame[1] += factor * value
+                total += factor * value
             else:
-                key, value, _, factor = stack.pop()
-                store.put(key, value)
+                key, _, _, factor = stack.pop()
+                store.put(key, total)
                 if not stack:
-                    return value
-                stack[-1][1] += factor * value
+                    return total
+                stack[-1][1] += factor * total
 
 
 def severi_p2(d: int, delta: int, engine: SeveriEngine = None) -> int:

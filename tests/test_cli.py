@@ -93,6 +93,20 @@ def test_severi_limit_errors(capsys):
     assert out.strip() == "432"
 
 
+def test_limits_below_one_are_bad_input(capsys):
+    # nothing is scanned below 1, so no limit can have been hit there
+    for argv, message in [
+        (("germ", "analyze", "x^2+y^3", "--ceiling", "0"), "ceiling must be at least 1"),
+        (("severi", "p2", "-d", "3", "--nodes", "1", "--ceiling", "-1"),
+         "degree ceiling must be at least 1"),
+        (("fit", "scan", "-r", "0"), "needs an order r in 1..8"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
 def test_severi_oracle_paths(capsys):
     code, out, _ = run_cli(
         capsys, "severi", "oracle", "--method", "floor", "-d", "4", "--nodes", "2"
@@ -346,6 +360,11 @@ def test_json_output_is_byte_deterministic(tmp_path, capsys):
     assert json.loads(first)["stats"] == {
         "samples": 4, "retries": 1, "crt_primes": 3, "exact_squarefree_fallbacks": 0,
     }
+    floor = ("severi", "oracle", "--method", "floor", "-d", "4", "--nodes", "2", "--json")
+    _, first, _ = run_cli(capsys, *floor)
+    _, second, _ = run_cli(capsys, *floor)
+    assert first == second
+    assert json.loads(first)["stats"] == {"diagrams": 13, "frames": 91}
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

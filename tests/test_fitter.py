@@ -197,6 +197,16 @@ def test_assemble_from_table_checks_in_order(fit4):
         assert str(err.value).startswith(message)
 
 
+def test_assemble_from_table_rejects_a_repeated_multiset():
+    # (A1,A2) and (A2,A1) name one multiset; keeping either value silently
+    # would answer for a table the caller did not write
+    x, y = ChernPolynomial.linear(1, 0, 0, 0), ChernPolynomial.linear(0, 1, 0, 0)
+    table = {("A1",): x, ("A2",): y, ("A1", "A2"): x.scale(5), ("A2", "A1"): x.scale(7)}
+    with pytest.raises(InputError) as err:
+        assemble_from_table(table, (1, 1, 1, 1), ("A1", "A2"))
+    assert "multiset A1,A2 twice" in str(err.value)
+
+
 def test_assemble_from_table_equals_full_assembly():
     # evaluating before exponentiating gives the full series' coefficient
     # at the Chern vector, for every multiset of weight <= 8

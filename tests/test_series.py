@@ -277,6 +277,14 @@ def test_assemble_rejects_nonlinear_entries():
         assemble_series({("A1",): ChernPolynomial.constant(1)}, {"A1": 1}, cap=3)
 
 
+def test_assemble_rejects_a_repeated_multiset():
+    a2 = ChernPolynomial.linear(0, 1, 5, -2)
+    table = {("A1",): A1, ("A2",): a2, ("A1", "A2"): A1, ("A2", "A1"): a2}
+    with pytest.raises(InputError) as err:
+        assemble_series(table, {"A1": 1, "A2": 2}, cap=3)
+    assert "multiset A1,A2 twice" in str(err.value)
+
+
 def test_extract_universal_respects_cap():
     series = assemble_series({("A1",): A1}, {"A1": 1}, cap=2)
     with pytest.raises(InputError) as err:

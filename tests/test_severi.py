@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 
 import pytest
 
@@ -340,3 +341,118 @@ def test_partitions_by_part_count():
             assert sorted(got) == want
             assert len(set(got)) == len(got)
     assert len(_all_partition_profiles(20, 20)) == 627
+
+
+def _reference_bump(profile, index, amount=1):
+    t = list(profile) + [0] * (index + 1 - len(profile))
+    t[index] += amount
+    return severi.trim(t)
+
+
+def _reference_edges(key, rule):
+    """The edges of a memo key, building every profile afresh: the step
+    function as it was before the edge tables."""
+    surface, degree, delta, alpha, beta = key
+    for i, count in enumerate(beta):
+        if count > 0:
+            yield i + 1, (surface, degree, delta, _reference_bump(alpha, i),
+                          _reference_bump(beta, i, -1))
+    residual = rule.residual(degree)
+    meet = rule.meet(residual)
+    cap = rule.node_cap(residual)
+    moment_beta = severi.profile_moment(beta)
+    for alpha_p in severi._subprofiles(alpha):
+        rem = meet - severi.profile_moment(alpha_p) - moment_beta
+        if rem < 0:
+            continue
+        alpha_p = severi.trim(alpha_p)
+        comb_alpha = 1
+        for i, c in enumerate(alpha_p):
+            comb_alpha *= math.comb(alpha[i], c)
+        for k in range(max(meet - delta, 0), min(meet - delta + cap, rem) + 1):
+            delta_p = delta - meet + k
+            for gamma in severi._partitions_with_parts(rem, k):
+                beta_p = severi._add_profiles(beta, gamma)
+                factor = comb_alpha
+                for i, c in enumerate(gamma):
+                    if c:
+                        factor *= (i + 1) ** c * math.comb(
+                            beta_p[i], beta[i] if i < len(beta) else 0
+                        )
+                yield factor, (surface, residual, delta_p, alpha_p, beta_p)
+
+
+@pytest.fixture(scope="module")
+def both_surfaces():
+    eng = SeveriEngine()
+    for nodes in range(13):
+        eng.severi_p2(8, nodes)
+    for nodes in range(11):
+        eng.severi_quadric(5, 6, nodes)
+    return eng.store
+
+
+def _assert_profiles_interned(table):
+    profiles = [p for key in table for p in key[3:]]
+    assert len({id(p) for p in profiles}) == len(set(profiles))
+
+
+def test_edge_tables_give_the_reference_edges(both_surfaces):
+    assert {key[0] for key in both_surfaces.table} == {"P2", "P1XP1"}
+    stepped = 0
+    for key in both_surfaces.table:
+        rule = severi._SURFACES[key[0]]
+        if rule.base(*key[1:]) is not None:
+            continue
+        want = Counter(_reference_edges(key, rule))
+        assert Counter(severi._step(key)[1]) == want, key
+        stepped += 1
+    assert stepped > 1000
+
+
+def test_memo_keys_share_one_tuple_per_profile(both_surfaces, tmp_path):
+    _assert_profiles_interned(both_surfaces.table)
+    # profiles read from a cache file are the ones the recursion builds
+    path = tmp_path / "memo.txt"
+    both_surfaces.save(path)
+    store = MemoStore()
+    store.load(path)
+    engine = SeveriEngine(store)
+    engine.severi_p2(9, 6)
+    engine.severi_quadric(6, 5, 4)
+    assert store.computed > 0
+    _assert_profiles_interned(store.table)
+
+
+# stats and body SHA-256 of cold stores, as computed by the recursion
+# before its edge tables existed
+PINNED_STORES = [
+    ("severi_p2(12, 0..20)", 12, [("p2", 12, n) for n in range(21)],
+     31933, 465081, "0ee0733897fd385dbefdd18b174cca44bc27c10ca3ee2dc38e1889a90d7b5289"),
+    ("severi_p2(12, 20)", 12, [("p2", 12, 20)],
+     22379, 340916, "ca186043563d9155147db072c48f4cb0a5910260403dd3eca2e47cb4c40311b7"),
+    ("severi_p2(16, 10)", 16, [("p2", 16, 10)],
+     49611, 168349, "cad04914013087ca2ea2481cb1d3b2aea1f8312c550ea8b8237db0b433a19e25"),
+    ("severi_quadric(10, 10, 8)", 12, [("quadric", 10, 10, 8)],
+     18787, 50783, "a261ea0106ab19943dd7ca7ecc340ad4f36513633ab3237dc73dcb57d71c6f37"),
+    ("severi_p2(4, 2)", 12, [("p2", 4, 2)],
+     39, 21, "fb042667cc0b4c58b6b745a633dbb3ac69a390d44c5ca85612d553c27b6c069d"),
+    ("severi_p2(7, 5) and severi_quadric(4, 5, 6)", 12, [("p2", 7, 5), ("quadric", 4, 5, 6)],
+     1030, 2168, "53a428c6837e4204e7a456537b3cb0cdcd943aa31bdabbbc2b914fcfab78171b"),
+]
+
+
+@pytest.mark.parametrize("name, ceiling, queries, computed, hits, sha", PINNED_STORES,
+                         ids=[store[0] for store in PINNED_STORES])
+def test_pinned_store_bytes(name, ceiling, queries, computed, hits, sha, tmp_path):
+    eng = SeveriEngine(degree_ceiling=ceiling)
+    for surface, *args in queries:
+        getattr(eng, f"severi_{surface}")(*args)
+    assert eng.store.stats() == {
+        "computed": computed, "hits": hits, "loaded": 0, "size": computed,
+    }
+    path = tmp_path / "memo.txt"
+    eng.store.save(path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    assert hashlib.sha256(body).hexdigest() == sha
+    assert header == b"curvelab-memo/v1 " + sha.encode()
