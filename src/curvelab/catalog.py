@@ -14,7 +14,7 @@ from importlib import resources
 
 from .errors import InconsistencyError, InputError
 from .germs import GermPoly, parse_germ
-from .jets import determinacy_window, milnor_number, scheme_length, tjurina_number
+from .jets import determinacy_window, milnor_number, scheme_length, tjurina_basis
 from .series import aut_count
 
 ALIASES = {"node": "A1", "cusp": "A2"}
@@ -55,15 +55,31 @@ class CollectionStats:
     aut: int
 
 
+def _ordinary_point_moduli(label: str, f: GermPoly, basis: list) -> int:
+    """dim_es of an ordinary m-fold point: the Tjurina basis monomials on
+    or above the Newton boundary i + j = m, whose deformations of f keep mu
+    and the topological type (0, 1, 3, 6 for m = 3..6).
+
+    A homogeneous f of finite mu has m distinct tangents, so the check
+    below is what makes the entry an ordinary m-fold point.
+    """
+    m = f.multiplicity()
+    if any(i + j != m for i, j in f.terms):
+        raise InconsistencyError(
+            f"catalog entry {label}: topological normal form must be homogeneous"
+        )
+    return sum(1 for i, j in basis if i + j >= m)
+
+
 def _validate(raw: dict) -> SingularityType:
     label = raw["label"]
     f = parse_germ(raw["normal_form"])
     mu = milnor_number(f)
-    tau = tjurina_number(f)
+    basis = tjurina_basis(f)
+    tau = len(basis)
     window = determinacy_window(f)
     k_used = raw["k_used"]
     n_len = scheme_length(f, k_used)
-    dim_es = raw["dim_es"]
     flavor = raw["flavor"]
 
     def check(name, stored, computed):
@@ -77,10 +93,16 @@ def _validate(raw: dict) -> SingularityType:
     check("tau", raw["tau"], tau)
     check("N", raw["N"], n_len)
     if flavor == "analytic":
-        check("dim_es", dim_es, 0)
+        dim_es = 0
+        check("dim_es", raw["dim_es"], dim_es)
         check("codim", raw["codim"], tau)
     elif flavor == "topological":
+        dim_es = _ordinary_point_moduli(label, f, basis)
+        check("dim_es", raw["dim_es"], dim_es)
         check("codim", raw["codim"], tau - dim_es)
+        # m(m+1)/2 conditions on the (m-1)-jet at a point moving in 2 dimensions
+        m = f.multiplicity()
+        check("codim", raw["codim"], m * (m + 1) // 2 - 2)
     else:
         raise InconsistencyError(f"catalog entry {label}: unknown flavor {flavor!r}")
     if k_used < window[0]:

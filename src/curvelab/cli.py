@@ -108,7 +108,8 @@ def _as_json_number(value):
 
 def _cmd_germ_analyze(args) -> int:
     f = parse_germ(args.expr)
-    report = germ_report(f, k=args.k, ceiling=args.ceiling)
+    stats = {}
+    report = germ_report(f, k=args.k, ceiling=args.ceiling, stats=stats)
     k = report.k_used
     lines = [
         f"germ: {report.expression}",
@@ -121,7 +122,7 @@ def _cmd_germ_analyze(args) -> int:
         f"orbit tangent dim at k={k}: {report.orbit_tangent_dim}",
         f"equisingular stratum dim: {report.dim_s0}",
     ]
-    return _emit(args, report.to_dict(), None, "\n".join(lines))
+    return _emit(args, report.to_dict(), stats, "\n".join(lines))
 
 
 def _cmd_germ_catalog(args) -> int:

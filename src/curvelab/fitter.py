@@ -20,6 +20,7 @@ from .series import (
     exp_series,
     extract_universal,
     log_series,
+    normalize_table,
     scaled_entries,
 )
 from .severi import SeveriEngine, plane_node_cap, quadric_node_cap
@@ -268,20 +269,6 @@ def threshold_scan(
     return threshold
 
 
-def _normalize_table(a_table: dict) -> dict:
-    out = {}
-    for key, poly in a_table.items():
-        if isinstance(key, str):
-            key = (key,)
-        key = tuple(sorted(key))
-        if key in out:
-            raise InputError(f"a-table lists the multiset {','.join(key)} twice")
-        if not isinstance(poly, ChernPolynomial):
-            poly = ChernPolynomial(poly)
-        out[key] = poly
-    return out
-
-
 def _sub_multisets(parts: tuple) -> list:
     labels = sorted(set(parts))
     counts = [parts.count(lab) for lab in labels]
@@ -305,7 +292,7 @@ def assemble_from_table(a_table: dict, chern, parts, stats: dict = None):
     the sub-multisets of `parts` are evaluated and that numeric series is
     exponentiated; `stats` receives the counters of exp_series.
     """
-    table = _normalize_table(a_table)
+    table = normalize_table(a_table)
     parts = tuple(sorted(parts))
     subs = _sub_multisets(parts)
     for needed in subs:

@@ -16,6 +16,8 @@ from .germs import GermPoly
 
 DEFAULT_CEILING = 64
 
+_ZERO = Fraction(0)
+
 
 def _tri(d: int) -> int:
     return d * (d + 1) // 2
@@ -38,47 +40,48 @@ class JetSubspace:
         if not isinstance(truncation_order, int) or truncation_order < 1:
             raise InputError("truncation order must be a positive integer")
         self.truncation_order = truncation_order
-        self._pivots = {}  # pivot column -> reduced row (dict col -> Fraction)
+        # pivot column -> row whose lowest column it is, scaled to 1 there
+        self._pivots = {}
 
     @property
     def dimension(self) -> int:
         return len(self._pivots)
 
     def _reduce(self, row: dict) -> dict:
+        """Row minus its components along the pivot rows.  A pivot row
+        starts at its pivot, so each step clears the row's lowest column
+        and only touches higher ones."""
         row = dict(row)
+        pivots = self._pivots
         while row:
             col = min(row)
-            pivot_row = self._pivots.get(col)
+            pivot_row = pivots.get(col)
             if pivot_row is None:
                 return row
             factor = row[col]
             for c, v in pivot_row.items():
-                nv = row.get(c, Fraction(0)) - factor * v
+                nv = row.get(c, _ZERO) - factor * v
                 if nv:
                     row[c] = nv
                 else:
-                    row.pop(c, None)
+                    del row[c]
         return row
 
     def insert(self, row: dict) -> bool:
-        """Add one vector; returns True if it enlarged the span."""
+        """Add one vector; returns True if it enlarged the span.
+
+        The basis stays in echelon form only: reducing earlier rows by the
+        new pivot would change no pivot, and the pivots are all that the
+        invariants read.
+        """
         red = self._reduce(row)
         if not red:
             return False
         col = min(red)
-        inv = Fraction(1) / red[col]
-        red = {c: inv * v for c, v in red.items()}
-        # keep the basis fully reduced so membership tests are one pass
-        for prow in self._pivots.values():
-            f = prow.get(col)
-            if f is None:
-                continue
-            for c, v in red.items():
-                nv = prow.get(c, Fraction(0)) - f * v
-                if nv:
-                    prow[c] = nv
-                else:
-                    prow.pop(c, None)
+        lead = red[col]
+        if lead != 1:
+            inv = Fraction(1) / lead
+            red = {c: inv * v for c, v in red.items()}
         self._pivots[col] = red
         return True
 
@@ -102,13 +105,37 @@ class JetSubspace:
     def contains_all_of_degree(self, k: int) -> bool:
         return all(self.contains_monomial(k - j, j) for j in range(k + 1))
 
+    # Each pivot is the lowest column of its row and the columns are graded
+    # by degree, so the pivots below jet_dimension(K) are exactly the pivots
+    # of the same span truncated at any order K <= truncation_order.
 
-def ideal_in_jets(generators, include_power=None, truncation_order: int = None) -> JetSubspace:
+    def pivots_cover_degree(self, k: int) -> bool:
+        """Whether the span truncated at order k + 1 holds every monomial
+        of degree k, read off this (possibly higher-order) build."""
+        return all(c in self._pivots for c in range(jet_dimension(k), jet_dimension(k + 1)))
+
+    def standard_monomials(self, order: int) -> list:
+        """Exponents (i, j) of the non-pivot monomials of degree < order: a
+        basis of the quotient of C{x,y}/m^order by the truncated span."""
+        return [
+            (d - j, j)
+            for d in range(order)
+            for j in range(d + 1)
+            if monomial_index(d - j, j) not in self._pivots
+        ]
+
+
+def ideal_in_jets(
+    generators, include_power=None, truncation_order: int = None, stats: dict = None
+) -> JetSubspace:
     """Image in C{x,y}/m^K of the ideal generated by `generators`,
     together with m^p when include_power = p is given.
 
     Multipliers of degree up to K - 1 - ord(g) against each generator g
     are enough: higher multipliers land every product inside m^K.
+    If `stats` is a dict, it counts the builds (ideal_builds), the rows
+    offered to the echelon form (rows_inserted) and the highest
+    truncation order built (max_order).
     """
     K = truncation_order
     if K is None:
@@ -119,11 +146,19 @@ def ideal_in_jets(generators, include_power=None, truncation_order: int = None) 
         raise InputError("need generators or a power of the maximal ideal")
     gens = [g for g in (generators or []) if not g.is_zero()]
     space = JetSubspace(K)
+    rows = 0
     for g in gens:
+        terms = [(i, j, c) for (i, j), c in g.terms.items()]
         bound = K - 1 - g.multiplicity()
         for a in range(bound + 1):
             for b in range(bound + 1 - a):
-                space.insert_poly(g.mul_monomial(a, b))
+                # the row of x^a y^b g, truncated at order K
+                space.insert({
+                    monomial_index(i + a, j + b): c
+                    for i, j, c in terms
+                    if i + j + a + b < K
+                })
+                rows += 1
     if include_power is not None:
         p = include_power
         if not isinstance(p, int) or p < 0:
@@ -131,6 +166,11 @@ def ideal_in_jets(generators, include_power=None, truncation_order: int = None) 
         for d in range(p, K):
             for j in range(d + 1):
                 space.insert({monomial_index(d - j, j): Fraction(1)})
+                rows += 1
+    if stats is not None:
+        stats["ideal_builds"] = stats.get("ideal_builds", 0) + 1
+        stats["rows_inserted"] = stats.get("rows_inserted", 0) + rows
+        stats["max_order"] = max(stats.get("max_order", 0), K)
     return space
 
 
@@ -146,36 +186,76 @@ def _require_ceiling(ceiling: int):
         raise InputError(f"ceiling must be at least 1, got {ceiling}")
 
 
-def _quotient_colength(gens, ceiling: int, what: str) -> int:
-    """dim C{x,y}/I for the ideal spanned by gens, via jet saturation.
+# the lowest rung of a build ladder; below it a build costs less than the
+# scans it saves
+_LADDER_FLOOR = 8
 
-    Scans truncation orders until all top-degree monomials lie in the
-    truncated ideal; by the Nakayama jet criterion the quotient then
-    equals its image at that order.
+
+def _ladder(top: int) -> list:
+    """Build orders ceil(top / 2^i) in ascending order, from the first one
+    that is at least _LADDER_FLOOR (or top itself when top is lower)."""
+    orders = [top]
+    while (half := -(-orders[-1] // 2)) >= _LADDER_FLOOR:
+        orders.append(half)
+    return orders[::-1]
+
+
+def _saturation(gens, ceiling: int, stats: dict = None):
+    """(K, space) for the least K <= ceiling + 1 at which the ideal spanned
+    by gens holds every monomial of degree K - 1 modulo m^K, or None.
+
+    By the Nakayama jet criterion the ideal then contains m^(K-1), and the
+    quotient C{x,y}/I equals its image at order K - 1.  Each build of the
+    ladder answers every order up to its own, so only orders above the
+    previous rung are tested on it.
+    """
+    scanned = 0
+    for order in _ladder(ceiling + 1):
+        space = ideal_in_jets(gens, None, order, stats)
+        for K in range(scanned + 1, order + 1):
+            if space.pivots_cover_degree(K - 1):
+                return K, space
+        scanned = order
+    return None
+
+
+def _quotient_basis(gens, ceiling: int, stats: dict = None) -> list:
+    """Standard monomials (i, j) spanning C{x,y}/I for the ideal I spanned
+    by gens, so their number is the colength dim C{x,y}/I.
+
+    I is read at the least order K <= ceiling + 1 at which it saturates;
+    the basis is then the non-pivot monomials of degree < K - 1.  With no
+    saturation up to the ceiling the scan cannot tell a non-isolated
+    singularity from one that needs a higher ceiling.
     """
     _require_ceiling(ceiling)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        raise CeilingError(f"{what} not isolated up to ceiling {ceiling}")
-    for K in range(1, ceiling + 2):
-        space = ideal_in_jets(gens, None, K)
-        if space.contains_all_of_degree(K - 1):
-            if K == 1:
-                return 0
-            return jet_dimension(K - 1) - ideal_in_jets(gens, None, K - 1).dimension
-    raise CeilingError(f"{what} not isolated up to ceiling {ceiling}")
+        raise CeilingError("singularity not isolated: every generator vanishes")
+    found = _saturation(gens, ceiling, stats)
+    if found is None:
+        raise CeilingError(
+            f"singularity undecided up to ceiling {ceiling} (not isolated, or raise the ceiling)"
+        )
+    K, space = found
+    return space.standard_monomials(K - 1)
 
 
-def milnor_number(f: GermPoly, ceiling: int = DEFAULT_CEILING) -> int:
+def milnor_number(f: GermPoly, ceiling: int = DEFAULT_CEILING, stats: dict = None) -> int:
     """dim C{x,y}/(f_x, f_y); raises CeilingError on non-isolated germs."""
     _require_germ(f)
-    return _quotient_colength([f.partial_x(), f.partial_y()], ceiling, "singularity")
+    return len(_quotient_basis([f.partial_x(), f.partial_y()], ceiling, stats))
 
 
-def tjurina_number(f: GermPoly, ceiling: int = DEFAULT_CEILING) -> int:
-    """dim C{x,y}/(f, f_x, f_y)."""
+def tjurina_basis(f: GermPoly, ceiling: int = DEFAULT_CEILING, stats: dict = None) -> list:
+    """Standard monomials (i, j) spanning C{x,y}/(f, f_x, f_y)."""
     _require_germ(f)
-    return _quotient_colength([f, f.partial_x(), f.partial_y()], ceiling, "singularity")
+    return _quotient_basis([f, f.partial_x(), f.partial_y()], ceiling, stats)
+
+
+def tjurina_number(f: GermPoly, ceiling: int = DEFAULT_CEILING, stats: dict = None) -> int:
+    """dim C{x,y}/(f, f_x, f_y)."""
+    return len(tjurina_basis(f, ceiling, stats))
 
 
 def _gradient_frame(f: GermPoly) -> list:
@@ -189,39 +269,40 @@ def _gradient_frame(f: GermPoly) -> list:
     ]
 
 
-def determinacy_window(f: GermPoly, ceiling: int = DEFAULT_CEILING) -> tuple[int, int]:
+def determinacy_window(
+    f: GermPoly, ceiling: int = DEFAULT_CEILING, stats: dict = None
+) -> tuple[int, int]:
     """(k_low, k_high): jets of order >= k_high determine the germ up to
     coordinate change, and k_low is the matching lower bound.
     """
     _require_germ(f)
     _require_ceiling(ceiling)
     gens = [g for g in _gradient_frame(f) if not g.is_zero()]
-    if not gens:
+    # every frame generator vanishes at the origin, so saturation needs K >= 2
+    found = _saturation(gens, ceiling, stats) if gens else None
+    if found is None:
         raise CeilingError(f"determinacy exceeds ceiling {ceiling}")
-    for k in range(1, ceiling + 1):
-        space = ideal_in_jets(gens, None, k + 1)
-        if space.contains_all_of_degree(k):
-            return (k - 1, k)
-    raise CeilingError(f"determinacy exceeds ceiling {ceiling}")
+    K = found[0]
+    return (K - 2, K - 1)
 
 
-def scheme_length(f: GermPoly, k: int) -> int:
+def scheme_length(f: GermPoly, k: int, stats: dict = None) -> int:
     """Length of the order-k neighborhood scheme: dim C{x,y}/(f + m^{k+1})."""
     _require_germ(f)
     if not isinstance(k, int) or k < 1:
         raise InputError("jet order must be a positive integer")
-    return jet_dimension(k + 1) - ideal_in_jets([f], None, k + 1).dimension
+    return jet_dimension(k + 1) - ideal_in_jets([f], None, k + 1, stats).dimension
 
 
-def orbit_tangent_dim(f: GermPoly, k: int) -> int:
+def orbit_tangent_dim(f: GermPoly, k: int, stats: dict = None) -> int:
     """Tangent dimension of the equivalence-class orbit inside order-k jets."""
     _require_germ(f)
     if not isinstance(k, int) or k < 1:
         raise InputError("jet order must be a positive integer")
-    return ideal_in_jets(_gradient_frame(f), k + 1, k + 1).dimension
+    return ideal_in_jets(_gradient_frame(f), k + 1, k + 1, stats).dimension
 
 
-def dim_equisingular_stratum_analytic(f: GermPoly, k: int) -> int:
+def dim_equisingular_stratum_analytic(f: GermPoly, k: int, stats: dict = None) -> int:
     """dim of the locally closed set of order-k jets equivalent to f,
     counted inside the versal slice; written dim S_0 below.
     """
@@ -232,7 +313,7 @@ def dim_equisingular_stratum_analytic(f: GermPoly, k: int) -> int:
     cut = k + 1 - m
     if cut < 1:
         raise InputError(f"jet order {k} too small for multiplicity {m}")
-    return 2 + orbit_tangent_dim(f, k) - jet_dimension(cut)
+    return 2 + orbit_tangent_dim(f, k, stats) - jet_dimension(cut)
 
 
 # keep the operation name short in the public API
@@ -265,12 +346,18 @@ class InvariantReport:
         }
 
 
-def germ_report(f: GermPoly, k: int = None, ceiling: int = DEFAULT_CEILING) -> InvariantReport:
-    """Full invariant report at jet order k (default: upper determinacy bound)."""
+def germ_report(
+    f: GermPoly, k: int = None, ceiling: int = DEFAULT_CEILING, stats: dict = None
+) -> InvariantReport:
+    """Full invariant report at jet order k (default: upper determinacy bound).
+
+    If `stats` is a dict, it receives the jet counters of ideal_in_jets
+    summed over every build the report makes.
+    """
     _require_germ(f)
-    mu = milnor_number(f, ceiling)
-    tau = tjurina_number(f, ceiling)
-    window = determinacy_window(f, ceiling)
+    mu = milnor_number(f, ceiling, stats)
+    tau = tjurina_number(f, ceiling, stats)
+    window = determinacy_window(f, ceiling, stats)
     if k is None:
         k = window[1]
     return InvariantReport(
@@ -280,7 +367,7 @@ def germ_report(f: GermPoly, k: int = None, ceiling: int = DEFAULT_CEILING) -> I
         multiplicity=f.multiplicity(),
         determinacy_window=window,
         k_used=k,
-        scheme_length_at={k: scheme_length(f, k)},
-        orbit_tangent_dim=orbit_tangent_dim(f, k),
-        dim_s0=dim_s0(f, k),
+        scheme_length_at={k: scheme_length(f, k, stats)},
+        orbit_tangent_dim=orbit_tangent_dim(f, k, stats),
+        dim_s0=dim_s0(f, k, stats),
     )

@@ -427,20 +427,32 @@ def log_series(t: TruncatedSeries) -> TruncatedSeries:
     return _from_numerators(t, bits, d, h, {})
 
 
+def normalize_table(a_table: dict) -> dict:
+    """The a-table keyed by sorted label multisets with ChernPolynomial
+    values; a bare label is a one-label multiset, and two keys that sort
+    to one multiset are refused."""
+    out = {}
+    for key, poly in a_table.items():
+        if isinstance(key, str):
+            key = (key,)
+        key = tuple(sorted(key))
+        if key in out:
+            raise InputError(f"a-table lists the multiset {','.join(key)} twice")
+        if not isinstance(poly, ChernPolynomial):
+            poly = ChernPolynomial(poly)
+        out[key] = poly
+    return out
+
+
 def scaled_entries(a_table: dict) -> dict:
     """Table entries a_key/#Aut(key), keyed by sorted label multiset.
 
     Table entries are the #Aut-scaled logarithmic coefficients attached
-    to each label multiset; each must be a linear Chern polynomial, and
-    two keys that sort to one multiset are refused.
+    to each label multiset (see normalize_table); each must be a linear
+    Chern polynomial.
     """
     coeffs = {}
-    for key, poly in a_table.items():
-        key = tuple(sorted(key))
-        if key in coeffs:
-            raise InputError(f"a-table lists the multiset {','.join(key)} twice")
-        if not isinstance(poly, ChernPolynomial):
-            poly = ChernPolynomial(poly)
+    for key, poly in normalize_table(a_table).items():
         if not poly.is_linear():
             raise InputError(
                 f"table entry for {','.join(key)} must be linear in the Chern variables"

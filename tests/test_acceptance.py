@@ -73,7 +73,7 @@ def test_acceptance_1_example_table(capsys):
         for n in range(3, 7):
             entry = lookup(f"ord{n}-topological")
             assert entry.tau == (n - 1) ** 2
-            assert entry.codim == (n - 1) ** 2 - (n - 3)
+            assert entry.codim == n * (n + 1) // 2 - 2
             f = parse_germ(f"x^{n}-y^{n}")
             # the scheme sees the full jet slab below order n, namely
             # n(n+1)/2 monomials; the germ itself removes one dimension

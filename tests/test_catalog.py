@@ -90,9 +90,25 @@ def test_ordinary_point_entries():
         t = catalog.lookup(f"ord{n}-topological")
         assert a.tau == t.tau == (n - 1) ** 2
         assert a.codim == (n - 1) ** 2
-        assert t.dim_es == n - 3
-        assert t.codim == (n - 1) ** 2 - (n - 3)
+        # Tjurina basis monomials x^i y^j (i, j <= n - 2) with i + j >= n
+        assert t.dim_es == (n - 2) * (n - 3) // 2
+        assert t.codim == t.tau - t.dim_es == n * (n + 1) // 2 - 2
         assert a.N == t.N == scheme_length(a.normal_form, a.k_used)
+
+
+def test_topological_dim_es_is_recomputed():
+    stored = {"label": "ord5-topological", "flavor": "topological",
+              "normal_form": "x^5 - y^5", "k_used": 6, "dim_es": 3,
+              "mu": 16, "tau": 16, "N": 25, "codim": 13}
+    assert catalog._validate(stored).dim_es == 3
+    # the cross-ratio count alone, with the codimension it implied
+    with pytest.raises(InconsistencyError, match="dim_es=2"):
+        catalog._validate({**stored, "dim_es": 2, "codim": 14})
+    # consistent with tau - dim_es but not with m(m+1)/2 - 2
+    with pytest.raises(InconsistencyError, match="codim=14"):
+        catalog._validate({**stored, "codim": 14})
+    with pytest.raises(InconsistencyError, match="homogeneous"):
+        catalog._validate({**stored, "normal_form": "x^5 - y^6", "mu": 20, "tau": 20})
 
 
 def test_k_used_within_window():

@@ -39,6 +39,28 @@ def test_germ_analyze_errors(capsys):
     assert "not isolated" in err
 
 
+def test_germ_analyze_low_ceiling_is_undecided_not_non_isolated(capsys):
+    # the cusp is isolated; ceiling 1 only cannot see its saturation order
+    code, out, err = run_cli(capsys, "germ", "analyze", "x^2+y^3", "--ceiling", "1")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: singularity undecided up to ceiling 1 (not isolated, or raise the ceiling)"
+    ]
+    code, out, _ = run_cli(capsys, "germ", "analyze", "x^2+y^3", "--ceiling", "3")
+    assert code == 0
+    assert "milnor: 2" in out
+
+
+def test_germ_analyze_json_reports_jet_counters(capsys):
+    code, out, _ = run_cli(capsys, "germ", "analyze", "y^2-x^3", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    # one ladder rung (order 9) each for mu, tau and the determinacy
+    # window, then scheme length, orbit tangent and dim S_0 at order 4
+    assert payload["stats"] == {"ideal_builds": 6, "max_order": 9, "rows_inserted": 307}
+
+
 def test_germ_catalog_listing(capsys):
     code, out, _ = run_cli(capsys, "germ", "catalog")
     assert code == 0

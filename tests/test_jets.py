@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from curvelab import jets
+from curvelab.catalog import load_catalog
 from curvelab.errors import CeilingError, InputError
 from curvelab.germs import GermPoly, parse_germ
 from curvelab.jets import (
+    _gradient_frame,
     determinacy_window,
     dim_s0,
     germ_report,
@@ -178,3 +181,145 @@ def test_germ_report_defaults_to_upper_window_bound():
     d = rep.to_dict()
     assert d["determinacy_window"] == [2, 3]
     assert d["scheme_length_at"] == {"3": 7}
+
+
+# ---------------------------------------------------------------------------
+# the build ladder against the per-order scan it replaced
+
+
+def _reference_saturation(gens, ceiling, first=1):
+    """The per-order scan as it was before the build ladder: one build at
+    every order K from `first` to ceiling + 1, until the degree K - 1
+    monomials lie in the truncated ideal.  Returns (K, colength at K - 1),
+    or None when no order up to the ceiling saturates."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return None
+    for K in range(first, ceiling + 2):
+        if ideal_in_jets(gens, None, K).contains_all_of_degree(K - 1):
+            if K == 1:
+                return K, 0
+            return K, jet_dimension(K - 1) - ideal_in_jets(gens, None, K - 1).dimension
+    return None
+
+
+def _reference_invariants(f, ceiling):
+    """(mu, tau, window) by the reference scan; None where it hits the
+    ceiling."""
+    fx, fy = f.partial_x(), f.partial_y()
+    mu = _reference_saturation([fx, fy], ceiling)
+    tau = _reference_saturation([f, fx, fy], ceiling)
+    window = _reference_saturation(_gradient_frame(f), ceiling, first=2)
+    return (
+        mu and mu[1],
+        tau and tau[1],
+        window and (window[0] - 2, window[0] - 1),
+    )
+
+
+def _ladder_invariants(f, ceiling):
+    out = []
+    for fn in (milnor_number, tjurina_number, determinacy_window):
+        try:
+            out.append(fn(f, ceiling))
+        except CeilingError:
+            out.append(None)
+    return tuple(out)
+
+
+def _random_germ(rng):
+    while True:
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            i, j = rng.randint(0, 6), rng.randint(0, 6)
+            if 2 <= i + j <= 6:
+                terms[(i, j)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        f = GermPoly(terms)
+        if not f.is_zero():
+            return f
+
+
+def test_ladder_matches_reference_on_catalog_forms():
+    for entry in load_catalog().values():
+        f = entry.normal_form
+        assert _ladder_invariants(f, 64) == _reference_invariants(f, 64), entry.label
+
+
+def test_ladder_matches_reference_on_seeded_germs():
+    rng = random.Random(29)
+    for _ in range(8):
+        a, b = rng.randint(2, 9), rng.randint(2, 9)
+        c1, c2 = (Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.randint(1, 4)) for _ in "ab")
+        f = GermPoly({(a, 0): c1, (0, b): c2})
+        mu = (a - 1) * (b - 1)
+        assert _ladder_invariants(f, 64) == _reference_invariants(f, 64) == (
+            mu, mu, determinacy_window(f))
+    outcomes = []
+    for i in range(20):
+        f = _random_germ(rng)
+        if i % 2:
+            # pure powers make most of these isolated, at varied orders
+            f = f + GermPoly({(rng.randint(2, 9), 0): 1, (0, rng.randint(2, 9)): -1})
+        # ceiling 20 scans two rungs, 11 and 21
+        got = _ladder_invariants(f, 20)
+        assert got == _reference_invariants(f, 20), f.to_string()
+        outcomes.append(got[0] is not None)
+    # both isolated and non-isolated germs are compared
+    assert 6 <= sum(outcomes) <= 17
+
+
+@pytest.mark.parametrize("text", ["x^2*y^2", "x^2*y"])
+def test_ladder_matches_reference_at_every_ceiling(text):
+    f = parse_germ(text)
+    # A ceiling only cuts the scan short, so one reference scan to 33
+    # gives the reference outcome at each lower ceiling.
+    fx, fy = f.partial_x(), f.partial_y()
+    scans = [
+        _reference_saturation([fx, fy], 33),
+        _reference_saturation([f, fx, fy], 33),
+        _reference_saturation(_gradient_frame(f), 33, first=2),
+    ]
+    assert scans == [None, None, None]  # neither germ is isolated
+    for ceiling in (1, 2, 7, 8, 9, 16, 17, 33, 64):
+        assert _ladder_invariants(f, ceiling) == (None, None, None), ceiling
+    if text == "x^2*y^2":
+        # the benchmark germ, scanned by the reference up to the default
+        assert _reference_saturation([fx, fy], 64) is None
+
+
+def test_low_ceiling_outcomes_match_reference():
+    # isolated germs whose saturation order sits at or near a rung
+    for text in ["x^2 + y^3", "x^7 - y^7", "y^2 - x^9", "x^3 + x*y^5", "x^9 + y^9"]:
+        f = parse_germ(text)
+        for ceiling in (1, 2, 7, 8, 9, 16, 17):
+            assert _ladder_invariants(f, ceiling) == _reference_invariants(f, ceiling), (
+                text, ceiling)
+
+
+def test_nonisolated_refusal_builds_a_short_ladder(monkeypatch):
+    calls = []
+    original = jets.ideal_in_jets
+
+    def counting(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs["truncation_order"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(jets, "ideal_in_jets", counting)
+    with pytest.raises(CeilingError, match="undecided up to ceiling 64"):
+        germ_report(parse_germ("x^2*y^2"), ceiling=64)
+    assert len(calls) <= 7
+    assert calls == [9, 17, 33, 65]
+
+
+def test_germ_report_stats_count_every_build():
+    stats = {}
+    germ_report(parse_germ("x^6 - y^6"), stats=stats)
+    # mu and tau saturate at order 10: rungs 9 and 17; the window at 10
+    # too; then scheme length, orbit tangent and dim S_0 at order 10
+    assert stats["ideal_builds"] == 9
+    assert stats["max_order"] == 17
+    assert stats["rows_inserted"] > 0
+    stats = {}
+    with pytest.raises(CeilingError):
+        germ_report(parse_germ("x^2*y^2"), stats=stats)
+    assert stats == {"ideal_builds": 4, "rows_inserted": 5088, "max_order": 65}

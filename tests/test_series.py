@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from curvelab.errors import InputError
+from curvelab.fitter import assemble_from_table
 from curvelab.series import (
     ChernPolynomial,
     TruncatedSeries,
@@ -283,6 +284,14 @@ def test_assemble_rejects_a_repeated_multiset():
     with pytest.raises(InputError) as err:
         assemble_series(table, {"A1": 1, "A2": 2}, cap=3)
     assert "multiset A1,A2 twice" in str(err.value)
+
+
+def test_assemble_accepts_a_bare_label_key():
+    series = assemble_series({"A1": A1}, {"A1": 1}, cap=2)
+    assert series == assemble_series({("A1",): A1}, {"A1": 1}, cap=2)
+    chern = (16, -12, 9, 3)  # plane quartics: 3(d - 1)^2 one-nodal curves
+    assert series.coefficient(("A1",)).evaluate(chern) == 27
+    assert assemble_from_table({"A1": A1}, chern, ("A1",)) == 27
 
 
 def test_extract_universal_respects_cap():
