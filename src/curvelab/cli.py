@@ -140,11 +140,12 @@ def _cmd_germ_catalog(args) -> int:
         text = "\n".join(f"{k}: {d[k]}" for k in d)
         return _emit(args, d, None, text)
     entries = list(load_catalog().values())
-    header = f"{'label':<8}{'flavor':<13}{'k':>3}{'mu':>5}{'tau':>5}{'N':>5}{'codim':>7}{'dim_es':>8}  normal form"
+    w = max(len(e.label) for e in entries) + 2
+    header = f"{'label':<{w}}{'flavor':<13}{'k':>3}{'mu':>5}{'tau':>5}{'N':>5}{'codim':>7}{'dim_es':>8}  normal form"
     rows = [header]
     for e in entries:
         rows.append(
-            f"{e.label:<8}{e.flavor:<13}{e.k_used:>3}{e.mu:>5}{e.tau:>5}"
+            f"{e.label:<{w}}{e.flavor:<13}{e.k_used:>3}{e.mu:>5}{e.tau:>5}"
             f"{e.N:>5}{e.codim:>7}{e.dim_es:>8}  {e.normal_form_text}"
         )
     return _emit(args, [e.to_dict() for e in entries], None, "\n".join(rows))

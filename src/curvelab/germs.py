@@ -10,6 +10,7 @@ import re
 from fractions import Fraction
 
 from .errors import InputError
+from .poly import SparsePoly
 
 _TERM_RE = re.compile(
     r"""^
@@ -22,30 +23,16 @@ _TERM_RE = re.compile(
 )
 
 
-class GermPoly:
+class GermPoly(SparsePoly):
     """Polynomial f(x, y) with rational coefficients, sparse term table."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    VARS = ("x", "y")
 
-    def __init__(self, terms=None):
-        table = {}
-        if terms:
-            for (i, j), c in dict(terms).items():
-                c = Fraction(c)
-                if c != 0:
-                    table[(int(i), int(j))] = c
-        self.terms = table
-
-    @classmethod
-    def zero(cls) -> "GermPoly":
-        return cls()
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c=1) -> "GermPoly":
-        return cls({(i, j): Fraction(c)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def _key(key) -> tuple:
+        i, j = key
+        return (int(i), int(j))
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0, 0), Fraction(0))
@@ -56,53 +43,14 @@ class GermPoly:
             raise InputError("zero polynomial has no multiplicity")
         return min(i + j for (i, j) in self.terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(i + j for (i, j) in self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, GermPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "GermPoly") -> "GermPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return GermPoly(out)
-
-    def __sub__(self, other: "GermPoly") -> "GermPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) - c
-        return GermPoly(out)
-
-    def __mul__(self, other: "GermPoly") -> "GermPoly":
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return GermPoly(out)
-
-    def scale(self, c) -> "GermPoly":
-        c = Fraction(c)
-        return GermPoly({k: c * v for k, v in self.terms.items()})
-
     def mul_monomial(self, a: int, b: int) -> "GermPoly":
         return GermPoly({(i + a, j + b): c for (i, j), c in self.terms.items()})
 
     def partial_x(self) -> "GermPoly":
-        return GermPoly(
-            {(i - 1, j): c * i for (i, j), c in self.terms.items() if i > 0}
-        )
+        return self.partial(0)
 
     def partial_y(self) -> "GermPoly":
-        return GermPoly(
-            {(i, j - 1): c * j for (i, j), c in self.terms.items() if j > 0}
-        )
+        return self.partial(1)
 
     def truncate(self, order: int) -> "GermPoly":
         """Drop all terms of total degree >= order."""
@@ -131,35 +79,6 @@ class GermPoly:
         for (i, j), coef in self.terms.items():
             out = out + (upow[i] * vpow[j]).scale(coef)
         return out
-
-    def to_string(self) -> str:
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms, key=lambda k: (k[0] + k[1], k[1]))
-        parts = []
-        for i, j in keys:
-            c = self.terms[(i, j)]
-            mono = []
-            if i:
-                mono.append("x" if i == 1 else f"x^{i}")
-            if j:
-                mono.append("y" if j == 1 else f"y^{j}")
-            body = "*".join(mono)
-            mag = abs(c)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not parts:
-                parts.append(text if c > 0 else f"-{text}")
-            else:
-                parts.append(f"+ {text}" if c > 0 else f"- {text}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"GermPoly({self.to_string()})"
 
 
 def _parse_term(text: str) -> tuple[Fraction, int, int]:

@@ -85,15 +85,6 @@ class JetSubspace:
         self._pivots[col] = red
         return True
 
-    def insert_poly(self, f: GermPoly) -> bool:
-        K = self.truncation_order
-        row = {
-            monomial_index(i, j): c
-            for (i, j), c in f.terms.items()
-            if i + j < K
-        }
-        return self.insert(row)
-
     def contains(self, row: dict) -> bool:
         return not self._reduce(row)
 
@@ -306,14 +297,16 @@ def dim_equisingular_stratum_analytic(f: GermPoly, k: int, stats: dict = None) -
     """dim of the locally closed set of order-k jets equivalent to f,
     counted inside the versal slice; written dim S_0 below.
     """
-    _require_germ(f)
-    if not isinstance(k, int) or k < 1:
-        raise InputError("jet order must be a positive integer")
+    return _dim_s0_from_orbit(f, k, orbit_tangent_dim(f, k, stats))
+
+
+def _dim_s0_from_orbit(f: GermPoly, k: int, orbit: int) -> int:
+    """dim S_0 from orbit = orbit_tangent_dim(f, k)."""
     m = f.multiplicity()
     cut = k + 1 - m
     if cut < 1:
         raise InputError(f"jet order {k} too small for multiplicity {m}")
-    return 2 + orbit_tangent_dim(f, k, stats) - jet_dimension(cut)
+    return 2 + orbit - jet_dimension(cut)
 
 
 # keep the operation name short in the public API
@@ -360,6 +353,7 @@ def germ_report(
     window = determinacy_window(f, ceiling, stats)
     if k is None:
         k = window[1]
+    orbit = orbit_tangent_dim(f, k, stats)
     return InvariantReport(
         expression=f.to_string(),
         milnor=mu,
@@ -368,6 +362,6 @@ def germ_report(
         determinacy_window=window,
         k_used=k,
         scheme_length_at={k: scheme_length(f, k, stats)},
-        orbit_tangent_dim=orbit_tangent_dim(f, k, stats),
-        dim_s0=dim_s0(f, k, stats),
+        orbit_tangent_dim=orbit,
+        dim_s0=_dim_s0_from_orbit(f, k, orbit),
     )

@@ -28,6 +28,7 @@ from functools import lru_cache, partial
 from math import comb, factorial, gcd, isqrt
 
 from .errors import InconsistencyError, InputError
+from .poly import add_terms, mul_terms, partial_terms
 
 # ---------------------------------------------------------------------------
 # floor diagrams
@@ -310,30 +311,6 @@ def _is_squarefree(p: list, stats: dict = None) -> bool:
 # bivariate integer polynomials as dicts (i, j) -> coeff
 
 
-def _p2_mul(A: dict, B: dict) -> dict:
-    out = {}
-    for (i1, j1), c1 in A.items():
-        for (i2, j2), c2 in B.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
-
-
-def _p2_sub(A: dict, B: dict) -> dict:
-    out = dict(A)
-    for k, c in B.items():
-        out[k] = out.get(k, 0) - c
-    return {k: c for k, c in out.items() if c}
-
-
-def _p2_dx(A: dict) -> dict:
-    return {(i - 1, j): c * i for (i, j), c in A.items() if i}
-
-
-def _p2_dy(A: dict) -> dict:
-    return {(i, j - 1): c * j for (i, j), c in A.items() if j}
-
-
 def _y_coefficients(A: dict) -> list:
     """List over y-powers of x-coefficient lists."""
     if not A:
@@ -514,10 +491,10 @@ def _plane_sample(d: int, rng, stats: dict):
     """One-node count from one random plane pencil, or None if degenerate."""
     F = _sample_poly(rng, d, d, total_cap=d)
     G = _sample_poly(rng, d, d, total_cap=d)
-    Fx, Fy = _p2_dx(F), _p2_dy(F)
-    Gx, Gy = _p2_dx(G), _p2_dy(G)
-    E1 = _p2_sub(_p2_mul(Fx, Gy), _p2_mul(Fy, Gx))
-    E2 = _p2_sub(_p2_mul(F, Gx), _p2_mul(Fx, G))
+    Fx, Fy = partial_terms(F, 0), partial_terms(F, 1)
+    Gx, Gy = partial_terms(G, 0), partial_terms(G, 1)
+    E1 = add_terms(mul_terms(Fx, Gy), mul_terms(Fy, Gx), -1)
+    E2 = add_terms(mul_terms(F, Gx), mul_terms(Fx, G), -1)
     if not (
         _lc_is_constant(E1, 2 * d - 2)
         and _lc_is_constant(E2, 2 * d - 1)
@@ -538,12 +515,12 @@ def _plane_sample(d: int, rng, stats: dict):
 def _quadric_pair(F: dict, G: dict, a: int) -> tuple:
     """The pair (E1, E2) whose common roots locate the singular members
     of the pencil spanned by F and G of x-degree a (see _quadric_sample)."""
-    Fx, Fy = _p2_dx(F), _p2_dy(F)
-    Gx, Gy = _p2_dx(G), _p2_dy(G)
-    E1 = _p2_sub(_p2_mul(Fx, Gy), _p2_mul(Fy, Gx))
+    Fx, Fy = partial_terms(F, 0), partial_terms(F, 1)
+    Gx, Gy = partial_terms(G, 0), partial_terms(G, 1)
+    E1 = add_terms(mul_terms(Fx, Gy), mul_terms(Fy, Gx), -1)
     if a == 1:
-        return E1, _p2_sub(_p2_mul(F, Gx), _p2_mul(Fx, G))
-    return E1, _p2_sub(_p2_mul(F, Gy), _p2_mul(Fy, G))
+        return E1, add_terms(mul_terms(F, Gx), mul_terms(Fx, G), -1)
+    return E1, add_terms(mul_terms(F, Gy), mul_terms(Fy, G), -1)
 
 
 def _quadric_sample(a: int, b: int, rng, stats: dict):
@@ -573,7 +550,7 @@ def _quadric_sample(a: int, b: int, rng, stats: dict):
     if len(ca) < 2 or len(cb) < 2 or _sylvester_det(ca, cb, 0) == 0:
         return None
     if a > 1:
-        Fy, Gy = _p2_dy(F), _p2_dy(G)
+        Fy, Gy = partial_terms(F, 1), partial_terms(G, 1)
         if not Fy or not Gy:
             return None
         if _poly_degree(_poly_gcd(_lcy_poly(Fy), _lcy_poly(Gy))) != 0:

@@ -12,15 +12,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import InputError
-
-CHERN_VARS = ("x", "y", "z", "t")
-
-
-def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+from .poly import SparsePoly, format_rational
 
 
 def parse_rational(text: str) -> Fraction:
@@ -30,39 +22,20 @@ def parse_rational(text: str) -> Fraction:
         raise InputError(f"cannot parse rational {text!r}") from exc
 
 
-def _exponents(key) -> tuple:
-    key = tuple(key)
-    if len(key) != 4 or not all(type(e) is int and e >= 0 for e in key):
-        raise InputError(
-            f"a Chern monomial needs four nonnegative integer exponents, got {list(key)!r}"
-        )
-    return key
-
-
-class ChernPolynomial:
+class ChernPolynomial(SparsePoly):
     """Polynomial in (x, y, z, t) = (L^2, L.K, c1^2, c2), exact rationals."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    VARS = ("x", "y", "z", "t")
 
-    def __init__(self, terms=None):
-        table = {}
-        if terms:
-            for key, c in dict(terms).items():
-                c = Fraction(c)
-                if c != 0:
-                    table[_exponents(key)] = c
-        self.terms = table
-
-    @classmethod
-    def _of(cls, terms: dict) -> "ChernPolynomial":
-        """Wrap nonzero Fractions keyed by exponent 4-tuples, unchecked."""
-        poly = cls.__new__(cls)
-        poly.terms = terms
-        return poly
-
-    @classmethod
-    def zero(cls) -> "ChernPolynomial":
-        return cls()
+    @staticmethod
+    def _key(key) -> tuple:
+        key = tuple(key)
+        if len(key) != 4 or not all(type(e) is int and e >= 0 for e in key):
+            raise InputError(
+                f"a Chern monomial needs four nonnegative integer exponents, got {list(key)!r}"
+            )
+        return key
 
     @classmethod
     def constant(cls, c) -> "ChernPolynomial":
@@ -77,51 +50,15 @@ class ChernPolynomial:
             (0, 0, 0, 1): Fraction(ct),
         })
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, key) -> Fraction:
         return self.terms.get(tuple(key), Fraction(0))
 
     def constant_part(self) -> Fraction:
         return self.terms.get((0, 0, 0, 0), Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
-
     def is_linear(self) -> bool:
         """Homogeneous of degree <= 1 with no constant term."""
         return all(sum(k) == 1 for k in self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, ChernPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "ChernPolynomial") -> "ChernPolynomial":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return ChernPolynomial(out)
-
-    def __sub__(self, other: "ChernPolynomial") -> "ChernPolynomial":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) - c
-        return ChernPolynomial(out)
-
-    def __mul__(self, other: "ChernPolynomial") -> "ChernPolynomial":
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return ChernPolynomial(out)
-
-    def scale(self, c) -> "ChernPolynomial":
-        c = Fraction(c)
-        return ChernPolynomial({k: c * v for k, v in self.terms.items()})
 
     def evaluate(self, point) -> Fraction:
         vals = [Fraction(v) for v in point]
@@ -150,35 +87,6 @@ class ChernPolynomial:
             return cls(terms)
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed polynomial data: {obj!r}") from exc
-
-    def to_string(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=lambda k: (sum(k), tuple(-e for e in k))):
-            c = self.terms[key]
-            factors = []
-            for name, e in zip(CHERN_VARS, key):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            mag = abs(c)
-            if not body:
-                text = format_rational(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{format_rational(mag)}*{body}"
-            if not parts:
-                parts.append(text if c > 0 else f"-{text}")
-            else:
-                parts.append(f"+ {text}" if c > 0 else f"- {text}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"ChernPolynomial({self.to_string()})"
 
 
 def aut_count(key) -> int:

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from curvelab.catalog import load_catalog
 from curvelab.cli import entry
 
 
@@ -57,8 +59,9 @@ def test_germ_analyze_json_reports_jet_counters(capsys):
     assert code == 0
     payload = json.loads(out)
     # one ladder rung (order 9) each for mu, tau and the determinacy
-    # window, then scheme length, orbit tangent and dim S_0 at order 4
-    assert payload["stats"] == {"ideal_builds": 6, "max_order": 9, "rows_inserted": 307}
+    # window, then scheme length and the orbit frame (shared by the orbit
+    # tangent dimension and dim S_0) at order 4
+    assert payload["stats"] == {"ideal_builds": 5, "max_order": 9, "rows_inserted": 296}
 
 
 def test_germ_catalog_listing(capsys):
@@ -67,6 +70,10 @@ def test_germ_catalog_listing(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 25  # header plus 24 entries
     assert any(line.startswith("E8") for line in lines)
+    flavors = {e.label: e.flavor for e in load_catalog().values()}
+    for line in lines[1:]:
+        label, flavor = line.split()[:2]
+        assert flavor == flavors[label]
 
 
 def test_germ_catalog_single_and_alias(capsys):
@@ -212,6 +219,26 @@ def test_series_assemble(tmp_path, capsys):
         capsys, "series", "assemble", "--a-table", str(table_path), "--cap", "1"
     )
     assert out.strip().splitlines() == ["A1: 3*x + 2*y + t"]
+
+
+def test_text_outputs_match_golden_digests(tmp_path, capsys):
+    # SHA-256 of whole stdouts: every polynomial and rational printed as text
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    table_path = tmp_path / "atable.json"
+    code, out, _ = run_cli(capsys, "fit", "nodes", "--max-r", "4", "--a-table-out", str(table_path))
+    assert code == 0
+    assert digest(out) == "5a06a04152dade8845a8d139f068b31456476bdbf59e9aee94aacf2280defc56"
+    assert hashlib.sha256(table_path.read_bytes()).hexdigest() == (
+        "ddbc3e12e85af0cf9e5dd8a381c86cc91d581a649916e6f3d3e3992ac5d56ebf"
+    )
+    code, out, _ = run_cli(capsys, "series", "assemble", "--a-table", str(table_path), "--cap", "6")
+    assert code == 0
+    assert digest(out) == "f630c7195814e08f03d313d1f2f4648afdfe0c24dcc2d0bc2e4273cb3fd41de2"
+    code, out, _ = run_cli(capsys, "germ", "analyze", "1/2*x^5 - 7/3*y^4 + x^2*y^2")
+    assert code == 0
+    assert digest(out) == "815bcac4e27f29ed01130effd263f5e58ba0ddd760420029edb15931c067d2f9"
 
 
 def test_series_eval_errors(tmp_path, capsys):

@@ -315,8 +315,9 @@ def test_germ_report_stats_count_every_build():
     stats = {}
     germ_report(parse_germ("x^6 - y^6"), stats=stats)
     # mu and tau saturate at order 10: rungs 9 and 17; the window at 10
-    # too; then scheme length, orbit tangent and dim S_0 at order 10
-    assert stats["ideal_builds"] == 9
+    # too; then scheme length and the orbit frame (shared by the orbit
+    # tangent dimension and dim S_0) at order 10
+    assert stats["ideal_builds"] == 8
     assert stats["max_order"] == 17
     assert stats["rows_inserted"] > 0
     stats = {}

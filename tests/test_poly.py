@@ -1,0 +1,89 @@
+import operator
+import random
+import re
+from fractions import Fraction
+
+import pytest
+
+from curvelab.germs import GermPoly, parse_germ
+from curvelab.poly import add_terms, mul_terms, partial_terms
+from curvelab.series import ChernPolynomial
+
+
+def _random_terms(rng, nvars: int) -> dict:
+    return {
+        tuple(rng.randint(0, 3) for _ in range(nvars)): rng.choice((-3, -2, -1, 1, 2, 3))
+        for _ in range(rng.randint(0, 6))
+    }
+
+
+def _value(terms: dict, point) -> int:
+    total = 0
+    for key, c in terms.items():
+        for v, e in zip(point, key):
+            c *= v ** e
+        total += c
+    return total
+
+
+def test_term_functions_keep_integers_and_drop_cancelled_terms():
+    a = {(2, 0): 3, (0, 1): -2}
+    b = {(2, 0): 3, (1, 1): 5}
+    results = [
+        (add_terms(a, b), {(2, 0): 6, (0, 1): -2, (1, 1): 5}),
+        (add_terms(a, b, -1), {(0, 1): -2, (1, 1): -5}),
+        # (x + y) * (x - y): the two x*y terms cancel
+        (mul_terms({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}), {(2, 0): 1, (0, 2): -1}),
+        (add_terms(a, a, -1), {}),
+        (partial_terms({(2, 1): 3, (0, 4): 7}, 0), {(1, 1): 6}),
+        (partial_terms({(2, 1): 3, (0, 4): 7}, 1), {(2, 0): 3, (0, 3): 28}),
+        (partial_terms({(1, 0, 2, 0): 5, (1, 0, 0, 0): 4}, 2), {(1, 0, 1, 0): 10}),
+    ]
+    for got, want in results:
+        assert got == want
+        assert all(type(c) is int for c in got.values())
+
+
+def test_term_functions_agree_with_polynomial_arithmetic():
+    rng = random.Random(8)
+    for _ in range(60):
+        a, b = _random_terms(rng, 2), _random_terms(rng, 2)
+        f, g = GermPoly(a), GermPoly(b)
+        assert GermPoly(add_terms(a, b)) == f + g
+        assert GermPoly(add_terms(a, b, -1)) == f - g
+        assert GermPoly(mul_terms(a, b)) == f * g
+        assert GermPoly(partial_terms(a, 0)) == f.partial_x()
+        assert GermPoly(partial_terms(a, 1)) == f.partial_y()
+        point = (rng.randint(-4, 4), rng.randint(-4, 4))
+        assert _value(add_terms(a, b, -1), point) == _value(a, point) - _value(b, point)
+        assert _value(mul_terms(a, b), point) == _value(a, point) * _value(b, point)
+        p, q = _random_terms(rng, 4), _random_terms(rng, 4)
+        P, Q = ChernPolynomial(p), ChernPolynomial(q)
+        assert ChernPolynomial(mul_terms(p, q)) == P * Q
+        assert ChernPolynomial(add_terms(p, q)) == P + Q
+
+
+def test_germ_and_chern_polynomials_never_compare_or_combine():
+    assert GermPoly.zero() == GermPoly.zero()
+    assert GermPoly.zero() != ChernPolynomial.zero()
+    assert ChernPolynomial.zero() != GermPoly.zero()
+    terms = {(1, 0): Fraction(2)}
+    assert GermPoly._of(dict(terms)) != ChernPolynomial._of(dict(terms))
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(GermPoly(terms), ChernPolynomial.constant(1))
+
+
+def test_germ_to_string_orders_terms_by_degree_then_y_power():
+    rng = random.Random(5)
+    for _ in range(40):
+        f = GermPoly({
+            (rng.randint(0, 4), rng.randint(0, 4)): Fraction(rng.choice([-1, 1, 2]), rng.choice([1, 3]))
+            for _ in range(rng.randint(1, 6))
+        })
+        if f.is_zero() or f.constant_term():
+            continue
+        text = f.to_string()
+        keys = [next(iter(parse_germ(chunk).terms)) for chunk in re.split(r" [+-] ", text.lstrip("-"))]
+        assert keys == sorted(f.terms, key=lambda k: (k[0] + k[1], k[1]))
+        assert parse_germ(text) == f
