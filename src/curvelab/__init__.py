@@ -19,7 +19,6 @@ from .errors import (
     InputError,
 )
 from .fitter import (
-    FitProblem,
     FitResult,
     assemble_from_table,
     chern_p2,
@@ -71,7 +70,6 @@ __all__ = [
     "CurvelabError",
     "DEFAULT_CEILING",
     "DEFAULT_DEGREE_CEILING",
-    "FitProblem",
     "FitResult",
     "GermPoly",
     "InconsistencyError",

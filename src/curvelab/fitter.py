@@ -9,6 +9,7 @@ closed-form predictions for either surface.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import factorial
 
@@ -52,21 +53,12 @@ def chern_quadric(a: int, b: int) -> tuple:
     return (2 * a * b, -2 * a - 2 * b, 8, 4)
 
 
-@dataclass(frozen=True)
-class FitProblem:
-    r_max: int
-    plane_degrees: tuple
-    quadric_bidegrees: tuple
-    data: dict
-
-
 @dataclass
 class FitResult:
     r_max: int
     a: dict
     T: dict
     residual_consistent: bool
-    problem: FitProblem
 
     def to_a_table(self) -> dict:
         """Log-coefficients keyed by node multisets, symmetry factors undone."""
@@ -138,8 +130,7 @@ def _solve_linear4(equations) -> tuple:
             "and quadric bidegrees"
         )
     solution = [Fraction(0)] * 4
-    for col, _ in reversed(pivot_rows):
-        row = next(r for c, r in pivot_rows if c == col)
+    for col, row in reversed(pivot_rows):
         value = row[4] - sum(row[j] * solution[j] for j in range(4) if j != col)
         solution[col] = value / row[col]
     return tuple(solution)
@@ -171,28 +162,23 @@ def fit_nodes(
 
     engine = engine if engine is not None else SeveriEngine()
 
-    # one row per surface polarization: its Chern vector, the log of its
-    # count series, and the largest order the row may vote on
+    # one row per surface polarization, planes first: its Chern vector, the
+    # log of its count series, and the largest order the row may vote on
+    surfaces = [
+        (f"P2 d={d}", plane_node_cap(d), partial(engine.severi_p2, d), chern_p2(d), d - 2)
+        for d in plane_degrees
+    ] + [
+        (f"P1XP1 ({a},{b})", quadric_node_cap(a, b), partial(engine.severi_quadric, a, b),
+         chern_quadric(a, b), min(a, b) - 1)
+        for a, b in quadric_bidegrees
+    ]
     rows = []
-    data = {}
-    for d in plane_degrees:
-        top = min(r_max, plane_node_cap(d))
-        counts = [engine.severi_p2(d, r) for r in range(top + 1)]
+    for label, cap, count, vec, max_order in surfaces:
+        counts = [count(r) for r in range(min(r_max, cap) + 1)]
         for r, n in enumerate(counts):
             if n <= 0:
-                raise InconsistencyError(f"nonpositive count {n} at P2 d={d} r={r}")
-            data[("P2", d, r)] = n
-        rows.append((chern_p2(d), _log_coefficients(counts), d - 2))
-    for a, b in quadric_bidegrees:
-        top = min(r_max, quadric_node_cap(a, b))
-        counts = [engine.severi_quadric(a, b, r) for r in range(top + 1)]
-        for r, n in enumerate(counts):
-            if n <= 0:
-                raise InconsistencyError(
-                    f"nonpositive count {n} at P1XP1 ({a},{b}) r={r}"
-                )
-            data[("P1XP1", (a, b), r)] = n
-        rows.append((chern_quadric(a, b), _log_coefficients(counts), min(a, b) - 1))
+                raise InconsistencyError(f"nonpositive count {n} at {label} r={r}")
+        rows.append((vec, _log_coefficients(counts), max_order))
 
     a_polys = {}
     consistent = True
@@ -219,8 +205,7 @@ def fit_nodes(
         r: exp_part.coefficient((NODE_LABEL,) * r) for r in range(r_max + 1)
     }
 
-    problem = FitProblem(r_max, plane_degrees, quadric_bidegrees, data)
-    return FitResult(r_max, a_polys, t_polys, consistent, problem)
+    return FitResult(r_max, a_polys, t_polys, consistent)
 
 
 def _as_number(value: Fraction):

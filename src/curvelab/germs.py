@@ -28,11 +28,7 @@ class GermPoly(SparsePoly):
 
     __slots__ = ()
     VARS = ("x", "y")
-
-    @staticmethod
-    def _key(key) -> tuple:
-        i, j = key
-        return (int(i), int(j))
+    KEY_RULE = "a germ monomial needs two nonnegative integer exponents"
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0, 0), Fraction(0))

@@ -116,11 +116,8 @@ class JetSubspace:
         ]
 
 
-def ideal_in_jets(
-    generators, include_power=None, truncation_order: int = None, stats: dict = None
-) -> JetSubspace:
-    """Image in C{x,y}/m^K of the ideal generated by `generators`,
-    together with m^p when include_power = p is given.
+def ideal_in_jets(generators, truncation_order: int, stats: dict = None) -> JetSubspace:
+    """Image in C{x,y}/m^K of the ideal generated by `generators`.
 
     Multipliers of degree up to K - 1 - ord(g) against each generator g
     are enough: higher multipliers land every product inside m^K.
@@ -129,13 +126,11 @@ def ideal_in_jets(
     truncation order built (max_order).
     """
     K = truncation_order
-    if K is None:
-        raise InputError("truncation order is required")
     if not isinstance(K, int) or K < 1:
         raise InputError("truncation order must be a positive integer")
-    if (generators is None or len(generators) == 0) and include_power is None:
-        raise InputError("need generators or a power of the maximal ideal")
-    gens = [g for g in (generators or []) if not g.is_zero()]
+    if not generators:
+        raise InputError("need generators")
+    gens = [g for g in generators if not g.is_zero()]
     space = JetSubspace(K)
     rows = 0
     for g in gens:
@@ -149,14 +144,6 @@ def ideal_in_jets(
                     for i, j, c in terms
                     if i + j + a + b < K
                 })
-                rows += 1
-    if include_power is not None:
-        p = include_power
-        if not isinstance(p, int) or p < 0:
-            raise InputError("power of the maximal ideal must be a nonnegative integer")
-        for d in range(p, K):
-            for j in range(d + 1):
-                space.insert({monomial_index(d - j, j): Fraction(1)})
                 rows += 1
     if stats is not None:
         stats["ideal_builds"] = stats.get("ideal_builds", 0) + 1
@@ -177,17 +164,11 @@ def _require_ceiling(ceiling: int):
         raise InputError(f"ceiling must be at least 1, got {ceiling}")
 
 
-# the lowest rung of a build ladder; below it a build costs less than the
-# scans it saves
-_LADDER_FLOOR = 8
-
-
 def _ladder(top: int) -> list:
-    """Build orders ceil(top / 2^i) in ascending order, from the first one
-    that is at least _LADDER_FLOOR (or top itself when top is lower)."""
+    """Build orders ceil(top / 2^i) in ascending order, from 1 up to top."""
     orders = [top]
-    while (half := -(-orders[-1] // 2)) >= _LADDER_FLOOR:
-        orders.append(half)
+    while orders[-1] > 1:
+        orders.append(-(-orders[-1] // 2))
     return orders[::-1]
 
 
@@ -202,7 +183,7 @@ def _saturation(gens, ceiling: int, stats: dict = None):
     """
     scanned = 0
     for order in _ladder(ceiling + 1):
-        space = ideal_in_jets(gens, None, order, stats)
+        space = ideal_in_jets(gens, order, stats)
         for K in range(scanned + 1, order + 1):
             if space.pivots_cover_degree(K - 1):
                 return K, space
@@ -282,7 +263,7 @@ def scheme_length(f: GermPoly, k: int, stats: dict = None) -> int:
     _require_germ(f)
     if not isinstance(k, int) or k < 1:
         raise InputError("jet order must be a positive integer")
-    return jet_dimension(k + 1) - ideal_in_jets([f], None, k + 1, stats).dimension
+    return jet_dimension(k + 1) - ideal_in_jets([f], k + 1, stats).dimension
 
 
 def orbit_tangent_dim(f: GermPoly, k: int, stats: dict = None) -> int:
@@ -290,12 +271,12 @@ def orbit_tangent_dim(f: GermPoly, k: int, stats: dict = None) -> int:
     _require_germ(f)
     if not isinstance(k, int) or k < 1:
         raise InputError("jet order must be a positive integer")
-    return ideal_in_jets(_gradient_frame(f), k + 1, k + 1, stats).dimension
+    return ideal_in_jets(_gradient_frame(f), k + 1, stats).dimension
 
 
-def dim_equisingular_stratum_analytic(f: GermPoly, k: int, stats: dict = None) -> int:
-    """dim of the locally closed set of order-k jets equivalent to f,
-    counted inside the versal slice; written dim S_0 below.
+def dim_s0(f: GermPoly, k: int, stats: dict = None) -> int:
+    """dim S_0: the dimension of the locally closed set of order-k jets
+    equivalent to f, counted inside the versal slice.
     """
     return _dim_s0_from_orbit(f, k, orbit_tangent_dim(f, k, stats))
 
@@ -307,10 +288,6 @@ def _dim_s0_from_orbit(f: GermPoly, k: int, orbit: int) -> int:
     if cut < 1:
         raise InputError(f"jet order {k} too small for multiplicity {m}")
     return 2 + orbit - jet_dimension(cut)
-
-
-# keep the operation name short in the public API
-dim_s0 = dim_equisingular_stratum_analytic
 
 
 @dataclass

@@ -475,26 +475,22 @@ def _lc_is_constant(A: dict, expected_ydeg: int) -> bool:
     return all(i == 0 for (i, j) in A if j == expected_ydeg)
 
 
-def _lcy_poly(A: dict) -> list:
-    ydeg = _y_degree(A)
-    row = {}
-    for (i, j), c in A.items():
-        if j == ydeg:
-            row[i] = c
-    out = [0] * (max(row) + 1)
-    for i, c in row.items():
-        out[i] = c
-    return _trim_poly(out)
+def _resultant_degree(A: dict, B: dict, stats: dict, degree: int = None):
+    """x-degree of Res_y(A, B), or None unless the resultant is nonzero,
+    of the given x-degree when one is given, and squarefree.  The degree
+    is checked first, since a squarefree test can cost an exact gcd."""
+    R = _resultant_y(A, B, stats)
+    if not R or (degree is not None and _poly_degree(R) != degree):
+        return None
+    return _poly_degree(R) if _is_squarefree(R, stats) else None
 
 
 def _plane_sample(d: int, rng, stats: dict):
     """One-node count from one random plane pencil, or None if degenerate."""
     F = _sample_poly(rng, d, d, total_cap=d)
     G = _sample_poly(rng, d, d, total_cap=d)
-    Fx, Fy = partial_terms(F, 0), partial_terms(F, 1)
-    Gx, Gy = partial_terms(G, 0), partial_terms(G, 1)
-    E1 = add_terms(mul_terms(Fx, Gy), mul_terms(Fy, Gx), -1)
-    E2 = add_terms(mul_terms(F, Gx), mul_terms(Fx, G), -1)
+    Fx, Gx = partial_terms(F, 0), partial_terms(G, 0)
+    E1, E2 = _pencil_pair(F, G, 1)
     if not (
         _lc_is_constant(E1, 2 * d - 2)
         and _lc_is_constant(E2, 2 * d - 1)
@@ -502,19 +498,17 @@ def _plane_sample(d: int, rng, stats: dict):
         and _lc_is_constant(Gx, d - 1)
     ):
         return None
-    fake = _resultant_y(Fx, Gx, stats)
-    if not fake or _poly_degree(fake) != (d - 1) ** 2 or not _is_squarefree(fake, stats):
+    expected_fake = (d - 1) ** 2
+    if _resultant_degree(Fx, Gx, stats, expected_fake) is None:
         return None
-    R = _resultant_y(E1, E2, stats)
-    if not R or not _is_squarefree(R, stats):
-        return None
-    count = _poly_degree(R) - (d - 1) ** 2
-    return count if count >= 0 else None
+    n = _resultant_degree(E1, E2, stats)
+    return n - expected_fake if n is not None and n >= expected_fake else None
 
 
-def _quadric_pair(F: dict, G: dict, a: int) -> tuple:
+def _pencil_pair(F: dict, G: dict, a: int) -> tuple:
     """The pair (E1, E2) whose common roots locate the singular members
-    of the pencil spanned by F and G of x-degree a (see _quadric_sample)."""
+    of the pencil spanned by F and G of x-degree a (see _quadric_sample;
+    a plane pencil uses the a = 1 pair)."""
     Fx, Fy = partial_terms(F, 0), partial_terms(F, 1)
     Gx, Gy = partial_terms(G, 0), partial_terms(G, 1)
     E1 = add_terms(mul_terms(Fx, Gy), mul_terms(Fy, Gx), -1)
@@ -534,35 +528,31 @@ def _quadric_sample(a: int, b: int, rng, stats: dict):
     expected_fake = 0 if a == 1 else 2 * a * (b - 1)
     F = _sample_poly(rng, a, b)
     G = _sample_poly(rng, a, b)
-    E1, E2 = _quadric_pair(F, G, a)
+    E1, E2 = _pencil_pair(F, G, a)
     # A sample whose E1 or E2 drops below its generic y-degree has lost
     # roots at y = infinity.  For a >= 2, F*Gy - Fy*G loses its top term
     # identically, so its generic y-degree is 2b - 2.
     if _y_degree(E1) != 2 * b - 1 or _y_degree(E2) != (2 * b if a == 1 else 2 * b - 2):
         return None
-    if _poly_degree(_poly_gcd(_lcy_poly(E1), _lcy_poly(E2))) != 0:
+    if _poly_degree(_poly_gcd(_y_coefficients(E1)[-1], _y_coefficients(E2)[-1])) != 0:
         return None
     # Likewise at x = infinity: the pair built from F and G reversed in x
     # (the chart u = 1/x) must share no root on the fibre u = 0, or R
     # loses x-degree.
     Fr, Gr = ({(a - i, j): c for (i, j), c in P.items()} for P in (F, G))
-    ca, cb = map(_y_coefficients, _quadric_pair(Fr, Gr, a))
+    ca, cb = map(_y_coefficients, _pencil_pair(Fr, Gr, a))
     if len(ca) < 2 or len(cb) < 2 or _sylvester_det(ca, cb, 0) == 0:
         return None
     if a > 1:
         Fy, Gy = partial_terms(F, 1), partial_terms(G, 1)
         if not Fy or not Gy:
             return None
-        if _poly_degree(_poly_gcd(_lcy_poly(Fy), _lcy_poly(Gy))) != 0:
+        if _poly_degree(_poly_gcd(_y_coefficients(Fy)[-1], _y_coefficients(Gy)[-1])) != 0:
             return None
-        fake = _resultant_y(Fy, Gy, stats)
-        if not fake or _poly_degree(fake) != expected_fake or not _is_squarefree(fake, stats):
+        if _resultant_degree(Fy, Gy, stats, expected_fake) is None:
             return None
-    R = _resultant_y(E1, E2, stats)
-    if not R or not _is_squarefree(R, stats):
-        return None
-    count = _poly_degree(R) - expected_fake
-    return count if count >= 0 else None
+    n = _resultant_degree(E1, E2, stats)
+    return n - expected_fake if n is not None and n >= expected_fake else None
 
 
 def _draw_count(sample, rng, stats: dict, surface: str) -> int:

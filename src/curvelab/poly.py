@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
+from .errors import InputError
+
 
 def add_terms(a: dict, b: dict, sign: int = 1) -> dict:
     """Terms of a + sign * b, without the ones that cancel."""
@@ -47,10 +49,20 @@ def format_rational(q) -> str:
 
 class SparsePoly:
     """Polynomial over exact rationals; a subclass names its variables in
-    VARS and turns a caller's key into an exponent tuple in _key."""
+    VARS and says in KEY_RULE what an exponent tuple must be."""
 
     __slots__ = ("terms",)
     VARS: tuple = ()
+    KEY_RULE = ""
+
+    @classmethod
+    def _key(cls, key) -> tuple:
+        """The caller's key as an exponent tuple: one nonnegative int per
+        variable, or InputError."""
+        key = tuple(key)
+        if len(key) != len(cls.VARS) or not all(type(e) is int and e >= 0 for e in key):
+            raise InputError(f"{cls.KEY_RULE}, got {list(key)!r}")
+        return key
 
     def __init__(self, terms=None):
         table = {}

@@ -27,15 +27,7 @@ class ChernPolynomial(SparsePoly):
 
     __slots__ = ()
     VARS = ("x", "y", "z", "t")
-
-    @staticmethod
-    def _key(key) -> tuple:
-        key = tuple(key)
-        if len(key) != 4 or not all(type(e) is int and e >= 0 for e in key):
-            raise InputError(
-                f"a Chern monomial needs four nonnegative integer exponents, got {list(key)!r}"
-            )
-        return key
+    KEY_RULE = "a Chern monomial needs four nonnegative integer exponents"
 
     @classmethod
     def constant(cls, c) -> "ChernPolynomial":

@@ -58,10 +58,11 @@ def test_germ_analyze_json_reports_jet_counters(capsys):
     code, out, _ = run_cli(capsys, "germ", "analyze", "y^2-x^3", "--json")
     assert code == 0
     payload = json.loads(out)
-    # one ladder rung (order 9) each for mu, tau and the determinacy
-    # window, then scheme length and the orbit frame (shared by the orbit
-    # tangent dimension and dim S_0) at order 4
-    assert payload["stats"] == {"ideal_builds": 5, "max_order": 9, "rows_inserted": 296}
+    # mu and tau saturate at order 3 (rungs 1, 2, 3), the determinacy
+    # window at order 4 (rungs 1, 2, 3, 5), then scheme length and the
+    # orbit frame (shared by the orbit tangent dimension and dim S_0) at
+    # order 4
+    assert payload["stats"] == {"ideal_builds": 12, "max_order": 5, "rows_inserted": 52}
 
 
 def test_germ_catalog_listing(capsys):
@@ -400,15 +401,24 @@ def test_json_output_is_byte_deterministic(tmp_path, capsys):
     _, first, _ = run_cli(capsys, "germ", "catalog", "--json")
     _, second, _ = run_cli(capsys, "germ", "catalog", "--json")
     assert first == second
-    pencil = ("severi", "oracle", "--method", "pencil", "--surface", "p1xp1",
-              "-a", "1", "-b", "1", "--seed", "21", "--json")
-    _, first, _ = run_cli(capsys, *pencil)
-    _, second, _ = run_cli(capsys, *pencil)
-    assert first == second
-    # the one degenerate draw of this seed shows up in the counters
-    assert json.loads(first)["stats"] == {
-        "samples": 4, "retries": 1, "crt_primes": 3, "exact_squarefree_fallbacks": 0,
+    # each input has one degenerate draw, which shows up in the counters:
+    # the plane path, the a = 1 quadric path and the a >= 2 quadric path
+    # with its resultant of (Fy, Gy)
+    pencils = {
+        ("-d", "3", "--seed", "3"): (12, {
+            "samples": 4, "retries": 1, "crt_primes": 10, "exact_squarefree_fallbacks": 1}),
+        ("--surface", "p1xp1", "-a", "1", "-b", "1", "--seed", "21"): (2, {
+            "samples": 4, "retries": 1, "crt_primes": 3, "exact_squarefree_fallbacks": 0}),
+        ("--surface", "p1xp1", "-a", "2", "-b", "3", "--seed", "27"): (20, {
+            "samples": 4, "retries": 1, "crt_primes": 9, "exact_squarefree_fallbacks": 0}),
     }
+    for args, (count, stats) in pencils.items():
+        pencil = ("severi", "oracle", "--method", "pencil", *args, "--json")
+        _, first, _ = run_cli(capsys, *pencil)
+        _, second, _ = run_cli(capsys, *pencil)
+        assert first == second
+        payload = json.loads(first)
+        assert (payload["result"], payload["stats"]) == (count, stats), args
     floor = ("severi", "oracle", "--method", "floor", "-d", "4", "--nodes", "2", "--json")
     _, first, _ = run_cli(capsys, *floor)
     _, second, _ = run_cli(capsys, *floor)

@@ -25,27 +25,22 @@ CUSP = parse_germ("y^2 - x^3")
 
 
 def test_ideal_in_jets_node_slab():
-    space = ideal_in_jets([NODE], 3, 3)
+    space = ideal_in_jets([NODE], 3)
     assert space.dimension == 1
     assert jet_dimension(3) - space.dimension == 5
 
 
-def test_ideal_in_jets_power_only():
-    space = ideal_in_jets([], 1, 4)
-    assert space.dimension == 9
-
-
 def test_ideal_in_jets_cusp():
-    space = ideal_in_jets([CUSP], None, 4)
+    space = ideal_in_jets([CUSP], 4)
     assert space.dimension == 3
     assert jet_dimension(4) - space.dimension == 7
 
 
 def test_ideal_in_jets_requires_something():
     with pytest.raises(InputError):
-        ideal_in_jets([], None, 3)
+        ideal_in_jets([], 3)
     with pytest.raises(InputError):
-        ideal_in_jets([NODE], None, 0)
+        ideal_in_jets([NODE], 0)
 
 
 def test_milnor_numbers():
@@ -111,7 +106,7 @@ def test_dim_s0_degenerate_input():
 def test_stabilization_of_quotient_dimension():
     gens = [CUSP.partial_x(), CUSP.partial_y()]
     for K in range(3, 8):
-        assert jet_dimension(K) - ideal_in_jets(gens, None, K).dimension == 2
+        assert jet_dimension(K) - ideal_in_jets(gens, K).dimension == 2
 
 
 def test_unit_scaling_invariance():
@@ -196,10 +191,10 @@ def _reference_saturation(gens, ceiling, first=1):
     if not gens:
         return None
     for K in range(first, ceiling + 2):
-        if ideal_in_jets(gens, None, K).contains_all_of_degree(K - 1):
+        if ideal_in_jets(gens, K).contains_all_of_degree(K - 1):
             if K == 1:
                 return K, 0
-            return K, jet_dimension(K - 1) - ideal_in_jets(gens, None, K - 1).dimension
+            return K, jet_dimension(K - 1) - ideal_in_jets(gens, K - 1).dimension
     return None
 
 
@@ -260,7 +255,7 @@ def test_ladder_matches_reference_on_seeded_germs():
         if i % 2:
             # pure powers make most of these isolated, at varied orders
             f = f + GermPoly({(rng.randint(2, 9), 0): 1, (0, rng.randint(2, 9)): -1})
-        # ceiling 20 scans two rungs, 11 and 21
+        # ceiling 20 scans the rungs 1, 2, 3, 6, 11 and 21
         got = _ladder_invariants(f, 20)
         assert got == _reference_invariants(f, 20), f.to_string()
         outcomes.append(got[0] is not None)
@@ -301,26 +296,26 @@ def test_nonisolated_refusal_builds_a_short_ladder(monkeypatch):
     original = jets.ideal_in_jets
 
     def counting(*args, **kwargs):
-        calls.append(args[2] if len(args) > 2 else kwargs["truncation_order"])
+        calls.append(args[1] if len(args) > 1 else kwargs["truncation_order"])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(jets, "ideal_in_jets", counting)
     with pytest.raises(CeilingError, match="undecided up to ceiling 64"):
         germ_report(parse_germ("x^2*y^2"), ceiling=64)
-    assert len(calls) <= 7
-    assert calls == [9, 17, 33, 65]
+    assert len(calls) <= 8
+    assert calls == [1, 2, 3, 5, 9, 17, 33, 65]
 
 
 def test_germ_report_stats_count_every_build():
     stats = {}
     germ_report(parse_germ("x^6 - y^6"), stats=stats)
-    # mu and tau saturate at order 10: rungs 9 and 17; the window at 10
-    # too; then scheme length and the orbit frame (shared by the orbit
-    # tangent dimension and dim S_0) at order 10
-    assert stats["ideal_builds"] == 8
+    # mu, tau and the window saturate at order 10: six rungs each, 1, 2,
+    # 3, 5, 9 and 17; then scheme length and the orbit frame (shared by
+    # the orbit tangent dimension and dim S_0) at order 10
+    assert stats["ideal_builds"] == 20
     assert stats["max_order"] == 17
-    assert stats["rows_inserted"] > 0
+    assert stats["rows_inserted"] == 844
     stats = {}
     with pytest.raises(CeilingError):
         germ_report(parse_germ("x^2*y^2"), stats=stats)
-    assert stats == {"ideal_builds": 4, "rows_inserted": 5088, "max_order": 65}
+    assert stats == {"ideal_builds": 8, "rows_inserted": 5094, "max_order": 65}

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from curvelab.errors import InputError
 from curvelab.germs import GermPoly, parse_germ
 from curvelab.poly import add_terms, mul_terms, partial_terms
 from curvelab.series import ChernPolynomial
@@ -87,3 +88,19 @@ def test_germ_to_string_orders_terms_by_degree_then_y_power():
         keys = [next(iter(parse_germ(chunk).terms)) for chunk in re.split(r" [+-] ", text.lstrip("-"))]
         assert keys == sorted(f.terms, key=lambda k: (k[0] + k[1], k[1]))
         assert parse_germ(text) == f
+
+
+def test_bad_exponent_keys_are_refused():
+    # a negative, fractional or missing exponent names no monomial
+    for key in [(-1, 0), (1.5, 2), (2,), (1, 2, 3), ("1", 2)]:
+        with pytest.raises(InputError) as err:
+            GermPoly({key: 1, (2, 1): 3})
+        assert str(err.value) == (
+            f"a germ monomial needs two nonnegative integer exponents, got {list(key)!r}"
+        )
+    with pytest.raises(InputError) as err:
+        ChernPolynomial({(1, -1, 0, 0): 1})
+    assert str(err.value) == (
+        "a Chern monomial needs four nonnegative integer exponents, got [1, -1, 0, 0]"
+    )
+    assert GermPoly({(2, 1): 3}).to_string() == "3*x^2*y"
