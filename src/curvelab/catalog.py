@@ -164,6 +164,17 @@ def lookup(label: str) -> SingularityType:
     return _validated(key)
 
 
+def codim_weights(keys) -> dict:
+    """Series weights: each label named in the label multisets `keys`
+    mapped to its catalog codim, looked up in order of appearance."""
+    weights = {}
+    for key in keys:
+        for label in key:
+            if label not in weights:
+                weights[label] = lookup(label).codim
+    return weights
+
+
 def collection_stats(parts) -> CollectionStats:
     resolved = [lookup(p) for p in parts]
     canonical = [e.label for e in resolved]

@@ -12,7 +12,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .catalog import collection_stats, load_catalog, lookup
+from .catalog import codim_weights, collection_stats, load_catalog, lookup
 from .errors import CurvelabError, InputError
 from .fitter import assemble_from_table, fit_nodes, threshold_scan
 from .germs import parse_germ
@@ -37,18 +37,14 @@ def _emit(args, result, stats=None, text="") -> int:
 
 def _engine_from_args(args):
     store = MemoStore()
-    ceiling = getattr(args, "ceiling", None)
-    if ceiling is None:
-        ceiling = DEFAULT_DEGREE_CEILING
-    engine = SeveriEngine(store, degree_ceiling=ceiling)
-    cache = getattr(args, "cache", None)
-    if cache and os.path.exists(cache):
-        store.load(cache)
+    engine = SeveriEngine(store, degree_ceiling=args.ceiling)
+    if args.cache and os.path.exists(args.cache):
+        store.load(args.cache)
     return engine, store
 
 
 def _save_cache(args, store):
-    if getattr(args, "cache", None):
+    if args.cache:
         store.save(args.cache)
 
 
@@ -221,11 +217,7 @@ def _cmd_series_eval(args) -> int:
 
 def _cmd_series_assemble(args) -> int:
     table = _load_a_table(args.a_table)
-    weights = {}
-    for key in table:
-        for label in key:
-            if label not in weights:
-                weights[label] = lookup(label).codim
+    weights = codim_weights(table)
     default_cap = max((sum(weights[l] for l in key) for key in table), default=0)
     cap = args.cap if args.cap is not None else default_cap
     stats = {}
@@ -248,7 +240,7 @@ def _add_json(p):
 def _add_cache(p):
     p.add_argument("--cache", default=None, metavar="PATH",
                    help="load/save the memo table at PATH")
-    p.add_argument("--ceiling", type=int, default=None,
+    p.add_argument("--ceiling", type=int, default=DEFAULT_DEGREE_CEILING,
                    help=f"degree ceiling (default {DEFAULT_DEGREE_CEILING})")
 
 

@@ -13,7 +13,7 @@ from functools import partial
 from itertools import product
 from math import factorial
 
-from .catalog import lookup
+from .catalog import codim_weights
 from .errors import CeilingError, InconsistencyError, InputError
 from .series import (
     ChernPolynomial,
@@ -284,11 +284,7 @@ def assemble_from_table(a_table: dict, chern, parts, stats: dict = None):
         if needed not in table:
             raise InputError(f"missing entry {','.join(needed)}")
 
-    weights = {}
-    for key in list(table) + [parts]:
-        for label in key:
-            if label not in weights:
-                weights[label] = lookup(label).codim
+    weights = codim_weights([*table, parts])
     cap = sum(weights[label] for label in parts)
     entries = scaled_entries(table)
     values = {key: ChernPolynomial.constant(entries[key].evaluate(chern)) for key in subs}

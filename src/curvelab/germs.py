@@ -48,34 +48,6 @@ class GermPoly(SparsePoly):
     def partial_y(self) -> "GermPoly":
         return self.partial(1)
 
-    def truncate(self, order: int) -> "GermPoly":
-        """Drop all terms of total degree >= order."""
-        return GermPoly(
-            {(i, j): c for (i, j), c in self.terms.items() if i + j < order}
-        )
-
-    def linear_substitute(self, a, b, c, d) -> "GermPoly":
-        """Apply x -> a*x + b*y, y -> c*x + d*y.
-
-        The substitution must be invertible to preserve germ invariants,
-        but invertibility is the caller's business.
-        """
-        u = GermPoly({(1, 0): Fraction(a), (0, 1): Fraction(b)})
-        v = GermPoly({(1, 0): Fraction(c), (0, 1): Fraction(d)})
-        # cache powers up to the degrees that actually occur
-        max_i = max((i for (i, _) in self.terms), default=0)
-        max_j = max((j for (_, j) in self.terms), default=0)
-        upow = [GermPoly({(0, 0): Fraction(1)})]
-        for _ in range(max_i):
-            upow.append(upow[-1] * u)
-        vpow = [GermPoly({(0, 0): Fraction(1)})]
-        for _ in range(max_j):
-            vpow.append(vpow[-1] * v)
-        out = GermPoly.zero()
-        for (i, j), coef in self.terms.items():
-            out = out + (upow[i] * vpow[j]).scale(coef)
-        return out
-
 
 def _parse_term(text: str) -> tuple[Fraction, int, int]:
     t = text.replace(" ", "")

@@ -34,7 +34,7 @@ def jet_dimension(order: int) -> int:
 
 
 class JetSubspace:
-    """Linear span of truncated polynomials, kept in reduced echelon form."""
+    """Linear span of truncated polynomials, kept in echelon form."""
 
     def __init__(self, truncation_order: int):
         if not isinstance(truncation_order, int) or truncation_order < 1:
@@ -84,17 +84,6 @@ class JetSubspace:
             red = {c: inv * v for c, v in red.items()}
         self._pivots[col] = red
         return True
-
-    def contains(self, row: dict) -> bool:
-        return not self._reduce(row)
-
-    def contains_monomial(self, i: int, j: int) -> bool:
-        if i + j >= self.truncation_order:
-            return True
-        return self.contains({monomial_index(i, j): Fraction(1)})
-
-    def contains_all_of_degree(self, k: int) -> bool:
-        return all(self.contains_monomial(k - j, j) for j in range(k + 1))
 
     # Each pivot is the lowest column of its row and the columns are graded
     # by degree, so the pivots below jet_dimension(K) are exactly the pivots

@@ -59,7 +59,10 @@ class SparsePoly:
     def _key(cls, key) -> tuple:
         """The caller's key as an exponent tuple: one nonnegative int per
         variable, or InputError."""
-        key = tuple(key)
+        try:
+            key = tuple(key)
+        except TypeError:
+            raise InputError(f"{cls.KEY_RULE}, got {key!r}") from None
         if len(key) != len(cls.VARS) or not all(type(e) is int and e >= 0 for e in key):
             raise InputError(f"{cls.KEY_RULE}, got {list(key)!r}")
         return key

@@ -93,7 +93,8 @@ def aut_count(key) -> int:
 
 
 class TruncatedSeries:
-    """Series in marker variables keyed by sorted label multisets.
+    """The keyed container that exp_series and log_series read and write:
+    ChernPolynomial coefficients keyed by sorted label multisets.
 
     weights: label -> positive integer weight; the empty multiset is the
     constant term; keys of total weight beyond `cap` are dropped.
@@ -129,23 +130,11 @@ class TruncatedSeries:
             total += self.weights[label]
         return total
 
-    @classmethod
-    def one(cls, weights, cap: int = 10) -> "TruncatedSeries":
-        return cls(weights, cap, {(): ChernPolynomial.constant(1)})
-
-    @classmethod
-    def zero(cls, weights, cap: int = 10) -> "TruncatedSeries":
-        return cls(weights, cap)
-
     def coefficient(self, key) -> ChernPolynomial:
         return self.coeffs.get(tuple(sorted(key)), ChernPolynomial.zero())
 
     def constant_coefficient(self) -> ChernPolynomial:
         return self.coeffs.get((), ChernPolynomial.zero())
-
-    def _check_compatible(self, other: "TruncatedSeries"):
-        if self.weights != other.weights or self.cap != other.cap:
-            raise InputError("series have mismatched weights or truncation caps")
 
     def __eq__(self, other):
         return (
@@ -153,39 +142,6 @@ class TruncatedSeries:
             and self.weights == other.weights
             and self.cap == other.cap
             and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for k, p in other.coeffs.items():
-            out[k] = out.get(k, ChernPolynomial.zero()) + p
-        return TruncatedSeries(self.weights, self.cap, out)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for k, p in other.coeffs.items():
-            out[k] = out.get(k, ChernPolynomial.zero()) - p
-        return TruncatedSeries(self.weights, self.cap, out)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        out = {}
-        for k1, p1 in self.coeffs.items():
-            w1 = self.key_weight(k1)
-            for k2, p2 in other.coeffs.items():
-                if w1 + other.key_weight(k2) > self.cap:
-                    continue
-                key = tuple(sorted(k1 + k2))
-                prod = p1 * p2
-                out[key] = out.get(key, ChernPolynomial.zero()) + prod
-        return TruncatedSeries(self.weights, self.cap, out)
-
-    def scale(self, c) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.weights, self.cap,
-            {k: p.scale(c) for k, p in self.coeffs.items()},
         )
 
     def to_json_obj(self) -> dict:
@@ -197,17 +153,6 @@ class TruncatedSeries:
                 for k, p in sorted(self.coeffs.items())
             ],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "TruncatedSeries":
-        try:
-            coeffs = {
-                tuple(k): ChernPolynomial.from_json_obj(p)
-                for k, p in obj["coeffs"]
-            }
-            return cls(obj["weights"], obj["cap"], coeffs)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError("malformed series data") from exc
 
 
 def _numerators(s: TruncatedSeries) -> tuple:
@@ -344,15 +289,15 @@ def normalize_table(a_table: dict) -> dict:
     return out
 
 
-def scaled_entries(a_table: dict) -> dict:
+def scaled_entries(table: dict) -> dict:
     """Table entries a_key/#Aut(key), keyed by sorted label multiset.
 
-    Table entries are the #Aut-scaled logarithmic coefficients attached
-    to each label multiset (see normalize_table); each must be a linear
-    Chern polynomial.
+    `table` is an a-table as normalize_table returns it: the #Aut-scaled
+    logarithmic coefficients attached to each label multiset; each must
+    be a linear Chern polynomial.
     """
     coeffs = {}
-    for key, poly in normalize_table(a_table).items():
+    for key, poly in table.items():
         if not poly.is_linear():
             raise InputError(
                 f"table entry for {','.join(key)} must be linear in the Chern variables"
@@ -365,7 +310,8 @@ def assemble_series(
     a_table: dict, weights: dict, cap: int = 10, stats: dict = None
 ) -> TruncatedSeries:
     """Build the generating series exp(sum a_key/#Aut(key) * x_key)."""
-    return exp_series(TruncatedSeries(weights, cap, scaled_entries(a_table)), stats)
+    entries = scaled_entries(normalize_table(a_table))
+    return exp_series(TruncatedSeries(weights, cap, entries), stats)
 
 
 def extract_universal(series: TruncatedSeries, parts) -> ChernPolynomial:

@@ -104,3 +104,12 @@ def test_bad_exponent_keys_are_refused():
         "a Chern monomial needs four nonnegative integer exponents, got [1, -1, 0, 0]"
     )
     assert GermPoly({(2, 1): 3}).to_string() == "3*x^2*y"
+
+
+def test_a_key_that_is_not_a_sequence_is_refused():
+    # tuple(5) raises TypeError; the key check names the rule instead
+    for cls in (GermPoly, ChernPolynomial):
+        for key in (5, None):
+            with pytest.raises(InputError) as err:
+                cls({key: 1})
+            assert str(err.value) == f"{cls.KEY_RULE}, got {key!r}"
