@@ -39,13 +39,19 @@ def _engine_from_args(args):
     store = MemoStore()
     engine = SeveriEngine(store, degree_ceiling=args.ceiling)
     if args.cache and os.path.exists(args.cache):
-        store.load(args.cache)
+        try:
+            store.load(args.cache)
+        except OSError as exc:
+            raise InputError(f"cannot read cache file {args.cache!r}: {exc}") from exc
     return engine, store
 
 
 def _save_cache(args, store):
     if args.cache:
-        store.save(args.cache)
+        try:
+            store.save(args.cache)
+        except OSError as exc:
+            raise InputError(f"cannot write cache file {args.cache!r}: {exc}") from exc
 
 
 def _parse_parts(text: str) -> tuple:

@@ -36,10 +36,7 @@ def jet_dimension(order: int) -> int:
 class JetSubspace:
     """Linear span of truncated polynomials, kept in echelon form."""
 
-    def __init__(self, truncation_order: int):
-        if not isinstance(truncation_order, int) or truncation_order < 1:
-            raise InputError("truncation order must be a positive integer")
-        self.truncation_order = truncation_order
+    def __init__(self):
         # pivot column -> row whose lowest column it is, scaled to 1 there
         self._pivots = {}
 
@@ -87,7 +84,7 @@ class JetSubspace:
 
     # Each pivot is the lowest column of its row and the columns are graded
     # by degree, so the pivots below jet_dimension(K) are exactly the pivots
-    # of the same span truncated at any order K <= truncation_order.
+    # of the same span truncated at any order K up to the one it was built at.
 
     def pivots_cover_degree(self, k: int) -> bool:
         """Whether the span truncated at order k + 1 holds every monomial
@@ -120,7 +117,7 @@ def ideal_in_jets(generators, truncation_order: int, stats: dict = None) -> JetS
     if not generators:
         raise InputError("need generators")
     gens = [g for g in generators if not g.is_zero()]
-    space = JetSubspace(K)
+    space = JetSubspace()
     rows = 0
     for g in gens:
         terms = [(i, j, c) for (i, j), c in g.terms.items()]

@@ -13,16 +13,21 @@ its intersection with the fixed line and its node cap.  Every value is
 an exact arbitrary-precision integer, memoized in a store that can
 persist to a cache file: a header line with the SHA-256 digest of the
 body, then one sorted, canonical line per memo key.  Loading reads the
-file once, checking the digest, the order and the canonical form of
-every line; saving spells each distinct field once; a store that holds
+file whole, checks the digest before it parses a line, then checks the
+order and the canonical form of every line, and keeps the body; saving
+formats only the keys added since, spelling each distinct field once,
+and merges their lines into that body as it writes; a store that holds
 exactly what it loaded is not written back.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections import namedtuple
 from functools import cache
+from io import BytesIO
+from itertools import islice
 from math import comb
 
 from .errors import (
@@ -158,14 +163,18 @@ def _gamma_moves(beta: tuple, rem: int, k: int) -> tuple:
 
 _MAGIC = b"curvelab-memo/v1 "
 _HEADER_LEN = len(_MAGIC) + 64 + 1
+# a save writes about this many bytes of loaded body, or this many new
+# lines, at a time
+_CHUNK_BYTES = 1 << 15
+_CHUNK_LINES = 4096
 
 
-def _sha256():
+def _sha256(data=b""):
     # imported here: hashlib loads OpenSSL, which would cost every
     # command a few milliseconds, and only cache files need it
     import hashlib
 
-    return hashlib.sha256()
+    return hashlib.sha256(data)
 
 
 def _format_profile(profile) -> str:
@@ -233,10 +242,13 @@ class MemoStore:
         self.computed = 0
         self.hits = 0
         self.loaded = 0
-        # (path, size) after a load into an empty store; keys are never
-        # removed or remapped, so while the size holds, that file already
-        # has the bytes save would write
-        self._loaded_from = None
+        # The verified body of the file last loaded into an empty store,
+        # with its path and key count.  Keys are never removed or
+        # remapped and the table keeps insertion order, so the body holds
+        # the lines of exactly the first `_body_keys` keys of the table.
+        self._body = b""
+        self._body_keys = 0
+        self._body_path = None
 
     def __len__(self):
         return len(self.table)
@@ -272,27 +284,33 @@ class MemoStore:
         }
 
     def save(self, path):
-        """Write the table, unless the file already holds it.  The new
-        file replaces the old one whole, so an interrupted save leaves
-        the old file in place."""
+        """Write the table, unless the file already holds it.  Only the
+        keys added since the last load into an empty store are formatted
+        and sorted; their lines are merged into the loaded body as it is
+        written.  The new file replaces the old one whole, so an
+        interrupted save leaves the old file in place."""
         path = os.fspath(path)
-        if self._loaded_from == (path, len(self.table)):
+        if path == self._body_path and len(self.table) == self._body_keys:
             return
         # a few hundred distinct heads and profiles spell every line, so
         # each is formatted once, as load parses each once
         head, profile = cache(_format_head), cache(_format_profile)
         lines = sorted(
             f"{head(*key[:3])} {profile(key[3])} {profile(key[4])} {value}\n"
-            for key, value in self.table.items()
+            for key, value in islice(self.table.items(), self._body_keys, None)
         )
-        body = "".join(lines).encode("ascii")
         digest = _sha256()
-        digest.update(body)
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
+                # the header has a fixed length: it is written once the
+                # body's digest is known
+                fh.seek(_HEADER_LEN)
+                for chunk in _merge_lines(self._body, lines):
+                    digest.update(chunk)
+                    fh.write(chunk)
+                fh.seek(0)
                 fh.write(_MAGIC + digest.hexdigest().encode() + b"\n")
-                fh.write(body)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -302,63 +320,84 @@ class MemoStore:
             raise
 
     def load(self, path):
-        """Read a cache file in one pass.  Its body must match the digest
-        in its header, be strictly sorted and canonical, and agree with
-        the table; nothing is stored unless every check passes."""
+        """Read a cache file whole.  Its body must match the digest in its
+        header, be strictly sorted and canonical, and agree with the
+        table; nothing is stored unless every check passes.  A load into
+        an empty store keeps the body, so that a later save only has to
+        merge in the lines of new keys."""
         path = os.fspath(path)
-        table = {}
-        heads = _FieldMemo(_parse_head, lambda head: _format_head(*head))
-        profiles = _FieldMemo(_parse_profile, _format_profile)
-        digest = _sha256()
-        error, number = None, 1
         with open(path, "rb") as fh:
-            header = fh.readline()
-            if len(header) != _HEADER_LEN or not header.startswith(_MAGIC) \
-                    or not header.endswith(b"\n"):
+            header = fh.read(_HEADER_LEN)
+            if not header.startswith(_MAGIC) or header.find(b"\n") != _HEADER_LEN - 1:
                 raise InconsistencyError(
                     f"cache file {path!r} has no curvelab-memo/v1 header; "
                     "delete it to regenerate"
                 )
-            previous = b""
-            try:
-                for number, raw in enumerate(fh, 2):
-                    digest.update(raw)
-                    if raw <= previous:
-                        raise InputError("line out of order or repeated")
-                    previous = raw
-                    head, alpha, beta, text = raw[:-1].rsplit(b" ", 3)
-                    if not text.isdigit() or (text[0] == 48 and len(text) > 1):
-                        raise InputError(f"bad value {text.decode('ascii', 'replace')!r}")
-                    key = heads[head] + (profiles[alpha], profiles[beta])
-                    value = int(text)
-                    if key in table:
-                        raise InconsistencyError(
-                            f"memo key {key} holds both {table[key]} and {value}"
-                        )
-                    table[key] = value
-                if previous and not previous.endswith(b"\n"):
-                    raise InputError("last line lacks its newline")
-            except ValueError:
-                error = InputError("expected 6 space-separated fields")
-            except CurvelabError as exc:
-                error = exc
-            # a body that fails its digest is reported as corrupt,
-            # whatever else is wrong with it
-            digest.update(fh.read())
-        if digest.hexdigest().encode() != header[len(_MAGIC):-1]:
+            body = fh.read(os.fstat(fh.fileno()).st_size - _HEADER_LEN)
+        # a body that fails its digest is reported as corrupt, whatever
+        # else is wrong with it
+        if _sha256(body).hexdigest().encode() != header[len(_MAGIC):-1]:
             raise InconsistencyError(
                 f"cache file {path!r} does not match the digest in its header "
                 "(corrupt or edited); delete it to regenerate"
             )
-        if error is not None:
-            raise type(error)(f"cache file {path!r} line {number}: {error}")
+        table = {}
+        heads = _FieldMemo(_parse_head, lambda head: _format_head(*head))
+        profiles = _FieldMemo(_parse_profile, _format_profile)
+        number, previous = 1, b""
+        try:
+            for number, raw in enumerate(BytesIO(body), 2):
+                if raw <= previous:
+                    raise InputError("line out of order or repeated")
+                previous = raw
+                head, alpha, beta, text = raw[:-1].rsplit(b" ", 3)
+                if not text.isdigit() or (text[0] == 48 and len(text) > 1):
+                    raise InputError(f"bad value {text.decode('ascii', 'replace')!r}")
+                key = heads[head] + (profiles[alpha], profiles[beta])
+                value = int(text)
+                # lines are distinct, so a key met again holds another value
+                old = table.setdefault(key, value)
+                if old is not value:
+                    raise InconsistencyError(f"memo key {key} holds both {old} and {value}")
+            if previous and not previous.endswith(b"\n"):
+                raise InputError("last line lacks its newline")
+        except ValueError:
+            raise InputError(
+                f"cache file {path!r} line {number}: expected 6 space-separated fields"
+            ) from None
+        except CurvelabError as exc:
+            raise type(exc)(f"cache file {path!r} line {number}: {exc}") from None
         if self.table:
             for key, value in table.items():
                 self.put(key, value, origin="loaded")
         else:
             self.table = table
             self.loaded += len(table)
-            self._loaded_from = (path, len(table))
+            self._body, self._body_keys, self._body_path = body, len(table), path
+
+
+def _merge_lines(body: bytes, lines: list):
+    """Chunks of the sorted `body` with the sorted str `lines`, none of
+    which it holds, merged in at their places.  A body chunk that takes
+    no line is passed on as it is; one that does is merged by one sort of
+    its lines, whose two sorted runs the sort merges in linear time.  The
+    body is one that load checked, so its lines hold no line break but
+    their newline."""
+    i = start = 0
+    while start < len(body):
+        end = body.find(b"\n", start + _CHUNK_BYTES) + 1 or len(body)
+        chunk = body[start:end]
+        last = body[body.rfind(b"\n", 0, end - 1) + 1:end].decode("ascii")
+        j = bisect_left(lines, last, i)
+        if j > i:
+            merged = chunk.decode("ascii").splitlines(True)
+            merged += lines[i:j]
+            merged.sort()
+            chunk = "".join(merged).encode("ascii")
+        yield chunk
+        i, start = j, end
+    for i in range(i, len(lines), _CHUNK_LINES):
+        yield "".join(lines[i:i + _CHUNK_LINES]).encode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,20 @@ def test_cache_malformed_lines_exit_2(tmp_path, capsys, write_cache):
         _assert_one_line_error(err, cache)
 
 
+def test_cache_path_that_cannot_be_read_or_written_exits_2(tmp_path, capsys):
+    query = ("severi", "p2", "-d", "3", "--nodes", "1", "--cache")
+    code, out, err = run_cli(capsys, *query, str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read cache file {str(tmp_path)!r}: ")
+    _assert_one_line_error(err, tmp_path)
+    missing = tmp_path / "missing" / "x.cache"
+    code, out, err = run_cli(capsys, *query, str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write cache file {str(missing)!r}: ")
+    _assert_one_line_error(err, missing)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_severi_one_node_count_at_degree_45(capsys):
     code, out, _ = run_cli(capsys, "severi", "p2", "-d", "45", "--nodes", "1",
                            "--ceiling", "60")

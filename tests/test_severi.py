@@ -318,6 +318,113 @@ def test_interrupted_save_keeps_the_old_cache(tmp_path, monkeypatch):
     back.load(path)
     assert back.loaded == before.count(b"\n") - 1 > 0
 
+    # a store that loaded the file and grew
+    SeveriEngine(back).severi_p2(4, 2)
+    with pytest.raises(KeyboardInterrupt):
+        back.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["memo.txt"]
+
+
+# the keys of the first query are loaded; those of the others sort before,
+# between and after them
+LOADED_QUERY = ("p2", 4, 1)
+GROWN_QUERIES = (("quadric", 3, 2, 2), ("p2", 6, 2))
+
+
+def _run(engine, *queries):
+    for surface, *args in queries:
+        getattr(engine, f"severi_{surface}")(*args)
+    return engine.store
+
+
+def _cold_bytes(tmp_path):
+    path = tmp_path / "cold.txt"
+    _run(SeveriEngine(), LOADED_QUERY, *GROWN_QUERIES).save(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("chunk_bytes, chunk_lines",
+                         [(severi._CHUNK_BYTES, severi._CHUNK_LINES), (1, 1), (64, 3)])
+def test_grown_save_merges_new_lines_into_the_loaded_body(
+        chunk_bytes, chunk_lines, tmp_path, monkeypatch):
+    monkeypatch.setattr(severi, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(severi, "_CHUNK_LINES", chunk_lines)
+    cold = _cold_bytes(tmp_path)
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    _run(SeveriEngine(), LOADED_QUERY).save(a)
+    before = a.read_bytes()
+    grown = MemoStore()
+    grown.load(a)
+    _run(SeveriEngine(grown), *GROWN_QUERIES).save(b)
+    assert b.read_bytes() == cold
+    assert a.read_bytes() == before
+    # a store loaded from one file and saved, unchanged, to another
+    same = MemoStore()
+    same.load(a)
+    same.save(b)
+    assert b.read_bytes() == before
+
+
+def test_save_after_a_second_load(tmp_path):
+    cold = _cold_bytes(tmp_path)
+    a, b, c = (tmp_path / name for name in ("a.txt", "b.txt", "c.txt"))
+    _run(SeveriEngine(), LOADED_QUERY).save(a)
+    _run(SeveriEngine(), *GROWN_QUERIES).save(b)
+    # loaded into an empty store, then into a store that holds keys
+    first = MemoStore()
+    first.load(a)
+    _run(SeveriEngine(first), GROWN_QUERIES[0])
+    first.load(b)
+    first.save(c)
+    assert c.read_bytes() == cold
+    # only loaded into a store that holds keys
+    computed = _run(SeveriEngine(), GROWN_QUERIES[1])
+    computed.load(a)
+    computed.load(b)
+    computed.save(c)
+    assert c.read_bytes() == cold
+
+
+def test_header_only_cache_grows(tmp_path):
+    path = tmp_path / "memo.txt"
+    MemoStore().save(path)
+    assert len(path.read_bytes()) == severi._HEADER_LEN
+    store = MemoStore()
+    store.load(path)
+    _run(SeveriEngine(store), LOADED_QUERY, *GROWN_QUERIES).save(path)
+    assert path.read_bytes() == _cold_bytes(tmp_path)
+
+
+def test_grown_save_formats_no_loaded_key(tmp_path, monkeypatch):
+    path = tmp_path / "memo.txt"
+    _run(SeveriEngine(), LOADED_QUERY).save(path)
+    store = MemoStore()
+    store.load(path)
+    _run(SeveriEngine(store), *GROWN_QUERIES)
+    new_keys = list(store.table)[store.loaded:]
+    calls = Counter()
+
+    def counted(name):
+        fmt = getattr(severi, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fmt(*args)
+        return wrapper
+
+    for name in ("_format_head", "_format_profile"):
+        monkeypatch.setattr(severi, name, counted(name))
+    store.save(path)
+    assert calls["_format_head"] == len({key[:3] for key in new_keys})
+    assert calls["_format_profile"] == len({p for key in new_keys for p in key[3:]})
+    # a cold save of the same table spells the loaded heads too
+    calls.clear()
+    cold = MemoStore()
+    cold.table = dict(store.table)
+    cold.save(path)
+    assert calls["_format_head"] > len({key[:3] for key in new_keys})
+
 
 def _all_partition_profiles(n, largest):
     """Every profile gamma with sum of (i+1)*gamma[i] = n and no part
