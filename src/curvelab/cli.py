@@ -79,6 +79,8 @@ def _load_a_table(path: str) -> dict:
     table = {}
     try:
         for key, poly in obj["entries"]:
+            if not isinstance(key, list):  # sorted() would split a string
+                raise TypeError("a multiset is a list of labels")
             key = tuple(sorted(key))
             if key in table:
                 raise InputError(
@@ -194,8 +196,11 @@ def _cmd_fit_nodes(args) -> int:
     result = fit_nodes(args.max_r, engine=engine)
     _save_cache(args, store)
     if args.a_table_out:
-        with open(args.a_table_out, "w") as fh:
-            fh.write(_dump_a_table(result.to_a_table()))
+        try:
+            with open(args.a_table_out, "w") as fh:
+                fh.write(_dump_a_table(result.to_a_table()))
+        except OSError as exc:
+            raise InputError(f"cannot write a-table file {args.a_table_out!r}: {exc}") from exc
     lines = [f"a_{r} = {p.to_string()}" for r, p in sorted(result.a.items())]
     lines += [
         f"T_{r} = {p.to_string()}" for r, p in sorted(result.T.items()) if r > 0

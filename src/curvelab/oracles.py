@@ -7,25 +7,24 @@ pencil_discriminant_oracle: counts singular members of a random pencil
 by eliminating the pencil parameter, taking a resultant in y, and
 counting its roots once it is proved squarefree; repeated with
 independent samples that must agree.  Every answer is exact, though the
-bignum steps run modulo word-size primes:
+bignum steps run modulo powers of the one prime P = 2**61 - 1:
 
 - the resultant's values at integer nodes are exact Bareiss determinants;
-  their interpolant is computed modulo successive primes and combined by
-  CRT until the modulus exceeds twice a Hadamard bound on its
-  coefficients, and the lift is accepted only if it reproduces every exact
-  value;
-- squarefreeness is certified modulo a prime q > deg p not dividing the
-  leading coefficient: a constant gcd(p, p') mod q proves p squarefree
-  over Q.  When no certificate prime applies or certifies, the exact
-  integer gcd decides, and it alone can answer "not squarefree", which is
-  how degenerate samples are rejected.
+  their interpolant is computed modulo the least power of P that exceeds
+  twice a Hadamard bound on its coefficients, and the lift is accepted only
+  if it reproduces every exact value;
+- squarefreeness, and the coprimality of two leading coefficients, are
+  certified modulo P: when P does not divide lc(u), a constant
+  gcd(u mod P, v mod P) proves u and v coprime over Q.  A draw whose
+  certificate fails is redrawn like any other degenerate draw, so every
+  accepted draw is proved.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache, partial
-from math import comb, factorial, gcd, isqrt
+from math import comb, factorial, isqrt
 
 from .errors import InconsistencyError, InputError
 from .poly import add_terms, mul_terms, partial_terms
@@ -204,19 +203,8 @@ def floor_diagram_oracle(d: int, delta: int, stats: dict = None) -> int:
 # ---------------------------------------------------------------------------
 # integer univariate polynomial helpers (coefficient lists, index = power)
 
-# The 16 largest primes below 2**61, literal so that importing the module
-# computes nothing.  Their product (976 bits) exceeds twice every resultant
-# coefficient bound the supported ranges can produce (at most 271 bits, at
-# plane d = 5 with every coefficient 9 in absolute value).
-_PRIMES = (
-    2305843009213693951, 2305843009213693921, 2305843009213693907,
-    2305843009213693723, 2305843009213693693, 2305843009213693669,
-    2305843009213693613, 2305843009213693561, 2305843009213693549,
-    2305843009213693487, 2305843009213693421, 2305843009213693373,
-    2305843009213693277, 2305843009213693193, 2305843009213693153,
-    2305843009213693133,
-)
-_SQUAREFREE_PRIMES = _PRIMES[:2]
+# The Mersenne prime 2**61 - 1, the one modulus of the pencil oracle.
+_P = 2**61 - 1
 
 
 def _trim_poly(p: list) -> list:
@@ -233,78 +221,38 @@ def _poly_derivative(p: list) -> list:
     return _trim_poly([k * c for k, c in enumerate(p)][1:])
 
 
-def _poly_content(p: list) -> int:
-    return gcd(*p) or 1
-
-
-def _poly_primitive(p: list) -> list:
-    c = _poly_content(p)
-    return [x // c for x in p]
-
-
-def _poly_pseudo_rem(u: list, v: list) -> list:
-    u = list(u)
-    dv = _poly_degree(v)
-    lv = v[-1]
-    while _poly_degree(u) >= dv and u:
-        du = _poly_degree(u)
-        lead = u[-1]
-        u = [c * lv for c in u]
-        shift = du - dv
-        for k, c in enumerate(v):
-            u[k + shift] -= lead * c
-        _trim_poly(u)
-        if not u:
-            break
-    return u
-
-
-def _poly_gcd(u: list, v: list) -> list:
-    u, v = _trim_poly(list(u)), _trim_poly(list(v))
-    if not u:
-        return _poly_primitive(v) if v else []
-    if not v:
-        return _poly_primitive(u)
-    u, v = _poly_primitive(u), _poly_primitive(v)
-    while v:
-        r = _poly_pseudo_rem(u, v)
-        u, v = v, _poly_primitive(r) if r else []
-    return u
-
-
-def _poly_gcd_degree_mod(u: list, v: list, q: int) -> int:
-    """Degree of gcd(u mod q, v mod q) over GF(q), q prime (-1 if both vanish)."""
-    u = _trim_poly([c % q for c in u])
-    v = _trim_poly([c % q for c in v])
-    while v:
-        inv = pow(v[-1], -1, q)
-        v = [c * inv % q for c in v]
+def _coprime_mod_p(u: list, v: list) -> bool:
+    """True only when u and v are proved coprime over Q: P does not divide
+    lc(u) and gcd(u mod P, v mod P) is constant.  A common factor h of
+    positive degree, primitive in Z[x], has lc(h) | lc(u), so h mod P would
+    keep its degree and divide that gcd.  False proves nothing."""
+    if not u or u[-1] % _P == 0:
+        return False
+    u = [c % _P for c in u]
+    v = _trim_poly([c % _P for c in v])
+    while v:  # Euclid over GF(P); u stays nonzero
+        inv = pow(v[-1], -1, _P)
+        v = [c * inv % _P for c in v]
         dv = len(v) - 1
         while len(u) > dv:
             lead, shift = u.pop(), len(u) - dv
             for k in range(dv):
-                u[k + shift] = (u[k + shift] - lead * v[k]) % q
+                u[k + shift] = (u[k + shift] - lead * v[k]) % _P
             _trim_poly(u)
         u, v = v, u
-    return _poly_degree(u)
+    return len(u) == 1
 
 
 def _is_squarefree(p: list, stats: dict = None) -> bool:
-    """True when p has no repeated factor over Q.
-
-    Modular certificate first: for a prime q > deg p not dividing lc(p),
-    p mod q keeps its degree and so does every factor of p, so a square
-    factor h**2 of p would leave h mod q in gcd(p mod q, p' mod q).  A
-    constant gcd therefore proves p squarefree.  Only the exact gcd can
-    answer False.
+    """True only when p is proved squarefree over Q, by certifying p and p'
+    coprime (a square factor of p divides both).  A test the certificate
+    does not settle returns False and counts in exact_squarefree_fallbacks.
     """
-    dp = _poly_derivative(p)
-    for q in _SQUAREFREE_PRIMES:
-        if p and q > _poly_degree(p) and p[-1] % q and _poly_gcd_degree_mod(p, dp, q) == 0:
-            return True
+    if _coprime_mod_p(p, _poly_derivative(p)):
+        return True
     if stats is not None:
         stats["exact_squarefree_fallbacks"] += 1
-    return _poly_degree(_poly_gcd(p, dp)) == 0
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -424,24 +372,18 @@ def _interpolate_integer_poly(nodes: list, values: list, bound: int, stats: dict
     """The integer polynomial of degree < len(nodes) through (nodes, values),
     given that each of its coefficients is at most `bound` in absolute value.
 
-    Newton interpolation modulo successive primes, combined by CRT until
-    the modulus exceeds 2 * bound, then lifted to the symmetric range.  The
-    lift is accepted only if it reproduces every exact value, so values with
-    no integer interpolant raise instead of returning a wrong polynomial.
+    Newton interpolation modulo P**e, the least power of P above 2 * bound
+    (e counts in crt_primes; nodes less than P apart keep every difference
+    invertible), then lifted to the symmetric range.  The lift is accepted
+    only if it reproduces every exact value, so values with no integer
+    interpolant raise instead of returning a wrong polynomial.
     """
-    modulus = 1
-    poly = [0] * len(nodes)
-    for q in _PRIMES:
-        residues = _newton_mod(nodes, values, q)
-        inv = pow(modulus, -1, q)
-        poly = [c + modulus * ((r - c) * inv % q) for c, r in zip(poly, residues)]
-        modulus *= q
-        if stats is not None:
-            stats["crt_primes"] += 1
-        if modulus > 2 * bound:
-            break
-    else:
-        raise InconsistencyError("resultant coefficient bound exceeds the CRT prime table")
+    modulus, e = _P, 1
+    while modulus <= 2 * bound:
+        modulus, e = modulus * _P, e + 1
+    if stats is not None:
+        stats["crt_primes"] += e
+    poly = _newton_mod(nodes, values, modulus)
     half = modulus // 2
     poly = [c - modulus if c > half else c for c in poly]
     if any(_poly_eval(poly, t) != v for t, v in zip(nodes, values)):
@@ -477,8 +419,9 @@ def _lc_is_constant(A: dict, expected_ydeg: int) -> bool:
 
 def _resultant_degree(A: dict, B: dict, stats: dict, degree: int = None):
     """x-degree of Res_y(A, B), or None unless the resultant is nonzero,
-    of the given x-degree when one is given, and squarefree.  The degree
-    is checked first, since a squarefree test can cost an exact gcd."""
+    of the given x-degree when one is given, and certified squarefree.  The
+    degree is checked first: it is free, and a wrong degree rejects the draw
+    before the certificate runs or counts."""
     R = _resultant_y(A, B, stats)
     if not R or (degree is not None and _poly_degree(R) != degree):
         return None
@@ -534,7 +477,7 @@ def _quadric_sample(a: int, b: int, rng, stats: dict):
     # identically, so its generic y-degree is 2b - 2.
     if _y_degree(E1) != 2 * b - 1 or _y_degree(E2) != (2 * b if a == 1 else 2 * b - 2):
         return None
-    if _poly_degree(_poly_gcd(_y_coefficients(E1)[-1], _y_coefficients(E2)[-1])) != 0:
+    if not _coprime_mod_p(_y_coefficients(E1)[-1], _y_coefficients(E2)[-1]):
         return None
     # Likewise at x = infinity: the pair built from F and G reversed in x
     # (the chart u = 1/x) must share no root on the fibre u = 0, or R
@@ -547,7 +490,7 @@ def _quadric_sample(a: int, b: int, rng, stats: dict):
         Fy, Gy = partial_terms(F, 1), partial_terms(G, 1)
         if not Fy or not Gy:
             return None
-        if _poly_degree(_poly_gcd(_y_coefficients(Fy)[-1], _y_coefficients(Gy)[-1])) != 0:
+        if not _coprime_mod_p(_y_coefficients(Fy)[-1], _y_coefficients(Gy)[-1]):
             return None
         if _resultant_degree(Fy, Gy, stats, expected_fake) is None:
             return None
@@ -582,8 +525,8 @@ def pencil_discriminant_oracle(surface: str, degree, seed: int = 0, stats: dict 
     surface_key = str(surface).upper()
     if surface_key == "P2":
         d = degree
-        if not isinstance(d, int) or not (2 <= d <= 5):
-            raise InputError("plane pencil oracle supports 2 <= d <= 5")
+        if not isinstance(d, int) or not (2 <= d <= 7):
+            raise InputError("plane pencil oracle supports 2 <= d <= 7")
         sample, name = partial(_plane_sample, d), "plane"
     elif surface_key == "P1XP1":
         try:
@@ -591,9 +534,9 @@ def pencil_discriminant_oracle(surface: str, degree, seed: int = 0, stats: dict 
         except (TypeError, ValueError):
             raise InputError("quadric pencil oracle needs a bidegree pair (a, b)")
         if not (isinstance(a, int) and isinstance(b, int)) or not (
-            1 <= a <= 3 and 1 <= b <= 3
+            1 <= a <= 4 and 1 <= b <= 4
         ):
-            raise InputError("quadric pencil oracle supports 1 <= a, b <= 3")
+            raise InputError("quadric pencil oracle supports 1 <= a, b <= 4")
         # Counts are symmetric in the bidegree, so normalise to a <= b; the
         # elimination needs the y-direction to carry the larger degree.
         sample, name = partial(_quadric_sample, min(a, b), max(a, b)), "quadric"

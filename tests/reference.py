@@ -1,12 +1,14 @@
 """Reference algebra for the suites: the power-sum exp and log of a
-TruncatedSeries, series sums and products, and linear coordinate changes
-of a germ.  All of it is written on the public coefficient dicts and the
-polynomial arithmetic, so it shares no code with exp_series, log_series
-or the jet layer that the tests compare it against.
+TruncatedSeries, series sums and products, linear coordinate changes of a
+germ, and the exact integer gcd of univariate polynomials.  All of it is
+written on the public coefficient dicts, the polynomial arithmetic and
+plain coefficient lists, so it shares no code with exp_series,
+log_series, the jet layer or the pencil oracle's modular certificates that
+the tests compare it against.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from curvelab.germs import GermPoly
 from curvelab.series import ChernPolynomial, TruncatedSeries
@@ -72,3 +74,32 @@ def linear_substitute(f: GermPoly, a, b, c, d) -> GermPoly:
             term = term * factor
         out = out + term
     return out
+
+
+def _primitive(p: list) -> list:
+    c = gcd(*p) or 1
+    return [x // c for x in p]
+
+
+def _pseudo_rem(u: list, v: list) -> list:
+    u = list(u)
+    while len(u) >= len(v):
+        lead, shift = u[-1], len(u) - len(v)
+        u = [c * v[-1] for c in u]
+        for k, c in enumerate(v):
+            u[k + shift] -= lead * c
+        while u and u[-1] == 0:
+            u.pop()
+    return u
+
+
+def poly_gcd(u: list, v: list) -> list:
+    """Primitive gcd over Z of two integer coefficient lists (index =
+    power, no trailing zeros), by the primitive pseudo-remainder sequence;
+    [] when both are zero."""
+    if not u or not v:
+        return _primitive(u or v)
+    u, v = _primitive(u), _primitive(v)
+    while v:
+        u, v = v, _primitive(_pseudo_rem(u, v))
+    return u

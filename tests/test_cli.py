@@ -305,6 +305,14 @@ def test_a_table_rejects_a_repeated_multiset(tmp_path, capsys):
                            f"{','.join(sorted(first))} twice\n")
 
 
+def test_a_table_rejects_a_multiset_given_as_a_string(tmp_path, capsys):
+    # sorting "A1" would read it as the multiset {"1", "A"}
+    table = _write_a_table(tmp_path / "atable.json", [["A1", [[[1, 0, 0, 0], "3"]]]])
+    for argv in _series_commands(table):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: malformed a-table file {table!r}\n")
+
+
 def test_cache_flag_round_trip(tmp_path, capsys):
     cache = tmp_path / "memo.txt"
     code, cold, _ = run_cli(
@@ -388,6 +396,16 @@ def test_cache_path_that_cannot_be_read_or_written_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_table_out_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "missing" / "atable.json"):
+        code, out, err = run_cli(capsys, "fit", "nodes", "--max-r", "1",
+                                 "--a-table-out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write a-table file {str(path)!r}: ")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_severi_one_node_count_at_degree_45(capsys):
     code, out, _ = run_cli(capsys, "severi", "p2", "-d", "45", "--nodes", "1",
                            "--ceiling", "60")
@@ -438,6 +456,27 @@ def test_json_output_is_byte_deterministic(tmp_path, capsys):
     _, second, _ = run_cli(capsys, *floor)
     assert first == second
     assert json.loads(first)["stats"] == {"diagrams": 13, "frames": 91}
+
+
+def test_pencil_json_stats_at_seed_5(capsys):
+    # the pencil commands of the compute_cold benchmark workload; crt_primes
+    # is the exponent of the interpolation modulus 2**61 - 1
+    pencils = {
+        ("-d", "2"): (3, 6), ("-d", "3"): (12, 9), ("-d", "4"): (27, 12),
+        ("-d", "5"): (48, 15),
+        ("--surface", "p1xp1", "-a", "1", "-b", "1"): (2, 3),
+        ("--surface", "p1xp1", "-a", "1", "-b", "2"): (4, 3),
+        ("--surface", "p1xp1", "-a", "2", "-b", "2"): (12, 6),
+        ("--surface", "p1xp1", "-a", "2", "-b", "3"): (20, 9),
+        ("--surface", "p1xp1", "-a", "3", "-b", "3"): (34, 9),
+    }
+    for args, (count, crt_primes) in pencils.items():
+        _, out, _ = run_cli(capsys, "severi", "oracle", "--method", "pencil", *args,
+                            "--seed", "5", "--json")
+        payload = json.loads(out)
+        assert (payload["result"], payload["stats"]) == (count, {
+            "samples": 3, "retries": 0, "crt_primes": crt_primes,
+            "exact_squarefree_fallbacks": 0}), args
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

@@ -4,17 +4,17 @@ import pytest
 
 from curvelab.errors import InconsistencyError, InputError
 from curvelab.oracles import (
-    _PRIMES,
-    _SQUAREFREE_PRIMES,
+    _P,
+    _coprime_mod_p,
     _interpolate_integer_poly,
     _is_squarefree,
     _poly_derivative,
     _poly_eval,
-    _poly_gcd,
     floor_diagram_oracle,
     pencil_discriminant_oracle,
 )
 from curvelab.severi import SeveriEngine
+from reference import poly_gcd
 
 
 @pytest.fixture(scope="module")
@@ -47,13 +47,13 @@ def test_floor_diagram_range_errors():
 
 
 def test_pencil_plane_matches_recursion(engine):
-    for d in range(2, 6):
+    for d in range(2, 8):
         assert pencil_discriminant_oracle("p2", d) == engine.severi_p2(d, 1)
 
 
 def test_pencil_quadric_matches_recursion(engine):
-    for a in range(1, 4):
-        for b in range(1, 4):
+    for a in range(1, 5):
+        for b in range(1, 5):
             assert pencil_discriminant_oracle("p1xp1", (a, b)) == engine.severi_quadric(
                 a, b, 1
             )
@@ -98,7 +98,7 @@ def _mul(p, q):
 
 
 def _exactly_squarefree(p):
-    return len(_poly_gcd(p, _poly_derivative(list(p)))) == 1
+    return len(poly_gcd(p, _poly_derivative(list(p)))) == 1
 
 
 def test_is_squarefree_agrees_with_exact_gcd():
@@ -117,29 +117,51 @@ def test_is_squarefree_agrees_with_exact_gcd():
         assert not _is_squarefree(_mul(p, _mul(q, q)))
 
 
-def test_is_squarefree_falls_back_when_no_certificate_prime_applies():
-    lc = _SQUAREFREE_PRIMES[0] * _SQUAREFREE_PRIMES[1]
-    for p, expected in [([-1, 0, lc], True), ([1, 2 * lc, lc * lc], False)]:
+def test_is_squarefree_rejects_and_counts_what_it_cannot_certify():
+    # P x^2 - 1 (P divides the leading coefficient) and x^2 - P (a square
+    # mod P) are squarefree over Q, but no certificate mod P proves it
+    for p in ([-1, 0, _P], [-_P, 0, 1]):
+        assert _exactly_squarefree(p)
         stats = {"exact_squarefree_fallbacks": 0}
-        assert _is_squarefree(p, stats) is expected
+        assert _is_squarefree(p, stats) is False
         assert stats["exact_squarefree_fallbacks"] == 1
     stats = {"exact_squarefree_fallbacks": 0}
     assert _is_squarefree([-1, 0, 1], stats)
     assert stats["exact_squarefree_fallbacks"] == 0
 
 
+def test_coprime_certificate():
+    x1, x2, x3 = [-1, 1], [2, 1], [3, 1]
+    assert _coprime_mod_p(x1, x2)
+    assert _coprime_mod_p([5], x1) and _coprime_mod_p(x1, [5])
+    assert not _coprime_mod_p(_mul(x1, x2), _mul(x1, x3))
+    # coprime over Q, but x - 1 and x - 1 - P agree mod P
+    assert not _coprime_mod_p(x1, [-1 - _P, 1])
+    # u and v share P x + 1, which vanishes mod P; the certificate refuses
+    # u because P divides its leading coefficient
+    px1 = [1, _P]
+    assert not _coprime_mod_p(_mul(px1, x2), _mul(px1, x3))
+    assert len(poly_gcd(_mul(px1, x2), _mul(px1, x3))) == 2
+    rng = random.Random(8)
+    for _ in range(30):
+        u, v = _random_poly(rng, rng.randint(0, 6)), _random_poly(rng, rng.randint(0, 6))
+        assert _coprime_mod_p(u, v) == (len(poly_gcd(u, v)) == 1)
+
+
 def test_interpolation_round_trips_coefficients_beyond_two_primes():
+    # the second bound, above 2**1000, checks that no fixed modulus caps
+    # the coefficient size
     rng = random.Random(5)
-    big = _PRIMES[0] * _PRIMES[1]
-    for degree in (0, 1, 7, 20):
-        poly = [rng.randint(-3 * big, 3 * big) for _ in range(degree)]
-        poly.append(rng.choice([-1, 1]) * (2 * big + rng.randint(1, big)))
-        nodes = list(range(degree + 1))
-        values = [_poly_eval(poly, t) for t in nodes]
-        bound = max(map(abs, poly), default=0)
-        stats = {"crt_primes": 0}
-        assert _interpolate_integer_poly(nodes, values, bound, stats) == poly
-        assert stats["crt_primes"] >= 3
+    for e, big in ((3, _P**2), (18, _P**17)):
+        for degree in (0, 1, 7, 20):
+            poly = [rng.randint(-3 * big, 3 * big) for _ in range(degree)]
+            poly.append(rng.choice([-1, 1]) * (2 * big + rng.randint(1, big)))
+            nodes = list(range(degree + 1))
+            values = [_poly_eval(poly, t) for t in nodes]
+            bound = max(map(abs, poly), default=0)
+            stats = {"crt_primes": 0}
+            assert _interpolate_integer_poly(nodes, values, bound, stats) == poly
+            assert stats["crt_primes"] == e
 
 
 def test_interpolation_rejects_values_without_integer_interpolant():
@@ -153,9 +175,9 @@ def test_interpolation_rejects_values_without_integer_interpolant():
 def test_pencil_input_validation():
     with pytest.raises(InputError):
         pencil_discriminant_oracle("p3", 3)
-    for bad in [1, 6, (2, 2), "3"]:
+    for bad in [1, 8, (2, 2), "3"]:
         with pytest.raises(InputError):
             pencil_discriminant_oracle("p2", bad)
-    for bad in [3, (0, 1), (4, 1), (1,), (1, 2, 3), (1.0, 2)]:
+    for bad in [3, (0, 1), (5, 1), (1,), (1, 2, 3), (1.0, 2)]:
         with pytest.raises(InputError):
             pencil_discriminant_oracle("p1xp1", bad)
