@@ -7,7 +7,6 @@ from .catalog import (
     CollectionStats,
     SingularityType,
     collection_stats,
-    labels,
     load_catalog,
     lookup,
 )
@@ -23,7 +22,6 @@ from .fitter import (
     assemble_from_table,
     chern_p2,
     chern_quadric,
-    evaluate_counts,
     fit_nodes,
     threshold_scan,
 )
@@ -87,14 +85,12 @@ __all__ = [
     "collection_stats",
     "determinacy_window",
     "dim_s0",
-    "evaluate_counts",
     "exp_series",
     "extract_universal",
     "fit_nodes",
     "floor_diagram_oracle",
     "germ_report",
     "ideal_in_jets",
-    "labels",
     "load_catalog",
     "log_series",
     "lookup",

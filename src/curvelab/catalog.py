@@ -152,10 +152,6 @@ def load_catalog() -> dict:
     return {label: _validated(label) for label in _raw_entries()}
 
 
-def labels() -> list[str]:
-    return list(load_catalog().keys())
-
-
 def lookup(label: str) -> SingularityType:
     """One entry by label or alias, validated on first lookup."""
     key = ALIASES.get(label, label)

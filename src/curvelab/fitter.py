@@ -212,13 +212,6 @@ def _as_number(value: Fraction):
     return int(value) if value.denominator == 1 else value
 
 
-def evaluate_counts(result: FitResult, chern, r: int):
-    """Predicted count of r-node curves for the given Chern vector."""
-    if r not in result.T:
-        raise InputError(f"order {r} was not fitted (r_max={result.r_max})")
-    return _as_number(result.T[r].evaluate(chern))
-
-
 def threshold_scan(
     result: FitResult,
     r: int,

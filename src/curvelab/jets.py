@@ -102,39 +102,50 @@ class JetSubspace:
         ]
 
 
-def ideal_in_jets(generators, truncation_order: int, stats: dict = None) -> JetSubspace:
-    """Image in C{x,y}/m^K of the ideal generated by `generators`.
+def _build(generators, K: int, stats: dict = None):
+    """Build the image in C{x,y}/m^K of the ideal generated by `generators`,
+    yielding (D, space) once every row of degree D is in, for D = 0..K - 1.
 
-    Multipliers of degree up to K - 1 - ord(g) against each generator g
-    are enough: higher multipliers land every product inside m^K.
+    The rows are x^a y^b g, truncated at order K, for the nonzero
+    generators g, in ascending degree D = a + b + ord(g); multipliers of
+    higher degree land every product inside m^K.  A row of degree D has
+    its pivot at degree D or above, so at each yield the pivots below
+    degree D + 1 are final: they are those of the order-(D + 1) image.
     If `stats` is a dict, it counts the builds (ideal_builds), the rows
-    offered to the echelon form (rows_inserted) and the highest
-    truncation order built (max_order).
+    offered to the echelon form (rows_inserted) and the highest order a
+    build reached (max_order).
     """
+    gens = [(g.multiplicity(), g.terms.items()) for g in generators if not g.is_zero()]
+    space = JetSubspace()
+    if stats is not None:
+        stats["ideal_builds"] = stats.get("ideal_builds", 0) + 1
+    for D in range(K):
+        rows = 0
+        for m, terms in gens:
+            for a in range(D - m + 1):
+                b = D - m - a
+                space.insert({
+                    monomial_index(i + a, j + b): c
+                    for (i, j), c in terms
+                    if i + j + a + b < K
+                })
+                rows += 1
+        if stats is not None:
+            stats["rows_inserted"] = stats.get("rows_inserted", 0) + rows
+            stats["max_order"] = max(stats.get("max_order", 0), D + 1)
+        yield D, space
+
+
+def ideal_in_jets(generators, truncation_order: int, stats: dict = None) -> JetSubspace:
+    """Image in C{x,y}/m^K of the ideal generated by `generators`: the
+    build of `_build` run to the end (see there for `stats`)."""
     K = truncation_order
     if not isinstance(K, int) or K < 1:
         raise InputError("truncation order must be a positive integer")
     if not generators:
         raise InputError("need generators")
-    gens = [g for g in generators if not g.is_zero()]
-    space = JetSubspace()
-    rows = 0
-    for g in gens:
-        terms = [(i, j, c) for (i, j), c in g.terms.items()]
-        bound = K - 1 - g.multiplicity()
-        for a in range(bound + 1):
-            for b in range(bound + 1 - a):
-                # the row of x^a y^b g, truncated at order K
-                space.insert({
-                    monomial_index(i + a, j + b): c
-                    for i, j, c in terms
-                    if i + j + a + b < K
-                })
-                rows += 1
-    if stats is not None:
-        stats["ideal_builds"] = stats.get("ideal_builds", 0) + 1
-        stats["rows_inserted"] = stats.get("rows_inserted", 0) + rows
-        stats["max_order"] = max(stats.get("max_order", 0), K)
+    for _, space in _build(generators, K, stats):
+        pass
     return space
 
 
@@ -150,30 +161,18 @@ def _require_ceiling(ceiling: int):
         raise InputError(f"ceiling must be at least 1, got {ceiling}")
 
 
-def _ladder(top: int) -> list:
-    """Build orders ceil(top / 2^i) in ascending order, from 1 up to top."""
-    orders = [top]
-    while orders[-1] > 1:
-        orders.append(-(-orders[-1] // 2))
-    return orders[::-1]
-
-
 def _saturation(gens, ceiling: int, stats: dict = None):
     """(K, space) for the least K <= ceiling + 1 at which the ideal spanned
     by gens holds every monomial of degree K - 1 modulo m^K, or None.
 
     By the Nakayama jet criterion the ideal then contains m^(K-1), and the
-    quotient C{x,y}/I equals its image at order K - 1.  Each build of the
-    ladder answers every order up to its own, so only orders above the
-    previous rung are tested on it.
+    quotient C{x,y}/I equals its image at order K - 1.  One build at order
+    ceiling + 1 answers every K: it stops at the first degree D = K - 1
+    whose monomials are all pivots, which are final by then.
     """
-    scanned = 0
-    for order in _ladder(ceiling + 1):
-        space = ideal_in_jets(gens, order, stats)
-        for K in range(scanned + 1, order + 1):
-            if space.pivots_cover_degree(K - 1):
-                return K, space
-        scanned = order
+    for D, space in _build(gens, ceiling + 1, stats):
+        if space.pivots_cover_degree(D):
+            return D + 1, space
     return None
 
 
@@ -187,8 +186,7 @@ def _quotient_basis(gens, ceiling: int, stats: dict = None) -> list:
     singularity from one that needs a higher ceiling.
     """
     _require_ceiling(ceiling)
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
+    if all(g.is_zero() for g in gens):
         raise CeilingError("singularity not isolated: every generator vanishes")
     found = _saturation(gens, ceiling, stats)
     if found is None:
@@ -235,9 +233,7 @@ def determinacy_window(
     """
     _require_germ(f)
     _require_ceiling(ceiling)
-    gens = [g for g in _gradient_frame(f) if not g.is_zero()]
-    # every frame generator vanishes at the origin, so saturation needs K >= 2
-    found = _saturation(gens, ceiling, stats) if gens else None
+    found = _saturation(_gradient_frame(f), ceiling, stats)
     if found is None:
         raise CeilingError(f"determinacy exceeds ceiling {ceiling}")
     K = found[0]
@@ -307,8 +303,8 @@ def germ_report(
 ) -> InvariantReport:
     """Full invariant report at jet order k (default: upper determinacy bound).
 
-    If `stats` is a dict, it receives the jet counters of ideal_in_jets
-    summed over every build the report makes.
+    If `stats` is a dict, it receives the jet counters of `_build`
+    summed over every build the report makes, one per ideal.
     """
     _require_germ(f)
     mu = milnor_number(f, ceiling, stats)

@@ -429,7 +429,13 @@ def _resultant_degree(A: dict, B: dict, stats: dict, degree: int = None):
 
 
 def _plane_sample(d: int, rng, stats: dict):
-    """One-node count from one random plane pencil, or None if degenerate."""
+    """One-node count from one random plane pencil, or None if degenerate.
+
+    A draw whose pair meets the line at infinity in the chart x = 1 is
+    redrawn.  That chart misses only (0:1:0), and a member singular there
+    has zero coefficients of y^d and x*y^(d-1), so E2 would lose its
+    y^(2d-1) term: the y-degree check on E2 rejects that draw.
+    """
     F = _sample_poly(rng, d, d, total_cap=d)
     G = _sample_poly(rng, d, d, total_cap=d)
     Fx, Gx = partial_terms(F, 0), partial_terms(G, 0)
@@ -439,13 +445,22 @@ def _plane_sample(d: int, rng, stats: dict):
         and _lc_is_constant(E2, 2 * d - 1)
         and _lc_is_constant(Fx, d - 1)
         and _lc_is_constant(Gx, d - 1)
-    ):
+    ) or _meets_at_infinity(F, G, 1, lambda i, j: (d - i - j, j)):
         return None
     expected_fake = (d - 1) ** 2
     if _resultant_degree(Fx, Gx, stats, expected_fake) is None:
         return None
     n = _resultant_degree(E1, E2, stats)
     return n - expected_fake if n is not None and n >= expected_fake else None
+
+
+def _meets_at_infinity(F: dict, G: dict, a: int, chart) -> bool:
+    """Whether the pencil pair of F and G, moved by `chart` (exponents to
+    exponents) to coordinates (u, y) with u = 0 at infinity, may share a
+    root on u = 0, where the affine elimination cannot see it."""
+    Fc, Gc = ({chart(i, j): c for (i, j), c in P.items()} for P in (F, G))
+    ca, cb = map(_y_coefficients, _pencil_pair(Fc, Gc, a))
+    return len(ca) < 2 or len(cb) < 2 or _sylvester_det(ca, cb, 0) == 0
 
 
 def _pencil_pair(F: dict, G: dict, a: int) -> tuple:
@@ -482,9 +497,7 @@ def _quadric_sample(a: int, b: int, rng, stats: dict):
     # Likewise at x = infinity: the pair built from F and G reversed in x
     # (the chart u = 1/x) must share no root on the fibre u = 0, or R
     # loses x-degree.
-    Fr, Gr = ({(a - i, j): c for (i, j), c in P.items()} for P in (F, G))
-    ca, cb = map(_y_coefficients, _pencil_pair(Fr, Gr, a))
-    if len(ca) < 2 or len(cb) < 2 or _sylvester_det(ca, cb, 0) == 0:
+    if _meets_at_infinity(F, G, a, lambda i, j: (a - i, j)):
         return None
     if a > 1:
         Fy, Gy = partial_terms(F, 1), partial_terms(G, 1)

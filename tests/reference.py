@@ -1,16 +1,19 @@
 """Reference algebra for the suites: the power-sum exp and log of a
 TruncatedSeries, series sums and products, linear coordinate changes of a
-germ, and the exact integer gcd of univariate polynomials.  All of it is
+germ, the exact integer gcd of univariate polynomials and the
+generator-by-generator jet build.  Apart from that build, all of it is
 written on the public coefficient dicts, the polynomial arithmetic and
 plain coefficient lists, so it shares no code with exp_series,
 log_series, the jet layer or the pencil oracle's modular certificates that
-the tests compare it against.
+the tests compare it against.  The jet build shares only the echelon form
+(JetSubspace) and the column order: what it checks is the row order.
 """
 
 from fractions import Fraction
 from math import factorial, gcd
 
 from curvelab.germs import GermPoly
+from curvelab.jets import JetSubspace, monomial_index
 from curvelab.series import ChernPolynomial, TruncatedSeries
 
 ONE = ChernPolynomial.constant(1)
@@ -74,6 +77,26 @@ def linear_substitute(f: GermPoly, a, b, c, d) -> GermPoly:
             term = term * factor
         out = out + term
     return out
+
+
+def ideal_by_generator(generators, K: int) -> JetSubspace:
+    """The image in C{x,y}/m^K of the ideal generated by `generators`, built
+    as the jet layer built it before it inserted rows in ascending degree:
+    every multiple x^a y^b g of one generator, truncated at order K, before
+    the next generator's."""
+    space = JetSubspace()
+    for g in generators:
+        if g.is_zero():
+            continue
+        bound = K - 1 - g.multiplicity()
+        for a in range(bound + 1):
+            for b in range(bound + 1 - a):
+                space.insert({
+                    monomial_index(i + a, j + b): c
+                    for (i, j), c in g.terms.items()
+                    if i + j + a + b < K
+                })
+    return space
 
 
 def _primitive(p: list) -> list:

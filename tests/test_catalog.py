@@ -30,7 +30,7 @@ def test_lookup_validates_only_the_entry_it_returns(monkeypatch):
     assert validated == ["A1", "A2"]
     assert len(catalog.load_catalog()) == 24
     assert len(catalog.load_catalog()) == 24
-    assert sorted(validated) == sorted(catalog.labels())
+    assert sorted(validated) == sorted(catalog.load_catalog())
 
 
 def test_duplicate_label_is_rejected_when_the_file_is_read(monkeypatch):

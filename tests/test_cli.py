@@ -1,10 +1,12 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import curvelab
 from curvelab.catalog import load_catalog
 from curvelab.cli import entry
 
@@ -58,11 +60,10 @@ def test_germ_analyze_json_reports_jet_counters(capsys):
     code, out, _ = run_cli(capsys, "germ", "analyze", "y^2-x^3", "--json")
     assert code == 0
     payload = json.loads(out)
-    # mu and tau saturate at order 3 (rungs 1, 2, 3), the determinacy
-    # window at order 4 (rungs 1, 2, 3, 5), then scheme length and the
-    # orbit frame (shared by the orbit tangent dimension and dim S_0) at
-    # order 4
-    assert payload["stats"] == {"ideal_builds": 12, "max_order": 5, "rows_inserted": 52}
+    # one build each: mu and tau stop at order 3, the determinacy window
+    # at order 4, then scheme length and the orbit frame (shared by the
+    # orbit tangent dimension and dim S_0) at order 4
+    assert payload["stats"] == {"ideal_builds": 5, "max_order": 4, "rows_inserted": 34}
 
 
 def test_germ_catalog_listing(capsys):
@@ -485,10 +486,14 @@ def test_unknown_subcommand_exits_nonzero(capsys):
 
 
 def test_module_invocation_subprocess():
+    # the child imports the same curvelab as this process, installed or not
+    src = os.path.dirname(os.path.dirname(curvelab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "curvelab", "severi", "p2", "-d", "2", "--nodes", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"

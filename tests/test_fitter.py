@@ -10,7 +10,6 @@ from curvelab.fitter import (
     assemble_from_table,
     chern_p2,
     chern_quadric,
-    evaluate_counts,
     fit_nodes,
     threshold_scan,
 )
@@ -68,12 +67,11 @@ def test_order_zero_fit():
 
 
 def test_evaluate_counts(fit4):
-    assert evaluate_counts(fit4, chern_p2(4), 1) == 27
-    assert evaluate_counts(fit4, chern_quadric(2, 2), 1) == 12
+    assert fit4.T[1].evaluate(chern_p2(4)) == 27
+    assert fit4.T[1].evaluate(chern_quadric(2, 2)) == 12
     for r in range(1, 5):
-        assert evaluate_counts(fit4, (0, 0, 0, 0), r) == 0
-    with pytest.raises(InputError):
-        evaluate_counts(fit4, chern_p2(4), 5)
+        assert fit4.T[r].evaluate((0, 0, 0, 0)) == 0
+    assert 5 not in fit4.T
 
 
 def test_threshold_scan(fit4, engine):
@@ -92,12 +90,10 @@ def test_closed_loop_against_recursion(fit4, engine):
     for r in range(1, 5):
         start = threshold_scan(fit4, r, engine=engine)
         for d in range(start, 13):
-            assert evaluate_counts(fit4, chern_p2(d), r) == engine.severi_p2(d, r)
+            assert fit4.T[r].evaluate(chern_p2(d)) == engine.severi_p2(d, r)
         for a in range(r + 1, 6):
             for b in range(a, 6):
-                assert evaluate_counts(
-                    fit4, chern_quadric(a, b), r
-                ) == engine.severi_quadric(a, b, r)
+                assert fit4.T[r].evaluate(chern_quadric(a, b)) == engine.severi_quadric(a, b, r)
 
 
 def test_rank_deficiency_is_reported(engine):

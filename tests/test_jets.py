@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from curvelab import jets
 from curvelab.catalog import load_catalog
 from curvelab.errors import CeilingError, InputError
 from curvelab.germs import GermPoly, parse_germ
@@ -20,7 +19,7 @@ from curvelab.jets import (
     tjurina_number,
 )
 
-from reference import linear_substitute
+from reference import ideal_by_generator, linear_substitute
 
 NODE = parse_germ("x*y")
 CUSP = parse_germ("y^2 - x^3")
@@ -181,7 +180,7 @@ def test_germ_report_defaults_to_upper_window_bound():
 
 
 # ---------------------------------------------------------------------------
-# the build ladder against the per-order scan it replaced
+# the one saturating build against the per-order scan it replaced
 
 
 def _reference_saturation(gens, ceiling, first=1):
@@ -220,7 +219,7 @@ def _reference_invariants(f, ceiling):
     )
 
 
-def _ladder_invariants(f, ceiling):
+def _scan_invariants(f, ceiling):
     out = []
     for fn in (milnor_number, tjurina_number, determinacy_window):
         try:
@@ -242,29 +241,38 @@ def _random_germ(rng):
             return f
 
 
-def test_ladder_matches_reference_on_catalog_forms():
+def test_saturation_matches_reference_on_catalog_forms():
     for entry in load_catalog().values():
         f = entry.normal_form
-        assert _ladder_invariants(f, 64) == _reference_invariants(f, 64), entry.label
+        assert _scan_invariants(f, 64) == _reference_invariants(f, 64), entry.label
 
 
-def test_ladder_matches_reference_on_seeded_germs():
+def _seeded_germs():
+    """(germ, mu): eight Brieskorn-Pham germs with their Milnor numbers,
+    then twenty random germs (mu None), every other one with pure powers
+    added."""
     rng = random.Random(29)
     for _ in range(8):
         a, b = rng.randint(2, 9), rng.randint(2, 9)
         c1, c2 = (Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.randint(1, 4)) for _ in "ab")
-        f = GermPoly({(a, 0): c1, (0, b): c2})
-        mu = (a - 1) * (b - 1)
-        assert _ladder_invariants(f, 64) == _reference_invariants(f, 64) == (
-            mu, mu, determinacy_window(f))
-    outcomes = []
+        yield GermPoly({(a, 0): c1, (0, b): c2}), (a - 1) * (b - 1)
     for i in range(20):
         f = _random_germ(rng)
         if i % 2:
             # pure powers make most of these isolated, at varied orders
             f = f + GermPoly({(rng.randint(2, 9), 0): 1, (0, rng.randint(2, 9)): -1})
-        # ceiling 20 scans the rungs 1, 2, 3, 6, 11 and 21
-        got = _ladder_invariants(f, 20)
+        yield f, None
+
+
+def test_saturation_matches_reference_on_seeded_germs():
+    outcomes = []
+    for f, mu in _seeded_germs():
+        if mu is not None:
+            assert _scan_invariants(f, 64) == _reference_invariants(f, 64) == (
+                mu, mu, determinacy_window(f))
+            continue
+        # one build per ideal, at order 21 unless it saturates lower
+        got = _scan_invariants(f, 20)
         assert got == _reference_invariants(f, 20), f.to_string()
         outcomes.append(got[0] is not None)
     # both isolated and non-isolated germs are compared
@@ -272,7 +280,7 @@ def test_ladder_matches_reference_on_seeded_germs():
 
 
 @pytest.mark.parametrize("text", ["x^2*y^2", "x^2*y"])
-def test_ladder_matches_reference_at_every_ceiling(text):
+def test_saturation_matches_reference_at_every_ceiling(text):
     f = parse_germ(text)
     # A ceiling only cuts the scan short, so one reference scan to 33
     # gives the reference outcome at each lower ceiling.
@@ -284,46 +292,82 @@ def test_ladder_matches_reference_at_every_ceiling(text):
     ]
     assert scans == [None, None, None]  # neither germ is isolated
     for ceiling in (1, 2, 7, 8, 9, 16, 17, 33, 64):
-        assert _ladder_invariants(f, ceiling) == (None, None, None), ceiling
+        assert _scan_invariants(f, ceiling) == (None, None, None), ceiling
     if text == "x^2*y^2":
         # the benchmark germ, scanned by the reference up to the default
         assert _reference_saturation([fx, fy], 64) is None
 
 
 def test_low_ceiling_outcomes_match_reference():
-    # isolated germs whose saturation order sits at or near a rung
+    # isolated germs at ceilings below, at and above their saturation order
     for text in ["x^2 + y^3", "x^7 - y^7", "y^2 - x^9", "x^3 + x*y^5", "x^9 + y^9"]:
         f = parse_germ(text)
         for ceiling in (1, 2, 7, 8, 9, 16, 17):
-            assert _ladder_invariants(f, ceiling) == _reference_invariants(f, ceiling), (
+            assert _scan_invariants(f, ceiling) == _reference_invariants(f, ceiling), (
                 text, ceiling)
 
 
-def test_nonisolated_refusal_builds_a_short_ladder(monkeypatch):
-    calls = []
-    original = jets.ideal_in_jets
-
-    def counting(*args, **kwargs):
-        calls.append(args[1] if len(args) > 1 else kwargs["truncation_order"])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(jets, "ideal_in_jets", counting)
+def test_nonisolated_refusal_makes_one_build():
+    stats = {}
     with pytest.raises(CeilingError, match="undecided up to ceiling 64"):
-        germ_report(parse_germ("x^2*y^2"), ceiling=64)
-    assert len(calls) <= 8
-    assert calls == [1, 2, 3, 5, 9, 17, 33, 65]
+        germ_report(parse_germ("x^2*y^2"), ceiling=64, stats=stats)
+    # the Milnor scan builds once at order 65 and refuses: every row of
+    # x * y^2 and x^2 * y of degree <= 64, 1953 each
+    assert stats == {"ideal_builds": 1, "rows_inserted": 3906, "max_order": 65}
+    stats = {}
+    assert milnor_number(CUSP, stats=stats) == 2
+    # the build stops at order 3: y (degree 1), then x*y, y^2 and x^2
+    assert stats == {"ideal_builds": 1, "rows_inserted": 4, "max_order": 3}
 
 
 def test_germ_report_stats_count_every_build():
     stats = {}
     germ_report(parse_germ("x^6 - y^6"), stats=stats)
-    # mu, tau and the window saturate at order 10: six rungs each, 1, 2,
-    # 3, 5, 9 and 17; then scheme length and the orbit frame (shared by
-    # the orbit tangent dimension and dim S_0) at order 10
-    assert stats["ideal_builds"] == 20
-    assert stats["max_order"] == 17
-    assert stats["rows_inserted"] == 844
+    # mu, tau and the window saturate at order 10, one build each; then
+    # scheme length and the orbit frame (shared by the orbit tangent
+    # dimension and dim S_0) at order 10
+    assert stats["ideal_builds"] == 5
+    assert stats["max_order"] == 10
+    assert stats["rows_inserted"] == 180
     stats = {}
     with pytest.raises(CeilingError):
         germ_report(parse_germ("x^2*y^2"), stats=stats)
-    assert stats == {"ideal_builds": 8, "rows_inserted": 5094, "max_order": 65}
+    assert stats == {"ideal_builds": 1, "rows_inserted": 3906, "max_order": 65}
+
+
+# ---------------------------------------------------------------------------
+# fixed-order builds against the generator-by-generator build
+
+
+def _families(f):
+    return {
+        "jacobian": [f.partial_x(), f.partial_y()],
+        "tjurina": [f, f.partial_x(), f.partial_y()],
+        "frame": _gradient_frame(f),
+    }
+
+
+def _assert_same_image(f, orders):
+    for name, gens in _families(f).items():
+        for K in orders:
+            ours, ref = ideal_in_jets(gens, K), ideal_by_generator(gens, K)
+            assert ours.dimension == ref.dimension, (f.to_string(), name, K)
+            assert ours.standard_monomials(K) == ref.standard_monomials(K), (
+                f.to_string(), name, K)
+
+
+def test_ideal_in_jets_matches_generator_order_on_catalog_forms():
+    for entry in load_catalog().values():
+        _assert_same_image(entry.normal_form, (1, 2, 3, 5, 8, 13, 21))
+
+
+def test_ideal_in_jets_matches_generator_order_on_seeded_germs():
+    for f, _ in _seeded_germs():
+        _assert_same_image(f, (1, 2, 4, 7, 12))
+
+
+def test_ideal_in_jets_matches_generator_order_at_order_40():
+    f = parse_germ("x^3*y + x*y^4 + x^9")
+    _assert_same_image(f, (41,))
+    assert orbit_tangent_dim(f, 40) == 847
+    assert scheme_length(f, 40) == 158

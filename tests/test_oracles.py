@@ -84,6 +84,17 @@ def test_pencil_quadric_redraws_samples_degenerate_at_y_infinity():
         assert stats["samples"] == 3 + stats["retries"]
 
 
+def test_pencil_plane_redraws_samples_with_a_node_at_infinity():
+    # each seed draws a plane pencil with a member singular on the line at
+    # infinity, which the affine elimination cannot see: that draw used to
+    # undercount by one, so the three samples disagreed
+    for d, seed, count in [(2, 185, 3), (3, 197, 12), (4, 197, 27)]:
+        stats = {}
+        assert pencil_discriminant_oracle("p2", d, seed=seed, stats=stats) == count
+        assert stats["retries"] >= 1, d
+        assert stats["samples"] == 3 + stats["retries"]
+
+
 def _random_poly(rng, degree, size=9):
     lead = rng.choice([-1, 1]) * rng.randint(1, size)
     return [rng.randint(-size, size) for _ in range(degree)] + [lead]
