@@ -44,43 +44,40 @@ class JetSubspace:
     def dimension(self) -> int:
         return len(self._pivots)
 
-    def _reduce(self, row: dict) -> dict:
-        """Row minus its components along the pivot rows.  A pivot row
-        starts at its pivot, so each step clears the row's lowest column
-        and only touches higher ones."""
+    def insert(self, row: dict) -> bool:
+        """Add one vector; returns True if it enlarged the span.
+
+        The row is reduced by the pivot rows, each step clearing its lowest
+        column and touching only higher ones.  Where it meets a pivot row
+        longer than itself, the two swap: the row becomes the pivot row of
+        that column and the old pivot row is reduced on in its place.  That
+        keeps pivot rows short and their coefficients small; the span and
+        its pivots are the same whichever row holds a column.  The basis
+        stays in echelon form only: reducing earlier rows by a new pivot
+        would change no pivot, and the pivots are all that the invariants
+        read.
+        """
         row = dict(row)
         pivots = self._pivots
         while row:
             col = min(row)
-            pivot_row = pivots.get(col)
-            if pivot_row is None:
-                return row
             factor = row[col]
+            pivot_row = pivots.get(col)
+            if pivot_row is None or len(row) < len(pivot_row):
+                if factor != 1:
+                    inv = Fraction(1) / factor
+                    row = {c: inv * v for c, v in row.items()}
+                pivots[col] = row
+                if pivot_row is None:
+                    return True
+                row, pivot_row, factor = pivot_row, row, 1
             for c, v in pivot_row.items():
                 nv = row.get(c, _ZERO) - factor * v
                 if nv:
                     row[c] = nv
                 else:
                     del row[c]
-        return row
-
-    def insert(self, row: dict) -> bool:
-        """Add one vector; returns True if it enlarged the span.
-
-        The basis stays in echelon form only: reducing earlier rows by the
-        new pivot would change no pivot, and the pivots are all that the
-        invariants read.
-        """
-        red = self._reduce(row)
-        if not red:
-            return False
-        col = min(red)
-        lead = red[col]
-        if lead != 1:
-            inv = Fraction(1) / lead
-            red = {c: inv * v for c, v in red.items()}
-        self._pivots[col] = red
-        return True
+        return False
 
     # Each pivot is the lowest column of its row and the columns are graded
     # by degree, so the pivots below jet_dimension(K) are exactly the pivots

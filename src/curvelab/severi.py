@@ -13,10 +13,12 @@ its intersection with the fixed line and its node cap.  Every value is
 an exact arbitrary-precision integer, memoized in a store that can
 persist to a cache file: a header line with the SHA-256 digest of the
 body, then one sorted, canonical line per memo key.  Loading reads the
-file whole, checks the digest before it parses a line, then checks the
-order and the canonical form of every line, and keeps the body; saving
-formats only the keys added since, spelling each distinct field once,
-and merges their lines into that body as it writes; a store that holds
+file's lines, checks the digest before it parses a line, then checks the
+order and the canonical form of every line and that no key has two
+values, and keeps the lines without building a table: a value is parsed
+from its line, found by bisection, only when it is read.  Saving formats
+only the keys added since, spelling each distinct field once, and merges
+their lines into the loaded ones as it writes; a store that holds
 exactly what it loaded is not written back.
 """
 
@@ -25,9 +27,8 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from collections import namedtuple
+from collections.abc import Mapping
 from functools import cache
-from io import BytesIO
-from itertools import islice
 from math import comb
 
 from .errors import (
@@ -164,7 +165,7 @@ def _gamma_moves(beta: tuple, rem: int, k: int) -> tuple:
 _MAGIC = b"curvelab-memo/v1 "
 _HEADER_LEN = len(_MAGIC) + 64 + 1
 # a save writes about this many bytes of loaded body, or this many new
-# lines, at a time
+# lines, at a time; a load hashes this many lines at a time
 _CHUNK_BYTES = 1 << 15
 _CHUNK_LINES = 4096
 
@@ -235,32 +236,83 @@ class MemoStore:
 
     A key never remaps to a different value; a conflicting put (e.g. a
     corrupted cache colliding with a fresh computation) fails loudly.
+    The keys of the file last loaded into an empty store stay in its
+    verified lines, and a value is parsed from its line only when it is
+    read; the values put since are held in a dict.
     """
 
     def __init__(self):
-        self.table = {}
         self.computed = 0
         self.hits = 0
         self.loaded = 0
-        # The verified body of the file last loaded into an empty store,
-        # with its path and key count.  Keys are never removed or
-        # remapped and the table keeps insertion order, so the body holds
-        # the lines of exactly the first `_body_keys` keys of the table.
-        self._body = b""
-        self._body_keys = 0
+        # The sorted, verified lines of the file last loaded into an empty
+        # store, its path, and the spelling in those lines of each head
+        # (surface, degree, node count) and profile they hold.  Keys are
+        # never removed or remapped, so no loaded key is ever added.
+        self._lines = []
         self._body_path = None
+        self._head_fields = {}
+        self._profile_fields = {}
+        # the value of every key put since and, once lines are loaded, of
+        # every key looked for in them (None if they do not hold it); so
+        # with lines loaded, the keys put since are also listed, in order
+        self._values = {}
+        self._added = []
 
     def __len__(self):
-        return len(self.table)
+        return len(self._lines) + len(self._new_keys())
+
+    def _new_keys(self):
+        """The keys put since the load, in the order they were put."""
+        return self._added if self._lines else self._values
+
+    @property
+    def table(self):
+        """Every key and its value: the loaded keys in file order, then
+        the added ones in the order they were put."""
+        return _Table(self)
+
+    def _loaded_value(self, key):
+        """The value of `key` parsed from its loaded line, or None, kept
+        in `_values` either way: a loaded key is parsed once however
+        often it is read, and a computed key, missed by `get` and then
+        put, is looked for once.  A key's line starts with the spelling
+        of its head and profiles, so it is found by bisection; a key with
+        a field that no loaded line spells is not looked for."""
+        value = None
+        head = self._head_fields.get(key[:3])
+        if head is not None:
+            alpha = self._profile_fields.get(key[3])
+            beta = self._profile_fields.get(key[4])
+            if alpha is not None and beta is not None:
+                prefix = b"%s %s %s " % (head, alpha, beta)
+                lines = self._lines
+                i = bisect_left(lines, prefix)
+                if i < len(lines) and lines[i].startswith(prefix):
+                    value = int(lines[i][len(prefix):])
+        self._values[key] = value
+        return value
+
+    def _value(self, key):
+        value = self._values.get(key)
+        if value is None and self._lines and key not in self._values:
+            value = self._loaded_value(key)
+        return value
 
     def get(self, key):
-        value = self.table.get(key)
+        # `_value` inlined: this is the recursion's most frequent call
+        value = self._values.get(key)
+        if value is None and self._lines and key not in self._values:
+            value = self._loaded_value(key)
         if value is not None:
             self.hits += 1
         return value
 
     def put(self, key, value: int, origin: str = "computed"):
-        old = self.table.get(key)
+        # `_value` inlined: every computed key is put
+        old = self._values.get(key)
+        if old is None and self._lines and key not in self._values:
+            old = self._loaded_value(key)
         if old is not None:
             if old != value:
                 raise InconsistencyError(
@@ -269,7 +321,9 @@ class MemoStore:
             return
         if value < 0:
             raise InconsistencyError(f"negative count {value} for key {key}")
-        self.table[key] = value
+        self._values[key] = value
+        if self._lines:
+            self._added.append(key)
         if origin == "computed":
             self.computed += 1
         else:
@@ -280,24 +334,24 @@ class MemoStore:
             "computed": self.computed,
             "hits": self.hits,
             "loaded": self.loaded,
-            "size": len(self.table),
+            "size": len(self),
         }
 
     def save(self, path):
         """Write the table, unless the file already holds it.  Only the
-        keys added since the last load into an empty store are formatted
-        and sorted; their lines are merged into the loaded body as it is
-        written.  The new file replaces the old one whole, so an
-        interrupted save leaves the old file in place."""
+        added keys are formatted and sorted; their lines are merged into
+        the loaded ones as they are written.  The new file replaces the
+        old one whole, so an interrupted save leaves the old file in
+        place."""
         path = os.fspath(path)
-        if path == self._body_path and len(self.table) == self._body_keys:
+        if path == self._body_path and not self._new_keys():
             return
         # a few hundred distinct heads and profiles spell every line, so
         # each is formatted once, as load parses each once
-        head, profile = cache(_format_head), cache(_format_profile)
+        head, profile, values = cache(_format_head), cache(_format_profile), self._values
         lines = sorted(
-            f"{head(*key[:3])} {profile(key[3])} {profile(key[4])} {value}\n"
-            for key, value in islice(self.table.items(), self._body_keys, None)
+            f"{head(*key[:3])} {profile(key[3])} {profile(key[4])} {values[key]}\n".encode("ascii")
+            for key in self._new_keys()
         )
         digest = _sha256()
         tmp = f"{path}.{os.getpid()}.tmp"
@@ -306,7 +360,7 @@ class MemoStore:
                 # the header has a fixed length: it is written once the
                 # body's digest is known
                 fh.seek(_HEADER_LEN)
-                for chunk in _merge_lines(self._body, lines):
+                for chunk in _merge_lines(self._lines, lines):
                     digest.update(chunk)
                     fh.write(chunk)
                 fh.seek(0)
@@ -320,11 +374,12 @@ class MemoStore:
             raise
 
     def load(self, path):
-        """Read a cache file whole.  Its body must match the digest in its
-        header, be strictly sorted and canonical, and agree with the
-        table; nothing is stored unless every check passes.  A load into
-        an empty store keeps the body, so that a later save only has to
-        merge in the lines of new keys."""
+        """Read a cache file.  Every line is checked before anything is
+        stored: the body must match the digest in its header, be strictly
+        sorted, spell every head, profile and value canonically, hold one
+        value per key and agree with the table.  A load into an empty
+        store keeps the verified lines and parses no value; a load into a
+        store that holds keys puts every loaded key."""
         path = os.fspath(path)
         with open(path, "rb") as fh:
             header = fh.read(_HEADER_LEN)
@@ -333,32 +388,41 @@ class MemoStore:
                     f"cache file {path!r} has no curvelab-memo/v1 header; "
                     "delete it to regenerate"
                 )
-            body = fh.read(os.fstat(fh.fileno()).st_size - _HEADER_LEN)
+            lines = fh.readlines()
         # a body that fails its digest is reported as corrupt, whatever
         # else is wrong with it
-        if _sha256(body).hexdigest().encode() != header[len(_MAGIC):-1]:
+        digest = _sha256()
+        for i in range(0, len(lines), _CHUNK_LINES):
+            digest.update(b"".join(lines[i:i + _CHUNK_LINES]))
+        if digest.hexdigest().encode() != header[len(_MAGIC):-1]:
             raise InconsistencyError(
                 f"cache file {path!r} does not match the digest in its header "
                 "(corrupt or edited); delete it to regenerate"
             )
-        table = {}
         heads = _FieldMemo(_parse_head, lambda head: _format_head(*head))
         profiles = _FieldMemo(_parse_profile, _format_profile)
         number, previous = 1, b""
+        last_head = last_alpha = last_beta = None
         try:
-            for number, raw in enumerate(BytesIO(body), 2):
+            for number, raw in enumerate(lines, 2):
                 if raw <= previous:
                     raise InputError("line out of order or repeated")
-                previous = raw
                 head, alpha, beta, text = raw[:-1].rsplit(b" ", 3)
                 if not text.isdigit() or (text[0] == 48 and len(text) > 1):
                     raise InputError(f"bad value {text.decode('ascii', 'replace')!r}")
-                key = heads[head] + (profiles[alpha], profiles[beta])
-                value = int(text)
-                # lines are distinct, so a key met again holds another value
-                old = table.setdefault(key, value)
-                if old is not value:
-                    raise InconsistencyError(f"memo key {key} holds both {old} and {value}")
+                # each spelling of a field is parsed and checked once, and
+                # a head or profile equal to the previous line's was checked
+                if head != last_head:
+                    heads[head]
+                if alpha != last_alpha:
+                    profiles[alpha]
+                profiles[beta]
+                # canonical fields spell each key one way, so the lines of
+                # one key differ only in their values and sort together
+                if beta == last_beta and alpha == last_alpha and head == last_head:
+                    key, old = _parse_line(previous, heads, profiles)
+                    raise InconsistencyError(f"memo key {key} holds both {old} and {int(text)}")
+                previous, last_head, last_alpha, last_beta = raw, head, alpha, beta
             if previous and not previous.endswith(b"\n"):
                 raise InputError("last line lacks its newline")
         except ValueError:
@@ -367,37 +431,65 @@ class MemoStore:
             ) from None
         except CurvelabError as exc:
             raise type(exc)(f"cache file {path!r} line {number}: {exc}") from None
-        if self.table:
-            for key, value in table.items():
-                self.put(key, value, origin="loaded")
+        if len(self):
+            for raw in lines:
+                self.put(*_parse_line(raw, heads, profiles), origin="loaded")
         else:
-            self.table = table
-            self.loaded += len(table)
-            self._body, self._body_keys, self._body_path = body, len(table), path
+            self._lines, self._body_path = lines, path
+            self._head_fields = {head: field for field, head in heads.items()}
+            self._profile_fields = {profile: field for field, profile in profiles.items()}
+            self.loaded += len(lines)
 
 
-def _merge_lines(body: bytes, lines: list):
-    """Chunks of the sorted `body` with the sorted str `lines`, none of
-    which it holds, merged in at their places.  A body chunk that takes
-    no line is passed on as it is; one that does is merged by one sort of
-    its lines, whose two sorted runs the sort merges in linear time.  The
-    body is one that load checked, so its lines hold no line break but
-    their newline."""
-    i = start = 0
-    while start < len(body):
-        end = body.find(b"\n", start + _CHUNK_BYTES) + 1 or len(body)
-        chunk = body[start:end]
-        last = body[body.rfind(b"\n", 0, end - 1) + 1:end].decode("ascii")
-        j = bisect_left(lines, last, i)
+def _parse_line(raw: bytes, heads, profiles) -> tuple:
+    """The key and value of a verified line, its fields parsed by the
+    field maps `heads` and `profiles`."""
+    head, alpha, beta, text = raw[:-1].rsplit(b" ", 3)
+    return heads[head] + (profiles[alpha], profiles[beta]), int(text)
+
+
+class _Table(Mapping):
+    """A read-only mapping view of a store's keys and values."""
+
+    def __init__(self, store):
+        self._store = store
+
+    def __len__(self):
+        return len(self._store)
+
+    def __getitem__(self, key):
+        value = self._store._value(key)
+        if value is None:
+            raise KeyError(key)
+        return value
+
+    def __iter__(self):
+        store = self._store
+        heads = {field: head for head, field in store._head_fields.items()}
+        profiles = {field: profile for profile, field in store._profile_fields.items()}
+        for raw in store._lines:
+            yield _parse_line(raw, heads, profiles)[0]
+        yield from store._new_keys()
+
+
+def _merge_lines(body: list, lines: list):
+    """Chunks of the sorted `body` lines with the sorted `lines`, none of
+    which it holds, merged in at their places.  The body is cut into runs
+    of as many lines as make `_CHUNK_BYTES` at its mean line length.  A
+    run that takes no line is joined as it is; one that does is merged by
+    one sort, whose two sorted runs the sort merges in linear time."""
+    step = max(1, _CHUNK_BYTES * len(body) // max(1, sum(map(len, body))))
+    i = 0
+    for start in range(0, len(body), step):
+        chunk = body[start:start + step]
+        j = bisect_left(lines, chunk[-1], i)
         if j > i:
-            merged = chunk.decode("ascii").splitlines(True)
-            merged += lines[i:j]
-            merged.sort()
-            chunk = "".join(merged).encode("ascii")
-        yield chunk
-        i, start = j, end
+            chunk += lines[i:j]
+            chunk.sort()
+        yield b"".join(chunk)
+        i = j
     for i in range(i, len(lines), _CHUNK_LINES):
-        yield "".join(lines[i:i + _CHUNK_LINES]).encode("ascii")
+        yield b"".join(lines[i:i + _CHUNK_LINES])
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,26 @@ def test_cache_flag_round_trip(tmp_path, capsys):
     assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
 
 
+def test_cache_json_lines_of_a_fill_and_a_replay(tmp_path, capsys):
+    cache = tmp_path / "memo.txt"
+    envelope = ('{{"result":{},"schema":"curvelab/v1","stats":'
+                '{{"computed":{},"hits":{},"loaded":{},"size":{}}}}}\n')
+    for argv, line in [
+        ("severi p2 -d 6 --nodes 4", (437517, 237, 307, 0, 237)),
+        ("severi p1xp1 -a 3 -b 3 --nodes 2", (396, 54, 32, 237, 291)),
+        # replays: one key read from the 291 loaded lines
+        ("severi p2 -d 6 --nodes 4", (437517, 0, 1, 291, 291)),
+        ("severi p2 -d 3 --nodes 1", (12, 0, 1, 291, 291)),
+        ("severi p2 -d 7 --nodes 3", (145383, 128, 118, 291, 419)),
+        ("fit scan -r 2", (3, 850, 462, 419, 1269)),
+        ("fit scan -r 2", (3, 0, 49, 1269, 1269)),
+    ]:
+        code, out, _ = run_cli(capsys, *argv.split(), "--cache", str(cache), "--json")
+        assert (code, out) == (0, envelope.format(*line)), argv
+    digest = hashlib.sha256(cache.read_bytes()).hexdigest()
+    assert digest == "4c4f39bfaf7f96992e7ba4bb41dc0c7d174f5daa999b102a271e93943ff29674"
+
+
 def _assert_one_line_error(err, cache):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(cache) in err

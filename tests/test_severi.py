@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from curvelab import severi
+from curvelab.cli import entry
 from curvelab.errors import (
     AdmissibilityError,
     CeilingError,
@@ -276,6 +277,111 @@ def test_cache_load_conflict(tmp_path, write_cache):
         MemoStore().load(bad)
 
 
+# A 291-line cache in which `severi p2 -d 3 --nodes 1` reads one key, on
+# line 80.  Each case spoils one line far from it, before or after, and
+# names the error a load raises: every line is checked, not just the one
+# that is read.
+FAR_QUERIES = (("p2", 6, 4), ("quadric", 3, 3, 2))
+
+
+def _swap(lines, i):
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+
+
+def _repeat_with_another_value(lines, i):
+    lines.insert(i + 1, lines[i] + "0")
+
+
+def _respell(i, old, new):
+    def edit(lines):
+        assert lines[i].endswith(old)
+        lines[i] = lines[i][: -len(old)] + new
+    return edit
+
+
+FAR_DEFECTS = [
+    pytest.param(lambda lines: _swap(lines, 250), InputError, 253,
+                 "line out of order or repeated", id="out-of-order"),
+    pytest.param(lambda lines: _repeat_with_another_value(lines, 229), InconsistencyError, 232,
+                 "memo key ('P2', 5, 1, (2,), (1, 1)) holds both 176 and 1760",
+                 id="two-values-after"),
+    pytest.param(lambda lines: _repeat_with_another_value(lines, 40), InconsistencyError, 43,
+                 "memo key ('P1XP1', (2, 3), 1, (0, 1), (1,)) holds both 18 and 180",
+                 id="two-values-before"),
+    pytest.param(_respell(260, " 2 882", " 2,0 882"), InputError, 262, "bad field '2,0'",
+                 id="field-after"),
+    pytest.param(_respell(5, " 2 1 1", " 2,0 1 1"), InputError, 7, "bad field '2,0'",
+                 id="field-before"),
+    pytest.param(_respell(270, " 22848", " 22848x"), InputError, 272, "bad value '22848x'",
+                 id="value"),
+]
+
+
+@pytest.mark.parametrize("spoil, error, number, message", FAR_DEFECTS)
+def test_cache_load_checks_lines_far_from_the_key_read(
+        spoil, error, number, message, tmp_path, capsys, write_cache):
+    path = tmp_path / "memo.txt"
+    _run(SeveriEngine(), *FAR_QUERIES).save(path)
+    lines = path.read_text().splitlines()[1:]
+    assert len(lines) == 291 and lines[78] == "P2 3 1 - 3 12"
+    spoil(lines)
+    write_cache(path, lines)
+    expected = f"cache file {str(path)!r} line {number}: {message}"
+    with pytest.raises(error) as info:
+        MemoStore().load(path)
+    assert str(info.value) == expected
+    code = entry(["severi", "p2", "-d", "3", "--nodes", "1", "--cache", str(path)])
+    assert (code, capsys.readouterr()) == (error.exit_code, ("", f"error: {expected}\n"))
+
+
+def test_put_conflicting_with_an_unread_loaded_line(tmp_path):
+    path = tmp_path / "memo.txt"
+    _run(SeveriEngine(), *FAR_QUERIES).save(path)
+    store = MemoStore()
+    store.load(path)
+    # the line `P2 5 1 2 1,1 176`, which nothing has read
+    key = ("P2", 5, 1, (2,), (1, 1))
+    with pytest.raises(InconsistencyError, match="already holds 176, refusing to store 177"):
+        store.put(key, 177)
+    store.put(key, 176)
+    assert store.stats() == {"computed": 0, "hits": 0, "loaded": 291, "size": 291}
+
+
+def _file_table(path):
+    """Key -> value of a cache file, read without the store."""
+    def profile(text):
+        return () if text == "-" else tuple(int(c) for c in text.split(","))
+
+    table = {}
+    for line in path.read_text().splitlines()[1:]:
+        surface, degree, delta, alpha, beta, value = line.split(" ")
+        degree = tuple(map(int, degree.split(","))) if "," in degree else int(degree)
+        table[(surface, degree, int(delta), profile(alpha), profile(beta))] = int(value)
+    return table
+
+
+def test_table_after_a_load_is_the_whole_table(tmp_path):
+    a, full = tmp_path / "a.txt", tmp_path / "full.txt"
+    _run(SeveriEngine(), LOADED_QUERY).save(a)
+    _run(SeveriEngine(), LOADED_QUERY, *GROWN_QUERIES).save(full)
+    loaded, everything = _file_table(a), _file_table(full)
+    store = MemoStore()
+    store.load(a)
+    assert store.table == loaded
+    assert len(store.table) == len(store) == store.loaded == len(loaded)
+    assert list(store.table) == list(loaded)
+    _run(SeveriEngine(store), *GROWN_QUERIES)
+    assert store.table == everything and dict(store.table) == everything
+    assert len(store.table) == len(everything)
+    # the loaded keys in file order, then exactly the new ones
+    keys = list(store.table)
+    assert keys[:store.loaded] == list(loaded)
+    new_keys = keys[store.loaded:]
+    assert len(new_keys) == store.computed == len(set(new_keys))
+    assert set(new_keys) == everything.keys() - loaded.keys()
+    assert ("P2", 99, 0, (), (99,)) not in store.table
+
+
 def test_cache_refuses_a_body_that_fails_its_digest(tmp_path):
     eng = SeveriEngine()
     eng.severi_p2(4, 2)
@@ -421,7 +527,8 @@ def test_grown_save_formats_no_loaded_key(tmp_path, monkeypatch):
     # a cold save of the same table spells the loaded heads too
     calls.clear()
     cold = MemoStore()
-    cold.table = dict(store.table)
+    for key, value in store.table.items():
+        cold.put(key, value)
     cold.save(path)
     assert calls["_format_head"] > len({key[:3] for key in new_keys})
 
