@@ -9,29 +9,24 @@ time the entry is used, and a mismatch aborts loudly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
 from .errors import InconsistencyError, InputError
 from .germs import GermPoly, parse_germ
-from .jets import determinacy_window, milnor_number, scheme_length, tjurina_basis
 from .series import aut_count
 
 ALIASES = {"node": "A1", "cusp": "A2"}
 
 
-@dataclass(frozen=True)
-class SingularityType:
-    label: str
-    flavor: str  # "analytic" | "topological"
-    normal_form: GermPoly
-    normal_form_text: str
-    k_used: int
-    dim_es: int
-    mu: int
-    tau: int
-    N: int
-    codim: int
+class SingularityType(namedtuple(
+    "SingularityType",
+    "label flavor normal_form normal_form_text k_used dim_es mu tau N codim",
+)):
+    """One validated catalog entry; flavor is "analytic" or "topological",
+    normal_form the parsed GermPoly of normal_form_text."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -47,12 +42,7 @@ class SingularityType:
         }
 
 
-@dataclass(frozen=True)
-class CollectionStats:
-    N: int
-    codim: int
-    l: int
-    aut: int
+CollectionStats = namedtuple("CollectionStats", "N codim l aut")
 
 
 def _ordinary_point_moduli(label: str, f: GermPoly, basis: list) -> int:
@@ -72,6 +62,8 @@ def _ordinary_point_moduli(label: str, f: GermPoly, basis: list) -> int:
 
 
 def _validate(raw: dict) -> SingularityType:
+    from .jets import determinacy_window, milnor_number, scheme_length, tjurina_basis
+
     label = raw["label"]
     f = parse_germ(raw["normal_form"])
     mu = milnor_number(f)

@@ -4,21 +4,18 @@ Every subcommand supports --json, which wraps the result in a stable,
 versioned envelope: {"schema": "curvelab/v1", "result": ..., "stats": ...}.
 Exit codes: 0 success, 2 bad input, 3 ceiling or admissibility limit,
 4 internal inconsistency.
+
+Each handler imports the layer it runs when it runs, so a process pays
+start-up only for that layer; `severi` stays at the top because it owns
+the --ceiling default of the cache options.
 """
 
 import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .catalog import codim_weights, collection_stats, load_catalog, lookup
 from .errors import CurvelabError, InputError
-from .fitter import assemble_from_table, fit_nodes, threshold_scan
-from .germs import parse_germ
-from .jets import DEFAULT_CEILING, germ_report
-from .oracles import floor_diagram_oracle, pencil_discriminant_oracle
-from .series import ChernPolynomial, assemble_series, format_rational, parse_rational
 from .severi import DEFAULT_DEGREE_CEILING, MemoStore, SeveriEngine
 
 SCHEMA = "curvelab/v1"
@@ -62,6 +59,8 @@ def _parse_parts(text: str) -> tuple:
 
 
 def _parse_chern(text: str) -> tuple:
+    from .series import parse_rational
+
     fields = [f.strip() for f in text.split(",")]
     if len(fields) != 4:
         raise InputError("a Chern vector has exactly four entries")
@@ -69,6 +68,8 @@ def _parse_chern(text: str) -> tuple:
 
 
 def _load_a_table(path: str) -> dict:
+    from .series import ChernPolynomial
+
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -100,20 +101,18 @@ def _dump_a_table(table: dict) -> str:
     return json.dumps({"entries": entries}, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _as_json_number(value):
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return format_rational(value)
-    return int(value)
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
 
 def _cmd_germ_analyze(args) -> int:
+    from .germs import parse_germ
+    from .jets import DEFAULT_CEILING, germ_report
+
     f = parse_germ(args.expr)
+    ceiling = DEFAULT_CEILING if args.ceiling is None else args.ceiling
     stats = {}
-    report = germ_report(f, k=args.k, ceiling=args.ceiling, stats=stats)
+    report = germ_report(f, k=args.k, ceiling=ceiling, stats=stats)
     k = report.k_used
     lines = [
         f"germ: {report.expression}",
@@ -130,6 +129,8 @@ def _cmd_germ_analyze(args) -> int:
 
 
 def _cmd_germ_catalog(args) -> int:
+    from .catalog import collection_stats, load_catalog, lookup
+
     if args.parts:
         stats = collection_stats(_parse_parts(args.parts))
         result = {"N": stats.N, "codim": stats.codim, "l": stats.l, "aut": stats.aut}
@@ -170,6 +171,8 @@ def _cmd_severi_quadric(args) -> int:
 
 
 def _cmd_severi_oracle(args) -> int:
+    from .oracles import floor_diagram_oracle, pencil_discriminant_oracle
+
     stats = {}
     if args.method == "floor":
         if args.surface != "p2":
@@ -192,6 +195,8 @@ def _cmd_severi_oracle(args) -> int:
 
 
 def _cmd_fit_nodes(args) -> int:
+    from .fitter import fit_nodes
+
     engine, store = _engine_from_args(args)
     result = fit_nodes(args.max_r, engine=engine)
     _save_cache(args, store)
@@ -210,6 +215,8 @@ def _cmd_fit_nodes(args) -> int:
 
 
 def _cmd_fit_scan(args) -> int:
+    from .fitter import fit_nodes, threshold_scan
+
     engine, store = _engine_from_args(args)
     result = fit_nodes(args.r, engine=engine)
     threshold = threshold_scan(result, args.r, engine=engine)
@@ -218,15 +225,24 @@ def _cmd_fit_scan(args) -> int:
 
 
 def _cmd_series_eval(args) -> int:
+    from fractions import Fraction
+
+    from .fitter import assemble_from_table
+    from .series import format_rational
+
     table = _load_a_table(args.a_table)
     parts = _parse_parts(args.parts)
     chern = _parse_chern(args.chern)
     stats = {}
     value = Fraction(assemble_from_table(table, chern, parts, stats))
-    return _emit(args, _as_json_number(value), stats, format_rational(value))
+    number = int(value) if value.denominator == 1 else format_rational(value)
+    return _emit(args, number, stats, format_rational(value))
 
 
 def _cmd_series_assemble(args) -> int:
+    from .catalog import codim_weights
+    from .series import assemble_series
+
     table = _load_a_table(args.a_table)
     weights = codim_weights(table)
     default_cap = max((sum(weights[l] for l in key) for key in table), default=0)
@@ -269,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     ga.add_argument("expr", help='germ expression, e.g. "y^2-x^3"')
     ga.add_argument("--k", type=int, default=None,
                     help="jet order for the length/orbit block")
-    ga.add_argument("--ceiling", type=int, default=DEFAULT_CEILING,
+    ga.add_argument("--ceiling", type=int, default=None,
                     help="jet order scan limit")
     _add_json(ga)
     ga.set_defaults(func=_cmd_germ_analyze)

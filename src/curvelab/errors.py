@@ -32,3 +32,9 @@ class InconsistencyError(CurvelabError):
     """Two independent computations disagree. Always a loud failure. Exit 4."""
 
     exit_code = 4
+
+
+def is_int(value) -> bool:
+    """True for an int that is not a bool: `isinstance(True, int)` holds,
+    but a flag is never a degree, a count or an order."""
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -7,14 +7,12 @@ series; exponentiating the fitted line bundle of coefficients gives
 closed-form predictions for either surface.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import factorial
 
-from .catalog import codim_weights
-from .errors import CeilingError, InconsistencyError, InputError
+from .errors import CeilingError, InconsistencyError, InputError, is_int
 from .series import (
     ChernPolynomial,
     TruncatedSeries,
@@ -53,12 +51,16 @@ def chern_quadric(a: int, b: int) -> tuple:
     return (2 * a * b, -2 * a - 2 * b, 8, 4)
 
 
-@dataclass
 class FitResult:
-    r_max: int
-    a: dict
-    T: dict
-    residual_consistent: bool
+    """A fit up to order r_max: a[r] the order-r log-coefficient and T[r]
+    the order-r count polynomial in the Chern numbers; residual_consistent
+    says whether every data row satisfies its order's a[r]."""
+
+    def __init__(self, r_max: int, a: dict, T: dict, residual_consistent: bool):
+        self.r_max = r_max
+        self.a = a
+        self.T = T
+        self.residual_consistent = residual_consistent
 
     def to_a_table(self) -> dict:
         """Log-coefficients keyed by node multisets, symmetry factors undone."""
@@ -142,7 +144,7 @@ def fit_nodes(
     quadric_bidegrees=None,
     engine: SeveriEngine = None,
 ) -> FitResult:
-    if not isinstance(r_max, int) or r_max < 0:
+    if not is_int(r_max) or r_max < 0:
         raise InputError("r_max must be a nonnegative integer")
     if r_max > MAX_ORDER:
         raise CeilingError(f"r_max {r_max} exceeds the order ceiling {MAX_ORDER}")
@@ -151,14 +153,17 @@ def fit_nodes(
         plane_degrees = DEFAULT_PLANE_DEGREES
     if quadric_bidegrees is None:
         quadric_bidegrees = default_quadric_bidegrees(r_max)
-    plane_degrees = tuple(sorted(set(plane_degrees)))
-    quadric_bidegrees = tuple(sorted(set(tuple(p) for p in quadric_bidegrees)))
+    # checked before deduplication, which would merge True into 1
+    plane_degrees = tuple(plane_degrees)
+    quadric_bidegrees = tuple(tuple(p) for p in quadric_bidegrees)
     for d in plane_degrees:
-        if not isinstance(d, int) or d < 1:
+        if not is_int(d) or d < 1:
             raise InputError(f"bad plane degree {d!r}")
     for pair in quadric_bidegrees:
-        if len(pair) != 2 or not all(isinstance(v, int) and v >= 1 for v in pair):
+        if len(pair) != 2 or not all(is_int(v) and v >= 1 for v in pair):
             raise InputError(f"bad quadric bidegree {pair!r}")
+    plane_degrees = tuple(sorted(set(plane_degrees)))
+    quadric_bidegrees = tuple(sorted(set(quadric_bidegrees)))
 
     engine = engine if engine is not None else SeveriEngine()
 
@@ -223,15 +228,21 @@ def threshold_scan(
     Scans the given degrees and returns the first admissible d such that
     every admissible degree from d onward agrees with severi_p2.
     """
-    if not 1 <= r <= MAX_ORDER:
-        raise InputError(f"threshold scan needs an order r in 1..{MAX_ORDER}, got {r}")
+    if not is_int(r) or not 1 <= r <= MAX_ORDER:
+        raise InputError(f"threshold scan needs an order r in 1..{MAX_ORDER}, got {r!r}")
     if r not in result.T:
         raise InputError(f"threshold scan of order {r} needs a fit up to order {r}, "
                          f"not {result.r_max}")
     if d_range is None:
         d_range = range(1, 13)
     engine = engine if engine is not None else SeveriEngine()
-    admissible = sorted(d for d in d_range if plane_node_cap(d) >= r)
+    admissible = []
+    for d in d_range:
+        if not is_int(d):
+            raise InputError(f"bad plane degree {d!r}")
+        if plane_node_cap(d) >= r:
+            admissible.append(d)
+    admissible.sort()
     if not admissible:
         raise InputError("no degree in the scanned range admits that many nodes")
     threshold = None
@@ -276,6 +287,8 @@ def assemble_from_table(a_table: dict, chern, parts, stats: dict = None):
     for needed in subs:
         if needed not in table:
             raise InputError(f"missing entry {','.join(needed)}")
+
+    from .catalog import codim_weights
 
     weights = codim_weights([*table, parts])
     cap = sum(weights[label] for label in parts)

@@ -8,10 +8,9 @@ and the default non-isolation ceiling makes dense rows infeasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CeilingError, InputError
+from .errors import CeilingError, InputError, is_int
 from .germs import GermPoly
 
 DEFAULT_CEILING = 64
@@ -137,7 +136,7 @@ def ideal_in_jets(generators, truncation_order: int, stats: dict = None) -> JetS
     """Image in C{x,y}/m^K of the ideal generated by `generators`: the
     build of `_build` run to the end (see there for `stats`)."""
     K = truncation_order
-    if not isinstance(K, int) or K < 1:
+    if not is_int(K) or K < 1:
         raise InputError("truncation order must be a positive integer")
     if not generators:
         raise InputError("need generators")
@@ -152,6 +151,8 @@ def _require_germ(f: GermPoly):
 
 
 def _require_ceiling(ceiling: int):
+    if not is_int(ceiling):
+        raise InputError(f"ceiling must be an integer, got {ceiling!r}")
     # below 1 no order is scanned, and "not isolated up to ceiling 0"
     # would report a limit that nothing reached
     if ceiling < 1:
@@ -240,7 +241,7 @@ def determinacy_window(
 def scheme_length(f: GermPoly, k: int, stats: dict = None) -> int:
     """Length of the order-k neighborhood scheme: dim C{x,y}/(f + m^{k+1})."""
     _require_germ(f)
-    if not isinstance(k, int) or k < 1:
+    if not is_int(k) or k < 1:
         raise InputError("jet order must be a positive integer")
     return jet_dimension(k + 1) - ideal_in_jets([f], k + 1, stats).dimension
 
@@ -248,7 +249,7 @@ def scheme_length(f: GermPoly, k: int, stats: dict = None) -> int:
 def orbit_tangent_dim(f: GermPoly, k: int, stats: dict = None) -> int:
     """Tangent dimension of the equivalence-class orbit inside order-k jets."""
     _require_germ(f)
-    if not isinstance(k, int) or k < 1:
+    if not is_int(k) or k < 1:
         raise InputError("jet order must be a positive integer")
     return ideal_in_jets(_gradient_frame(f), k + 1, stats).dimension
 
@@ -269,17 +270,31 @@ def _dim_s0_from_orbit(f: GermPoly, k: int, orbit: int) -> int:
     return 2 + orbit - jet_dimension(cut)
 
 
-@dataclass
 class InvariantReport:
-    expression: str
-    milnor: int
-    tjurina: int
-    multiplicity: int
-    determinacy_window: tuple[int, int]
-    k_used: int
-    scheme_length_at: dict = field(default_factory=dict)
-    orbit_tangent_dim: int = 0
-    dim_s0: int = 0
+    """The invariants `germ_report` computes for one germ; `scheme_length_at`
+    maps a jet order k to the scheme length N there."""
+
+    def __init__(
+        self,
+        expression: str,
+        milnor: int,
+        tjurina: int,
+        multiplicity: int,
+        determinacy_window: tuple[int, int],
+        k_used: int,
+        scheme_length_at: dict = None,
+        orbit_tangent_dim: int = 0,
+        dim_s0: int = 0,
+    ):
+        self.expression = expression
+        self.milnor = milnor
+        self.tjurina = tjurina
+        self.multiplicity = multiplicity
+        self.determinacy_window = determinacy_window
+        self.k_used = k_used
+        self.scheme_length_at = {} if scheme_length_at is None else scheme_length_at
+        self.orbit_tangent_dim = orbit_tangent_dim
+        self.dim_s0 = dim_s0
 
     def to_dict(self) -> dict:
         return {

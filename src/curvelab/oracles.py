@@ -26,7 +26,7 @@ import random
 from functools import lru_cache, partial
 from math import comb, factorial, isqrt
 
-from .errors import InconsistencyError, InputError
+from .errors import InconsistencyError, InputError, is_int
 from .poly import add_terms, mul_terms, partial_terms
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def floor_diagram_oracle(d: int, delta: int, stats: dict = None) -> int:
         stats = {}
     for key in ("diagrams", "frames"):
         stats.setdefault(key, 0)
-    if not isinstance(d, int) or not isinstance(delta, int):
+    if not (is_int(d) and is_int(delta)):
         raise InputError("degree and node count must be integers")
     if not (1 <= d <= 6) or not (0 <= delta <= 4):
         raise InputError("out of supported range: need 1 <= d <= 6 and 0 <= delta <= 4")
@@ -538,7 +538,7 @@ def pencil_discriminant_oracle(surface: str, degree, seed: int = 0, stats: dict 
     surface_key = str(surface).upper()
     if surface_key == "P2":
         d = degree
-        if not isinstance(d, int) or not (2 <= d <= 7):
+        if not is_int(d) or not (2 <= d <= 7):
             raise InputError("plane pencil oracle supports 2 <= d <= 7")
         sample, name = partial(_plane_sample, d), "plane"
     elif surface_key == "P1XP1":
@@ -546,7 +546,7 @@ def pencil_discriminant_oracle(surface: str, degree, seed: int = 0, stats: dict 
             a, b = degree
         except (TypeError, ValueError):
             raise InputError("quadric pencil oracle needs a bidegree pair (a, b)")
-        if not (isinstance(a, int) and isinstance(b, int)) or not (
+        if not (is_int(a) and is_int(b)) or not (
             1 <= a <= 4 and 1 <= b <= 4
         ):
             raise InputError("quadric pencil oracle supports 1 <= a, b <= 4")

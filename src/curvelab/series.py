@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from .errors import InputError
+from .errors import InputError, is_int
 from .poly import SparsePoly, format_rational
 
 
@@ -103,10 +103,10 @@ class TruncatedSeries:
     __slots__ = ("weights", "cap", "coeffs")
 
     def __init__(self, weights: dict, cap: int = 10, coeffs=None):
-        if not isinstance(cap, int) or cap < 0:
+        if not is_int(cap) or cap < 0:
             raise InputError("truncation cap must be a nonnegative integer")
         for label, w in dict(weights).items():
-            if not isinstance(w, int) or w < 1:
+            if not is_int(w) or w < 1:
                 raise InputError(f"weight of {label!r} must be a positive integer")
         self.weights = dict(weights)
         self.cap = cap

@@ -37,6 +37,7 @@ from .errors import (
     CurvelabError,
     InconsistencyError,
     InputError,
+    is_int,
 )
 
 DEFAULT_DEGREE_CEILING = 12
@@ -567,18 +568,20 @@ def _edges(key, rule):
 
 class SeveriEngine:
     def __init__(self, store: MemoStore = None, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
+        if not is_int(degree_ceiling):
+            raise InputError(f"degree ceiling must be an integer, got {degree_ceiling!r}")
         if degree_ceiling < 1:
             raise InputError(f"degree ceiling must be at least 1, got {degree_ceiling}")
         self.store = store if store is not None else MemoStore()
         self.degree_ceiling = degree_ceiling
 
     def severi_p2(self, d: int, delta: int) -> int:
-        if not isinstance(d, int) or not isinstance(delta, int) or d < 1 or delta < 0:
+        if not (is_int(d) and is_int(delta)) or d < 1 or delta < 0:
             raise InputError("need degree d >= 1 and node count delta >= 0")
         return self._count("P2", d, delta, d, f"degree {d}")
 
     def severi_quadric(self, a: int, b: int, delta: int) -> int:
-        if not all(isinstance(v, int) for v in (a, b, delta)) or min(a, b) < 1 or delta < 0:
+        if not all(map(is_int, (a, b, delta))) or min(a, b) < 1 or delta < 0:
             raise InputError("need bidegree a, b >= 1 and node count delta >= 0")
         return self._count("P1XP1", (a, b), delta, max(a, b), f"bidegree ({a},{b})")
 

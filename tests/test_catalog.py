@@ -54,6 +54,19 @@ def test_node_entry():
     assert (e.tau, e.k_used, e.N, e.codim, e.dim_es) == (1, 2, 5, 1, 0)
 
 
+def test_entries_and_totals_are_immutable_values():
+    e = catalog.lookup("A1")
+    with pytest.raises(AttributeError):
+        e.mu = 2
+    assert e == catalog.lookup("node")
+    assert list(e.to_dict()) == ["label", "flavor", "normal_form", "k_used", "dim_es",
+                                 "mu", "tau", "N", "codim"]
+    stats = catalog.collection_stats(("A1", "A1"))
+    with pytest.raises(AttributeError):
+        stats.N = 0
+    assert stats == catalog.CollectionStats(N=10, codim=2, l=2, aut=2)
+
+
 def test_cusp_entry():
     e = catalog.lookup("A2")
     assert e.normal_form == parse_germ("y^2 - x^3")

@@ -59,6 +59,13 @@ def test_universal_polynomial_degrees(fit4):
         assert fit4.T[r].coefficient((r, 0, 0, 0)) == Fraction(3**r, factorial(r))
 
 
+def test_json_object_keys(fit4):
+    obj = fit4.to_json_obj()
+    assert list(obj) == ["r_max", "residual_consistent", "a", "T"]
+    assert list(obj["a"]) == ["1", "2", "3", "4"]
+    assert list(obj["T"]) == ["0", "1", "2", "3", "4"]
+
+
 def test_order_zero_fit():
     result = fit_nodes(0, plane_degrees=[3], quadric_bidegrees=[])
     assert result.a == {}
@@ -109,12 +116,28 @@ def test_parameter_validation():
         fit_nodes(-1)
     with pytest.raises(InputError):
         fit_nodes("2")
+    with pytest.raises(InputError, match="r_max must be a nonnegative integer"):
+        fit_nodes(True)
     with pytest.raises(CeilingError):
         fit_nodes(9)
     with pytest.raises(InputError):
         fit_nodes(1, plane_degrees=[0], quadric_bidegrees=[(1, 1)])
     with pytest.raises(InputError):
         fit_nodes(1, plane_degrees=[3], quadric_bidegrees=[(1, 0)])
+    # a bool is refused wherever it sits, also beside the int it equals
+    for planes in ([True], [1, True], [True, 1]):
+        with pytest.raises(InputError, match="bad plane degree True"):
+            fit_nodes(1, plane_degrees=planes, quadric_bidegrees=[(3, 3)])
+    with pytest.raises(InputError, match="bad quadric bidegree"):
+        fit_nodes(1, plane_degrees=[3], quadric_bidegrees=[(3, 3), (True, 3)])
+
+
+def test_threshold_scan_validation(fit4, engine):
+    for bad in [True, 0, 9, "2"]:
+        with pytest.raises(InputError, match="threshold scan needs an order r in 1..8"):
+            threshold_scan(fit4, bad, engine=engine)
+    with pytest.raises(InputError, match="bad plane degree True"):
+        threshold_scan(fit4, 1, d_range=[True, 2, 3], engine=engine)
 
 
 def test_corrupted_counts_break_consistency():
@@ -129,6 +152,7 @@ def test_corrupted_counts_break_consistency():
 
 def test_a_table_scaling(fit4):
     table = fit4.to_a_table()
+    assert sorted(table) == [("A1",) * r for r in range(1, 5)]
     assert table[("A1",)] == fit4.a[1]
     assert table[("A1", "A1")] == fit4.a[2].scale(2)
     assert table[("A1",) * 4] == fit4.a[4].scale(24)

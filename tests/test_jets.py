@@ -42,6 +42,13 @@ def test_ideal_in_jets_requires_something():
         ideal_in_jets([], 3)
     with pytest.raises(InputError):
         ideal_in_jets([NODE], 0)
+    with pytest.raises(InputError):
+        ideal_in_jets([NODE], True)
+    for k in (0, True):
+        with pytest.raises(InputError, match="jet order must be a positive integer"):
+            scheme_length(NODE, k)
+        with pytest.raises(InputError, match="jet order must be a positive integer"):
+            orbit_tangent_dim(NODE, k)
 
 
 def test_milnor_numbers():
@@ -66,6 +73,16 @@ def test_non_isolated_hits_ceiling():
         milnor_number(f, ceiling=10)
     with pytest.raises(CeilingError):
         determinacy_window(f, ceiling=10)
+
+
+def test_ceiling_must_be_an_integer():
+    for bad in [True, "64", 64.0]:
+        with pytest.raises(InputError, match="ceiling must be an integer"):
+            milnor_number(CUSP, ceiling=bad)
+        with pytest.raises(InputError, match="ceiling must be an integer"):
+            determinacy_window(CUSP, ceiling=bad)
+    with pytest.raises(InputError, match="ceiling must be at least 1, got 0"):
+        germ_report(CUSP, ceiling=0)
 
 
 def test_determinacy_windows():
@@ -175,6 +192,9 @@ def test_germ_report_defaults_to_upper_window_bound():
     assert rep.orbit_tangent_dim == 6
     assert rep.dim_s0 == 5
     d = rep.to_dict()
+    assert list(d) == ["expression", "milnor", "tjurina", "multiplicity",
+                       "determinacy_window", "k_used", "scheme_length_at",
+                       "orbit_tangent_dim", "dim_s0"]
     assert d["determinacy_window"] == [2, 3]
     assert d["scheme_length_at"] == {"3": 7}
 

@@ -44,6 +44,9 @@ def test_floor_diagram_range_errors():
     for d, delta in [(0, 0), (7, 1), (3, 5), (3, -1)]:
         with pytest.raises(InputError):
             floor_diagram_oracle(d, delta)
+    for d, delta in [(True, 0), (3, False), (3.0, 1)]:
+        with pytest.raises(InputError, match="degree and node count must be integers"):
+            floor_diagram_oracle(d, delta)
 
 
 def test_pencil_plane_matches_recursion(engine):
@@ -186,9 +189,9 @@ def test_interpolation_rejects_values_without_integer_interpolant():
 def test_pencil_input_validation():
     with pytest.raises(InputError):
         pencil_discriminant_oracle("p3", 3)
-    for bad in [1, 8, (2, 2), "3"]:
+    for bad in [1, 8, (2, 2), "3", True]:
         with pytest.raises(InputError):
             pencil_discriminant_oracle("p2", bad)
-    for bad in [3, (0, 1), (5, 1), (1,), (1, 2, 3), (1.0, 2)]:
+    for bad in [3, (0, 1), (5, 1), (1,), (1, 2, 3), (1.0, 2), (True, 2), (2, True)]:
         with pytest.raises(InputError):
             pencil_discriminant_oracle("p1xp1", bad)

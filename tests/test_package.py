@@ -1,4 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+
+import pytest
 
 import curvelab
 
@@ -8,3 +14,54 @@ def test_public_names_are_listed_once_and_resolve():
     assert repeated == []
     missing = [name for name in curvelab.__all__ if not hasattr(curvelab, name)]
     assert missing == []
+
+
+def test_dir_lists_every_public_name():
+    assert set(dir(curvelab)) >= set(curvelab.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        curvelab.no_such_name
+
+
+def test_star_import_binds_every_public_name():
+    from curvelab.severi import SeveriEngine
+
+    namespace = {}
+    exec("from curvelab import *", namespace)
+    assert set(curvelab.__all__) <= set(namespace)
+    assert namespace["SeveriEngine"] is SeveriEngine
+
+
+def _curvelab_modules_after(*argv):
+    """The curvelab.* modules a fresh process holds after running one CLI
+    command; stdlib modules depend on the site configuration, so they are
+    not compared."""
+    src = os.path.dirname(os.path.dirname(curvelab.__file__))
+    code = (
+        "import json, sys\n"
+        "from curvelab.cli import entry\n"
+        "code = entry(sys.argv[1:])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'curvelab')))\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_germ_analyze_loads_no_fit_oracle_or_catalog():
+    loaded = _curvelab_modules_after("germ", "analyze", "y^2 - x^3")
+    assert "curvelab.jets" in loaded
+    assert not loaded & {"curvelab.fitter", "curvelab.oracles", "curvelab.catalog"}
+
+
+def test_severi_count_loads_only_the_engine():
+    loaded = _curvelab_modules_after("severi", "p2", "-d", "4", "--nodes", "2")
+    assert loaded == {"curvelab", "curvelab.cli", "curvelab.errors", "curvelab.severi"}

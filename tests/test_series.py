@@ -93,6 +93,10 @@ def test_series_validation():
         TruncatedSeries({"A1": 1}, cap=-1)
     with pytest.raises(InputError):
         TruncatedSeries({"A1": 0})
+    with pytest.raises(InputError, match="truncation cap must be a nonnegative integer"):
+        TruncatedSeries({"A1": 1}, cap=True)
+    with pytest.raises(InputError, match="weight of 'A1' must be a positive integer"):
+        TruncatedSeries({"A1": True})
     s = TruncatedSeries({"A1": 1}, cap=3)
     with pytest.raises(InputError):
         s.key_weight(("A9",))

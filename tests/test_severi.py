@@ -140,12 +140,36 @@ def test_degree_ceiling():
 
 def test_input_validation():
     eng = SeveriEngine()
-    for bad in [(0, 0), (2, -1), ("3", 1), (3, 1.0)]:
-        with pytest.raises(InputError):
+    for bad in [(0, 0), (2, -1), ("3", 1), (3, 1.0), (True, 0), (2, True)]:
+        with pytest.raises(InputError, match="need degree d >= 1"):
             eng.severi_p2(*bad)
-    for bad in [(0, 1, 0), (1, 0, 0), (1, 1, -2), (1.5, 1, 0)]:
-        with pytest.raises(InputError):
+    for bad in [(0, 1, 0), (1, 0, 0), (1, 1, -2), (1.5, 1, 0), (True, 1, 0), (1, 1, False)]:
+        with pytest.raises(InputError, match="need bidegree a, b >= 1"):
             eng.severi_quadric(*bad)
+
+
+def test_bool_arguments_never_reach_the_cache(tmp_path):
+    eng = SeveriEngine()
+    for call in (lambda: eng.severi_p2(2, True), lambda: severi_p2(True, 0, engine=eng),
+                 lambda: eng.severi_quadric(1, True, 0)):
+        with pytest.raises(InputError):
+            call()
+    assert len(eng.store) == 0
+    eng.severi_p2(2, 1)
+    path = tmp_path / "memo.cache"
+    eng.store.save(path)
+    assert b"True" not in path.read_bytes()
+    reloaded = MemoStore()
+    reloaded.load(path)
+    assert reloaded.stats()["loaded"] == len(eng.store)
+
+
+def test_degree_ceiling_must_be_an_integer():
+    for bad in [True, "12", 12.0]:
+        with pytest.raises(InputError, match="degree ceiling must be an integer"):
+            SeveriEngine(degree_ceiling=bad)
+    with pytest.raises(InputError, match="degree ceiling must be at least 1, got 0"):
+        SeveriEngine(degree_ceiling=0)
 
 
 def test_module_level_helpers():
