@@ -164,6 +164,8 @@ def codim_weights(keys) -> dict:
 
 
 def collection_stats(parts) -> CollectionStats:
+    if isinstance(parts, str) or not hasattr(parts, "__iter__"):
+        raise InputError(f"parts must be a sequence of singularity labels, got {parts!r}")
     resolved = [lookup(p) for p in parts]
     canonical = [e.label for e in resolved]
     return CollectionStats(

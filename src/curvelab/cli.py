@@ -16,7 +16,8 @@ import os
 import sys
 
 from .errors import CurvelabError, InputError
-from .severi import DEFAULT_DEGREE_CEILING, MemoStore, SeveriEngine
+from .memo import MemoStore
+from .severi import DEFAULT_DEGREE_CEILING, SeveriEngine
 
 SCHEMA = "curvelab/v1"
 

@@ -235,6 +235,8 @@ def threshold_scan(
                          f"not {result.r_max}")
     if d_range is None:
         d_range = range(1, 13)
+    elif not hasattr(d_range, "__iter__"):
+        raise InputError(f"d_range must be a sequence of plane degrees, got {d_range!r}")
     engine = engine if engine is not None else SeveriEngine()
     admissible = []
     for d in d_range:

@@ -531,6 +531,8 @@ def pencil_discriminant_oracle(surface: str, degree, seed: int = 0, stats: dict 
     the three draws: samples, retries, crt_primes and
     exact_squarefree_fallbacks.
     """
+    if not is_int(seed):
+        raise InputError(f"pencil oracle seed must be an integer, got {seed!r}")
     if stats is None:
         stats = {}
     for key in ("samples", "retries", "crt_primes", "exact_squarefree_fallbacks"):

@@ -159,6 +159,13 @@ def test_collection_stats_resolves_aliases():
     assert (s.N, s.codim, s.l, s.aut) == (10, 2, 2, 2)
 
 
+def test_collection_stats_refuses_a_scalar():
+    for bad in ["A1", "", 5, None]:
+        with pytest.raises(InputError, match="parts must be a sequence"):
+            catalog.collection_stats(bad)
+    assert catalog.collection_stats(("A1",)).l == 1
+
+
 def test_collection_stats_unknown_label():
     with pytest.raises(InputError):
         catalog.collection_stats(["A1", "Q3"])

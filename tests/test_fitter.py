@@ -138,13 +138,19 @@ def test_threshold_scan_validation(fit4, engine):
             threshold_scan(fit4, bad, engine=engine)
     with pytest.raises(InputError, match="bad plane degree True"):
         threshold_scan(fit4, 1, d_range=[True, 2, 3], engine=engine)
+    for bad in [5, 5.0, object()]:
+        with pytest.raises(InputError, match="d_range must be a sequence"):
+            threshold_scan(fit4, 1, d_range=bad, engine=engine)
+    # a string is a sequence, whose characters are not degrees
+    with pytest.raises(InputError, match="bad plane degree '5'"):
+        threshold_scan(fit4, 1, d_range="5", engine=engine)
 
 
 def test_corrupted_counts_break_consistency():
     # corrupt a middle degree: the true counts below it and the shifted
     # ones above it cannot lie on one line
     store = MemoStore()
-    store.put(("P2", 8, 1, (), (8,)), 999, origin="loaded")
+    store.put(("P2", 8, 1, (), (8,)), 999)
     poisoned = SeveriEngine(store)
     result = fit_nodes(1, engine=poisoned)
     assert not result.residual_consistent

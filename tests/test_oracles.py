@@ -195,3 +195,8 @@ def test_pencil_input_validation():
     for bad in [3, (0, 1), (5, 1), (1,), (1, 2, 3), (1.0, 2), (True, 2), (2, True)]:
         with pytest.raises(InputError):
             pencil_discriminant_oracle("p1xp1", bad)
+    for bad in [True, 1.5, "1", None]:
+        with pytest.raises(InputError, match="seed must be an integer"):
+            pencil_discriminant_oracle("p2", 3, seed=bad)
+        with pytest.raises(InputError, match="seed must be an integer"):
+            pencil_discriminant_oracle("p1xp1", (1, 1), seed=bad)

@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from curvelab import severi
+import curvelab
+from curvelab import memo, severi
 from curvelab.cli import entry
 from curvelab.errors import (
     AdmissibilityError,
@@ -439,7 +440,7 @@ def test_interrupted_save_keeps_the_old_cache(tmp_path, monkeypatch):
     def interrupt(src, dst):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(severi.os, "replace", interrupt)
+    monkeypatch.setattr(memo.os, "replace", interrupt)
     with pytest.raises(KeyboardInterrupt):
         eng.store.save(path)
     assert path.read_bytes() == before
@@ -475,11 +476,11 @@ def _cold_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("chunk_bytes, chunk_lines",
-                         [(severi._CHUNK_BYTES, severi._CHUNK_LINES), (1, 1), (64, 3)])
+                         [(memo._CHUNK_BYTES, memo._CHUNK_LINES), (1, 1), (64, 3)])
 def test_grown_save_merges_new_lines_into_the_loaded_body(
         chunk_bytes, chunk_lines, tmp_path, monkeypatch):
-    monkeypatch.setattr(severi, "_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(severi, "_CHUNK_LINES", chunk_lines)
+    monkeypatch.setattr(memo, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(memo, "_CHUNK_LINES", chunk_lines)
     cold = _cold_bytes(tmp_path)
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     _run(SeveriEngine(), LOADED_QUERY).save(a)
@@ -516,10 +517,35 @@ def test_save_after_a_second_load(tmp_path):
     assert c.read_bytes() == cold
 
 
+def test_second_load_counts_only_the_keys_it_adds(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    _run(SeveriEngine(), LOADED_QUERY).save(a)
+    _run(SeveriEngine(), *GROWN_QUERIES).save(b)
+    first = MemoStore()
+    first.load(a)
+    _run(SeveriEngine(first), GROWN_QUERIES[0])
+    assert first.stats() == {"computed": 31, "hits": 17, "loaded": 27, "size": 58}
+    # b holds a's keys and the computed ones; only the other 94 are loaded
+    first.load(b)
+    assert first.stats() == {"computed": 31, "hits": 17, "loaded": 121, "size": 152}
+    computed = _run(SeveriEngine(), GROWN_QUERIES[1])
+    assert computed.stats() == {"computed": 121, "hits": 68, "loaded": 0, "size": 121}
+    computed.load(a)
+    assert computed.stats()["loaded"] == 0
+    computed.load(b)
+    assert computed.stats() == {"computed": 121, "hits": 68, "loaded": 31, "size": 152}
+
+
+def test_one_store_class_under_every_name():
+    # bench/tracer.py patches load and save on severi.MemoStore
+    assert severi.MemoStore is memo.MemoStore is curvelab.MemoStore
+    assert severi.trim is memo.trim
+
+
 def test_header_only_cache_grows(tmp_path):
     path = tmp_path / "memo.txt"
     MemoStore().save(path)
-    assert len(path.read_bytes()) == severi._HEADER_LEN
+    assert len(path.read_bytes()) == memo._HEADER_LEN
     store = MemoStore()
     store.load(path)
     _run(SeveriEngine(store), LOADED_QUERY, *GROWN_QUERIES).save(path)
@@ -536,7 +562,7 @@ def test_grown_save_formats_no_loaded_key(tmp_path, monkeypatch):
     calls = Counter()
 
     def counted(name):
-        fmt = getattr(severi, name)
+        fmt = getattr(memo, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -544,7 +570,7 @@ def test_grown_save_formats_no_loaded_key(tmp_path, monkeypatch):
         return wrapper
 
     for name in ("_format_head", "_format_profile"):
-        monkeypatch.setattr(severi, name, counted(name))
+        monkeypatch.setattr(memo, name, counted(name))
     store.save(path)
     assert calls["_format_head"] == len({key[:3] for key in new_keys})
     assert calls["_format_profile"] == len({p for key in new_keys for p in key[3:]})
