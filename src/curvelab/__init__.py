@@ -13,16 +13,15 @@ _LAYERS = {
                 "lookup"),
     "errors": ("AdmissibilityError", "CeilingError", "CurvelabError", "InconsistencyError",
                "InputError"),
-    "fitter": ("FitResult", "assemble_from_table", "chern_p2", "chern_quadric", "fit_nodes",
-               "threshold_scan"),
+    "fitter": ("FitResult", "chern_p2", "chern_quadric", "fit_nodes", "threshold_scan"),
     "germs": ("GermPoly", "parse_germ"),
     "jets": ("DEFAULT_CEILING", "InvariantReport", "JetSubspace", "determinacy_window",
              "dim_s0", "germ_report", "ideal_in_jets", "milnor_number", "orbit_tangent_dim",
              "scheme_length", "tjurina_number"),
     "memo": ("MemoStore",),
     "oracles": ("floor_diagram_oracle", "pencil_discriminant_oracle"),
-    "series": ("ChernPolynomial", "TruncatedSeries", "assemble_series", "exp_series",
-               "extract_universal", "log_series"),
+    "series": ("ChernPolynomial", "TruncatedSeries", "assemble_from_table", "assemble_series",
+               "exp_series", "extract_universal", "log_series"),
     "severi": ("DEFAULT_DEGREE_CEILING", "SeveriEngine", "plane_node_cap", "quadric_node_cap",
                "severi_p2", "severi_quadric"),
 }

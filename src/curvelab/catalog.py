@@ -14,7 +14,6 @@ from importlib import resources
 
 from .errors import InconsistencyError, InputError
 from .germs import GermPoly, parse_germ
-from .series import aut_count
 
 ALIASES = {"node": "A1", "cusp": "A2"}
 
@@ -164,6 +163,8 @@ def codim_weights(keys) -> dict:
 
 
 def collection_stats(parts) -> CollectionStats:
+    from .series import aut_count
+
     if isinstance(parts, str) or not hasattr(parts, "__iter__"):
         raise InputError(f"parts must be a sequence of singularity labels, got {parts!r}")
     resolved = [lookup(p) for p in parts]

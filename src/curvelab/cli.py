@@ -6,8 +6,9 @@ Exit codes: 0 success, 2 bad input, 3 ceiling or admissibility limit,
 4 internal inconsistency.
 
 Each handler imports the layer it runs when it runs, so a process pays
-start-up only for that layer; `severi` stays at the top because it owns
-the --ceiling default of the cache options.
+start-up only for that layer. The four counting commands (`severi p2`,
+`severi p1xp1`, `fit nodes`, `fit scan`) reach the Severi engine and its
+memo store through `_count`; no other command loads either.
 """
 
 import argparse
@@ -16,8 +17,6 @@ import os
 import sys
 
 from .errors import CurvelabError, InputError
-from .memo import MemoStore
-from .severi import DEFAULT_DEGREE_CEILING, SeveriEngine
 
 SCHEMA = "curvelab/v1"
 
@@ -33,23 +32,30 @@ def _emit(args, result, stats=None, text="") -> int:
     return 0
 
 
-def _engine_from_args(args):
+def _count(args, compute):
+    """(compute(engine), store stats) for a Severi engine at --ceiling
+    whose memo store is loaded from --cache before and saved there after."""
+    from .memo import MemoStore
+    from .severi import DEFAULT_DEGREE_CEILING, SeveriEngine
+
     store = MemoStore()
-    engine = SeveriEngine(store, degree_ceiling=args.ceiling)
-    if args.cache and os.path.exists(args.cache):
+    ceiling = DEFAULT_DEGREE_CEILING if args.ceiling is None else args.ceiling
+    engine = SeveriEngine(store, degree_ceiling=ceiling)
+    path = args.cache
+    if path == "":
+        raise InputError("cannot read cache file '': the path is empty")
+    if path is not None and os.path.exists(path):
         try:
-            store.load(args.cache)
+            store.load(path)
         except OSError as exc:
-            raise InputError(f"cannot read cache file {args.cache!r}: {exc}") from exc
-    return engine, store
-
-
-def _save_cache(args, store):
-    if args.cache:
+            raise InputError(f"cannot read cache file {path!r}: {exc}") from exc
+    result = compute(engine)
+    if path is not None:
         try:
-            store.save(args.cache)
+            store.save(path)
         except OSError as exc:
-            raise InputError(f"cannot write cache file {args.cache!r}: {exc}") from exc
+            raise InputError(f"cannot write cache file {path!r}: {exc}") from exc
+    return result, store.stats()
 
 
 def _parse_parts(text: str) -> tuple:
@@ -132,6 +138,8 @@ def _cmd_germ_analyze(args) -> int:
 def _cmd_germ_catalog(args) -> int:
     from .catalog import collection_stats, load_catalog, lookup
 
+    if args.parts is not None and args.label is not None:
+        raise InputError("germ catalog takes a label or --parts, not both")
     if args.parts:
         stats = collection_stats(_parse_parts(args.parts))
         result = {"N": stats.N, "codim": stats.codim, "l": stats.l, "aut": stats.aut}
@@ -158,17 +166,13 @@ def _cmd_germ_catalog(args) -> int:
 
 
 def _cmd_severi_p2(args) -> int:
-    engine, store = _engine_from_args(args)
-    value = engine.severi_p2(args.d, args.nodes)
-    _save_cache(args, store)
-    return _emit(args, value, store.stats(), str(value))
+    value, stats = _count(args, lambda engine: engine.severi_p2(args.d, args.nodes))
+    return _emit(args, value, stats, str(value))
 
 
 def _cmd_severi_quadric(args) -> int:
-    engine, store = _engine_from_args(args)
-    value = engine.severi_quadric(args.a, args.b, args.nodes)
-    _save_cache(args, store)
-    return _emit(args, value, store.stats(), str(value))
+    value, stats = _count(args, lambda engine: engine.severi_quadric(args.a, args.b, args.nodes))
+    return _emit(args, value, stats, str(value))
 
 
 def _cmd_severi_oracle(args) -> int:
@@ -198,10 +202,8 @@ def _cmd_severi_oracle(args) -> int:
 def _cmd_fit_nodes(args) -> int:
     from .fitter import fit_nodes
 
-    engine, store = _engine_from_args(args)
-    result = fit_nodes(args.max_r, engine=engine)
-    _save_cache(args, store)
-    if args.a_table_out:
+    result, stats = _count(args, lambda engine: fit_nodes(args.max_r, engine=engine))
+    if args.a_table_out is not None:
         try:
             with open(args.a_table_out, "w") as fh:
                 fh.write(_dump_a_table(result.to_a_table()))
@@ -212,32 +214,29 @@ def _cmd_fit_nodes(args) -> int:
         f"T_{r} = {p.to_string()}" for r, p in sorted(result.T.items()) if r > 0
     ]
     lines.append(f"consistent: {'true' if result.residual_consistent else 'false'}")
-    return _emit(args, result.to_json_obj(), store.stats(), "\n".join(lines))
+    return _emit(args, result.to_json_obj(), stats, "\n".join(lines))
 
 
 def _cmd_fit_scan(args) -> int:
     from .fitter import fit_nodes, threshold_scan
 
-    engine, store = _engine_from_args(args)
-    result = fit_nodes(args.r, engine=engine)
-    threshold = threshold_scan(result, args.r, engine=engine)
-    _save_cache(args, store)
-    return _emit(args, threshold, store.stats(), f"threshold: d = {threshold}")
+    def scan(engine):
+        return threshold_scan(fit_nodes(args.r, engine=engine), args.r, engine=engine)
+
+    threshold, stats = _count(args, scan)
+    return _emit(args, threshold, stats, f"threshold: d = {threshold}")
 
 
 def _cmd_series_eval(args) -> int:
-    from fractions import Fraction
-
-    from .fitter import assemble_from_table
-    from .series import format_rational
+    from .series import assemble_from_table, format_rational
 
     table = _load_a_table(args.a_table)
     parts = _parse_parts(args.parts)
     chern = _parse_chern(args.chern)
     stats = {}
-    value = Fraction(assemble_from_table(table, chern, parts, stats))
-    number = int(value) if value.denominator == 1 else format_rational(value)
-    return _emit(args, number, stats, format_rational(value))
+    value = assemble_from_table(table, chern, parts, stats)
+    text = format_rational(value)
+    return _emit(args, value if isinstance(value, int) else text, stats, text)
 
 
 def _cmd_series_assemble(args) -> int:
@@ -268,8 +267,9 @@ def _add_json(p):
 def _add_cache(p):
     p.add_argument("--cache", default=None, metavar="PATH",
                    help="load/save the memo table at PATH")
-    p.add_argument("--ceiling", type=int, default=DEFAULT_DEGREE_CEILING,
-                   help=f"degree ceiling (default {DEFAULT_DEGREE_CEILING})")
+    # the default is severi.DEFAULT_DEGREE_CEILING, which _count applies
+    p.add_argument("--ceiling", type=int, default=None,
+                   help="degree ceiling (default 12)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,21 +7,13 @@ series; exponentiating the fitted line bundle of coefficients gives
 closed-form predictions for either surface.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import product
 from math import factorial
 
 from .errors import CeilingError, InconsistencyError, InputError, is_int
-from .series import (
-    ChernPolynomial,
-    TruncatedSeries,
-    exp_series,
-    extract_universal,
-    log_series,
-    normalize_table,
-    scaled_entries,
-)
+from .series import ChernPolynomial, TruncatedSeries, exp_series, log_series
 from .severi import SeveriEngine, plane_node_cap, quadric_node_cap
 
 NODE_LABEL = "A1"
@@ -51,16 +43,12 @@ def chern_quadric(a: int, b: int) -> tuple:
     return (2 * a * b, -2 * a - 2 * b, 8, 4)
 
 
-class FitResult:
+class FitResult(namedtuple("FitResult", "r_max a T residual_consistent")):
     """A fit up to order r_max: a[r] the order-r log-coefficient and T[r]
     the order-r count polynomial in the Chern numbers; residual_consistent
     says whether every data row satisfies its order's a[r]."""
 
-    def __init__(self, r_max: int, a: dict, T: dict, residual_consistent: bool):
-        self.r_max = r_max
-        self.a = a
-        self.T = T
-        self.residual_consistent = residual_consistent
+    __slots__ = ()
 
     def to_a_table(self) -> dict:
         """Log-coefficients keyed by node multisets, symmetry factors undone."""
@@ -213,10 +201,6 @@ def fit_nodes(
     return FitResult(r_max, a_polys, t_polys, consistent)
 
 
-def _as_number(value: Fraction):
-    return int(value) if value.denominator == 1 else value
-
-
 def threshold_scan(
     result: FitResult,
     r: int,
@@ -258,46 +242,3 @@ def threshold_scan(
             f"order-{r} polynomial never matches the counts in the scanned range"
         )
     return threshold
-
-
-def _sub_multisets(parts: tuple) -> list:
-    labels = sorted(set(parts))
-    counts = [parts.count(lab) for lab in labels]
-    subs = []
-    for picks in product(*(range(c + 1) for c in counts)):
-        if not any(picks):
-            continue
-        key = []
-        for lab, take in zip(labels, picks):
-            key.extend([lab] * take)
-        subs.append(tuple(key))
-    subs.sort(key=lambda k: (len(k), k))
-    return subs
-
-
-def assemble_from_table(a_table: dict, chern, parts, stats: dict = None):
-    """Predicted count for a singularity multiset from user-supplied
-    log-coefficients; every sub-multiset of `parts` must be tabulated.
-
-    Evaluation at `chern` is a ring homomorphism, so only the entries of
-    the sub-multisets of `parts` are evaluated and that numeric series is
-    exponentiated; `stats` receives the counters of exp_series.
-    """
-    table = normalize_table(a_table)
-    parts = tuple(sorted(parts))
-    subs = _sub_multisets(parts)
-    for needed in subs:
-        if needed not in table:
-            raise InputError(f"missing entry {','.join(needed)}")
-
-    from .catalog import codim_weights
-
-    weights = codim_weights([*table, parts])
-    cap = sum(weights[label] for label in parts)
-    entries = scaled_entries(table)
-    values = {key: ChernPolynomial.constant(entries[key].evaluate(chern)) for key in subs}
-    # an entry for the empty multiset stays a polynomial, so exp_series
-    # refuses a nonzero one as it does in assemble_series
-    values[()] = entries.get((), ChernPolynomial.zero())
-    series = exp_series(TruncatedSeries(weights, cap, values), stats)
-    return _as_number(extract_universal(series, parts).constant_part())

@@ -8,6 +8,7 @@ and the default non-isolation ceiling makes dense rows infeasible.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CeilingError, InputError, is_int
@@ -270,31 +271,15 @@ def _dim_s0_from_orbit(f: GermPoly, k: int, orbit: int) -> int:
     return 2 + orbit - jet_dimension(cut)
 
 
-class InvariantReport:
+class InvariantReport(namedtuple(
+    "InvariantReport",
+    "expression milnor tjurina multiplicity determinacy_window k_used scheme_length_at "
+    "orbit_tangent_dim dim_s0",
+)):
     """The invariants `germ_report` computes for one germ; `scheme_length_at`
     maps a jet order k to the scheme length N there."""
 
-    def __init__(
-        self,
-        expression: str,
-        milnor: int,
-        tjurina: int,
-        multiplicity: int,
-        determinacy_window: tuple[int, int],
-        k_used: int,
-        scheme_length_at: dict = None,
-        orbit_tangent_dim: int = 0,
-        dim_s0: int = 0,
-    ):
-        self.expression = expression
-        self.milnor = milnor
-        self.tjurina = tjurina
-        self.multiplicity = multiplicity
-        self.determinacy_window = determinacy_window
-        self.k_used = k_used
-        self.scheme_length_at = {} if scheme_length_at is None else scheme_length_at
-        self.orbit_tangent_dim = orbit_tangent_dim
-        self.dim_s0 = dim_s0
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -9,6 +9,7 @@ variables (x, y, z, t) with rational coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial, lcm
 
 from .errors import InputError, is_int
@@ -322,3 +323,47 @@ def extract_universal(series: TruncatedSeries, parts) -> ChernPolynomial:
             f"multiset {','.join(key)} lies outside the truncation cap {series.cap}"
         )
     return series.coefficient(key)
+
+
+def _sub_multisets(parts: tuple) -> list:
+    labels = sorted(set(parts))
+    counts = [parts.count(lab) for lab in labels]
+    subs = []
+    for picks in product(*(range(c + 1) for c in counts)):
+        if not any(picks):
+            continue
+        key = []
+        for lab, take in zip(labels, picks):
+            key.extend([lab] * take)
+        subs.append(tuple(key))
+    subs.sort(key=lambda k: (len(k), k))
+    return subs
+
+
+def assemble_from_table(a_table: dict, chern, parts, stats: dict = None):
+    """Predicted count for a singularity multiset from user-supplied
+    log-coefficients; every sub-multiset of `parts` must be tabulated.
+
+    Evaluation at `chern` is a ring homomorphism, so only the entries of
+    the sub-multisets of `parts` are evaluated and that numeric series is
+    exponentiated; `stats` receives the counters of exp_series.
+    """
+    table = normalize_table(a_table)
+    parts = tuple(sorted(parts))
+    subs = _sub_multisets(parts)
+    for needed in subs:
+        if needed not in table:
+            raise InputError(f"missing entry {','.join(needed)}")
+
+    from .catalog import codim_weights
+
+    weights = codim_weights([*table, parts])
+    cap = sum(weights[label] for label in parts)
+    entries = scaled_entries(table)
+    values = {key: ChernPolynomial.constant(entries[key].evaluate(chern)) for key in subs}
+    # an entry for the empty multiset stays a polynomial, so exp_series
+    # refuses a nonzero one as it does in assemble_series
+    values[()] = entries.get((), ChernPolynomial.zero())
+    series = exp_series(TruncatedSeries(weights, cap, values), stats)
+    value = extract_universal(series, parts).constant_part()
+    return int(value) if value.denominator == 1 else value

@@ -93,6 +93,20 @@ def test_germ_catalog_collection(capsys):
     assert "symmetry order: 6" in out
 
 
+def test_germ_catalog_refuses_a_label_with_parts(capsys):
+    code, out, err = run_cli(capsys, "germ", "catalog", "A2", "--parts", "A1")
+    assert (code, out, err) == (2, "", "error: germ catalog takes a label or --parts, not both\n")
+
+
+def test_ceiling_help_names_the_engine_default(capsys):
+    from curvelab.severi import DEFAULT_DEGREE_CEILING
+
+    for command in (("severi", "p2"), ("severi", "p1xp1"), ("fit", "nodes"), ("fit", "scan")):
+        with pytest.raises(SystemExit):
+            entry([*command, "--help"])
+        assert f"degree ceiling (default {DEFAULT_DEGREE_CEILING})" in capsys.readouterr().out
+
+
 def test_severi_counts(capsys):
     code, out, _ = run_cli(capsys, "severi", "p2", "-d", "4", "--nodes", "3")
     assert code == 0
@@ -403,8 +417,11 @@ def test_cache_malformed_lines_exit_2(tmp_path, capsys, write_cache):
         _assert_one_line_error(err, cache)
 
 
-def test_cache_path_that_cannot_be_read_or_written_exits_2(tmp_path, capsys):
+def test_cache_path_that_cannot_be_read_or_written_exits_2(tmp_path, capsys, monkeypatch):
     query = ("severi", "p2", "-d", "3", "--nodes", "1", "--cache")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *query, "")
+    assert (code, out, err) == (2, "", "error: cannot read cache file '': the path is empty\n")
     code, out, err = run_cli(capsys, *query, str(tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot read cache file {str(tmp_path)!r}: ")
@@ -417,8 +434,9 @@ def test_cache_path_that_cannot_be_read_or_written_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_a_table_out_path_that_cannot_be_written_exits_2(tmp_path, capsys):
-    for path in (tmp_path, tmp_path / "missing" / "atable.json"):
+def test_a_table_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for path in ("", tmp_path, tmp_path / "missing" / "atable.json"):
         code, out, err = run_cli(capsys, "fit", "nodes", "--max-r", "1",
                                  "--a-table-out", str(path))
         assert (code, out) == (2, "")

@@ -6,14 +6,8 @@ from math import factorial
 import pytest
 
 from curvelab.errors import CeilingError, InputError
-from curvelab.fitter import (
-    assemble_from_table,
-    chern_p2,
-    chern_quadric,
-    fit_nodes,
-    threshold_scan,
-)
-from curvelab.series import ChernPolynomial, assemble_series
+from curvelab.fitter import chern_p2, chern_quadric, fit_nodes, threshold_scan
+from curvelab.series import ChernPolynomial, assemble_from_table, assemble_series
 from curvelab.severi import MemoStore, SeveriEngine
 
 A1_LINE = ChernPolynomial.linear(3, 2, 0, 1)

@@ -66,3 +66,35 @@ def test_severi_count_loads_only_the_engine():
     loaded = _curvelab_modules_after("severi", "p2", "-d", "4", "--nodes", "2")
     assert loaded == {"curvelab", "curvelab.cli", "curvelab.errors", "curvelab.memo",
                       "curvelab.severi"}
+
+
+@pytest.fixture
+def series_commands(tmp_path):
+    table = tmp_path / "a.json"
+    table.write_text(json.dumps(
+        {"entries": [[["A1"], [[[0, 0, 0, 1], "1"], [[0, 1, 0, 0], "2"], [[1, 0, 0, 0], "3"]]]]}
+    ))
+    return [
+        ("series", "eval", "--a-table", str(table), "--parts", "A1", "--chern", "16,-12,9,3"),
+        ("series", "assemble", "--a-table", str(table)),
+    ]
+
+
+def test_commands_that_count_nothing_load_no_engine_or_store(series_commands):
+    for argv in [
+        ("germ", "analyze", "y^2 - x^3"),
+        ("germ", "catalog", "A2"),
+        ("severi", "oracle", "--method", "floor", "-d", "4", "--nodes", "2"),
+        *series_commands,
+    ]:
+        loaded = _curvelab_modules_after(*argv)
+        assert not loaded & {"curvelab.severi", "curvelab.memo"}, argv
+
+
+def test_series_commands_load_no_fitter(series_commands):
+    for argv in series_commands:
+        assert "curvelab.fitter" not in _curvelab_modules_after(*argv), argv
+
+
+def test_catalog_entry_loads_no_series():
+    assert "curvelab.series" not in _curvelab_modules_after("germ", "catalog", "A2")

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from curvelab.errors import InputError
-from curvelab.fitter import assemble_from_table
 from curvelab.series import (
     ChernPolynomial,
     TruncatedSeries,
+    assemble_from_table,
     assemble_series,
     aut_count,
     exp_series,
