@@ -2,8 +2,9 @@
 
 Every subcommand supports --json, which wraps the result in a stable,
 versioned envelope: {"schema": "curvelab/v1", "result": ..., "stats": ...}.
-Exit codes: 0 success, 2 bad input, 3 ceiling or admissibility limit,
-4 internal inconsistency.
+Exit codes: 0 success, 1 stdout closed by its reader (nothing is
+printed), 2 bad input, 3 ceiling or admissibility limit, 4 internal
+inconsistency.
 
 Each handler imports the layer it runs when it runs, so a process pays
 start-up only for that layer. The four counting commands (`severi p2`,
@@ -101,6 +102,20 @@ def _load_a_table(path: str) -> dict:
     return table
 
 
+def _check_writable(path: str):
+    """Refuse an --a-table-out path that no write could create, before
+    any work is done; other failures surface when it is written."""
+    if path == "":
+        problem = "the path is empty"
+    elif os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        problem = "its directory does not exist"
+    else:
+        return
+    raise InputError(f"cannot write a-table file {path!r}: {problem}")
+
+
 def _dump_a_table(table: dict) -> str:
     entries = [
         [list(key), poly.to_json_obj()] for key, poly in sorted(table.items())
@@ -140,7 +155,7 @@ def _cmd_germ_catalog(args) -> int:
 
     if args.parts is not None and args.label is not None:
         raise InputError("germ catalog takes a label or --parts, not both")
-    if args.parts:
+    if args.parts is not None:
         stats = collection_stats(_parse_parts(args.parts))
         result = {"N": stats.N, "codim": stats.codim, "l": stats.l, "aut": stats.aut}
         text = (
@@ -148,7 +163,7 @@ def _cmd_germ_catalog(args) -> int:
             f"codim total: {stats.codim}\nsymmetry order: {stats.aut}"
         )
         return _emit(args, result, None, text)
-    if args.label:
+    if args.label is not None:
         entry_obj = lookup(args.label)
         d = entry_obj.to_dict()
         text = "\n".join(f"{k}: {d[k]}" for k in d)
@@ -202,6 +217,8 @@ def _cmd_severi_oracle(args) -> int:
 def _cmd_fit_nodes(args) -> int:
     from .fitter import fit_nodes
 
+    if args.a_table_out is not None:
+        _check_writable(args.a_table_out)
     result, stats = _count(args, lambda engine: fit_nodes(args.max_r, engine=engine))
     if args.a_table_out is not None:
         try:
@@ -367,7 +384,16 @@ def entry(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CurvelabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader of stdout has gone: point stdout at os.devnull, so
+        # that the flush at exit cannot fail again, and exit quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1

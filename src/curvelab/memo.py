@@ -2,7 +2,17 @@
 
 A memo key is `(surface, degree, delta, alpha, beta)`, alpha and beta
 the assigned and unassigned tangency profiles; its value is an exact
-count that never changes.  A cache file is a header line
+count that never changes.  Inside the engine and the store a key is one
+int, `head << 2B | alpha << B | beta`: the head `(surface, degree,
+delta)` and the two profiles are interned to ids below 2^B (B =
+`ID_BITS` = 20), each id naming one shared tuple, so a key is below
+2^60 and costs 32 bytes where the 5-tuple cost 80.  A new head or
+profile whose id would reach 2^B is refused, so two keys never share an
+int.  Only the store's boundary sees tuples or text: `get`, `put`,
+`table` and error messages unpack a key, a cache line spells its parts
+by id, and a load gives every head and profile it reads an id.
+
+A cache file is a header line
 `curvelab-memo/v1 <sha256 hex of the body>` and a body of one canonical
 line per key, e.g. `P2 3 1 - 3 12` (`-` is the empty profile), sorted as
 bytes: being printable ASCII, lines sort alike with or without newlines.
@@ -22,17 +32,62 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from functools import cache
 
-from .errors import CurvelabError, InconsistencyError, InputError
+from .errors import CeilingError, CurvelabError, InconsistencyError, InputError
 
 # A query's tens of thousands of memo keys hold only a few hundred
-# distinct profiles, so every profile that enters a memo key is interned:
-# the keys share one tuple per profile instead of holding a copy each.
-_PROFILES = {}
+# distinct heads and profiles, so each is interned to an id: a dict maps
+# the value to its id and a list maps the id back to the one shared tuple.
+ID_BITS = 20
+_SHIFT = 2 * ID_BITS
+_MASK = (1 << ID_BITS) - 1
+HEADS, _HEAD_IDS = [], {}
+PROFILES, _PROFILE_IDS = [], {}
 
 
-def _intern(profile: tuple) -> tuple:
-    """The one tuple that stands for this profile in every memo key."""
-    return _PROFILES.setdefault(profile, profile)
+def _id(ids: dict, values: list, value: tuple) -> int:
+    i = ids.get(value)
+    if i is None:
+        i = len(values)
+        if i >> ID_BITS:
+            raise CeilingError(f"more than {1 << ID_BITS} distinct memo key parts")
+        ids[value] = i
+        values.append(value)
+    return i
+
+
+def head_id(head: tuple) -> int:
+    """The id of a head `(surface, degree, delta)`, assigned if new."""
+    return _id(_HEAD_IDS, HEADS, head)
+
+
+def profile_id(profile: tuple) -> int:
+    """The id of a profile, assigned if new."""
+    return _id(_PROFILE_IDS, PROFILES, profile)
+
+
+def pack(key: tuple) -> int:
+    """The int of a tuple key, assigning ids to its new parts."""
+    surface, degree, delta, alpha, beta = key
+    return (head_id((surface, degree, delta)) << _SHIFT
+            | profile_id(alpha) << ID_BITS | profile_id(beta))
+
+
+def _packed(key: tuple):
+    """The int of a tuple key, or None if it is no 5-tuple or a part of
+    it has no id; a lookup assigns no id."""
+    if type(key) is not tuple or len(key) != 5:
+        return None
+    surface, degree, delta, alpha, beta = key
+    head = _HEAD_IDS.get((surface, degree, delta))
+    alpha, beta = _PROFILE_IDS.get(alpha), _PROFILE_IDS.get(beta)
+    if head is None or alpha is None or beta is None:
+        return None
+    return head << _SHIFT | alpha << ID_BITS | beta
+
+
+def unpack(key: int) -> tuple:
+    """The tuple key of an int key, its profiles the shared tuples."""
+    return HEADS[key >> _SHIFT] + (PROFILES[key >> ID_BITS & _MASK], PROFILES[key & _MASK])
 
 
 def trim(profile) -> tuple:
@@ -67,10 +122,19 @@ def _format_head(surface, degree, delta) -> str:
     return f"{surface} {deg} {delta}"
 
 
-def _prefix(key, head, profile) -> bytes:
-    """The start of a key's line, up to its value, spelled by the
-    formatters `head` and `profile`."""
-    return f"{head(*key[:3])} {profile(key[3])} {profile(key[4])} ".encode("ascii")
+def _head_text(head: int) -> str:
+    return _format_head(*HEADS[head])
+
+
+def _profile_text(profile: int) -> str:
+    return _format_profile(PROFILES[profile])
+
+
+def _prefix(key: int, head, profile) -> bytes:
+    """The start of an int key's line, up to its value, spelled by the
+    formatters `head` and `profile` of ids."""
+    return (f"{head(key >> _SHIFT)} {profile(key >> ID_BITS & _MASK)} "
+            f"{profile(key & _MASK)} ").encode("ascii")
 
 
 def _natural(text) -> int:
@@ -88,11 +152,13 @@ def _parse_head(text: str) -> tuple:
         degree = (_natural(a), _natural(b))
     else:
         raise ValueError(surface)
-    return surface, degree, _natural(delta)
+    return HEADS[head_id((surface, degree, _natural(delta)))]
 
 
 def _parse_profile(text: str) -> tuple:
-    return () if text == "-" else _intern(trim(_natural(c) for c in text.split(",")))
+    if text == "-":
+        return ()
+    return PROFILES[profile_id(trim(_natural(c) for c in text.split(",")))]
 
 
 class _FieldMemo(dict):
@@ -130,7 +196,9 @@ class MemoStore:
     corrupted cache colliding with a fresh computation) fails loudly.
     The keys of the file last loaded into an empty store stay in its
     verified lines, and a value is parsed from its line only when it is
-    read; the values put since are held in a dict.
+    read; the values put since are held in a dict.  The engine reads and
+    writes int keys (`get_packed`, `put_packed`); `get`, `put` and
+    `table` speak tuple keys.
     """
 
     def __init__(self):
@@ -142,9 +210,10 @@ class MemoStore:
         # loaded key is ever added.
         self._lines = []
         self._body_path = None
-        # the value of every key put since and, once lines are loaded, of
-        # every key looked for in them (None if they do not hold it); so
-        # with lines loaded, the keys put since are also listed, in order
+        # by int key, the value of every key put since and, once lines are
+        # loaded, of every key looked for in them (None if they do not
+        # hold it); so with lines loaded, the keys put since are also
+        # listed, in order
         self._values = {}
         self._added = []
 
@@ -152,7 +221,7 @@ class MemoStore:
         return len(self._lines) + len(self._new_keys())
 
     def _new_keys(self):
-        """The keys put since the load, in the order they were put."""
+        """The int keys put since the load, in the order they were put."""
         return self._added if self._lines else self._values
 
     @property
@@ -161,54 +230,69 @@ class MemoStore:
         the added ones in the order they were put."""
         return _Table(self)
 
-    def _loaded_value(self, key):
-        """The value of `key` parsed from its loaded line, or None, kept
-        in `_values` either way: a loaded key is parsed once however
-        often it is read, and a computed key, missed by `get` and then
-        put, is looked for once.  A key's line starts with the spelling
-        of its head and profiles, so it is found by bisection."""
-        prefix = _prefix(key, _format_head, _format_profile)
+    def _line_value(self, key: int):
+        """The value in the loaded line of int `key`, or None.  A key's
+        line starts with the spelling of its head and profiles, so it is
+        found by bisection."""
+        prefix = _prefix(key, _head_text, _profile_text)
         lines = self._lines
         i = bisect_left(lines, prefix)
-        value = None
         if i < len(lines) and lines[i].startswith(prefix):
-            value = int(lines[i][len(prefix):])
-        self._values[key] = value
-        return value
+            return int(lines[i][len(prefix):])
+        return None
 
-    def _value(self, key):
+    def _value(self, key: int):
+        """The value of int `key`, or None.  A loaded value is parsed once
+        however often it is read, and a computed key, missed by
+        `get_packed` and then put, is looked for in the lines once: either
+        way the answer is kept in `_values`."""
         value = self._values.get(key)
         if value is None and self._lines and key not in self._values:
-            value = self._loaded_value(key)
+            value = self._values[key] = self._line_value(key)
         return value
 
-    def get(self, key):
+    def _tuple_value(self, key: tuple):
+        # a load gives every head and profile of its lines an id, so a
+        # key with no id is neither loaded nor put
+        packed = _packed(key)
+        return None if packed is None else self._value(packed)
+
+    def get_packed(self, key: int):
         # `_value` inlined: this is the recursion's most frequent call
         value = self._values.get(key)
         if value is None and self._lines and key not in self._values:
-            value = self._loaded_value(key)
+            value = self._values[key] = self._line_value(key)
         if value is not None:
             self.hits += 1
         return value
 
-    def _add(self, key, value: int) -> bool:
-        """Store a key's value; False if the store already holds it."""
+    def get(self, key: tuple):
+        value = self._tuple_value(key)
+        if value is not None:
+            self.hits += 1
+        return value
+
+    def _add(self, key: int, value: int) -> bool:
+        """Store an int key's value; False if the store already holds it."""
         old = self._value(key)
         if old is not None:
             if old != value:
                 raise InconsistencyError(
-                    f"memo key {key} already holds {old}, refusing to store {value}"
+                    f"memo key {unpack(key)} already holds {old}, refusing to store {value}"
                 )
             return False
         if value < 0:
-            raise InconsistencyError(f"negative count {value} for key {key}")
+            raise InconsistencyError(f"negative count {value} for key {unpack(key)}")
         self._values[key] = value
         if self._lines:
             self._added.append(key)
         return True
 
-    def put(self, key, value: int):
+    def put_packed(self, key: int, value: int):
         self.computed += self._add(key, value)
+
+    def put(self, key: tuple, value: int):
+        self.computed += self._add(pack(key), value)
 
     def stats(self) -> dict:
         return {
@@ -229,7 +313,7 @@ class MemoStore:
             return
         # a few hundred distinct heads and profiles spell every line, so
         # each is formatted once, as load parses each once
-        head, profile, values = cache(_format_head), cache(_format_profile), self._values
+        head, profile, values = cache(_head_text), cache(_profile_text), self._values
         lines = sorted(
             _prefix(key, head, profile) + b"%d\n" % values[key] for key in self._new_keys()
         )
@@ -312,7 +396,8 @@ class MemoStore:
             raise type(exc)(f"cache file {path!r} line {number}: {exc}") from None
         if len(self):
             for raw in lines:
-                self.loaded += self._add(*_parse_line(raw, heads, profiles))
+                key, value = _parse_line(raw, heads, profiles)
+                self.loaded += self._add(pack(key), value)
         else:
             self._lines, self._body_path = lines, path
             self.loaded += len(lines)
@@ -335,7 +420,7 @@ class _Table(Mapping):
         return len(self._store)
 
     def __getitem__(self, key):
-        value = self._store._value(key)
+        value = self._store._tuple_value(key)
         if value is None:
             raise KeyError(key)
         return value
@@ -345,7 +430,7 @@ class _Table(Mapping):
         heads, profiles = _field_memos()
         for raw in store._lines:
             yield _parse_line(raw, heads, profiles)[0]
-        yield from store._new_keys()
+        yield from map(unpack, store._new_keys())
 
 
 def _merge_lines(body: list, lines: list):

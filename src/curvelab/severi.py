@@ -21,32 +21,36 @@ from functools import cache
 from math import comb
 
 from .errors import AdmissibilityError, CeilingError, InputError, is_int
-from .memo import MemoStore, _intern, trim
+from .memo import (
+    _MASK, _SHIFT, HEADS, ID_BITS, PROFILES, MemoStore, head_id, pack, profile_id, trim,
+)
 
 DEFAULT_DEGREE_CEILING = 12
+# the head's bits of an int memo key
+_HEAD_MASK = -1 << _SHIFT
 
 
 # ---------------------------------------------------------------------------
 # tangency profiles: entry i counts contacts of order i+1
 #
 # A query's tens of thousands of memo keys hold only a few hundred
-# distinct profiles.  So the profile arithmetic of an edge is read from
-# tables built once per profile (`_bump`, `_alpha_splits`, `_gamma_moves`),
-# and every profile that enters a memo key is interned (`memo._intern`).
+# distinct profiles, interned to ids by `memo.profile_id`.  So the profile
+# arithmetic of an edge is read from tables built once per profile id
+# (`_moment`, `_promotions`, `_raised`, `_alpha_splits`, `_gamma_moves`),
+# which hand out ids.
 
 
 def profile_moment(profile) -> int:
     return sum((i + 1) * c for i, c in enumerate(profile))
 
 
-@cache
 def _bump(profile: tuple, index: int, amount: int = 1) -> tuple:
     """The profile with `amount` more contacts of order index+1."""
     t = list(profile)
     while len(t) <= index:
         t.append(0)
     t[index] += amount
-    return _intern(trim(t))
+    return trim(t)
 
 
 def _add_profiles(p, q) -> tuple:
@@ -96,30 +100,54 @@ def _partitions_with_parts(n: int, k: int) -> tuple:
 
 
 @cache
-def _alpha_splits(alpha: tuple) -> tuple:
-    """(alpha', moment of alpha', product of comb(alpha[i], alpha'[i])) for
-    every profile alpha' that alpha dominates componentwise."""
+def _moment(profile: int) -> int:
+    return profile_moment(PROFILES[profile])
+
+
+@cache
+def _promotions(beta: int) -> tuple:
+    """(i, id of beta less one contact of order i+1) for every order of
+    contact that profile `beta` holds."""
+    profile = PROFILES[beta]
+    return tuple(
+        (i, profile_id(_bump(profile, i, -1))) for i, count in enumerate(profile) if count > 0
+    )
+
+
+@cache
+def _raised(alpha: int, index: int) -> int:
+    """The id of profile `alpha` with one more contact of order index+1."""
+    return profile_id(_bump(PROFILES[alpha], index))
+
+
+@cache
+def _alpha_splits(alpha: int) -> tuple:
+    """(id of alpha', moment of alpha', product of comb(alpha[i],
+    alpha'[i])) for every profile alpha' that profile `alpha` dominates
+    componentwise."""
+    profile = PROFILES[alpha]
     out = []
-    for sub in _subprofiles(alpha):
+    for sub in _subprofiles(profile):
         comb_alpha = 1
-        for total, kept in zip(alpha, sub):
+        for total, kept in zip(profile, sub):
             comb_alpha *= comb(total, kept)
-        out.append((_intern(trim(sub)), profile_moment(sub), comb_alpha))
+        out.append((profile_id(trim(sub)), profile_moment(sub), comb_alpha))
     return tuple(out)
 
 
 @cache
-def _gamma_moves(beta: tuple, rem: int, k: int) -> tuple:
-    """(factor, beta + gamma) for every gamma of moment rem with k parts:
-    the new unassigned contacts of a residual, and their weight."""
+def _gamma_moves(beta: int, rem: int, k: int) -> tuple:
+    """(factor, id of beta + gamma) for every gamma of moment rem with k
+    parts: the new unassigned contacts of a residual, and their weight."""
+    profile = PROFILES[beta]
     out = []
     for gamma in _partitions_with_parts(rem, k):
-        beta_p = _add_profiles(beta, gamma)
+        beta_p = _add_profiles(profile, gamma)
         factor = 1
         for i, c in enumerate(gamma):
             if c:
-                factor *= (i + 1) ** c * comb(beta_p[i], beta[i] if i < len(beta) else 0)
-        out.append((factor, _intern(beta_p)))
+                factor *= (i + 1) ** c * comb(beta_p[i], profile[i] if i < len(profile) else 0)
+        out.append((factor, profile_id(beta_p)))
     return tuple(out)
 
 
@@ -163,37 +191,52 @@ _SURFACES = {
 }
 
 
-def _step(key):
-    """(base value, iterator of (factor, child key) edges) of a memo key:
-    its count is the base value plus the sum of factor * child count."""
-    rule = _SURFACES[key[0]]
-    base = rule.base(*key[1:])
-    return (base, ()) if base is not None else (0, _edges(key, rule))
-
-
-def _edges(key, rule):
-    surface, degree, delta, alpha, beta = key
-    # promote one unassigned contact of order i+1 to an assigned one
-    for i, count in enumerate(beta):
-        if count > 0:
-            yield i + 1, (surface, degree, delta, _bump(alpha, i), _bump(beta, i, -1))
-    # split off the fixed line; the residual meets it in `meet` points,
-    # of which `free` are not taken by the contacts in beta
+@cache
+def _residual_heads(head: int) -> tuple:
+    """(meet, least, heads) for a head id: the residual left when the fixed
+    line splits off meets it in `meet` points and keeps delta - meet + k
+    nodes, k the parts of gamma; heads[k - least] is the residual's head
+    id for each k it admits."""
+    surface, degree, delta = HEADS[head]
+    rule = _SURFACES[surface]
     residual = rule.residual(degree)
     meet = rule.meet(residual)
-    cap = rule.node_cap(residual)
-    free = meet - profile_moment(beta)
-    # the residual keeps delta - meet + k nodes, k the parts of gamma,
-    # and that must lie in 0..cap
-    least, most = max(meet - delta, 0), meet - delta + cap
+    # the residual's node count must lie in 0..cap, and k is at most
+    # `meet`, the most contacts left free for new ones
+    least, most = max(meet - delta, 0), min(meet - delta + rule.node_cap(residual), meet)
+    heads = tuple(head_id((surface, residual, delta - meet + k)) for k in range(least, most + 1))
+    return meet, least, heads
+
+
+def _step(key: int):
+    """(base value, iterator of (factor, child key) edges) of an int memo
+    key: its count is the base value plus the sum of factor * child count."""
+    surface, degree, delta = HEADS[key >> _SHIFT]
+    base = _SURFACES[surface].base(
+        degree, delta, PROFILES[key >> ID_BITS & _MASK], PROFILES[key & _MASK]
+    )
+    return (base, ()) if base is not None else (0, _edges(key))
+
+
+def _edges(key: int):
+    top, alpha, beta = key & _HEAD_MASK, key >> ID_BITS & _MASK, key & _MASK
+    # promote one unassigned contact of order i+1 to an assigned one
+    for i, beta_p in _promotions(beta):
+        yield i + 1, top | _raised(alpha, i) << ID_BITS | beta_p
+    # split off the fixed line; the residual meets it in `meet` points,
+    # of which `free` are not taken by the contacts in beta, and k is the
+    # number of parts of gamma
+    meet, least, heads = _residual_heads(key >> _SHIFT)
+    free = meet - _moment(beta)
     for alpha_p, moment_alpha, comb_alpha in _alpha_splits(alpha):
         rem = free - moment_alpha
         if rem < 0:
             continue
-        for k in range(least, min(most, rem) + 1):
-            delta_p = delta - meet + k
+        alpha_p <<= ID_BITS
+        for k, head in zip(range(least, rem + 1), heads):
+            child = head << _SHIFT | alpha_p
             for factor, beta_p in _gamma_moves(beta, rem, k):
-                yield comb_alpha * factor, (surface, residual, delta_p, alpha_p, beta_p)
+                yield comb_alpha * factor, child | beta_p
 
 
 class SeveriEngine:
@@ -223,9 +266,9 @@ class SeveriEngine:
         if delta > cap:
             raise AdmissibilityError(f"delta={delta} exceeds the nodal cap {cap} for {label}")
         # every contact with the fixed line starts unassigned and of order 1
-        return self._evaluate((surface, degree, delta, (), _intern((rule.meet(degree),))))
+        return self._evaluate(pack((surface, degree, delta, (), (rule.meet(degree),))))
 
-    def _evaluate(self, key) -> int:
+    def _evaluate(self, key: int) -> int:
         """Depth-first walk of the edges below `key` on an explicit stack.
 
         Each edge costs one store lookup, and a finished child hands its
@@ -234,7 +277,7 @@ class SeveriEngine:
         of the walk.
         """
         store = self.store
-        get = store.get
+        get = store.get_packed
         value = get(key)
         if value is not None:
             return value
@@ -252,7 +295,7 @@ class SeveriEngine:
                 total += factor * value
             else:
                 key, _, _, factor = stack.pop()
-                store.put(key, total)
+                store.put_packed(key, total)
                 if not stack:
                     return total
                 stack[-1][1] += factor * total

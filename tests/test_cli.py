@@ -98,6 +98,15 @@ def test_germ_catalog_refuses_a_label_with_parts(capsys):
     assert (code, out, err) == (2, "", "error: germ catalog takes a label or --parts, not both\n")
 
 
+def test_germ_catalog_refuses_an_empty_label_or_multiset(capsys):
+    for argv, message in [
+        (("",), "unknown singularity label ''"),
+        (("--parts", ""), "empty singularity multiset"),
+    ]:
+        code, out, err = run_cli(capsys, "germ", "catalog", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
 def test_ceiling_help_names_the_engine_default(capsys):
     from curvelab.severi import DEFAULT_DEGREE_CEILING
 
@@ -438,10 +447,12 @@ def test_a_table_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, monke
     monkeypatch.chdir(tmp_path)
     for path in ("", tmp_path, tmp_path / "missing" / "atable.json"):
         code, out, err = run_cli(capsys, "fit", "nodes", "--max-r", "1",
-                                 "--a-table-out", str(path))
+                                 "--a-table-out", str(path),
+                                 "--cache", str(tmp_path / "memo.cache"))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write a-table file {str(path)!r}: ")
         assert err.count("\n") == 1
+    # each path is refused before the fit runs, so no cache is written
     assert list(tmp_path.iterdir()) == []
 
 
@@ -535,3 +546,23 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
+
+
+def test_closed_stdout_exits_1_quietly():
+    # the read end of stdout's pipe is closed before the child starts, so
+    # its first write to stdout fails every time
+    src = os.path.dirname(os.path.dirname(curvelab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvelab", "germ", "catalog"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

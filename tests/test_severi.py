@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -106,15 +108,16 @@ def test_one_evaluator_for_both_surfaces(monkeypatch):
     monkeypatch.setattr(severi, "_step", lambda key: stepped.append(key) or step(key))
     eng = SeveriEngine()
     lookups = []
-    get = eng.store.get
-    monkeypatch.setattr(eng.store, "get", lambda key: lookups.append(key) or get(key))
+    get = eng.store.get_packed
+    monkeypatch.setattr(eng.store, "get_packed", lambda key: lookups.append(key) or get(key))
     eng.severi_p2(4, 2)
     eng.severi_quadric(3, 2, 2)
     # every memo key of either surface went through the one step function
     # exactly once, and each computed key was missed exactly once
-    assert {key[0] for key in stepped} == {"P2", "P1XP1"}
+    keys = [memo.unpack(key) for key in stepped]
+    assert {key[0] for key in keys} == {"P2", "P1XP1"}
     assert len(stepped) == len(set(stepped)) == eng.store.computed
-    assert set(stepped) == set(eng.store.table)
+    assert set(keys) == set(eng.store.table)
     assert eng.store.hits == len(lookups) - eng.store.computed
 
 
@@ -669,7 +672,9 @@ def test_edge_tables_give_the_reference_edges(both_surfaces):
         if rule.base(*key[1:]) is not None:
             continue
         want = Counter(_reference_edges(key, rule))
-        assert Counter(severi._step(key)[1]) == want, key
+        got = Counter((factor, memo.unpack(child))
+                      for factor, child in severi._step(memo.pack(key))[1])
+        assert got == want, key
         stepped += 1
     assert stepped > 1000
 
@@ -686,6 +691,56 @@ def test_memo_keys_share_one_tuple_per_profile(both_surfaces, tmp_path):
     engine.severi_quadric(6, 5, 4)
     assert store.computed > 0
     _assert_profiles_interned(store.table)
+
+
+def test_packing_round_trips_every_key(both_surfaces):
+    keys = list(both_surfaces.table)
+    packed = [memo.pack(key) for key in keys]
+    assert len(set(packed)) == len(keys)
+    assert [memo.unpack(key) for key in packed] == keys
+    assert [memo._packed(key) for key in keys] == packed
+
+
+def test_cold_store_keys_are_small_ints():
+    store = SeveriEngine().store
+    SeveriEngine(store).severi_p2(12, 20)
+    keys = list(store._values)
+    assert len(keys) == store.computed == 22379
+    assert all(type(key) is int and sys.getsizeof(key) <= 32 for key in keys)
+
+
+def test_lookup_assigns_no_id():
+    profile = (0, 0, 7, 0, 1)
+    key = ("P2", 99, 0, (), profile)
+    store = MemoStore()
+    assert store.get(key) is None and key not in store.table
+    assert profile not in memo._PROFILE_IDS and ("P2", 99, 0) not in memo._HEAD_IDS
+    assert store.get("P2") is None and 5 not in store.table
+    store.put(key, 5)
+    assert store.get(key) == 5 and store.table[key] == 5
+    assert memo.PROFILES[memo._PROFILE_IDS[profile]] is profile
+
+
+def test_an_id_past_the_width_is_refused(monkeypatch):
+    width = (len(memo.PROFILES) + 3).bit_length()
+    monkeypatch.setattr(memo, "ID_BITS", width)
+    # profiles that no count builds
+    fresh = ((10 ** 6, n) for n in itertools.count())
+    first = len(memo.PROFILES)
+    ids = [memo.profile_id(next(fresh)) for _ in range(first, 1 << width)]
+    assert ids == list(range(first, 1 << width))
+    store = MemoStore()
+    profile = next(fresh)
+    with pytest.raises(CeilingError):
+        store.put(("P2", 3, 1, (), profile), 5)
+    # nothing was assigned or stored, so no two keys share an int
+    assert len(memo.PROFILES) == 1 << width and profile not in memo._PROFILE_IDS
+    assert len(store) == 0
+    # heads have the same width
+    monkeypatch.setattr(memo, "ID_BITS", len(memo.HEADS).bit_length() - 1)
+    with pytest.raises(CeilingError):
+        memo.head_id(("P2", 10 ** 6, 0))
+    assert ("P2", 10 ** 6, 0) not in memo._HEAD_IDS
 
 
 # stats and body SHA-256 of cold stores, as computed by the recursion
