@@ -6,11 +6,12 @@ count that never changes.  Inside the engine and the store a key is one
 int, `head << 2B | alpha << B | beta`: the head `(surface, degree,
 delta)` and the two profiles are interned to ids below 2^B (B =
 `ID_BITS` = 20), each id naming one shared tuple, so a key is below
-2^60 and costs 32 bytes where the 5-tuple cost 80.  A new head or
-profile whose id would reach 2^B is refused, so two keys never share an
-int.  Only the store's boundary sees tuples or text: `get`, `put`,
-`table` and error messages unpack a key, a cache line spells its parts
-by id, and a load gives every head and profile it reads an id.
+2^60 and costs 32 bytes where the 5-tuple cost 80.  `join` and `split`
+are the layout's only spelling.  A new head or profile whose id would
+reach 2^B is refused, so two keys never share an int.  Only the store's
+boundary sees tuples or text: `get`, `put`, `table` and error messages
+unpack a key, a cache line spells its parts by id, and a load gives
+every head and profile it reads an id.
 
 A cache file is a header line
 `curvelab-memo/v1 <sha256 hex of the body>` and a body of one canonical
@@ -37,11 +38,12 @@ from .errors import CeilingError, CurvelabError, InconsistencyError, InputError
 # A query's tens of thousands of memo keys hold only a few hundred
 # distinct heads and profiles, so each is interned to an id: a dict maps
 # the value to its id and a list maps the id back to the one shared tuple.
+# The empty profile, which every count's first key holds, has id 0 from
+# the start, so a store that only loads a file finds such keys too.
 ID_BITS = 20
-_SHIFT = 2 * ID_BITS
 _MASK = (1 << ID_BITS) - 1
 HEADS, _HEAD_IDS = [], {}
-PROFILES, _PROFILE_IDS = [], {}
+PROFILES, _PROFILE_IDS = [()], {(): 0}
 
 
 def _id(ids: dict, values: list, value: tuple) -> int:
@@ -65,11 +67,21 @@ def profile_id(profile: tuple) -> int:
     return _id(_PROFILE_IDS, PROFILES, profile)
 
 
+# `join` and `split` are the only code that knows the bit layout of a key
+def join(head: int, alpha: int, beta: int) -> int:
+    """The int key of a head id and two profile ids."""
+    return (head << ID_BITS | alpha) << ID_BITS | beta
+
+
+def split(key: int) -> tuple:
+    """(head id, alpha id, beta id) of an int key."""
+    return key >> 2 * ID_BITS, key >> ID_BITS & _MASK, key & _MASK
+
+
 def pack(key: tuple) -> int:
     """The int of a tuple key, assigning ids to its new parts."""
     surface, degree, delta, alpha, beta = key
-    return (head_id((surface, degree, delta)) << _SHIFT
-            | profile_id(alpha) << ID_BITS | profile_id(beta))
+    return join(head_id((surface, degree, delta)), profile_id(alpha), profile_id(beta))
 
 
 def _packed(key: tuple):
@@ -82,12 +94,13 @@ def _packed(key: tuple):
     alpha, beta = _PROFILE_IDS.get(alpha), _PROFILE_IDS.get(beta)
     if head is None or alpha is None or beta is None:
         return None
-    return head << _SHIFT | alpha << ID_BITS | beta
+    return join(head, alpha, beta)
 
 
 def unpack(key: int) -> tuple:
     """The tuple key of an int key, its profiles the shared tuples."""
-    return HEADS[key >> _SHIFT] + (PROFILES[key >> ID_BITS & _MASK], PROFILES[key & _MASK])
+    head, alpha, beta = split(key)
+    return HEADS[head] + (PROFILES[alpha], PROFILES[beta])
 
 
 def trim(profile) -> tuple:
@@ -133,8 +146,8 @@ def _profile_text(profile: int) -> str:
 def _prefix(key: int, head, profile) -> bytes:
     """The start of an int key's line, up to its value, spelled by the
     formatters `head` and `profile` of ids."""
-    return (f"{head(key >> _SHIFT)} {profile(key >> ID_BITS & _MASK)} "
-            f"{profile(key & _MASK)} ").encode("ascii")
+    head_part, alpha, beta = split(key)
+    return f"{head(head_part)} {profile(alpha)} {profile(beta)} ".encode("ascii")
 
 
 def _natural(text) -> int:
@@ -198,7 +211,8 @@ class MemoStore:
     verified lines, and a value is parsed from its line only when it is
     read; the values put since are held in a dict.  The engine reads and
     writes int keys (`get_packed`, `put_packed`); `get`, `put` and
-    `table` speak tuple keys.
+    `table` speak tuple keys, for code that uses a store without the
+    engine, and count hits and computed keys alike.
     """
 
     def __init__(self):
@@ -252,8 +266,9 @@ class MemoStore:
         return value
 
     def _tuple_value(self, key: tuple):
-        # a load gives every head and profile of its lines an id, so a
-        # key with no id is neither loaded nor put
+        # a load gives every head and profile of its lines an id (the
+        # empty profile has one from the start), so a key with no id is
+        # neither loaded nor put
         packed = _packed(key)
         return None if packed is None else self._value(packed)
 
@@ -267,10 +282,8 @@ class MemoStore:
         return value
 
     def get(self, key: tuple):
-        value = self._tuple_value(key)
-        if value is not None:
-            self.hits += 1
-        return value
+        packed = _packed(key)
+        return None if packed is None else self.get_packed(packed)
 
     def _add(self, key: int, value: int) -> bool:
         """Store an int key's value; False if the store already holds it."""

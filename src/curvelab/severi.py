@@ -21,13 +21,9 @@ from functools import cache
 from math import comb
 
 from .errors import AdmissibilityError, CeilingError, InputError, is_int
-from .memo import (
-    _MASK, _SHIFT, HEADS, ID_BITS, PROFILES, MemoStore, head_id, pack, profile_id, trim,
-)
+from .memo import HEADS, PROFILES, MemoStore, head_id, join, pack, profile_id, split, trim
 
 DEFAULT_DEGREE_CEILING = 12
-# the head's bits of an int memo key
-_HEAD_MASK = -1 << _SHIFT
 
 
 # ---------------------------------------------------------------------------
@@ -211,32 +207,28 @@ def _residual_heads(head: int) -> tuple:
 def _step(key: int):
     """(base value, iterator of (factor, child key) edges) of an int memo
     key: its count is the base value plus the sum of factor * child count."""
-    surface, degree, delta = HEADS[key >> _SHIFT]
-    base = _SURFACES[surface].base(
-        degree, delta, PROFILES[key >> ID_BITS & _MASK], PROFILES[key & _MASK]
-    )
-    return (base, ()) if base is not None else (0, _edges(key))
+    head, alpha, beta = split(key)
+    surface, degree, delta = HEADS[head]
+    base = _SURFACES[surface].base(degree, delta, PROFILES[alpha], PROFILES[beta])
+    return (base, ()) if base is not None else (0, _edges(head, alpha, beta))
 
 
-def _edges(key: int):
-    top, alpha, beta = key & _HEAD_MASK, key >> ID_BITS & _MASK, key & _MASK
+def _edges(head: int, alpha: int, beta: int):
     # promote one unassigned contact of order i+1 to an assigned one
     for i, beta_p in _promotions(beta):
-        yield i + 1, top | _raised(alpha, i) << ID_BITS | beta_p
+        yield i + 1, join(head, _raised(alpha, i), beta_p)
     # split off the fixed line; the residual meets it in `meet` points,
     # of which `free` are not taken by the contacts in beta, and k is the
     # number of parts of gamma
-    meet, least, heads = _residual_heads(key >> _SHIFT)
+    meet, least, heads = _residual_heads(head)
     free = meet - _moment(beta)
     for alpha_p, moment_alpha, comb_alpha in _alpha_splits(alpha):
         rem = free - moment_alpha
         if rem < 0:
             continue
-        alpha_p <<= ID_BITS
-        for k, head in zip(range(least, rem + 1), heads):
-            child = head << _SHIFT | alpha_p
+        for k, head_p in zip(range(least, rem + 1), heads):
             for factor, beta_p in _gamma_moves(beta, rem, k):
-                yield comb_alpha * factor, child | beta_p
+                yield comb_alpha * factor, join(head_p, alpha_p, beta_p)
 
 
 class SeveriEngine:

@@ -1,6 +1,9 @@
+import ast
 import hashlib
 import itertools
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -709,12 +712,49 @@ def test_cold_store_keys_are_small_ints():
     assert all(type(key) is int and sys.getsizeof(key) <= 32 for key in keys)
 
 
+def test_a_store_that_only_loads_finds_every_key(tmp_path):
+    # a fresh interpreter that loads a file and runs no count has given
+    # ids only to what the load read
+    eng = SeveriEngine()
+    eng.severi_p2(5, 3)
+    eng.severi_quadric(3, 3, 2)
+    path = tmp_path / "memo.txt"
+    eng.store.save(path)
+    code = (
+        "import sys\n"
+        "from curvelab.memo import MemoStore\n"
+        "store = MemoStore()\n"
+        "store.load(sys.argv[1])\n"
+        "table = dict(store.table.items())\n"
+        "key = min(key for key in table if key[3] == ())\n"
+        "assert key in store.table and store.get(key) == table[key]\n"
+        "assert store.stats()['hits'] == 1\n"
+        "print(repr(table))\n"
+    )
+    src = os.path.dirname(os.path.dirname(curvelab.__file__))
+    path_env = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path_env},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == dict(eng.store.table.items())
+
+
+# heads and profiles that no count builds, new on every run
+_FRESH = itertools.count(10 ** 6)
+
+
 def test_lookup_assigns_no_id():
-    profile = (0, 0, 7, 0, 1)
-    key = ("P2", 99, 0, (), profile)
+    n = next(_FRESH)
+    head, profile = ("P2", n, 0), (0, 0, n, 0, 1)
+    key = head + ((), profile)
     store = MemoStore()
     assert store.get(key) is None and key not in store.table
-    assert profile not in memo._PROFILE_IDS and ("P2", 99, 0) not in memo._HEAD_IDS
+    assert profile not in memo._PROFILE_IDS and head not in memo._HEAD_IDS
     assert store.get("P2") is None and 5 not in store.table
     store.put(key, 5)
     assert store.get(key) == 5 and store.table[key] == 5
@@ -722,25 +762,28 @@ def test_lookup_assigns_no_id():
 
 
 def test_an_id_past_the_width_is_refused(monkeypatch):
-    width = (len(memo.PROFILES) + 3).bit_length()
-    monkeypatch.setattr(memo, "ID_BITS", width)
-    # profiles that no count builds
-    fresh = ((10 ** 6, n) for n in itertools.count())
-    first = len(memo.PROFILES)
-    ids = [memo.profile_id(next(fresh)) for _ in range(first, 1 << width)]
-    assert ids == list(range(first, 1 << width))
+    # fresh id tables, each one id short of the width
+    full = 1 << memo.ID_BITS
+    monkeypatch.setattr(memo, "HEADS", [None] * (full - 1))
+    monkeypatch.setattr(memo, "_HEAD_IDS", {})
+    monkeypatch.setattr(memo, "PROFILES", [()] * (full - 1))
+    monkeypatch.setattr(memo, "_PROFILE_IDS", {(): 0})
     store = MemoStore()
-    profile = next(fresh)
+    key = ("P2", 3, 1, (), (3,))
+    store.put(key, 12)
+    # the last ids of the width make a key of their own
+    assert memo.pack(key) == memo.join(full - 1, 0, full - 1)
+    assert memo.pack(key).bit_length() == 3 * memo.ID_BITS
+    assert memo.unpack(memo.pack(key)) == key and store.get(key) == 12
+    # a new profile or head past the width is refused
     with pytest.raises(CeilingError):
-        store.put(("P2", 3, 1, (), profile), 5)
+        store.put(("P2", 3, 1, (), (1, 1)), 5)
+    with pytest.raises(CeilingError):
+        store.put(("P2", 3, 0, (), (3,)), 5)
     # nothing was assigned or stored, so no two keys share an int
-    assert len(memo.PROFILES) == 1 << width and profile not in memo._PROFILE_IDS
-    assert len(store) == 0
-    # heads have the same width
-    monkeypatch.setattr(memo, "ID_BITS", len(memo.HEADS).bit_length() - 1)
-    with pytest.raises(CeilingError):
-        memo.head_id(("P2", 10 ** 6, 0))
-    assert ("P2", 10 ** 6, 0) not in memo._HEAD_IDS
+    assert len(memo.PROFILES) == len(memo.HEADS) == full
+    assert (1, 1) not in memo._PROFILE_IDS and ("P2", 3, 0) not in memo._HEAD_IDS
+    assert len(store) == 1
 
 
 # stats and body SHA-256 of cold stores, as computed by the recursion
