@@ -79,12 +79,14 @@ def _load_a_table(path: str) -> dict:
     from .series import ChernPolynomial
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read a-table file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON syntax or bytes that are not UTF-8
         raise InputError(f"a-table file {path!r} is not valid JSON") from exc
+    except RecursionError as exc:
+        raise InputError(f"a-table file {path!r} nests too deep to read") from exc
     table = {}
     try:
         for key, poly in obj["entries"]:

@@ -10,8 +10,9 @@ delta)` and the two profiles are interned to ids below 2^B (B =
 are the layout's only spelling.  A new head or profile whose id would
 reach 2^B is refused, so two keys never share an int.  Only the store's
 boundary sees tuples or text: `get`, `put`, `table` and error messages
-unpack a key, a cache line spells its parts by id, and a load gives
-every head and profile it reads an id.
+unpack a key, and each head and profile is spelled for cache lines once,
+when it gets its id; a cache field is read back through a map from
+spelling to id, so a process parses each distinct spelling once.
 
 A cache file is a header line
 `curvelab-memo/v1 <sha256 hex of the body>` and a body of one canonical
@@ -20,10 +21,10 @@ bytes: being printable ASCII, lines sort alike with or without newlines.
 Loading checks the digest before it parses a line, then the order and
 the canonical form of every line and that no key has two values, and
 keeps the lines without building a table: a value is parsed from its
-line, found by bisection, only when it is read.  Saving formats only the
-keys added since, spelling each distinct field once, and merges their
-lines into the loaded ones as it writes; a store that holds exactly what
-it loaded is not written back.
+line, found by bisection, only when it is read.  Saving joins the stored
+spellings of only the keys added since, formatting no field, and merges
+their lines into the loaded ones as it writes; a store that holds
+exactly what it loaded is not written back.
 """
 
 from __future__ import annotations
@@ -31,40 +32,48 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from collections.abc import Mapping
-from functools import cache
 
 from .errors import CeilingError, CurvelabError, InconsistencyError, InputError
 
-# A query's tens of thousands of memo keys hold only a few hundred
-# distinct heads and profiles, so each is interned to an id: a dict maps
-# the value to its id and a list maps the id back to the one shared tuple.
-# The empty profile, which every count's first key holds, has id 0 from
-# the start, so a store that only loads a file finds such keys too.
 ID_BITS = 20
 _MASK = (1 << ID_BITS) - 1
-HEADS, _HEAD_IDS = [], {}
-PROFILES, _PROFILE_IDS = [()], {(): 0}
 
 
-def _id(ids: dict, values: list, value: tuple) -> int:
-    i = ids.get(value)
-    if i is None:
-        i = len(values)
-        if i >> ID_BITS:
-            raise CeilingError(f"more than {1 << ID_BITS} distinct memo key parts")
-        ids[value] = i
-        values.append(value)
-    return i
+class _Parts(list):
+    """The heads or the profiles of memo keys, interned: a query's tens of
+    thousands of keys hold only a few hundred of each.  The list maps an
+    id to the one shared tuple and `ids` maps it back.  A part is spelled
+    for cache lines once, when it gets its id: `spellings` maps an id to
+    its bytes and `by_spelling` maps them back."""
 
+    def __init__(self, spell, parse):
+        super().__init__()
+        self.ids, self.spellings, self.by_spelling = {}, [], {}
+        self.spell, self.parse = spell, parse
 
-def head_id(head: tuple) -> int:
-    """The id of a head `(surface, degree, delta)`, assigned if new."""
-    return _id(_HEAD_IDS, HEADS, head)
+    def id(self, value: tuple) -> int:
+        """The id of `value`, assigned if new."""
+        i = self.ids.get(value)
+        if i is None:
+            i = len(self)
+            if i >> ID_BITS:
+                raise CeilingError(f"more than {1 << ID_BITS} distinct memo key parts")
+            spelling = self.spell(value).encode("ascii")
+            self.append(value)
+            self.spellings.append(spelling)
+            self.ids[value] = self.by_spelling[spelling] = i
+        return i
 
-
-def profile_id(profile: tuple) -> int:
-    """The id of a profile, assigned if new."""
-    return _id(_PROFILE_IDS, PROFILES, profile)
+    def check(self, field: bytes):
+        """Intern the part that a cache-line field spells; refuse the field
+        unless it is that part's spelling, so that every part has exactly
+        one spelling in a file."""
+        try:
+            if self.spellings[self.id(self.parse(field.decode("ascii")))] == field:
+                return
+        except ValueError:
+            pass
+        raise InputError(f"bad field {field.decode('ascii', 'replace')!r}")
 
 
 # `join` and `split` are the only code that knows the bit layout of a key
@@ -81,7 +90,7 @@ def split(key: int) -> tuple:
 def pack(key: tuple) -> int:
     """The int of a tuple key, assigning ids to its new parts."""
     surface, degree, delta, alpha, beta = key
-    return join(head_id((surface, degree, delta)), profile_id(alpha), profile_id(beta))
+    return join(HEADS.id((surface, degree, delta)), PROFILES.id(alpha), PROFILES.id(beta))
 
 
 def _packed(key: tuple):
@@ -89,12 +98,8 @@ def _packed(key: tuple):
     it has no id; a lookup assigns no id."""
     if type(key) is not tuple or len(key) != 5:
         return None
-    surface, degree, delta, alpha, beta = key
-    head = _HEAD_IDS.get((surface, degree, delta))
-    alpha, beta = _PROFILE_IDS.get(alpha), _PROFILE_IDS.get(beta)
-    if head is None or alpha is None or beta is None:
-        return None
-    return join(head, alpha, beta)
+    ids = HEADS.ids.get(key[:3]), PROFILES.ids.get(key[3]), PROFILES.ids.get(key[4])
+    return None if None in ids else join(*ids)
 
 
 def unpack(key: int) -> tuple:
@@ -130,24 +135,10 @@ def _format_profile(profile) -> str:
     return ",".join(str(c) for c in profile) if profile else "-"
 
 
-def _format_head(surface, degree, delta) -> str:
+def _format_head(head) -> str:
+    surface, degree, delta = head
     deg = ",".join(map(str, degree)) if isinstance(degree, tuple) else degree
     return f"{surface} {deg} {delta}"
-
-
-def _head_text(head: int) -> str:
-    return _format_head(*HEADS[head])
-
-
-def _profile_text(profile: int) -> str:
-    return _format_profile(PROFILES[profile])
-
-
-def _prefix(key: int, head, profile) -> bytes:
-    """The start of an int key's line, up to its value, spelled by the
-    formatters `head` and `profile` of ids."""
-    head_part, alpha, beta = split(key)
-    return f"{head(head_part)} {profile(alpha)} {profile(beta)} ".encode("ascii")
 
 
 def _natural(text) -> int:
@@ -165,41 +156,33 @@ def _parse_head(text: str) -> tuple:
         degree = (_natural(a), _natural(b))
     else:
         raise ValueError(surface)
-    return HEADS[head_id((surface, degree, _natural(delta)))]
+    return surface, degree, _natural(delta)
 
 
 def _parse_profile(text: str) -> tuple:
-    if text == "-":
-        return ()
-    return PROFILES[profile_id(trim(_natural(c) for c in text.split(",")))]
+    return trim(_natural(c) for c in text.split(","))
 
 
-class _FieldMemo(dict):
-    """Parsed cache fields by their bytes.  A field is parsed once, and
-    only a field that its formatter writes back byte for byte is
-    accepted, so every value has exactly one spelling in a file."""
-
-    def __init__(self, parse, fmt):
-        super().__init__()
-        self.parse, self.fmt = parse, fmt
-
-    def __missing__(self, field: bytes):
-        try:
-            text = field.decode("ascii")
-            value = self.parse(text)
-            canonical = self.fmt(value) == text
-        except ValueError:
-            canonical = False
-        if not canonical:
-            raise InputError(f"bad field {field.decode('ascii', 'replace')!r}")
-        self[field] = value
-        return value
+HEADS = _Parts(_format_head, _parse_head)
+PROFILES = _Parts(_format_profile, _parse_profile)
+# the empty profile, which every count's first key holds, has id 0 from
+# the start, so a store that only loads a file finds such keys too
+PROFILES.id(())
+head_id, profile_id = HEADS.id, PROFILES.id
 
 
-def _field_memos():
-    """Fresh parsers of the head and the profile fields of cache lines."""
-    return (_FieldMemo(_parse_head, lambda head: _format_head(*head)),
-            _FieldMemo(_parse_profile, _format_profile))
+def _prefix(key: int) -> bytes:
+    """The start of an int key's line, up to its value."""
+    head, alpha, beta = split(key)
+    return b"%s %s %s " % (HEADS.spellings[head], PROFILES.spellings[alpha],
+                           PROFILES.spellings[beta])
+
+
+def _parse_line(raw: bytes) -> tuple:
+    """The int key and the value of a verified line."""
+    head, alpha, beta, text = raw[:-1].rsplit(b" ", 3)
+    profiles = PROFILES.by_spelling
+    return join(HEADS.by_spelling[head], profiles[alpha], profiles[beta]), int(text)
 
 
 class MemoStore:
@@ -210,9 +193,11 @@ class MemoStore:
     The keys of the file last loaded into an empty store stay in its
     verified lines, and a value is parsed from its line only when it is
     read; the values put since are held in a dict.  The engine reads and
-    writes int keys (`get_packed`, `put_packed`); `get`, `put` and
-    `table` speak tuple keys, for code that uses a store without the
-    engine, and count hits and computed keys alike.
+    writes int keys (`get_packed`, `put_packed`).  `get`, `put` and
+    `table` speak tuple keys and count hits and computed keys alike: they
+    are the API of code that uses a store without the engine, and `put`
+    packs a tuple key into the int the engine reads, where a store that
+    took only ints would keep it under a key no count looks up.
     """
 
     def __init__(self):
@@ -248,7 +233,7 @@ class MemoStore:
         """The value in the loaded line of int `key`, or None.  A key's
         line starts with the spelling of its head and profiles, so it is
         found by bisection."""
-        prefix = _prefix(key, _head_text, _profile_text)
+        prefix = _prefix(key)
         lines = self._lines
         i = bisect_left(lines, prefix)
         if i < len(lines) and lines[i].startswith(prefix):
@@ -264,13 +249,6 @@ class MemoStore:
         if value is None and self._lines and key not in self._values:
             value = self._values[key] = self._line_value(key)
         return value
-
-    def _tuple_value(self, key: tuple):
-        # a load gives every head and profile of its lines an id (the
-        # empty profile has one from the start), so a key with no id is
-        # neither loaded nor put
-        packed = _packed(key)
-        return None if packed is None else self._value(packed)
 
     def get_packed(self, key: int):
         # `_value` inlined: this is the recursion's most frequent call
@@ -324,12 +302,7 @@ class MemoStore:
         path = os.fspath(path)
         if path == self._body_path and not self._new_keys():
             return
-        # a few hundred distinct heads and profiles spell every line, so
-        # each is formatted once, as load parses each once
-        head, profile, values = cache(_head_text), cache(_profile_text), self._values
-        lines = sorted(
-            _prefix(key, head, profile) + b"%d\n" % values[key] for key in self._new_keys()
-        )
+        lines = sorted(_prefix(key) + b"%d\n" % self._values[key] for key in self._new_keys())
         digest = _sha256()
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
@@ -376,7 +349,7 @@ class MemoStore:
                 f"cache file {path!r} does not match the digest in its header "
                 "(corrupt or edited); delete it to regenerate"
             )
-        heads, profiles = _field_memos()
+        heads, profiles = HEADS.by_spelling, PROFILES.by_spelling
         number, previous = 1, b""
         last_head = last_alpha = last_beta = None
         try:
@@ -386,18 +359,21 @@ class MemoStore:
                 head, alpha, beta, text = raw[:-1].rsplit(b" ", 3)
                 if not text.isdigit() or (text[0] == 48 and len(text) > 1):
                     raise InputError(f"bad value {text.decode('ascii', 'replace')!r}")
-                # each spelling of a field is parsed and checked once, and
-                # a head or profile equal to the previous line's was checked
-                if head != last_head:
-                    heads[head]
-                if alpha != last_alpha:
-                    profiles[alpha]
-                profiles[beta]
+                # a spelling in a map was checked when it got its id, and a
+                # head or profile equal to the previous line's was checked
+                if head != last_head and head not in heads:
+                    HEADS.check(head)
+                if alpha != last_alpha and alpha not in profiles:
+                    PROFILES.check(alpha)
+                if beta not in profiles:
+                    PROFILES.check(beta)
                 # canonical fields spell each key one way, so the lines of
                 # one key differ only in their values and sort together
                 if beta == last_beta and alpha == last_alpha and head == last_head:
-                    key, old = _parse_line(previous, heads, profiles)
-                    raise InconsistencyError(f"memo key {key} holds both {old} and {int(text)}")
+                    key, old = _parse_line(previous)
+                    raise InconsistencyError(
+                        f"memo key {unpack(key)} holds both {old} and {int(text)}"
+                    )
                 previous, last_head, last_alpha, last_beta = raw, head, alpha, beta
             if previous and not previous.endswith(b"\n"):
                 raise InputError("last line lacks its newline")
@@ -409,18 +385,10 @@ class MemoStore:
             raise type(exc)(f"cache file {path!r} line {number}: {exc}") from None
         if len(self):
             for raw in lines:
-                key, value = _parse_line(raw, heads, profiles)
-                self.loaded += self._add(pack(key), value)
+                self.loaded += self._add(*_parse_line(raw))
         else:
             self._lines, self._body_path = lines, path
             self.loaded += len(lines)
-
-
-def _parse_line(raw: bytes, heads, profiles) -> tuple:
-    """The key and value of a verified line, its fields parsed by the
-    field maps `heads` and `profiles`."""
-    head, alpha, beta, text = raw[:-1].rsplit(b" ", 3)
-    return heads[head] + (profiles[alpha], profiles[beta]), int(text)
 
 
 class _Table(Mapping):
@@ -433,16 +401,23 @@ class _Table(Mapping):
         return len(self._store)
 
     def __getitem__(self, key):
-        value = self._store._tuple_value(key)
+        # a load gives every head and profile of its lines an id (the
+        # empty profile has one from the start), so a key with no id is
+        # neither loaded nor put
+        packed = _packed(key)
+        value = None if packed is None else self._store._value(packed)
         if value is None:
             raise KeyError(key)
         return value
 
     def __iter__(self):
         store = self._store
-        heads, profiles = _field_memos()
+        # each key is built straight from the ids its line names: packing
+        # and unpacking it would take half as long again
+        heads, profiles = HEADS.by_spelling, PROFILES.by_spelling
         for raw in store._lines:
-            yield _parse_line(raw, heads, profiles)[0]
+            head, alpha, beta, _ = raw.rsplit(b" ", 3)
+            yield HEADS[heads[head]] + (PROFILES[profiles[alpha]], PROFILES[profiles[beta]])
         yield from map(unpack, store._new_keys())
 
 

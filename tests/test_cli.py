@@ -329,6 +329,16 @@ def test_a_table_rejects_a_repeated_multiset(tmp_path, capsys):
                            f"{','.join(sorted(first))} twice\n")
 
 
+def test_a_table_rejects_a_file_it_cannot_decode(tmp_path, capsys):
+    path = tmp_path / "atable.json"
+    for data, why in [(b"\xff\xfe\x00", "is not valid JSON"),
+                      (b"[" * 100_000 + b"]" * 100_000, "nests too deep to read")]:
+        path.write_bytes(data)
+        for argv in _series_commands(str(path)):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: a-table file {str(path)!r} {why}\n")
+
+
 def test_a_table_rejects_a_multiset_given_as_a_string(tmp_path, capsys):
     # sorting "A1" would read it as the multiset {"1", "A"}
     table = _write_a_table(tmp_path / "atable.json", [["A1", [[[1, 0, 0, 0], "3"]]]])

@@ -270,6 +270,10 @@ def test_cache_line_format(tmp_path):
     assert back.table == store.table
 
 
+# heads and profiles that no count builds, new on every run
+_FRESH = itertools.count(10 ** 6)
+
+
 def test_cache_rejects_malformed_lines(tmp_path, write_cache):
     for lines in [
         ["P2 4 2 - 4"],
@@ -291,6 +295,24 @@ def test_cache_rejects_malformed_lines(tmp_path, write_cache):
         write_cache(path, lines)
         with pytest.raises(InputError):
             MemoStore().load(path)
+    # a new profile and a new head spelled otherwise than their one
+    # spelling are refused when the field gives them their ids, and again
+    # once they have them
+    n, m = next(_FRESH), next(_FRESH)
+    path = tmp_path / "bad.txt"
+    for line in (f"P2 {n} 0 - {n},0 1", f"P2 0{m} 0 - 1 1"):
+        write_cache(path, [line])
+        for _ in range(2):
+            with pytest.raises(InputError, match="bad field"):
+                MemoStore().load(path)
+    assert (n,) in memo.PROFILES.ids and ("P2", m, 0) in memo.HEADS.ids
+    # a refused spelling is not kept, and the canonical one is read
+    assert f"{n},0".encode() not in memo.PROFILES.by_spelling
+    assert f"P2 0{m} 0".encode() not in memo.HEADS.by_spelling
+    write_cache(path, [f"P2 {n} 0 - {n} 1", f"P2 {m} 0 - 1 1"])
+    store = MemoStore()
+    store.load(path)
+    assert dict(store.table.items()) == {("P2", n, 0, (), (n,)): 1, ("P2", m, 0, (), (1,)): 1}
 
 
 def test_cache_load_conflict(tmp_path, write_cache):
@@ -559,34 +581,33 @@ def test_header_only_cache_grows(tmp_path):
 
 
 def test_grown_save_formats_no_loaded_key(tmp_path, monkeypatch):
-    path = tmp_path / "memo.txt"
+    # a part is spelled when it gets its id, so no save spells one,
+    # whether its store grew from a load or was filled cold
+    path, cold_path = tmp_path / "memo.txt", tmp_path / "cold_put.txt"
     _run(SeveriEngine(), LOADED_QUERY).save(path)
     store = MemoStore()
     store.load(path)
     _run(SeveriEngine(store), *GROWN_QUERIES)
-    new_keys = list(store.table)[store.loaded:]
-    calls = Counter()
-
-    def counted(name):
-        fmt = getattr(memo, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fmt(*args)
-        return wrapper
-
-    for name in ("_format_head", "_format_profile"):
-        monkeypatch.setattr(memo, name, counted(name))
-    store.save(path)
-    assert calls["_format_head"] == len({key[:3] for key in new_keys})
-    assert calls["_format_profile"] == len({p for key in new_keys for p in key[3:]})
-    # a cold save of the same table spells the loaded heads too
-    calls.clear()
+    assert store.loaded > 0 and store.computed > 0
     cold = MemoStore()
     for key, value in store.table.items():
         cold.put(key, value)
-    cold.save(path)
-    assert calls["_format_head"] > len({key[:3] for key in new_keys})
+    spelled = Counter()
+
+    def counted(parts):
+        spell = parts.spell
+
+        def wrapper(value):
+            spelled[value] += 1
+            return spell(value)
+        return wrapper
+
+    for parts in (memo.HEADS, memo.PROFILES):
+        monkeypatch.setattr(parts, "spell", counted(parts))
+    store.save(path)
+    cold.save(cold_path)
+    assert spelled == Counter()
+    assert path.read_bytes() == cold_path.read_bytes() == _cold_bytes(tmp_path)
 
 
 def _all_partition_profiles(n, largest):
@@ -704,6 +725,15 @@ def test_packing_round_trips_every_key(both_surfaces):
     assert [memo._packed(key) for key in keys] == packed
 
 
+def test_every_part_reads_back_from_its_spelling(both_surfaces):
+    for key in both_surfaces.table:
+        for parts, i in zip((memo.HEADS, memo.PROFILES, memo.PROFILES),
+                            memo.split(memo.pack(key))):
+            spelling = parts.spellings[i]
+            assert parts.by_spelling[spelling] == i
+            assert spelling == parts.spell(parts[i]).encode("ascii")
+
+
 def test_cold_store_keys_are_small_ints():
     store = SeveriEngine().store
     SeveriEngine(store).severi_p2(12, 20)
@@ -744,30 +774,30 @@ def test_a_store_that_only_loads_finds_every_key(tmp_path):
     assert ast.literal_eval(proc.stdout) == dict(eng.store.table.items())
 
 
-# heads and profiles that no count builds, new on every run
-_FRESH = itertools.count(10 ** 6)
-
-
 def test_lookup_assigns_no_id():
     n = next(_FRESH)
     head, profile = ("P2", n, 0), (0, 0, n, 0, 1)
     key = head + ((), profile)
     store = MemoStore()
     assert store.get(key) is None and key not in store.table
-    assert profile not in memo._PROFILE_IDS and head not in memo._HEAD_IDS
+    assert profile not in memo.PROFILES.ids and head not in memo.HEADS.ids
     assert store.get("P2") is None and 5 not in store.table
     store.put(key, 5)
     assert store.get(key) == 5 and store.table[key] == 5
-    assert memo.PROFILES[memo._PROFILE_IDS[profile]] is profile
+    assert memo.PROFILES[memo.PROFILES.ids[profile]] is profile
 
 
 def test_an_id_past_the_width_is_refused(monkeypatch):
-    # fresh id tables, each one id short of the width
+    # fresh part tables, each one id short of the width
     full = 1 << memo.ID_BITS
-    monkeypatch.setattr(memo, "HEADS", [None] * (full - 1))
-    monkeypatch.setattr(memo, "_HEAD_IDS", {})
-    monkeypatch.setattr(memo, "PROFILES", [()] * (full - 1))
-    monkeypatch.setattr(memo, "_PROFILE_IDS", {(): 0})
+    for name, first in (("HEADS", ()), ("PROFILES", ((),))):
+        parts = getattr(memo, name)
+        fresh = memo._Parts(parts.spell, parts.parse)
+        for value in first:
+            fresh.id(value)
+        fresh.extend([None] * (full - 1 - len(fresh)))
+        fresh.spellings.extend([None] * (full - 1 - len(fresh.spellings)))
+        monkeypatch.setattr(memo, name, fresh)
     store = MemoStore()
     key = ("P2", 3, 1, (), (3,))
     store.put(key, 12)
@@ -781,8 +811,10 @@ def test_an_id_past_the_width_is_refused(monkeypatch):
     with pytest.raises(CeilingError):
         store.put(("P2", 3, 0, (), (3,)), 5)
     # nothing was assigned or stored, so no two keys share an int
-    assert len(memo.PROFILES) == len(memo.HEADS) == full
-    assert (1, 1) not in memo._PROFILE_IDS and ("P2", 3, 0) not in memo._HEAD_IDS
+    for parts in (memo.HEADS, memo.PROFILES):
+        assert len(parts) == len(parts.spellings) == full
+    assert (1, 1) not in memo.PROFILES.ids and ("P2", 3, 0) not in memo.HEADS.ids
+    assert b"1,1" not in memo.PROFILES.by_spelling and b"P2 3 0" not in memo.HEADS.by_spelling
     assert len(store) == 1
 
 
