@@ -195,14 +195,21 @@ def _cmd_severi_quadric(args) -> int:
 def _cmd_severi_oracle(args) -> int:
     from .oracles import floor_diagram_oracle, pencil_discriminant_oracle
 
+    if args.method == "floor" and args.surface != "p2":
+        raise InputError("the floor-diagram oracle only covers the plane")
+    # a flag the chosen count does not read is refused, not ignored
+    if args.surface == "p2" and (args.a is not None or args.b is not None):
+        raise InputError("-a and -b give a p1xp1 bidegree; the plane takes -d")
+    if args.surface == "p1xp1" and args.d is not None:
+        raise InputError("-d gives a plane degree; p1xp1 takes -a and -b")
     stats = {}
     if args.method == "floor":
-        if args.surface != "p2":
-            raise InputError("the floor-diagram oracle only covers the plane")
         if args.d is None or args.nodes is None:
             raise InputError("floor oracle needs -d and --nodes")
         value = floor_diagram_oracle(args.d, args.nodes, stats)
     else:
+        if args.nodes not in (None, 1):
+            raise InputError("the pencil oracle counts one-node curves only; --nodes must be 1")
         if args.surface == "p2":
             if args.d is None:
                 raise InputError("plane pencil oracle needs -d")

@@ -63,9 +63,14 @@ def _parse_term(text: str) -> tuple[Fraction, int, int]:
         raise InputError(f"dangling '*' in term {text!r}")
     if m.group("star2") and not (has_x and has_y):
         raise InputError(f"misplaced '*' in term {text!r}")
-    c = Fraction(coeff) if coeff is not None else Fraction(1)
-    i = int(xe) if xe is not None else (1 if has_x else 0)
-    j = int(ye) if ye is not None else (1 if has_y else 0)
+    try:
+        c = Fraction(coeff) if coeff is not None else Fraction(1)
+        i = int(xe) if xe is not None else (1 if has_x else 0)
+        j = int(ye) if ye is not None else (1 if has_y else 0)
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator in term {text!r}") from None
+    except ValueError:  # more digits than int() converts
+        raise InputError(f"number too long in term {text!r}") from None
     return c, i, j
 
 

@@ -64,6 +64,14 @@ class _Parts(list):
             self.ids[value] = self.by_spelling[spelling] = i
         return i
 
+    def canonical(self, value) -> bool:
+        """Whether `value` is the part its spelling parses back to, so that
+        a cache file can hold it."""
+        try:
+            return self.parse(self.spell(value)) == value
+        except (TypeError, ValueError):
+            return False
+
     def check(self, field: bytes):
         """Intern the part that a cache-line field spells; refuse the field
         unless it is that part's spelling, so that every part has exactly
@@ -88,9 +96,17 @@ def split(key: int) -> tuple:
 
 
 def pack(key: tuple) -> int:
-    """The int of a tuple key, assigning ids to its new parts."""
-    surface, degree, delta, alpha, beta = key
-    return join(HEADS.id((surface, degree, delta)), PROFILES.id(alpha), PROFILES.id(beta))
+    """The int of a tuple key, assigning ids to its new parts.  The key is
+    refused unless it is a 5-tuple of canonical parts, before any part gets
+    an id: a part that is not canonical would be saved in a spelling that a
+    load refuses or reads as another part."""
+    if type(key) is not tuple or len(key) != 5:
+        raise InputError(f"memo key {key!r} is not a 5-tuple")
+    parts = (HEADS, key[:3]), (PROFILES, key[3]), (PROFILES, key[4])
+    for table, part in parts:
+        if not table.canonical(part):
+            raise InputError(f"memo key {key!r} has a part not in canonical form: {part!r}")
+    return join(*(table.id(part) for table, part in parts))
 
 
 def _packed(key: tuple):
@@ -160,7 +176,7 @@ def _parse_head(text: str) -> tuple:
 
 
 def _parse_profile(text: str) -> tuple:
-    return trim(_natural(c) for c in text.split(","))
+    return () if text == "-" else trim(_natural(c) for c in text.split(","))
 
 
 HEADS = _Parts(_format_head, _parse_head)

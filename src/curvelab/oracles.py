@@ -5,9 +5,11 @@ diagrams with marking counts; exponential, desk scale only.
 
 pencil_discriminant_oracle: counts singular members of a random pencil
 by eliminating the pencil parameter, taking a resultant in y, and
-counting its roots once it is proved squarefree; repeated with
-independent samples that must agree.  Every answer is exact, though the
-bignum steps run modulo powers of the one prime P = 2**61 - 1:
+counting its roots, less the spurious ones, once it is proved squarefree;
+repeated with independent samples that must agree.  One sampler serves
+P2 and P1xP1: what they differ in is one row of the table `_PENCILS`.
+Every answer is exact, though the bignum steps run modulo powers of the
+one prime P = 2**61 - 1:
 
 - the resultant's values at integer nodes are exact Bareiss determinants;
   their interpolant is computed modulo the least power of P that exceeds
@@ -23,6 +25,7 @@ bignum steps run modulo powers of the one prime P = 2**61 - 1:
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from functools import lru_cache, partial
 from math import comb, factorial, isqrt
 
@@ -320,11 +323,8 @@ def _resultant_y(A: dict, B: dict, stats: dict = None) -> list:
     row_a = sum(sum(map(abs, p)) ** 2 for p in ca)
     row_b = sum(sum(map(abs, p)) ** 2 for p in cb)
     bound = isqrt(row_a ** n * row_b ** m) + 1
-    nodes = []
-    t = 0
-    while len(nodes) < deg_bound + 1:
-        nodes.append(t)
-        t = -t if t > 0 else -t + 1
+    # 0, 1, -1, 2, -2, ...
+    nodes = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(deg_bound + 1)]
     values = [_sylvester_det(ca, cb, t) for t in nodes]
     return _interpolate_integer_poly(nodes, values, bound, stats)
 
@@ -333,14 +333,10 @@ def _sylvester_det(ca: list, cb: list, t: int) -> int:
     """Determinant of the Sylvester matrix in y of two polynomials, given
     by their y-coefficient lists, with x set to t."""
     m, n = len(ca) - 1, len(cb) - 1
-    size = m + n
-    arow = [_poly_eval(p, t) for p in ca]
-    brow = [_poly_eval(p, t) for p in cb]
-    M = []
-    for s in range(n):
-        M.append([0] * s + arow[::-1] + [0] * (size - s - m - 1))
-    for s in range(m):
-        M.append([0] * s + brow[::-1] + [0] * (size - s - n - 1))
+    arow = [_poly_eval(p, t) for p in reversed(ca)]
+    brow = [_poly_eval(p, t) for p in reversed(cb)]
+    M = [[0] * s + arow + [0] * (n - 1 - s) for s in range(n)]
+    M += [[0] * s + brow + [0] * (m - 1 - s) for s in range(m)]
     return _bareiss_det(M)
 
 
@@ -395,26 +391,19 @@ def _interpolate_integer_poly(nodes: list, values: list, bound: int, stats: dict
 # the pencil-discriminant oracle
 
 
-def _sample_poly(rng, xdeg: int, ydeg: int, total_cap: int = None) -> dict:
-    out = {}
-    for i in range(xdeg + 1):
-        for j in range(ydeg + 1):
-            if total_cap is not None and i + j > total_cap:
-                continue
-            c = rng.randint(-9, 9)
-            if c:
-                out[(i, j)] = c
-    return out
+def _sample_poly(rng, xdeg: int, ydeg: int, total: int) -> dict:
+    """Random coefficients in -9..9 of x^i y^j, i <= xdeg, j <= ydeg, i + j <= total."""
+    draws = {(i, j): rng.randint(-9, 9)
+             for i in range(xdeg + 1) for j in range(ydeg + 1) if i + j <= total}
+    return {k: c for k, c in draws.items() if c}
 
 
-def _y_degree(A: dict) -> int:
-    return max((j for (_, j) in A), default=-1)
-
-
-def _lc_is_constant(A: dict, expected_ydeg: int) -> bool:
-    if _y_degree(A) != expected_ydeg:
-        return False
-    return all(i == 0 for (i, j) in A if j == expected_ydeg)
+def _leads_coprime(A: dict, B: dict, ydegs) -> bool:
+    """Whether A and B are nonzero, of y-degrees `ydegs` unless that is
+    None, with top y-coefficients proved coprime."""
+    ca, cb = _y_coefficients(A), _y_coefficients(B)
+    return (bool(ca and cb) and ydegs in (None, (len(ca) - 1, len(cb) - 1))
+            and _coprime_mod_p(ca[-1], cb[-1]))
 
 
 def _resultant_degree(A: dict, B: dict, stats: dict, degree: int = None):
@@ -428,87 +417,78 @@ def _resultant_degree(A: dict, B: dict, stats: dict, degree: int = None):
     return _poly_degree(R) if _is_squarefree(R, stats) else None
 
 
-def _plane_sample(d: int, rng, stats: dict):
-    """One-node count from one random plane pencil, or None if degenerate.
-
-    A draw whose pair meets the line at infinity in the chart x = 1 is
-    redrawn.  That chart misses only (0:1:0), and a member singular there
-    has zero coefficients of y^d and x*y^(d-1), so E2 would lose its
-    y^(2d-1) term: the y-degree check on E2 rejects that draw.
-    """
-    F = _sample_poly(rng, d, d, total_cap=d)
-    G = _sample_poly(rng, d, d, total_cap=d)
-    Fx, Gx = partial_terms(F, 0), partial_terms(G, 0)
-    E1, E2 = _pencil_pair(F, G, 1)
-    if not (
-        _lc_is_constant(E1, 2 * d - 2)
-        and _lc_is_constant(E2, 2 * d - 1)
-        and _lc_is_constant(Fx, d - 1)
-        and _lc_is_constant(Gx, d - 1)
-    ) or _meets_at_infinity(F, G, 1, lambda i, j: (d - i - j, j)):
-        return None
-    expected_fake = (d - 1) ** 2
-    if _resultant_degree(Fx, Gx, stats, expected_fake) is None:
-        return None
-    n = _resultant_degree(E1, E2, stats)
-    return n - expected_fake if n is not None and n >= expected_fake else None
+def _pencil_pair(F: dict, G: dict, var: int) -> tuple:
+    """The pair (E1, E2) whose common roots locate the singular members
+    of the pencil spanned by F and G: E1 = Fx*Gy - Fy*Gx and
+    E2 = F*Gv - Fv*G, v the variable number `var` (0 = x, 1 = y).  The
+    common roots of (Fv, Gv) are common roots of the pair too, and spurious."""
+    (Fx, Fy), (Gx, Gy) = ((partial_terms(P, 0), partial_terms(P, 1)) for P in (F, G))
+    E1 = add_terms(mul_terms(Fx, Gy), mul_terms(Fy, Gx), -1)
+    Fv, Gv = (Fx, Gx) if var == 0 else (Fy, Gy)
+    return E1, add_terms(mul_terms(F, Gv), mul_terms(Fv, G), -1)
 
 
-def _meets_at_infinity(F: dict, G: dict, a: int, chart) -> bool:
+def _meets_at_infinity(F: dict, G: dict, var: int, chart) -> bool:
     """Whether the pencil pair of F and G, moved by `chart` (exponents to
     exponents) to coordinates (u, y) with u = 0 at infinity, may share a
     root on u = 0, where the affine elimination cannot see it."""
     Fc, Gc = ({chart(i, j): c for (i, j), c in P.items()} for P in (F, G))
-    ca, cb = map(_y_coefficients, _pencil_pair(Fc, Gc, a))
+    ca, cb = map(_y_coefficients, _pencil_pair(Fc, Gc, var))
     return len(ca) < 2 or len(cb) < 2 or _sylvester_det(ca, cb, 0) == 0
 
 
-def _pencil_pair(F: dict, G: dict, a: int) -> tuple:
-    """The pair (E1, E2) whose common roots locate the singular members
-    of the pencil spanned by F and G of x-degree a (see _quadric_sample;
-    a plane pencil uses the a = 1 pair)."""
-    Fx, Fy = partial_terms(F, 0), partial_terms(F, 1)
-    Gx, Gy = partial_terms(G, 0), partial_terms(G, 1)
-    E1 = add_terms(mul_terms(Fx, Gy), mul_terms(Fy, Gx), -1)
-    if a == 1:
-        return E1, add_terms(mul_terms(F, Gx), mul_terms(Fx, G), -1)
-    return E1, add_terms(mul_terms(F, Gy), mul_terms(Fy, G), -1)
+# One surface and degree as the sampler sees it: F and G are drawn by
+# `_sample_poly(rng, *draw)`; `var` picks E2 = F*Gv - Fv*G; `e_ydegs` are
+# the generic y-degrees of (E1, E2); `fake` counts the spurious roots, the
+# common roots of (Fv, Gv), which must have y-degrees `fake_ydegs` unless
+# that is None; `chart` moves the curve at infinity to u = 0.
+_Pencil = namedtuple("_Pencil", "name draw var e_ydegs fake fake_ydegs chart")
+
+_PENCILS = {
+    # Degree d, drawn by total degree, so the top y-coefficients of E1, E2
+    # and Fx are constants.  Fx and Gx meet in (d-1)^2 points.  The chart
+    # x = 1 misses only (0:1:0), and a member singular there has zero
+    # coefficients of y^d and x*y^(d-1), so E2 would lose its y^(2d-1)
+    # term: the y-degree check on E2 rejects that draw.
+    "P2": lambda d: _Pencil(
+        "plane", (d, d, d), 0, (2 * d - 2, 2 * d - 1), (d - 1) ** 2, (d - 1, d - 1),
+        lambda i, j: (d - i - j, j),
+    ),
+    # Bidegree (a, b), a <= b.  With a >= 2 the pair (E1, F*Gx - Fx*G) is
+    # unusable: both top y-coefficients are multiples of fb'*gb - fb*gb',
+    # so the resultant always degenerates at infinity.  Pairing E1 with
+    # F*Gy - Fy*G instead gives coprime leading coefficients; its spurious
+    # zeros are the common roots of (Fy, Gy), of which there are 2a(b-1).
+    # F*Gy - Fy*G loses its top term identically, so its generic y-degree
+    # is 2b - 2.  The chart u = 1/x reverses F and G in x.
+    "P1XP1": lambda a, b: _Pencil(
+        "quadric", (a, b, a + b), 0 if a == 1 else 1,
+        (2 * b - 1, 2 * b if a == 1 else 2 * b - 2), 0 if a == 1 else 2 * a * (b - 1), None,
+        lambda i, j: (a - i, j),
+    ),
+}
 
 
-def _quadric_sample(a: int, b: int, rng, stats: dict):
-    """One-node count from one random pencil of bidegree (a, b), a <= b,
-    or None if degenerate."""
-    # With a >= 2 the pair (E1, F*Gx - Fx*G) is unusable: both top
-    # y-coefficients are multiples of fb'*gb - fb*gb', so the resultant
-    # always degenerates at infinity.  Pairing E1 with F*Gy - Fy*G instead
-    # gives coprime leading coefficients; its spurious zeros are the common
-    # roots of (Fy, Gy), of which there are 2a(b-1).
-    expected_fake = 0 if a == 1 else 2 * a * (b - 1)
-    F = _sample_poly(rng, a, b)
-    G = _sample_poly(rng, a, b)
-    E1, E2 = _pencil_pair(F, G, a)
+def _pencil_sample(pencil: _Pencil, rng, stats: dict):
+    """One-node count from one random pencil, or None if degenerate."""
+    F = _sample_poly(rng, *pencil.draw)
+    G = _sample_poly(rng, *pencil.draw)
+    E1, E2 = _pencil_pair(F, G, pencil.var)
     # A sample whose E1 or E2 drops below its generic y-degree has lost
-    # roots at y = infinity.  For a >= 2, F*Gy - Fy*G loses its top term
-    # identically, so its generic y-degree is 2b - 2.
-    if _y_degree(E1) != 2 * b - 1 or _y_degree(E2) != (2 * b if a == 1 else 2 * b - 2):
+    # roots at y = infinity; a common root of their top y-coefficients
+    # would be a spurious root of R.
+    if not _leads_coprime(E1, E2, pencil.e_ydegs):
         return None
-    if not _coprime_mod_p(_y_coefficients(E1)[-1], _y_coefficients(E2)[-1]):
+    # Likewise the pair in the chart must share no root on u = 0, or R loses x-degree.
+    if _meets_at_infinity(F, G, pencil.var, pencil.chart):
         return None
-    # Likewise at x = infinity: the pair built from F and G reversed in x
-    # (the chart u = 1/x) must share no root on the fibre u = 0, or R
-    # loses x-degree.
-    if _meets_at_infinity(F, G, a, lambda i, j: (a - i, j)):
-        return None
-    if a > 1:
-        Fy, Gy = partial_terms(F, 1), partial_terms(G, 1)
-        if not Fy or not Gy:
-            return None
-        if not _coprime_mod_p(_y_coefficients(Fy)[-1], _y_coefficients(Gy)[-1]):
-            return None
-        if _resultant_degree(Fy, Gy, stats, expected_fake) is None:
+    if pencil.fake:
+        Fv, Gv = partial_terms(F, pencil.var), partial_terms(G, pencil.var)
+        if not _leads_coprime(Fv, Gv, pencil.fake_ydegs) or (
+                _resultant_degree(Fv, Gv, stats, pencil.fake) is None):
             return None
     n = _resultant_degree(E1, E2, stats)
-    return n - expected_fake if n is not None and n >= expected_fake else None
+    return n - pencil.fake if n is not None and n >= pencil.fake else None
 
 
 def _draw_count(sample, rng, stats: dict, surface: str) -> int:
@@ -539,28 +519,24 @@ def pencil_discriminant_oracle(surface: str, degree, seed: int = 0, stats: dict 
         stats.setdefault(key, 0)
     surface_key = str(surface).upper()
     if surface_key == "P2":
-        d = degree
-        if not is_int(d) or not (2 <= d <= 7):
+        if not is_int(degree) or not (2 <= degree <= 7):
             raise InputError("plane pencil oracle supports 2 <= d <= 7")
-        sample, name = partial(_plane_sample, d), "plane"
+        pencil = _PENCILS["P2"](degree)
     elif surface_key == "P1XP1":
         try:
             a, b = degree
         except (TypeError, ValueError):
             raise InputError("quadric pencil oracle needs a bidegree pair (a, b)")
-        if not (is_int(a) and is_int(b)) or not (
-            1 <= a <= 4 and 1 <= b <= 4
-        ):
+        if not (is_int(a) and is_int(b)) or not (1 <= a <= 4 and 1 <= b <= 4):
             raise InputError("quadric pencil oracle supports 1 <= a, b <= 4")
         # Counts are symmetric in the bidegree, so normalise to a <= b; the
         # elimination needs the y-direction to carry the larger degree.
-        sample, name = partial(_quadric_sample, min(a, b), max(a, b)), "quadric"
+        pencil = _PENCILS["P1XP1"](min(a, b), max(a, b))
     else:
         raise InputError(f"unknown surface {surface!r}; use P2 or P1XP1")
-    values = [
-        _draw_count(sample, random.Random(1000003 * seed + i), stats, name)
-        for i in range(3)
-    ]
+    sample = partial(_pencil_sample, pencil)
+    values = [_draw_count(sample, random.Random(1000003 * seed + i), stats, pencil.name)
+              for i in range(3)]
     if len(set(values)) != 1:
         raise InconsistencyError(
             f"pencil oracle samples disagree: {values}; inputs {surface} {degree}"

@@ -43,6 +43,12 @@ def test_germ_analyze_errors(capsys):
     assert "not isolated" in err
 
 
+def test_germ_analyze_refuses_a_zero_denominator(capsys):
+    code, out, err = run_cli(capsys, "germ", "analyze", "2/0*x^2+y^3")
+    assert (code, out) == (2, "")
+    assert err == "error: zero denominator in term '2/0*x^2'\n"
+
+
 def test_germ_analyze_low_ceiling_is_undecided_not_non_isolated(capsys):
     # the cusp is isolated; ceiling 1 only cannot see its saturation order
     code, out, err = run_cli(capsys, "germ", "analyze", "x^2+y^3", "--ceiling", "1")
@@ -188,6 +194,27 @@ def test_severi_oracle_flag_validation(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "severi", "oracle", "--method", "pencil")
     assert code == 2
+    # a flag the chosen count does not read is refused, not ignored: each
+    # of these used to print the one-node count with exit 0
+    for argv, message in [
+        (["--method", "pencil", "-d", "3", "--nodes", "5"], "--nodes must be 1"),
+        (["--method", "pencil", "--surface", "p1xp1", "-a", "2", "-b", "2", "--nodes", "3"],
+         "--nodes must be 1"),
+        (["--method", "pencil", "-d", "3", "-a", "2"], "the plane takes -d"),
+        (["--method", "pencil", "-d", "3", "-b", "2"], "the plane takes -d"),
+        (["--method", "floor", "-d", "4", "--nodes", "2", "-a", "1"], "the plane takes -d"),
+        (["--method", "floor", "-d", "4", "--nodes", "2", "-b", "1"], "the plane takes -d"),
+        (["--method", "pencil", "--surface", "p1xp1", "-d", "3", "-a", "2", "-b", "2"],
+         "p1xp1 takes -a and -b"),
+    ]:
+        code, out, err = run_cli(capsys, "severi", "oracle", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, argv
+    # --nodes 1 is the count the pencil oracle gives
+    code, out, _ = run_cli(
+        capsys, "severi", "oracle", "--method", "pencil", "-d", "3", "--nodes", "1", "--seed", "5"
+    )
+    assert (code, out) == (0, "12\n")
 
 
 def test_fit_nodes_output(capsys):

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,34 @@ def test_parse_rejects_garbage():
     for bad in ["", "  ", "x +", "x + + y", "z^2", "x^", "x**y", "2*", "x^-2"]:
         with pytest.raises(InputError):
             parse_germ(bad)
+
+
+def test_parse_rejects_a_zero_denominator_naming_the_term():
+    for text, term in [("1/0", "1/0"), ("0/0*x^2", "0/0*x^2"), ("2/0*x^2+y^3", "2/0*x^2")]:
+        with pytest.raises(InputError, match=re.escape(f"zero denominator in term {term!r}")):
+            parse_germ(text)
+
+
+def test_parse_germ_fuzz_raises_only_input_error():
+    # seeded term strings from a hostile vocabulary: zero denominators,
+    # stray '*' and '^', signs, huge and non-ASCII digits, empty terms
+    vocabulary = [
+        "x", "y", "*", "^", "/", "+", "-", " ", "", "0", "1", "7", "/0", "0/0", "1/0",
+        "^2", "x^", "^^", "**", "+-", "--", "x^0", "y^3", "1/2*", "*x", "y*", "\u0663",
+        "\u0661/\u0662", "\u00b2", "\u00a0", "\t", "9" * 300, "1" * 4400, "2" * 5000, ".",
+        "1e3", "(", "z",
+    ]
+    for seed in range(3):
+        rng = random.Random(seed)
+        for _ in range(100):
+            text = "".join(rng.choice(vocabulary) for _ in range(rng.randint(0, 7)))
+            try:
+                f = parse_germ(text)
+            except InputError:
+                continue
+            except Exception as exc:
+                pytest.fail(f"parse_germ({text!r:.200}) raised {type(exc).__name__}: {exc}")
+            assert isinstance(f, GermPoly), text
 
 
 def test_arithmetic_and_partials():

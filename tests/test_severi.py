@@ -787,6 +787,38 @@ def test_lookup_assigns_no_id():
     assert memo.PROFILES[memo.PROFILES.ids[profile]] is profile
 
 
+def test_put_refuses_a_key_not_in_canonical_form(tmp_path):
+    n = next(_FRESH)
+    good = ("P2", n, 1, (), (n,))
+    store = MemoStore()
+    store.put(good, 12)
+    # each would be saved in a spelling that a load refuses, or that names
+    # `good`'s head a second time
+    for bad in [
+        ("P2", str(n), 1, (), (n,)),
+        ("P2", float(n), 1, (), (n,)),
+        ("P2", n, True, (), (n,)),
+        ("Q", n, 1, (), (n,)),
+        ("P2", n, 1, (), (n, 0)),
+        ("P2", n, 1, (), [n]),
+    ]:
+        with pytest.raises(InputError, match="not in canonical form"):
+            store.put(bad, 12)
+    assert (n, 0) not in memo.PROFILES.ids and b"%d,0" % n not in memo.PROFILES.by_spelling
+    # so a file spelling the untrimmed profile is still refused in this process
+    body = b"P2 %d 1 - %d,0 12\n" % (n, n)
+    path = tmp_path / "untrimmed.memo"
+    path.write_bytes(b"curvelab-memo/v1 %s\n%s" % (hashlib.sha256(body).hexdigest().encode(), body))
+    with pytest.raises(InputError, match="bad field"):
+        MemoStore().load(path)
+    # and the file saved after the refused puts loads
+    path = tmp_path / "saved.memo"
+    store.save(path)
+    loaded = MemoStore()
+    loaded.load(path)
+    assert dict(loaded.table) == {good: 12}
+
+
 def test_an_id_past_the_width_is_refused(monkeypatch):
     # fresh part tables, each one id short of the width
     full = 1 << memo.ID_BITS
