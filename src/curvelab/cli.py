@@ -204,22 +204,23 @@ def _cmd_severi_oracle(args) -> int:
         raise InputError("-d gives a plane degree; p1xp1 takes -a and -b")
     stats = {}
     if args.method == "floor":
+        if args.seed is not None:
+            raise InputError("--seed picks the pencil oracle's draws; the floor oracle has none")
         if args.d is None or args.nodes is None:
             raise InputError("floor oracle needs -d and --nodes")
         value = floor_diagram_oracle(args.d, args.nodes, stats)
     else:
         if args.nodes not in (None, 1):
             raise InputError("the pencil oracle counts one-node curves only; --nodes must be 1")
+        seed = 0 if args.seed is None else args.seed
         if args.surface == "p2":
             if args.d is None:
                 raise InputError("plane pencil oracle needs -d")
-            value = pencil_discriminant_oracle("p2", args.d, seed=args.seed, stats=stats)
+            value = pencil_discriminant_oracle("p2", args.d, seed=seed, stats=stats)
         else:
             if args.a is None or args.b is None:
                 raise InputError("quadric pencil oracle needs -a and -b")
-            value = pencil_discriminant_oracle(
-                "p1xp1", (args.a, args.b), seed=args.seed, stats=stats
-            )
+            value = pencil_discriminant_oracle("p1xp1", (args.a, args.b), seed=seed, stats=stats)
     return _emit(args, value, stats, str(value))
 
 
@@ -349,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("-a", type=int, default=None)
     so.add_argument("-b", type=int, default=None)
     so.add_argument("--nodes", type=int, default=None)
-    so.add_argument("--seed", type=int, default=0)
+    so.add_argument("--seed", type=int, default=None)
     _add_json(so)
     so.set_defaults(func=_cmd_severi_oracle)
 

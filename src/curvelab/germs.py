@@ -14,10 +14,10 @@ from .poly import SparsePoly
 
 _TERM_RE = re.compile(
     r"""^
-    (?:(?P<coeff>\d+(?:/\d+)?)(?P<star1>\*)?)?
-    (?:x(?:\^(?P<xe>\d+))?)?
+    (?:(?P<coeff>[0-9]+(?:/[0-9]+)?)(?P<star1>\*)?)?
+    (?:x(?:\^(?P<xe>[0-9]+))?)?
     (?P<star2>\*)?
-    (?:y(?:\^(?P<ye>\d+))?)?
+    (?:y(?:\^(?P<ye>[0-9]+))?)?
     $""",
     re.VERBOSE,
 )

@@ -204,6 +204,8 @@ def test_severi_oracle_flag_validation(capsys):
         (["--method", "pencil", "-d", "3", "-b", "2"], "the plane takes -d"),
         (["--method", "floor", "-d", "4", "--nodes", "2", "-a", "1"], "the plane takes -d"),
         (["--method", "floor", "-d", "4", "--nodes", "2", "-b", "1"], "the plane takes -d"),
+        (["--method", "floor", "-d", "4", "--nodes", "2", "--seed", "7"],
+         "the floor oracle has none"),
         (["--method", "pencil", "--surface", "p1xp1", "-d", "3", "-a", "2", "-b", "2"],
          "p1xp1 takes -a and -b"),
     ]:

@@ -36,7 +36,8 @@ def test_parse_constant_term_rejected():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "  ", "x +", "x + + y", "z^2", "x^", "x**y", "2*", "x^-2"]:
+    for bad in ["", "  ", "x +", "x + + y", "z^2", "x^", "x**y", "2*", "x^-2",
+                "\u0663*x", "x^\u0663", "\u0661/\u0662*x"]:
         with pytest.raises(InputError):
             parse_germ(bad)
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -503,11 +504,8 @@ def _cold_bytes(tmp_path):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("chunk_bytes, chunk_lines",
-                         [(memo._CHUNK_BYTES, memo._CHUNK_LINES), (1, 1), (64, 3)])
-def test_grown_save_merges_new_lines_into_the_loaded_body(
-        chunk_bytes, chunk_lines, tmp_path, monkeypatch):
-    monkeypatch.setattr(memo, "_CHUNK_BYTES", chunk_bytes)
+@pytest.mark.parametrize("chunk_lines", [memo._CHUNK_LINES, 1, 3])
+def test_grown_save_merges_new_lines_into_the_loaded_body(chunk_lines, tmp_path, monkeypatch):
     monkeypatch.setattr(memo, "_CHUNK_LINES", chunk_lines)
     cold = _cold_bytes(tmp_path)
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -562,6 +560,28 @@ def test_second_load_counts_only_the_keys_it_adds(tmp_path):
     assert computed.stats()["loaded"] == 0
     computed.load(b)
     assert computed.stats() == {"computed": 121, "hits": 68, "loaded": 31, "size": 152}
+
+
+def test_values_hold_only_the_keys_put_since_the_load(tmp_path):
+    path = tmp_path / "a.txt"
+    _run(SeveriEngine(), LOADED_QUERY).save(path)
+    # a replay reads loaded values and keeps none of them, nor its misses
+    replay = MemoStore()
+    replay.load(path)
+    assert replay.get(("P2", 99, 0, (), (99,))) is None
+    _run(SeveriEngine(replay), LOADED_QUERY)
+    assert replay.stats() == {"computed": 0, "hits": 1, "loaded": 27, "size": 27}
+    assert replay._values == {}
+    # a grown run puts the keys a cold run puts after the loaded ones,
+    # in the same order, and the dict holds exactly those
+    grown = MemoStore()
+    grown.load(path)
+    _run(SeveriEngine(grown), *GROWN_QUERIES)
+    assert grown.hits > 0
+    cold = _run(SeveriEngine(), LOADED_QUERY, *GROWN_QUERIES)
+    new_keys = list(cold._values)[grown.loaded:]
+    assert list(grown._values) == new_keys and len(grown._values) == grown.computed
+    assert grown._values == {key: cold._values[key] for key in new_keys}
 
 
 def test_one_store_class_under_every_name():
@@ -785,6 +805,73 @@ def test_lookup_assigns_no_id():
     store.put(key, 5)
     assert store.get(key) == 5 and store.table[key] == 5
     assert memo.PROFILES[memo.PROFILES.ids[profile]] is profile
+
+
+class _TupleSubclass(tuple):
+    pass
+
+
+def _hostile_key(rng, key):
+    """A canonical memo key spoiled in one seeded way, so that `put` must
+    refuse it."""
+    surface, degree, delta, alpha, beta = key
+    n = rng.choice([delta, degree if type(degree) is int else degree[0]])
+    number = rng.choice([str(n), float(n), True, False, -1 - n, None])
+    profile = rng.choice([alpha, beta])
+    profile = rng.choice([
+        list(profile), dict.fromkeys(profile, 1), (profile,), profile + (0,),
+        tuple(map(str, profile)) + ("1",), tuple(map(float, profile)) + (1.0,),
+        (True,) + profile, frozenset(profile + (1,)), None, "-", n,
+    ])
+    if type(degree) is tuple:
+        a, b = degree
+        degree = rng.choice([[a, b], (a,), (a, b, 0), (str(a), b), (a, float(b)), number])
+    else:
+        degree = rng.choice([(degree,), [degree], number])
+    spoilers = [
+        lambda: rng.choice([list(key), " ".join(map(str, key)), None, 7, {key: 1}]),
+        lambda: _TupleSubclass(key),
+        lambda: key[:rng.randrange(5)],
+        lambda: key + key[:rng.randint(1, 5)],
+        lambda: (rng.choice(["Q", "p2", "P1xP1", "", 2, None]),) + key[1:],
+        lambda: ({"P2": "P1XP1", "P1XP1": "P2"}[surface],) + key[1:],
+        lambda: (surface, degree) + key[2:],
+        lambda: key[:2] + (number,) + key[3:],
+        lambda: key[:3] + (profile, beta),
+        lambda: key[:4] + (profile,),
+    ]
+    return rng.choice(spoilers)()
+
+
+def test_store_tuple_boundary_fuzz(tmp_path):
+    # hostile tuple keys through put and every lookup, on an empty, a
+    # computed and a loaded store: put refuses each with InputError, and a
+    # lookup gives a value, None or False, or raises KeyError
+    assert MemoStore().get(("P2", 3, 1, [], (3,))) is None
+    computed = _run(SeveriEngine(), LOADED_QUERY, *GROWN_QUERIES)
+    path = tmp_path / "memo.txt"
+    _run(SeveriEngine(), LOADED_QUERY).save(path)
+    loaded = MemoStore()
+    loaded.load(path)
+    stores = [MemoStore(), computed, loaded]
+    tables = [dict(store.table) for store in stores]
+    canonical = list(computed.table)
+    for seed in range(3):
+        rng = random.Random(seed)
+        for _ in range(150):
+            key = _hostile_key(rng, rng.choice(canonical))
+            for store in stores:
+                with pytest.raises(InputError):
+                    store.put(key, 1)
+                try:
+                    value = store.table[key]
+                except KeyError:
+                    value = None
+                assert value is None or type(value) is int, key
+                assert (key in store.table) is (value is not None), key
+                assert store.get(key) == value, key
+    assert [dict(store.table) for store in stores] == tables
+    assert loaded._values == {}
 
 
 def test_put_refuses_a_key_not_in_canonical_form(tmp_path):
