@@ -20,18 +20,22 @@ line per key, e.g. `P2 3 1 - 3 12` (`-` is the empty profile), sorted as
 bytes: being printable ASCII, lines sort alike with or without newlines.
 Loading checks the digest before it parses a line, then the order and
 the canonical form of every line and that no key has two values, and
-keeps the lines without building a table.  A store is those verified
-lines plus one dict of the values put since, so each value is held in
-one place: a loaded value is parsed from its line, found by bisection,
-each time it is read, and is never copied into the dict; a new key is
-looked for in the lines when it is missed and again when it is put.
-A replay reads few loaded values: a `fit` or `severi` command that
-computes nothing makes 1 to 74 reads of an 84k-line cache.  A count
-computed on top of a cache reads more: `severi p2 -d 12 --nodes 20` on
-a 3,224-line cache reads 1,577 loaded keys 34,895 times and looks for
-each of its 20,773 new keys twice, which costs it about 0.18 s of CPU
-(1.08 s against 0.90 s with a memo of parsed values and misses, on a
-2-CPU VM).  Saving joins the stored spellings of only the keys put since,
+keeps the lines without building a table, with the span of lines of
+each head.  A store is those verified lines plus one dict of the values
+put since, so each value is held in one place: a loaded value is parsed
+from its line, found by bisection within its head's span, each time it
+is read, and is never copied into the dict.  A key whose head has no
+span is missed without formatting or bisecting anything, and a new key
+is looked for in the lines once, when it is missed: the engine puts
+only a key it has just missed.  A replay reads few loaded values: a
+`fit` or `severi` command that computes nothing makes 1 to 74 reads of
+an 84k-line cache.  A count computed on top of a cache reads more:
+`severi p2 -d 16 --nodes 10` on a 23,997-key cache of smaller counts
+reads 1,157 loaded keys 27,578 times, and 32,697 of its 40,972 new keys
+have a head the file lacks, so it formats 35,853 line prefixes where
+one bisection of every line for each miss and again for each put
+formatted 109,522.  That lookup alone took its CPU from 0.77 s to
+0.62 s (minimum of 6 runs, Python 3.11, 2-CPU VM).  Saving joins the stored spellings of only the keys put since,
 formatting no field, and merges their lines into the loaded ones as it
 writes; a store that holds exactly what it loaded is not written back.
 """
@@ -42,7 +46,7 @@ import os
 from bisect import bisect_left
 from collections.abc import Mapping
 
-from .errors import CeilingError, CurvelabError, InconsistencyError, InputError
+from .errors import CeilingError, CurvelabError, InconsistencyError, InputError, is_int
 
 ID_BITS = 20
 _MASK = (1 << ID_BITS) - 1
@@ -95,7 +99,9 @@ class _Parts(list):
 
 # `join` and `split` are the only code that knows the bit layout of a key
 def join(head: int, alpha: int, beta: int) -> int:
-    """The int key of a head id and two profile ids."""
+    """The int key of a head id and two profile ids.  Each id fills its
+    own bits, so a key is the OR of its three fields: `join(h, a, b) ==
+    join(h, 0, 0) | join(0, a, 0) | b`."""
     return (head << ID_BITS | alpha) << ID_BITS | beta
 
 
@@ -197,9 +203,9 @@ PROFILES.id(())
 head_id, profile_id = HEADS.id, PROFILES.id
 
 
-def _prefix(key: int) -> bytes:
-    """The start of an int key's line, up to its value."""
-    head, alpha, beta = split(key)
+def _prefix(head: int, alpha: int, beta: int) -> bytes:
+    """The start of the line of the key of a head id and two profile ids,
+    up to its value."""
     return b"%s %s %s " % (HEADS.spellings[head], PROFILES.spellings[alpha],
                            PROFILES.spellings[beta])
 
@@ -217,9 +223,10 @@ class MemoStore:
     A key never remaps to a different value; a conflicting put (e.g. a
     corrupted cache colliding with a fresh computation) fails loudly.
     The store is the verified lines of the file last loaded into an
-    empty store plus one dict, `_values`, of the values put since: a
-    loaded value is parsed from its line each time it is read, and the
-    dict holds neither a parsed value nor a miss.  The engine reads and
+    empty store, with the span of lines of each head, plus one dict,
+    `_values`, of the values put since: a loaded value is parsed from its
+    line, bisected for within its head's span, each time it is read, and
+    the dict holds neither a parsed value nor a miss.  The engine reads and
     writes int keys (`get_packed`, `put_packed`).  `get`, `put` and
     `table` speak tuple keys and count hits and computed keys alike: they
     are the API of code that uses a store without the engine, and `put`
@@ -236,6 +243,9 @@ class MemoStore:
         # loaded key is ever put again.
         self._lines = []
         self._body_path = None
+        # by head id, the (first, end) indices of the lines of that head;
+        # a key whose head has no span is not in the lines
+        self._spans = {}
         # by int key, the value of every key put since, in the order put
         self._values = {}
 
@@ -249,23 +259,37 @@ class MemoStore:
         return _Table(self)
 
     def _value(self, key: int):
-        """The value of int `key`, or None.  A key put since the load is in
-        `_values`; a loaded key's line starts with the spelling of its head
-        and profiles, so it is found by bisection and its value parsed each
-        time it is read."""
+        """The value of int `key`, or None."""
         value = self._values.get(key)
-        if value is None and self._lines:
-            prefix = _prefix(key)
-            lines = self._lines
-            i = bisect_left(lines, prefix)
-            if i < len(lines) and lines[i].startswith(prefix):
-                return int(lines[i][len(prefix):])
-        return value
+        return self._loaded_value(key) if value is None and self._spans else value
+
+    def _loaded_value(self, key: int):
+        """The value of int `key` in the loaded lines, or None.  The line
+        of a loaded key starts with the spelling of its head and profiles,
+        so it is found by bisection in its head's span and its value
+        parsed each time it is read; a key whose head has no span formats
+        nothing and bisects nothing."""
+        head, alpha, beta = split(key)
+        span = self._spans.get(head)
+        if span is None:
+            return None
+        prefix = _prefix(head, alpha, beta)
+        lines = self._lines
+        first, end = span
+        i = bisect_left(lines, prefix, first, end)
+        if i < end and lines[i].startswith(prefix):
+            return int(lines[i][len(prefix):])
+        return None
 
     def get_packed(self, key: int):
-        value = self._value(key)
-        if value is not None:
-            self.hits += 1
+        value = self._values.get(key)
+        if value is None:
+            if not self._spans:
+                return None
+            value = self._loaded_value(key)
+            if value is None:
+                return None
+        self.hits += 1
         return value
 
     def get(self, key: tuple):
@@ -287,9 +311,20 @@ class MemoStore:
         return True
 
     def put_packed(self, key: int, value: int):
-        self.computed += self._add(key, value)
+        """Store the count `value` of an int key that `get_packed` has just
+        missed: the engine's write.  The key is not looked for again, so a
+        caller that has not just missed it must use `put`."""
+        if value < 0:
+            raise InconsistencyError(f"negative count {value} for key {unpack(key)}")
+        self._values[key] = value
+        self.computed += 1
 
     def put(self, key: tuple, value: int):
+        """Store the count `value` of a tuple key, refusing a value that is
+        not an int (a bool included) before anything is stored, and a
+        value that conflicts with the one the key holds."""
+        if not is_int(value):
+            raise InputError(f"memo key {key!r} needs an int count, got {value!r}")
         self.computed += self._add(pack(key), value)
 
     def stats(self) -> dict:
@@ -309,7 +344,7 @@ class MemoStore:
         path = os.fspath(path)
         if path == self._body_path and not self._values:
             return
-        lines = sorted(_prefix(key) + b"%d\n" % value for key, value in self._values.items())
+        lines = sorted(_prefix(*split(key)) + b"%d\n" % value for key, value in self._values.items())
         digest = _sha256()
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
@@ -359,6 +394,9 @@ class MemoStore:
         heads, profiles = HEADS.by_spelling, PROFILES.by_spelling
         number, previous = 1, b""
         last_head = last_alpha = last_beta = None
+        # (head id, index of its first line) in line order: sorted lines
+        # keep the lines of a head together
+        firsts = []
         try:
             for number, raw in enumerate(lines, 2):
                 if raw <= previous:
@@ -368,8 +406,10 @@ class MemoStore:
                     raise InputError(f"bad value {text.decode('ascii', 'replace')!r}")
                 # a spelling in a map was checked when it got its id, and a
                 # head or profile equal to the previous line's was checked
-                if head != last_head and head not in heads:
-                    HEADS.check(head)
+                if head != last_head:
+                    if head not in heads:
+                        HEADS.check(head)
+                    firsts.append((heads[head], number - 2))
                 if alpha != last_alpha and alpha not in profiles:
                     PROFILES.check(alpha)
                 if beta not in profiles:
@@ -394,6 +434,8 @@ class MemoStore:
             for raw in lines:
                 self.loaded += self._add(*_parse_line(raw))
         else:
+            ends = [first for _, first in firsts[1:]] + [len(lines)]
+            self._spans = {head: (first, end) for (head, first), end in zip(firsts, ends)}
             self._lines, self._body_path = lines, path
             self.loaded += len(lines)
 

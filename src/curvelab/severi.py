@@ -16,9 +16,11 @@ which can persist to a cache file.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from functools import cache
 from math import comb
+from operator import itemgetter
 
 from .errors import AdmissibilityError, CeilingError, InputError, is_int
 from .memo import HEADS, PROFILES, MemoStore, head_id, join, pack, profile_id, split, trim
@@ -32,8 +34,13 @@ DEFAULT_DEGREE_CEILING = 12
 # A query's tens of thousands of memo keys hold only a few hundred
 # distinct profiles, interned to ids by `memo.profile_id`.  So the profile
 # arithmetic of an edge is read from tables built once per profile id
-# (`_moment`, `_promotions`, `_raised`, `_alpha_splits`, `_gamma_moves`),
-# which hand out ids.
+# (`_moment`, `_promotions`, `_raised`, `_alpha_splits`, `_gamma_moves`).
+# A table that gives a part of a child key gives it in the bits of its
+# field: a beta id, alpha bits `join(0, a, 0)` or head bits
+# `join(h, 0, 0)`, so a child key is the OR of three table entries and no
+# edge calls `join`.
+# `_alpha_splits` is ordered by moment, so the splits that leave room for
+# new contacts are a prefix of it, cut by one bisection.
 
 
 def profile_moment(profile) -> int:
@@ -59,15 +66,13 @@ def _add_profiles(p, q) -> tuple:
     )
 
 
-def _subprofiles(profile):
-    """All componentwise-dominated profiles, untrimmed length."""
-    if not profile:
-        yield ()
-        return
-    head = profile[0]
-    for rest in _subprofiles(profile[1:]):
-        for c in range(head + 1):
-            yield (c,) + rest
+def _subprofiles(profile) -> list:
+    """All componentwise-dominated profiles, untrimmed length, the first
+    entry varying fastest."""
+    subs = [()]
+    for total in profile:
+        subs = [sub + (kept,) for kept in range(total + 1) for sub in subs]
+    return subs
 
 
 @cache
@@ -111,24 +116,36 @@ def _promotions(beta: int) -> tuple:
 
 
 @cache
+def _alpha_bits(alpha: int) -> int:
+    """The alpha bits of profile id `alpha`, one int shared by every
+    table that holds them."""
+    return join(0, alpha, 0)
+
+
+@cache
 def _raised(alpha: int, index: int) -> int:
-    """The id of profile `alpha` with one more contact of order index+1."""
-    return profile_id(_bump(PROFILES[alpha], index))
+    """The alpha bits of profile `alpha` with one more contact of order
+    index+1."""
+    return _alpha_bits(profile_id(_bump(PROFILES[alpha], index)))
 
 
 @cache
 def _alpha_splits(alpha: int) -> tuple:
-    """(id of alpha', moment of alpha', product of comb(alpha[i],
-    alpha'[i])) for every profile alpha' that profile `alpha` dominates
-    componentwise."""
+    """(moments, bits, combs): parallel tuples over every profile alpha'
+    that profile `alpha` dominates componentwise, in order of moment, of
+    the moment of alpha', its alpha bits and the product of
+    comb(alpha[i], alpha'[i])."""
     profile = PROFILES[alpha]
     out = []
     for sub in _subprofiles(profile):
-        comb_alpha = 1
-        for total, kept in zip(profile, sub):
+        moment, comb_alpha = 0, 1
+        for order, (total, kept) in enumerate(zip(profile, sub), 1):
+            moment += order * kept
             comb_alpha *= comb(total, kept)
-        out.append((profile_id(trim(sub)), profile_moment(sub), comb_alpha))
-    return tuple(out)
+        out.append((moment, _alpha_bits(profile_id(trim(sub))), comb_alpha))
+    # a stable sort: the splits of one moment keep the order of `_subprofiles`
+    out.sort(key=itemgetter(0))
+    return tuple(zip(*out))
 
 
 @cache
@@ -192,7 +209,7 @@ def _residual_heads(head: int) -> tuple:
     """(meet, least, heads) for a head id: the residual left when the fixed
     line splits off meets it in `meet` points and keeps delta - meet + k
     nodes, k the parts of gamma; heads[k - least] is the residual's head
-    id for each k it admits."""
+    bits for each k it admits."""
     surface, degree, delta = HEADS[head]
     rule = _SURFACES[surface]
     residual = rule.residual(degree)
@@ -200,7 +217,9 @@ def _residual_heads(head: int) -> tuple:
     # the residual's node count must lie in 0..cap, and k is at most
     # `meet`, the most contacts left free for new ones
     least, most = max(meet - delta, 0), min(meet - delta + rule.node_cap(residual), meet)
-    heads = tuple(head_id((surface, residual, delta - meet + k)) for k in range(least, most + 1))
+    heads = tuple(
+        join(head_id((surface, residual, delta - meet + k)), 0, 0) for k in range(least, most + 1)
+    )
     return meet, least, heads
 
 
@@ -215,20 +234,23 @@ def _step(key: int):
 
 def _edges(head: int, alpha: int, beta: int):
     # promote one unassigned contact of order i+1 to an assigned one
+    head_bits = join(head, 0, 0)
     for i, beta_p in _promotions(beta):
-        yield i + 1, join(head, _raised(alpha, i), beta_p)
+        yield i + 1, head_bits | _raised(alpha, i) | beta_p
     # split off the fixed line; the residual meets it in `meet` points,
-    # of which `free` are not taken by the contacts in beta, and k is the
-    # number of parts of gamma
+    # of which `free` are not taken by the contacts in beta, and k >= least
+    # is the number of parts of gamma, whose moment rem is at least k: so
+    # only the alpha' of moment at most free - least leave room for gamma
     meet, least, heads = _residual_heads(head)
     free = meet - _moment(beta)
-    for alpha_p, moment_alpha, comb_alpha in _alpha_splits(alpha):
-        rem = free - moment_alpha
-        if rem < 0:
-            continue
+    moments, bits, combs = _alpha_splits(alpha)
+    for j in range(bisect_right(moments, free - least)):
+        rem = free - moments[j]
+        alpha_p, comb_alpha = bits[j], combs[j]
         for k, head_p in zip(range(least, rem + 1), heads):
+            parent = head_p | alpha_p
             for factor, beta_p in _gamma_moves(beta, rem, k):
-                yield comb_alpha * factor, join(head_p, alpha_p, beta_p)
+                yield comb_alpha * factor, parent | beta_p
 
 
 class SeveriEngine:

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -794,6 +795,26 @@ def test_a_store_that_only_loads_finds_every_key(tmp_path):
     assert ast.literal_eval(proc.stdout) == dict(eng.store.table.items())
 
 
+def test_a_miss_on_a_head_the_file_lacks_formats_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "memo.txt"
+    _run(SeveriEngine(), ("p2", 6, 4)).save(path)
+    store = MemoStore()
+    store.load(path)
+    formatted = []
+    prefix = memo._prefix
+    monkeypatch.setattr(memo, "_prefix", lambda *args: formatted.append(args) or prefix(*args))
+    eng = SeveriEngine(store)
+    # the file holds only P2 lines, so no quadric key is looked for in them
+    assert eng.severi_quadric(3, 3, 2) == severi_quadric(3, 3, 2)
+    assert formatted == []
+    # while a P2 count still reads the loaded keys below it
+    cold = SeveriEngine()
+    computed, hits = store.computed, store.hits
+    assert eng.severi_p2(7, 4) == cold.severi_p2(7, 4)
+    assert formatted and store.hits > hits
+    assert store.computed - computed < cold.store.computed
+
+
 def test_lookup_assigns_no_id():
     n = next(_FRESH)
     head, profile = ("P2", n, 0), (0, 0, n, 0, 1)
@@ -904,6 +925,33 @@ def test_put_refuses_a_key_not_in_canonical_form(tmp_path):
     loaded = MemoStore()
     loaded.load(path)
     assert dict(loaded.table) == {good: 12}
+
+
+def test_put_refuses_a_value_that_is_not_an_int(tmp_path):
+    n = next(_FRESH)
+    key = ("P2", n, 1, (), (n,))
+    store = MemoStore()
+    for bad in [12.5, 12.0, True, False, "12", None, b"12", [12]]:
+        with pytest.raises(InputError, match=re.escape(repr(key))):
+            store.put(key, bad)
+    # refused before the key's parts get ids
+    assert ("P2", n, 1) not in memo.HEADS.ids and len(store) == 0
+    with pytest.raises(InconsistencyError, match="negative"):
+        store.put(key, -12)
+    store.put(key, 12)
+    path = tmp_path / "memo.txt"
+    store.save(path)
+    assert path.read_bytes().split(b"\n", 1)[1] == b"P2 %d 1 - %d 12\n" % (n, n)
+    assert store.get(key) == 12 and type(store.get(key)) is int
+
+
+def test_a_key_is_the_or_of_its_fields():
+    # the edge tables hand out head and alpha bits that an edge ORs together
+    ids = (0, 1, (1 << memo.ID_BITS) - 1)
+    for head, alpha, beta in itertools.product(ids, repeat=3):
+        key = memo.join(head, alpha, beta)
+        assert key == memo.join(head, 0, 0) | memo.join(0, alpha, 0) | beta
+        assert memo.split(key) == (head, alpha, beta)
 
 
 def test_an_id_past_the_width_is_refused(monkeypatch):
