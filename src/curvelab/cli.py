@@ -45,7 +45,9 @@ def _count(args, compute):
     path = args.cache
     if path == "":
         raise InputError("cannot read cache file '': the path is empty")
-    if path is not None and os.path.exists(path):
+    if path is not None and not os.path.exists(path):
+        _check_writable(path, "cache")
+    elif path is not None:
         try:
             store.load(path)
         except OSError as exc:
@@ -104,8 +106,8 @@ def _load_a_table(path: str) -> dict:
     return table
 
 
-def _check_writable(path: str):
-    """Refuse an --a-table-out path that no write could create, before
+def _check_writable(path: str, kind: str):
+    """Refuse a path for a `kind` file that no write could create, before
     any work is done; other failures surface when it is written."""
     if path == "":
         problem = "the path is empty"
@@ -115,7 +117,7 @@ def _check_writable(path: str):
         problem = "its directory does not exist"
     else:
         return
-    raise InputError(f"cannot write a-table file {path!r}: {problem}")
+    raise InputError(f"cannot write {kind} file {path!r}: {problem}")
 
 
 def _dump_a_table(table: dict) -> str:
@@ -228,7 +230,7 @@ def _cmd_fit_nodes(args) -> int:
     from .fitter import fit_nodes
 
     if args.a_table_out is not None:
-        _check_writable(args.a_table_out)
+        _check_writable(args.a_table_out, "a-table")
     result, stats = _count(args, lambda engine: fit_nodes(args.max_r, engine=engine))
     if args.a_table_out is not None:
         try:

@@ -35,9 +35,10 @@ reads 1,157 loaded keys 27,578 times, and 32,697 of its 40,972 new keys
 have a head the file lacks, so it formats 35,853 line prefixes where
 one bisection of every line for each miss and again for each put
 formatted 109,522.  That lookup alone took its CPU from 0.77 s to
-0.62 s (minimum of 6 runs, Python 3.11, 2-CPU VM).  Saving joins the stored spellings of only the keys put since,
-formatting no field, and merges their lines into the loaded ones as it
-writes; a store that holds exactly what it loaded is not written back.
+0.62 s (minimum of 6 runs, Python 3.11, 2-CPU VM).  Saving joins the
+stored spellings of only the keys put since, formatting no field, and
+merges their lines into the loaded ones as it writes; a store that holds
+exactly what it loaded is not written back.
 """
 
 from __future__ import annotations
@@ -282,6 +283,10 @@ class MemoStore:
         return None
 
     def get_packed(self, key: int):
+        # The engine's hot read: this repeats `_value` inline on purpose.
+        # Routed through `_value`, cold severi_p2(16, 10), severi_p2(12, 20)
+        # and severi_quadric(10, 10, 8) took about 8% more CPU (median
+        # 1.09 -> 1.17 s over 14 interleaved pairs, Python 3.11, 2 CPUs).
         value = self._values.get(key)
         if value is None:
             if not self._spans:

@@ -25,9 +25,10 @@ one prime P = 2**61 - 1:
 from __future__ import annotations
 
 import random
-from collections import namedtuple
+from collections import Counter, defaultdict, namedtuple
 from functools import lru_cache, partial
-from math import comb, factorial, isqrt
+from itertools import product
+from math import comb, factorial, isqrt, prod
 
 from .errors import InconsistencyError, InputError, is_int
 from .poly import add_terms, mul_terms, partial_terms
@@ -52,7 +53,16 @@ def _weight_multisets(budget: int) -> tuple:
 
 
 def _marking_count(d: int, edges: list) -> int:
-    """Number of markings of one diagram, times the weight multiplicity."""
+    """Number of markings of one diagram, times the weight multiplicity.
+
+    The marks are data: a Counter mapping spans (lo, hi) of slots to a
+    number of marks, slot s lying just before vertex s + 1.  An edge i -> j
+    gives one mark with span (i, j - 1), and vertex v gives ground(v) =
+    1 - in(v) + out(v) marks with span (0, v - 1).  One pass over the slots
+    tracks how many ways leave each tuple of marks left per span: a span
+    with lo <= s < hi places any number of its marks at s, one with hi = s
+    all it has left, and the marks placed at one slot go in any order.
+    """
     in_w = [0] * (d + 1)
     out_w = [0] * (d + 1)
     mu = 1
@@ -60,69 +70,27 @@ def _marking_count(d: int, edges: list) -> int:
         out_w[i] += w
         in_w[j] += w
         mu *= w * w
-    ground = [0] * (d + 1)
-    for v in range(1, d + 1):
-        ground[v] = 1 - in_w[v] + out_w[v]
-        if ground[v] < 0:
-            return 0
+    ground = [1 - in_w[v] + out_w[v] for v in range(1, d + 1)]
+    if min(ground) < 0:
+        return 0
+    marks = Counter((i, j - 1) for (i, j, _) in edges)
+    marks += Counter({(0, v - 1): g for v, g in enumerate(ground, 1)})
+    spans = sorted(marks)
+    ways = {tuple(marks[span] for span in spans): 1}
+    for s in range(d):
+        after = defaultdict(int)
+        for left, n in ways.items():
+            choices = [
+                range(m + 1) if lo <= s < hi else (m,) if hi == s else (0,)
+                for (lo, hi), m in zip(spans, left)
+            ]
+            for placed in product(*choices):
+                rest = tuple(m - p for m, p in zip(left, placed))
+                after[rest] += n * prod(map(comb, left, placed)) * factorial(sum(placed))
+        ways = after
+    (labeled,) = ways.values()
 
-    # every mark is eligible for an interval of slots; slot s sits just
-    # before vertex s+1 (slot 0 = before everything)
-    interval_counts = {}
-
-    def bump(lo, hi, n=1):
-        if n:
-            interval_counts[(lo, hi)] = interval_counts.get((lo, hi), 0) + n
-
-    for (i, j, w) in edges:
-        bump(i, j - 1)
-    for v in range(1, d + 1):
-        bump(0, v - 1, ground[v])
-
-    classes = sorted(interval_counts)
-    counts0 = tuple(interval_counts[c] for c in classes)
-    memo = {}
-
-    def rec(s, remaining):
-        if s == d:
-            return 1 if not any(remaining) else 0
-        state = (s, remaining)
-        if state in memo:
-            return memo[state]
-        open_idx = [
-            k for k, (lo, hi) in enumerate(classes)
-            if lo <= s <= hi and remaining[k] > 0
-        ]
-        total = 0
-
-        def choose(pos, rem, picked, ways):
-            nonlocal total
-            if pos == len(open_idx):
-                total += ways * factorial(picked) * rec(s + 1, rem)
-                return
-            k = open_idx[pos]
-            lo, hi = classes[k]
-            options = (
-                [rem[k]] if hi == s else range(rem[k] + 1)
-            )
-            for take in options:
-                nrem = rem[:k] + (rem[k] - take,) + rem[k + 1:]
-                choose(pos + 1, nrem, picked + take, ways * comb(rem[k], take))
-
-        choose(0, remaining, 0, 1)
-        memo[state] = total
-        return total
-
-    labeled = rec(0, counts0)
-
-    denom = 1
-    for v in range(1, d + 1):
-        denom *= factorial(ground[v])
-    groups = {}
-    for e in edges:
-        groups[e] = groups.get(e, 0) + 1
-    for c in groups.values():
-        denom *= factorial(c)
+    denom = prod(map(factorial, ground)) * prod(map(factorial, Counter(edges).values()))
     if labeled % denom:
         raise InconsistencyError("marking count is not divisible by its symmetry order")
     return mu * (labeled // denom)
@@ -156,17 +124,6 @@ def floor_diagram_oracle(d: int, delta: int, stats: dict = None) -> int:
     out_w = [0] * (d + 1)
     edges = []
 
-    def capacity_bound(next_target: int) -> int:
-        # upper bound on edges the remaining targets can still absorb
-        known = {}
-        bound = 0
-        for t in range(next_target, 1, -1):
-            ub = 1 + sum(in_w[u] for u in range(next_target + 1, d + 1)) \
-                   + sum(known.get(u, 0) for u in range(t + 1, next_target + 1))
-            known[t] = ub
-            bound += ub
-        return bound
-
     def fill_target(j: int):
         nonlocal total
         if j == 1:
@@ -176,7 +133,10 @@ def floor_diagram_oracle(d: int, delta: int, stats: dict = None) -> int:
             return
         if len(edges) > edge_target:
             return
-        if len(edges) + capacity_bound(j) < edge_target:
+        # Targets t = j, .., 2 take at most ub_t more edges each, with
+        # ub_t = S + ub_(t+1) + .. + ub_j and S = 1 + (in-weight above j):
+        # so ub_t = 2^(j-t) S, and all of them S (2^(j-1) - 1).
+        if len(edges) + (1 + sum(in_w[j + 1:])) * (2 ** (j - 1) - 1) < edge_target:
             return
         budget = 1 + out_w[j]
 

@@ -1,15 +1,18 @@
 """Reference algebra for the suites: the power-sum exp and log of a
 TruncatedSeries, series sums and products, linear coordinate changes of a
-germ, the exact integer gcd of univariate polynomials and the
-generator-by-generator jet build.  Apart from that build, all of it is
-written on the public coefficient dicts, the polynomial arithmetic and
-plain coefficient lists, so it shares no code with exp_series,
-log_series, the jet layer or the pencil oracle's modular certificates that
-the tests compare it against.  The jet build shares only the echelon form
-(JetSubspace) and the column order: what it checks is the row order.
+germ, the exact integer gcd of univariate polynomials, the marking count
+of a floor diagram and the generator-by-generator jet build.  Apart from
+that build, all of it is written on the public coefficient dicts, the
+polynomial arithmetic and plain coefficient lists, so it shares no code
+with exp_series, log_series, the jet layer, the floor oracle's slot walk
+or the pencil oracle's modular certificates that the tests compare it
+against.  The jet build shares only the echelon form (JetSubspace) and
+the column order: what it checks is the row order.
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd
 
 from curvelab.germs import GermPoly
@@ -126,3 +129,47 @@ def poly_gcd(u: list, v: list) -> list:
     while v:
         u, v = v, _primitive(_pseudo_rem(u, v))
     return u
+
+
+def floor_markings(d: int, edges: list) -> int:
+    """Reference marking count of a floor diagram on vertices 1..d with
+    weighted edges (i, j, w), i < j.  Each edge carries one labeled mark,
+    and each vertex v carries 1 - in(v) + out(v) of them (the diagram
+    counts 0 if that is negative).  It counts the linear orders of
+    the vertices and the marks that keep the vertices in order 1..d, put
+    an edge's mark after its source and before its target and a vertex's
+    marks before it, by a memoised count over (next vertex, set of placed
+    marks).  That count, times the product of squared weights, is divided
+    by the orders that permute a vertex's marks or identical edges."""
+    ground = [1] * (d + 1)
+    weight = 1
+    for i, j, w in edges:
+        ground[i] += w
+        ground[j] -= w
+        weight *= w * w
+    if min(ground[1:]) < 0:
+        return 0
+    # a mark is (after, before): it follows vertex `after` (0: none)
+    # and precedes vertex `before`
+    marks = [(i, j) for i, j, _ in edges]
+    marks += [(0, v) for v in range(1, d + 1) for _ in range(ground[v])]
+
+    @lru_cache(maxsize=None)
+    def orders(v: int, placed: frozenset) -> int:
+        if v > d:
+            return 1
+        total = sum(
+            orders(v, placed | {k})
+            for k, (after, _) in enumerate(marks)
+            if k not in placed and after < v
+        )
+        if all(k in placed for k, (_, before) in enumerate(marks) if before == v):
+            total += orders(v + 1, placed)
+        return total
+
+    symmetries = 1
+    for n in ground[1:] + list(Counter(edges).values()):
+        symmetries *= factorial(n)
+    labeled = orders(1, frozenset())
+    assert labeled % symmetries == 0
+    return weight * labeled // symmetries

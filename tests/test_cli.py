@@ -9,6 +9,7 @@ import pytest
 import curvelab
 from curvelab.catalog import load_catalog
 from curvelab.cli import entry
+from curvelab.severi import SeveriEngine
 
 
 def run_cli(capsys, *argv):
@@ -479,6 +480,29 @@ def test_cache_path_that_cannot_be_read_or_written_exits_2(tmp_path, capsys, mon
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write cache file {str(missing)!r}: ")
     _assert_one_line_error(err, missing)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_under_a_missing_directory_is_refused_before_the_count(
+    tmp_path, capsys, monkeypatch
+):
+    def never(self, key):
+        raise AssertionError("the count ran before the cache path was checked")
+
+    monkeypatch.setattr(SeveriEngine, "_evaluate", never)
+    missing = tmp_path / "missing" / "x.cache"
+    for query in (
+        ("severi", "p2", "-d", "10", "--nodes", "12"),
+        ("fit", "nodes", "--max-r", "2"),
+        ("fit", "scan", "-r", "1"),
+    ):
+        code, out, err = run_cli(capsys, *query, "--cache", str(missing))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cannot write cache file {str(missing)!r}: "
+            "its directory does not exist\n"
+        )
+        assert ".tmp" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from curvelab import oracles
 from curvelab.errors import InconsistencyError, InputError
 from curvelab.oracles import (
     _P,
@@ -14,7 +15,7 @@ from curvelab.oracles import (
     pencil_discriminant_oracle,
 )
 from curvelab.severi import SeveriEngine
-from reference import poly_gcd
+from reference import floor_markings, poly_gcd
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +39,50 @@ def test_floor_diagram_matches_recursion_everywhere(engine):
                 d,
                 delta,
             )
+
+
+# (value, diagrams, frames) of every supported (d, delta): the frames count
+# the walk's steps, so this pins the pruning bound as well as the counts
+_FLOOR_PINS = {
+    (1, 0): (1, 1, 0), (1, 1): (0, 0, 0), (1, 2): (0, 0, 0),
+    (1, 3): (0, 0, 0), (1, 4): (0, 0, 0),
+    (2, 0): (1, 1, 3), (2, 1): (3, 1, 3), (2, 2): (0, 0, 0),
+    (2, 3): (0, 0, 0), (2, 4): (0, 0, 0),
+    (3, 0): (1, 1, 14), (3, 1): (12, 3, 14), (3, 2): (21, 3, 17),
+    (3, 3): (15, 1, 9), (3, 4): (0, 0, 0),
+    (4, 0): (1, 1, 62), (4, 1): (27, 5, 91), (4, 2): (225, 13, 91),
+    (4, 3): (675, 20, 116), (4, 4): (666, 15, 100),
+    (5, 0): (1, 1, 626), (5, 1): (48, 7, 840), (5, 2): (882, 28, 957),
+    (5, 3): (7915, 78, 1216), (5, 4): (36975, 153, 1252),
+    (6, 0): (1, 1, 13122), (6, 1): (75, 9, 15848), (6, 2): (2370, 47, 19232),
+    (6, 3): (41310, 179, 21681), (6, 4): (437517, 530, 25200),
+}
+
+
+def test_floor_diagram_values_and_stats_are_pinned():
+    for (d, delta), pinned in _FLOOR_PINS.items():
+        stats = {}
+        value = floor_diagram_oracle(d, delta, stats)
+        assert (value, stats["diagrams"], stats["frames"]) == pinned, (d, delta)
+
+
+def test_marking_count_matches_a_linear_extension_count(monkeypatch):
+    reached = []
+
+    def record(d, edges):
+        reached.append((d, list(edges)))
+        return marking_count(d, edges)
+
+    marking_count = oracles._marking_count
+    monkeypatch.setattr(oracles, "_marking_count", record)
+    for d in range(1, 5):
+        for delta in range(0, 5):
+            floor_diagram_oracle(d, delta)
+    assert len(reached) == sum(
+        _FLOOR_PINS[d, delta][1] for d in range(1, 5) for delta in range(0, 5)
+    )
+    for d, edges in reached:
+        assert marking_count(d, edges) == floor_markings(d, edges), (d, edges)
 
 
 def test_floor_diagram_range_errors():
