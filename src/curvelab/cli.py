@@ -7,9 +7,9 @@ printed), 2 bad input, 3 ceiling or admissibility limit, 4 internal
 inconsistency.
 
 Each handler imports the layer it runs when it runs, so a process pays
-start-up only for that layer. The four counting commands (`severi p2`,
-`severi p1xp1`, `fit nodes`, `fit scan`) reach the Severi engine and its
-memo store through `_count`; no other command loads either.
+start-up only for that layer. The counting commands (`severi` on each
+surface of `surfaces.SURFACES`, `fit nodes`, `fit scan`) reach the Severi
+engine and its memo store through `_count`; no other command loads either.
 """
 
 import argparse
@@ -18,8 +18,10 @@ import os
 import sys
 
 from .errors import CurvelabError, InputError
+from .surfaces import PLANE, SURFACES
 
 SCHEMA = "curvelab/v1"
+_CLASS_FLAGS = tuple(dict.fromkeys(flag for row in SURFACES.values() for flag in row.flags))
 
 
 def _emit(args, result, stats=None, text="") -> int:
@@ -184,45 +186,40 @@ def _cmd_germ_catalog(args) -> int:
     return _emit(args, [e.to_dict() for e in entries], None, "\n".join(rows))
 
 
-def _cmd_severi_p2(args) -> int:
-    value, stats = _count(args, lambda engine: engine.severi_p2(args.d, args.nodes))
-    return _emit(args, value, stats, str(value))
-
-
-def _cmd_severi_quadric(args) -> int:
-    value, stats = _count(args, lambda engine: engine.severi_quadric(args.a, args.b, args.nodes))
+def _cmd_severi(args) -> int:
+    surface = args.surface
+    klass = surface.klass(*(getattr(args, flag) for flag in surface.flags))
+    value, stats = _count(args, lambda engine: engine.count(surface, klass, args.nodes))
     return _emit(args, value, stats, str(value))
 
 
 def _cmd_severi_oracle(args) -> int:
     from .oracles import floor_diagram_oracle, pencil_discriminant_oracle
 
-    if args.method == "floor" and args.surface != "p2":
-        raise InputError("the floor-diagram oracle only covers the plane")
+    surface = SURFACES[args.surface.upper()]
+    if args.method == "floor" and not surface.floor:
+        covered = " and ".join(f"the {other.word}" for other in SURFACES.values() if other.floor)
+        raise InputError(f"the floor-diagram oracle only covers {covered}")
     # a flag the chosen count does not read is refused, not ignored
-    if args.surface == "p2" and (args.a is not None or args.b is not None):
-        raise InputError("-a and -b give a p1xp1 bidegree; the plane takes -d")
-    if args.surface == "p1xp1" and args.d is not None:
-        raise InputError("-d gives a plane degree; p1xp1 takes -a and -b")
+    if any(getattr(args, flag) is not None for flag in _CLASS_FLAGS if flag not in surface.flags):
+        raise InputError(surface.wrong_flag)
+    values = [getattr(args, flag) for flag in surface.flags]
+    flags = " and ".join(f"-{flag}" for flag in surface.flags)
     stats = {}
     if args.method == "floor":
         if args.seed is not None:
             raise InputError("--seed picks the pencil oracle's draws; the floor oracle has none")
-        if args.d is None or args.nodes is None:
-            raise InputError("floor oracle needs -d and --nodes")
-        value = floor_diagram_oracle(args.d, args.nodes, stats)
+        if None in values or args.nodes is None:
+            raise InputError(f"floor oracle needs {flags} and --nodes")
+        value = floor_diagram_oracle(surface.klass(*values), args.nodes, stats)
     else:
         if args.nodes not in (None, 1):
             raise InputError("the pencil oracle counts one-node curves only; --nodes must be 1")
+        if None in values:
+            raise InputError(f"{surface.word} pencil oracle needs {flags}")
         seed = 0 if args.seed is None else args.seed
-        if args.surface == "p2":
-            if args.d is None:
-                raise InputError("plane pencil oracle needs -d")
-            value = pencil_discriminant_oracle("p2", args.d, seed=seed, stats=stats)
-        else:
-            if args.a is None or args.b is None:
-                raise InputError("quadric pencil oracle needs -a and -b")
-            value = pencil_discriminant_oracle("p1xp1", (args.a, args.b), seed=seed, stats=stats)
+        value = pencil_discriminant_oracle(args.surface, surface.klass(*values), seed=seed,
+                                           stats=stats)
     return _emit(args, value, stats, str(value))
 
 
@@ -330,27 +327,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     severi = sub.add_parser("severi", help="nodal curve counts")
     ssub = severi.add_subparsers(dest="subcommand", required=True)
-    sp = ssub.add_parser("p2", help="plane count by degree and node number")
-    sp.add_argument("-d", type=int, required=True)
-    sp.add_argument("--nodes", type=int, required=True)
-    _add_cache(sp)
-    _add_json(sp)
-    sp.set_defaults(func=_cmd_severi_p2)
-
-    sq = ssub.add_parser("p1xp1", help="quadric count by bidegree and node number")
-    sq.add_argument("-a", type=int, required=True)
-    sq.add_argument("-b", type=int, required=True)
-    sq.add_argument("--nodes", type=int, required=True)
-    _add_cache(sq)
-    _add_json(sq)
-    sq.set_defaults(func=_cmd_severi_quadric)
+    for surface in SURFACES.values():
+        sp = ssub.add_parser(surface.name.lower(),
+                             help=f"{surface.word} count by {surface.kind} and node number")
+        for flag in surface.flags:
+            sp.add_argument(f"-{flag}", type=int, required=True)
+        sp.add_argument("--nodes", type=int, required=True)
+        _add_cache(sp)
+        _add_json(sp)
+        sp.set_defaults(func=_cmd_severi, surface=surface)
 
     so = ssub.add_parser("oracle", help="independent cross-checks of the counts")
     so.add_argument("--method", choices=["floor", "pencil"], required=True)
-    so.add_argument("--surface", choices=["p2", "p1xp1"], default="p2")
-    so.add_argument("-d", type=int, default=None)
-    so.add_argument("-a", type=int, default=None)
-    so.add_argument("-b", type=int, default=None)
+    so.add_argument("--surface", choices=[name.lower() for name in SURFACES],
+                    default=PLANE.name.lower())
+    for flag in _CLASS_FLAGS:
+        so.add_argument(f"-{flag}", type=int, default=None)
     so.add_argument("--nodes", type=int, default=None)
     so.add_argument("--seed", type=int, default=None)
     _add_json(so)

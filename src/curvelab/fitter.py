@@ -9,12 +9,12 @@ closed-form predictions for either surface.
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial
 from math import factorial
 
 from .errors import CeilingError, InconsistencyError, InputError, is_int
 from .series import ChernPolynomial, TruncatedSeries, exp_series, log_series
-from .severi import SeveriEngine, plane_node_cap, quadric_node_cap
+from .severi import SeveriEngine
+from .surfaces import PLANE, QUADRIC
 
 NODE_LABEL = "A1"
 MAX_ORDER = 8
@@ -35,12 +35,26 @@ def default_quadric_bidegrees(r_max: int) -> tuple:
 
 def chern_p2(d: int) -> tuple:
     """Chern vector (L^2, L.K, c1^2, c2) of (P^2, O(d))."""
-    return (d * d, -3 * d, 9, 3)
+    return PLANE.chern(d)
 
 
 def chern_quadric(a: int, b: int) -> tuple:
     """Chern vector of (P^1 x P^1, O(a,b))."""
-    return (2 * a * b, -2 * a - 2 * b, 8, 4)
+    return QUADRIC.chern((a, b))
+
+
+def _classes(surface, given, name: str) -> tuple:
+    """The distinct classes in `given`, sorted, each checked before
+    deduplication would merge True into 1."""
+    if not hasattr(given, "__iter__"):
+        kinds = f"{surface.word} {surface.kind}s"
+        raise InputError(f"{name} must be a sequence of {kinds}, got {given!r}")
+    several = len(surface.flags) > 1
+    given = tuple(tuple(c) if several and hasattr(c, "__iter__") else c for c in given)
+    for klass in given:
+        if not surface.valid(klass):
+            raise InputError(f"bad {surface.word} {surface.kind} {klass!r}")
+    return tuple(sorted(set(given)))
 
 
 class FitResult(namedtuple("FitResult", "r_max a T residual_consistent")):
@@ -52,10 +66,7 @@ class FitResult(namedtuple("FitResult", "r_max a T residual_consistent")):
 
     def to_a_table(self) -> dict:
         """Log-coefficients keyed by node multisets, symmetry factors undone."""
-        return {
-            (NODE_LABEL,) * r: poly.scale(factorial(r))
-            for r, poly in self.a.items()
-        }
+        return {(NODE_LABEL,) * r: poly.scale(factorial(r)) for r, poly in self.a.items()}
 
     def to_json_obj(self) -> dict:
         return {
@@ -69,20 +80,10 @@ class FitResult(namedtuple("FitResult", "r_max a T residual_consistent")):
 def _log_coefficients(counts) -> list:
     """Order-by-order log of a count sequence starting at 1."""
     cap = len(counts) - 1
-    weights = {NODE_LABEL: 1}
-    series = TruncatedSeries(
-        weights,
-        cap,
-        {
-            (NODE_LABEL,) * r: ChernPolynomial.constant(n)
-            for r, n in enumerate(counts)
-        },
-    )
+    series = TruncatedSeries({NODE_LABEL: 1}, cap, {
+        (NODE_LABEL,) * r: ChernPolynomial.constant(n) for r, n in enumerate(counts)})
     logarithm = log_series(series)
-    return [
-        logarithm.coefficient((NODE_LABEL,) * r).constant_part()
-        for r in range(cap + 1)
-    ]
+    return [logarithm.coefficient((NODE_LABEL,) * r).constant_part() for r in range(cap + 1)]
 
 
 def _solve_linear4(equations) -> tuple:
@@ -91,9 +92,7 @@ def _solve_linear4(equations) -> tuple:
     Returns the solution of a full-rank subsystem; callers must verify
     the remaining equations themselves.
     """
-    aug = [
-        [Fraction(v) for v in vec] + [Fraction(rhs)] for vec, rhs in equations
-    ]
+    aug = [[Fraction(v) for v in vec] + [Fraction(rhs)] for vec, rhs in equations]
     pivot_rows = []
     used = set()
     for col in range(4):
@@ -114,11 +113,8 @@ def _solve_linear4(equations) -> tuple:
                 factor = row[col]
                 aug[i] = [v - factor * w for v, w in zip(row, norm)]
     if len(pivot_rows) < 4:
-        raise InputError(
-            "fit data spans only "
-            f"{len(pivot_rows)} of the 4 Chern directions; add plane degrees "
-            "and quadric bidegrees"
-        )
+        raise InputError(f"fit data spans only {len(pivot_rows)} of the 4 Chern directions; "
+                         "add plane degrees and quadric bidegrees")
     solution = [Fraction(0)] * 4
     for col, row in reversed(pivot_rows):
         value = row[4] - sum(row[j] * solution[j] for j in range(4) if j != col)
@@ -126,12 +122,8 @@ def _solve_linear4(equations) -> tuple:
     return tuple(solution)
 
 
-def fit_nodes(
-    r_max: int,
-    plane_degrees=None,
-    quadric_bidegrees=None,
-    engine: SeveriEngine = None,
-) -> FitResult:
+def fit_nodes(r_max: int, plane_degrees=None, quadric_bidegrees=None,
+              engine: SeveriEngine = None) -> FitResult:
     if not is_int(r_max) or r_max < 0:
         raise InputError("r_max must be a nonnegative integer")
     if r_max > MAX_ORDER:
@@ -141,46 +133,30 @@ def fit_nodes(
         plane_degrees = DEFAULT_PLANE_DEGREES
     if quadric_bidegrees is None:
         quadric_bidegrees = default_quadric_bidegrees(r_max)
-    # checked before deduplication, which would merge True into 1
-    plane_degrees = tuple(plane_degrees)
-    quadric_bidegrees = tuple(tuple(p) for p in quadric_bidegrees)
-    for d in plane_degrees:
-        if not is_int(d) or d < 1:
-            raise InputError(f"bad plane degree {d!r}")
-    for pair in quadric_bidegrees:
-        if len(pair) != 2 or not all(is_int(v) and v >= 1 for v in pair):
-            raise InputError(f"bad quadric bidegree {pair!r}")
-    plane_degrees = tuple(sorted(set(plane_degrees)))
-    quadric_bidegrees = tuple(sorted(set(quadric_bidegrees)))
+    classes = [(surface, klass) for surface, given, name in (
+        (PLANE, plane_degrees, "plane_degrees"),
+        (QUADRIC, quadric_bidegrees, "quadric_bidegrees"),
+    ) for klass in _classes(surface, given, name)]
 
     engine = engine if engine is not None else SeveriEngine()
 
     # one row per surface polarization, planes first: its Chern vector, the
     # log of its count series, and the largest order the row may vote on
-    surfaces = [
-        (f"P2 d={d}", plane_node_cap(d), partial(engine.severi_p2, d), chern_p2(d), d - 2)
-        for d in plane_degrees
-    ] + [
-        (f"P1XP1 ({a},{b})", quadric_node_cap(a, b), partial(engine.severi_quadric, a, b),
-         chern_quadric(a, b), min(a, b) - 1)
-        for a, b in quadric_bidegrees
-    ]
     rows = []
-    for label, cap, count, vec, max_order in surfaces:
-        counts = [count(r) for r in range(min(r_max, cap) + 1)]
+    for surface, klass in classes:
+        cap = surface.node_cap(klass)
+        counts = [engine.count(surface, klass, r) for r in range(min(r_max, cap) + 1)]
         for r, n in enumerate(counts):
             if n <= 0:
-                raise InconsistencyError(f"nonpositive count {n} at {label} r={r}")
-        rows.append((vec, _log_coefficients(counts), max_order))
+                raise InconsistencyError(
+                    f"nonpositive count {n} at {surface.fit_label(klass)} r={r}")
+        rows.append((surface.chern(klass), _log_coefficients(counts), surface.vote_order(klass)))
 
     a_polys = {}
     consistent = True
     for r in range(1, r_max + 1):
-        equations = [
-            (vec, logs[r])
-            for vec, logs, max_order in rows
-            if r <= max_order and r < len(logs)
-        ]
+        equations = [(vec, logs[r]) for vec, logs, max_order in rows
+                     if r <= max_order and r < len(logs)]
         solution = _solve_linear4(equations)
         poly = ChernPolynomial.linear(*solution)
         for vec, rhs in equations:
@@ -189,14 +165,9 @@ def fit_nodes(
         a_polys[r] = poly
 
     log_part = TruncatedSeries(
-        {NODE_LABEL: 1},
-        r_max,
-        {(NODE_LABEL,) * r: p for r, p in a_polys.items()},
-    )
+        {NODE_LABEL: 1}, r_max, {(NODE_LABEL,) * r: p for r, p in a_polys.items()})
     exp_part = exp_series(log_part)
-    t_polys = {
-        r: exp_part.coefficient((NODE_LABEL,) * r) for r in range(r_max + 1)
-    }
+    t_polys = {r: exp_part.coefficient((NODE_LABEL,) * r) for r in range(r_max + 1)}
 
     return FitResult(r_max, a_polys, t_polys, consistent)
 
@@ -226,14 +197,14 @@ def threshold_scan(
     for d in d_range:
         if not is_int(d):
             raise InputError(f"bad plane degree {d!r}")
-        if plane_node_cap(d) >= r:
+        if PLANE.node_cap(d) >= r:
             admissible.append(d)
     admissible.sort()
     if not admissible:
         raise InputError("no degree in the scanned range admits that many nodes")
     threshold = None
     for d in reversed(admissible):
-        if engine.severi_p2(d, r) == result.T[r].evaluate(chern_p2(d)):
+        if engine.severi_p2(d, r) == result.T[r].evaluate(PLANE.chern(d)):
             threshold = d
         else:
             break

@@ -2,17 +2,19 @@
 
 A memo key is `(surface, degree, delta, alpha, beta)`, alpha and beta
 the assigned and unassigned tangency profiles; its value is an exact
-count that never changes.  Inside the engine and the store a key is one
-int, `head << 2B | alpha << B | beta`: the head `(surface, degree,
-delta)` and the two profiles are interned to ids below 2^B (B =
-`ID_BITS` = 20), each id naming one shared tuple, so a key is below
-2^60 and costs 32 bytes where the 5-tuple cost 80.  `join` and `split`
-are the layout's only spelling.  A new head or profile whose id would
-reach 2^B is refused, so two keys never share an int.  Only the store's
-boundary sees tuples or text: `get`, `put`, `table` and error messages
-unpack a key, and each head and profile is spelled for cache lines once,
-when it gets its id; a cache field is read back through a map from
-spelling to id, so a process parses each distinct spelling once.
+count that never changes.  The surface's row in `surfaces.SURFACES`
+spells and parses its degree (its class) in cache lines.  Inside the
+engine and the store a key is one int, `head << 2B | alpha << B | beta`:
+the head `(surface, degree, delta)` and the two profiles are interned to
+ids below 2^B (B = `ID_BITS` = 20), each id naming one shared tuple, so
+a key is below 2^60 and costs 32 bytes where the 5-tuple cost 80.
+`join` and `split` are the layout's only spelling.  A new head or
+profile whose id would reach 2^B is refused, so two keys never share an
+int.  Only the store's boundary sees tuples or text: `get`, `put`,
+`table` and error messages unpack a key, and each head and profile is
+spelled for cache lines once, when it gets its id; a cache field is read
+back through a map from spelling to id, so a process parses each
+distinct spelling once.
 
 A cache file is a header line
 `curvelab-memo/v1 <sha256 hex of the body>` and a body of one canonical
@@ -27,15 +29,12 @@ from its line, found by bisection within its head's span, each time it
 is read, and is never copied into the dict.  A key whose head has no
 span is missed without formatting or bisecting anything, and a new key
 is looked for in the lines once, when it is missed: the engine puts
-only a key it has just missed.  A replay reads few loaded values: a
-`fit` or `severi` command that computes nothing makes 1 to 74 reads of
-an 84k-line cache.  A count computed on top of a cache reads more:
-`severi p2 -d 16 --nodes 10` on a 23,997-key cache of smaller counts
-reads 1,157 loaded keys 27,578 times, and 32,697 of its 40,972 new keys
-have a head the file lacks, so it formats 35,853 line prefixes where
-one bisection of every line for each miss and again for each put
-formatted 109,522.  That lookup alone took its CPU from 0.77 s to
-0.62 s (minimum of 6 runs, Python 3.11, 2-CPU VM).  Saving joins the
+only a key it has just missed.  A replay reads few loaded values, so a
+value is parsed when read, not at load; and most new keys of a count
+computed on top of a cache have a head the file lacks, so a miss checks
+its head's span before it formats a line prefix (measured in CHANGES.md,
+under the memo store that keeps each value in one place and the faster
+Severi recursion).  Saving joins the
 stored spellings of only the keys put since, formatting no field, and
 merges their lines into the loaded ones as it writes; a store that holds
 exactly what it loaded is not written back.
@@ -48,6 +47,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 
 from .errors import CeilingError, CurvelabError, InconsistencyError, InputError, is_int
+from .surfaces import SURFACES
 
 ID_BITS = 20
 _MASK = (1 << ID_BITS) - 1
@@ -83,7 +83,7 @@ class _Parts(list):
         a cache file can hold it."""
         try:
             return self.parse(self.spell(value)) == value
-        except (TypeError, ValueError):
+        except (LookupError, TypeError, ValueError):
             return False
 
     def check(self, field: bytes):
@@ -93,7 +93,7 @@ class _Parts(list):
         try:
             if self.spellings[self.id(self.parse(field.decode("ascii")))] == field:
                 return
-        except ValueError:
+        except (LookupError, ValueError):
             pass
         raise InputError(f"bad field {field.decode('ascii', 'replace')!r}")
 
@@ -170,8 +170,7 @@ def _format_profile(profile) -> str:
 
 def _format_head(head) -> str:
     surface, degree, delta = head
-    deg = ",".join(map(str, degree)) if isinstance(degree, tuple) else degree
-    return f"{surface} {deg} {delta}"
+    return f"{surface} {SURFACES[surface].spell(degree)} {delta}"
 
 
 def _natural(text) -> int:
@@ -181,15 +180,8 @@ def _natural(text) -> int:
 
 
 def _parse_head(text: str) -> tuple:
-    surface, deg, delta = text.split(" ")
-    if surface == "P2":
-        degree = _natural(deg)
-    elif surface == "P1XP1":
-        a, b = deg.split(",")
-        degree = (_natural(a), _natural(b))
-    else:
-        raise ValueError(surface)
-    return surface, degree, _natural(delta)
+    surface, degree, delta = text.split(" ")
+    return surface, SURFACES[surface].parse(degree), _natural(delta)
 
 
 def _parse_profile(text: str) -> tuple:
@@ -283,10 +275,9 @@ class MemoStore:
         return None
 
     def get_packed(self, key: int):
-        # The engine's hot read: this repeats `_value` inline on purpose.
-        # Routed through `_value`, cold severi_p2(16, 10), severi_p2(12, 20)
-        # and severi_quadric(10, 10, 8) took about 8% more CPU (median
-        # 1.09 -> 1.17 s over 14 interleaved pairs, Python 3.11, 2 CPUs).
+        # The engine's hot read: this repeats `_value` inline on purpose,
+        # as a call through `_value` costs the cold counts CPU (measured in
+        # CHANGES.md, under the floor-diagram oracle's slot-by-slot count).
         value = self._values.get(key)
         if value is None:
             if not self._spans:

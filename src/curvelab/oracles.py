@@ -7,7 +7,8 @@ pencil_discriminant_oracle: counts singular members of a random pencil
 by eliminating the pencil parameter, taking a resultant in y, and
 counting its roots, less the spurious ones, once it is proved squarefree;
 repeated with independent samples that must agree.  One sampler serves
-P2 and P1xP1: what they differ in is one row of the table `_PENCILS`.
+every surface whose row in `surfaces.SURFACES` has a pencil row, which is
+all that the surfaces differ in here.
 Every answer is exact, though the bignum steps run modulo powers of the
 one prime P = 2**61 - 1:
 
@@ -25,13 +26,14 @@ one prime P = 2**61 - 1:
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, defaultdict
 from functools import lru_cache, partial
 from itertools import product
 from math import comb, factorial, isqrt, prod
 
 from .errors import InconsistencyError, InputError, is_int
 from .poly import add_terms, mul_terms, partial_terms
+from .surfaces import SURFACES, Pencil
 
 # ---------------------------------------------------------------------------
 # floor diagrams
@@ -397,39 +399,7 @@ def _meets_at_infinity(F: dict, G: dict, var: int, chart) -> bool:
     return len(ca) < 2 or len(cb) < 2 or _sylvester_det(ca, cb, 0) == 0
 
 
-# One surface and degree as the sampler sees it: F and G are drawn by
-# `_sample_poly(rng, *draw)`; `var` picks E2 = F*Gv - Fv*G; `e_ydegs` are
-# the generic y-degrees of (E1, E2); `fake` counts the spurious roots, the
-# common roots of (Fv, Gv), which must have y-degrees `fake_ydegs` unless
-# that is None; `chart` moves the curve at infinity to u = 0.
-_Pencil = namedtuple("_Pencil", "name draw var e_ydegs fake fake_ydegs chart")
-
-_PENCILS = {
-    # Degree d, drawn by total degree, so the top y-coefficients of E1, E2
-    # and Fx are constants.  Fx and Gx meet in (d-1)^2 points.  The chart
-    # x = 1 misses only (0:1:0), and a member singular there has zero
-    # coefficients of y^d and x*y^(d-1), so E2 would lose its y^(2d-1)
-    # term: the y-degree check on E2 rejects that draw.
-    "P2": lambda d: _Pencil(
-        "plane", (d, d, d), 0, (2 * d - 2, 2 * d - 1), (d - 1) ** 2, (d - 1, d - 1),
-        lambda i, j: (d - i - j, j),
-    ),
-    # Bidegree (a, b), a <= b.  With a >= 2 the pair (E1, F*Gx - Fx*G) is
-    # unusable: both top y-coefficients are multiples of fb'*gb - fb*gb',
-    # so the resultant always degenerates at infinity.  Pairing E1 with
-    # F*Gy - Fy*G instead gives coprime leading coefficients; its spurious
-    # zeros are the common roots of (Fy, Gy), of which there are 2a(b-1).
-    # F*Gy - Fy*G loses its top term identically, so its generic y-degree
-    # is 2b - 2.  The chart u = 1/x reverses F and G in x.
-    "P1XP1": lambda a, b: _Pencil(
-        "quadric", (a, b, a + b), 0 if a == 1 else 1,
-        (2 * b - 1, 2 * b if a == 1 else 2 * b - 2), 0 if a == 1 else 2 * a * (b - 1), None,
-        lambda i, j: (a - i, j),
-    ),
-}
-
-
-def _pencil_sample(pencil: _Pencil, rng, stats: dict):
+def _pencil_sample(pencil: Pencil, rng, stats: dict):
     """One-node count from one random pencil, or None if degenerate."""
     F = _sample_poly(rng, *pencil.draw)
     G = _sample_poly(rng, *pencil.draw)
@@ -477,25 +447,12 @@ def pencil_discriminant_oracle(surface: str, degree, seed: int = 0, stats: dict 
         stats = {}
     for key in ("samples", "retries", "crt_primes", "exact_squarefree_fallbacks"):
         stats.setdefault(key, 0)
-    surface_key = str(surface).upper()
-    if surface_key == "P2":
-        if not is_int(degree) or not (2 <= degree <= 7):
-            raise InputError("plane pencil oracle supports 2 <= d <= 7")
-        pencil = _PENCILS["P2"](degree)
-    elif surface_key == "P1XP1":
-        try:
-            a, b = degree
-        except (TypeError, ValueError):
-            raise InputError("quadric pencil oracle needs a bidegree pair (a, b)")
-        if not (is_int(a) and is_int(b)) or not (1 <= a <= 4 and 1 <= b <= 4):
-            raise InputError("quadric pencil oracle supports 1 <= a, b <= 4")
-        # Counts are symmetric in the bidegree, so normalise to a <= b; the
-        # elimination needs the y-direction to carry the larger degree.
-        pencil = _PENCILS["P1XP1"](min(a, b), max(a, b))
-    else:
-        raise InputError(f"unknown surface {surface!r}; use P2 or P1XP1")
-    sample = partial(_pencil_sample, pencil)
-    values = [_draw_count(sample, random.Random(1000003 * seed + i), stats, pencil.name)
+    row = SURFACES.get(str(surface).upper())
+    if row is None or row.pencil is None:
+        names = " or ".join(name for name, other in SURFACES.items() if other.pencil)
+        raise InputError(f"unknown surface {surface!r}; use {names}")
+    sample = partial(_pencil_sample, row.pencil(degree))
+    values = [_draw_count(sample, random.Random(1000003 * seed + i), stats, row.word)
               for i in range(3)]
     if len(set(values)) != 1:
         raise InconsistencyError(

@@ -8,22 +8,22 @@ maps a memo key to its weighted child keys, read from tables built once
 per distinct tangency profile, and one evaluator walks those edges
 depth-first on an explicit stack, so the depth of the recursion is
 bounded by memory, not by the Python call stack.  The surfaces differ
-only in a small per-surface table: the base case, the residual class,
-its intersection with the fixed line and its node cap.  Every value is
-an exact arbitrary-precision integer, memoized in a `memo.MemoStore`,
-which can persist to a cache file.
+only in their rows of `surfaces.SURFACES`: the base case, the residual
+class, its intersection with the fixed line and its node cap.  Every
+value is an exact arbitrary-precision integer, memoized in a
+`memo.MemoStore`, which can persist to a cache file.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import namedtuple
 from functools import cache
 from math import comb
 from operator import itemgetter
 
 from .errors import AdmissibilityError, CeilingError, InputError, is_int
 from .memo import HEADS, PROFILES, MemoStore, head_id, join, pack, profile_id, split, trim
+from .surfaces import PLANE, QUADRIC, SURFACES
 
 DEFAULT_DEGREE_CEILING = 12
 
@@ -170,38 +170,12 @@ def _gamma_moves(beta: int, rem: int, k: int) -> tuple:
 
 def plane_node_cap(d: int) -> int:
     """Most nodes a reduced degree-d curve carries (d generic lines)."""
-    return d * (d - 1) // 2
+    return PLANE.node_cap(d)
 
 
 def quadric_node_cap(a: int, b: int) -> int:
     """Most nodes on a reduced (a,b) curve (union of rulings)."""
-    return a * b
-
-
-# The only data in which the surfaces differ: the value of a base key
-# (None for any other key), the residual class left when the fixed line
-# splits off, the number of points in which a class meets the fixed line,
-# and the most nodes a reduced curve of a class carries.
-_Surface = namedtuple("_Surface", "base residual meet node_cap")
-
-_SURFACES = {
-    "P2": _Surface(
-        base=lambda d, delta, alpha, beta: int(delta == 0) if d == 1 else None,
-        residual=lambda d: d - 1,
-        meet=lambda d: d,
-        node_cap=plane_node_cap,
-    ),
-    # class (0,b): b ruling lines, transversal to the fixed line, no
-    # nodes; profiles may only hold order-1 contacts
-    "P1XP1": _Surface(
-        base=lambda ab, delta, alpha, beta: (
-            int(delta == 0 and len(alpha) <= 1 and len(beta) <= 1) if ab[0] == 0 else None
-        ),
-        residual=lambda ab: (ab[0] - 1, ab[1]),
-        meet=lambda ab: ab[1],
-        node_cap=lambda ab: quadric_node_cap(*ab),
-    ),
-}
+    return QUADRIC.node_cap((a, b))
 
 
 @cache
@@ -211,7 +185,7 @@ def _residual_heads(head: int) -> tuple:
     nodes, k the parts of gamma; heads[k - least] is the residual's head
     bits for each k it admits."""
     surface, degree, delta = HEADS[head]
-    rule = _SURFACES[surface]
+    rule = SURFACES[surface]
     residual = rule.residual(degree)
     meet = rule.meet(residual)
     # the residual's node count must lie in 0..cap, and k is at most
@@ -228,7 +202,7 @@ def _step(key: int):
     key: its count is the base value plus the sum of factor * child count."""
     head, alpha, beta = split(key)
     surface, degree, delta = HEADS[head]
-    base = _SURFACES[surface].base(degree, delta, PROFILES[alpha], PROFILES[beta])
+    base = SURFACES[surface].base(degree, delta, PROFILES[alpha], PROFILES[beta])
     return (base, ()) if base is not None else (0, _edges(head, alpha, beta))
 
 
@@ -263,24 +237,24 @@ class SeveriEngine:
         self.degree_ceiling = degree_ceiling
 
     def severi_p2(self, d: int, delta: int) -> int:
-        if not (is_int(d) and is_int(delta)) or d < 1 or delta < 0:
-            raise InputError("need degree d >= 1 and node count delta >= 0")
-        return self._count("P2", d, delta, d, f"degree {d}")
+        return self.count(PLANE, d, delta)
 
     def severi_quadric(self, a: int, b: int, delta: int) -> int:
-        if not all(map(is_int, (a, b, delta))) or min(a, b) < 1 or delta < 0:
-            raise InputError("need bidegree a, b >= 1 and node count delta >= 0")
-        return self._count("P1XP1", (a, b), delta, max(a, b), f"bidegree ({a},{b})")
+        return self.count(QUADRIC, (a, b), delta)
 
-    def _count(self, surface: str, degree, delta: int, size: int, label: str) -> int:
-        if size > self.degree_ceiling:
+    def count(self, surface, klass, delta: int) -> int:
+        """The number of `delta`-nodal curves of a class on a surface row."""
+        if not (surface.valid(klass) and is_int(delta)) or delta < 0:
+            raise InputError(f"need {surface.kind} {', '.join(surface.flags)} >= 1 "
+                             "and node count delta >= 0")
+        label = surface.label(klass)
+        if surface.size(klass) > self.degree_ceiling:
             raise CeilingError(f"{label} exceeds ceiling {self.degree_ceiling}")
-        rule = _SURFACES[surface]
-        cap = rule.node_cap(degree)
+        cap = surface.node_cap(klass)
         if delta > cap:
             raise AdmissibilityError(f"delta={delta} exceeds the nodal cap {cap} for {label}")
         # every contact with the fixed line starts unassigned and of order 1
-        return self._evaluate(pack((surface, degree, delta, (), (rule.meet(degree),))))
+        return self._evaluate(pack((surface.name, klass, delta, (), (surface.meet(klass),))))
 
     def _evaluate(self, key: int) -> int:
         """Depth-first walk of the edges below `key` on an explicit stack.

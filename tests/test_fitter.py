@@ -126,6 +126,20 @@ def test_parameter_validation():
         fit_nodes(1, plane_degrees=[3], quadric_bidegrees=[(3, 3), (True, 3)])
 
 
+def test_fit_nodes_refuses_scalar_rows():
+    # each of these used to raise a bare TypeError from tuple()
+    for kwargs, message in [
+        ({"plane_degrees": 5}, "plane_degrees must be a sequence of plane degrees, got 5"),
+        ({"quadric_bidegrees": 5},
+         "quadric_bidegrees must be a sequence of quadric bidegrees, got 5"),
+        ({"quadric_bidegrees": [3]}, "bad quadric bidegree 3"),
+        ({"quadric_bidegrees": [(2, 2), None]}, "bad quadric bidegree None"),
+    ]:
+        with pytest.raises(InputError) as info:
+            fit_nodes(2, **kwargs)
+        assert str(info.value) == message, kwargs
+
+
 def test_threshold_scan_validation(fit4, engine):
     for bad in [True, 0, 9, "2"]:
         with pytest.raises(InputError, match="threshold scan needs an order r in 1..8"):

@@ -65,7 +65,7 @@ def test_germ_analyze_loads_no_fit_oracle_or_catalog():
 def test_severi_count_loads_only_the_engine():
     loaded = _curvelab_modules_after("severi", "p2", "-d", "4", "--nodes", "2")
     assert loaded == {"curvelab", "curvelab.cli", "curvelab.errors", "curvelab.memo",
-                      "curvelab.severi"}
+                      "curvelab.severi", "curvelab.surfaces"}
 
 
 @pytest.fixture

@@ -28,6 +28,7 @@ from curvelab.severi import (
     severi_p2,
     severi_quadric,
 )
+from curvelab.surfaces import SURFACES
 
 PLANE_ANCHORS = {
     (1, 0): 1,
@@ -713,7 +714,7 @@ def test_edge_tables_give_the_reference_edges(both_surfaces):
     assert {key[0] for key in both_surfaces.table} == {"P2", "P1XP1"}
     stepped = 0
     for key in both_surfaces.table:
-        rule = severi._SURFACES[key[0]]
+        rule = SURFACES[key[0]]
         if rule.base(*key[1:]) is not None:
             continue
         want = Counter(_reference_edges(key, rule))
