@@ -10,11 +10,11 @@ ids below 2^B (B = `ID_BITS` = 20), each id naming one shared tuple, so
 a key is below 2^60 and costs 32 bytes where the 5-tuple cost 80.
 `join` and `split` are the layout's only spelling.  A new head or
 profile whose id would reach 2^B is refused, so two keys never share an
-int.  Only the store's boundary sees tuples or text: `get`, `put`,
-`table` and error messages unpack a key, and each head and profile is
-spelled for cache lines once, when it gets its id; a cache field is read
-back through a map from spelling to id, so a process parses each
-distinct spelling once.
+int.  Only the store's boundary sees tuples or text: `get`, `table` and
+error messages unpack a key, and each head and profile is spelled for
+cache lines once, when it gets its id, by `%d`, which spells an int
+subclass by its value; a cache field is read back through a map from
+spelling to id, so a process parses each distinct spelling once.
 
 A cache file is a header line
 `curvelab-memo/v1 <sha256 hex of the body>` and a body of one canonical
@@ -23,8 +23,9 @@ bytes: being printable ASCII, lines sort alike with or without newlines.
 Loading checks the digest before it parses a line, then the order and
 the canonical form of every line and that no key has two values, and
 keeps the lines without building a table, with the span of lines of
-each head.  A store is those verified lines plus one dict of the values
-put since, so each value is held in one place: a loaded value is parsed
+each head.  A file loads only into an empty store, so a store is at most
+one file's verified lines plus one dict of the values the engine put
+since, and each value is held in one place: a loaded value is parsed
 from its line, found by bisection within its head's span, each time it
 is read, and is never copied into the dict.  A key whose head has no
 span is missed without formatting or bisecting anything, and a new key
@@ -46,7 +47,7 @@ import os
 from bisect import bisect_left
 from collections.abc import Mapping
 
-from .errors import CeilingError, CurvelabError, InconsistencyError, InputError, is_int
+from .errors import CeilingError, CurvelabError, InconsistencyError, InputError
 from .surfaces import SURFACES
 
 ID_BITS = 20
@@ -78,14 +79,6 @@ class _Parts(list):
             self.ids[value] = self.by_spelling[spelling] = i
         return i
 
-    def canonical(self, value) -> bool:
-        """Whether `value` is the part its spelling parses back to, so that
-        a cache file can hold it."""
-        try:
-            return self.parse(self.spell(value)) == value
-        except (LookupError, TypeError, ValueError):
-            return False
-
     def check(self, field: bytes):
         """Intern the part that a cache-line field spells; refuse the field
         unless it is that part's spelling, so that every part has exactly
@@ -109,20 +102,6 @@ def join(head: int, alpha: int, beta: int) -> int:
 def split(key: int) -> tuple:
     """(head id, alpha id, beta id) of an int key."""
     return key >> 2 * ID_BITS, key >> ID_BITS & _MASK, key & _MASK
-
-
-def pack(key: tuple) -> int:
-    """The int of a tuple key, assigning ids to its new parts.  The key is
-    refused unless it is a 5-tuple of canonical parts, before any part gets
-    an id: a part that is not canonical would be saved in a spelling that a
-    load refuses or reads as another part."""
-    if type(key) is not tuple or len(key) != 5:
-        raise InputError(f"memo key {key!r} is not a 5-tuple")
-    parts = (HEADS, key[:3]), (PROFILES, key[3]), (PROFILES, key[4])
-    for table, part in parts:
-        if not table.canonical(part):
-            raise InputError(f"memo key {key!r} has a part not in canonical form: {part!r}")
-    return join(*(table.id(part) for table, part in parts))
 
 
 def _packed(key: tuple):
@@ -165,12 +144,12 @@ def _sha256(data=b""):
 
 
 def _format_profile(profile) -> str:
-    return ",".join(str(c) for c in profile) if profile else "-"
+    return ",".join("%d" % c for c in profile) if profile else "-"
 
 
 def _format_head(head) -> str:
     surface, degree, delta = head
-    return f"{surface} {SURFACES[surface].spell(degree)} {delta}"
+    return "%s %s %d" % (surface, SURFACES[surface].spell(degree), delta)
 
 
 def _natural(text) -> int:
@@ -213,27 +192,21 @@ def _parse_line(raw: bytes) -> tuple:
 class MemoStore:
     """Key -> value table with provenance counters.
 
-    A key never remaps to a different value; a conflicting put (e.g. a
-    corrupted cache colliding with a fresh computation) fails loudly.
-    The store is the verified lines of the file last loaded into an
+    The store is the verified lines of at most one file, loaded into an
     empty store, with the span of lines of each head, plus one dict,
     `_values`, of the values put since: a loaded value is parsed from its
     line, bisected for within its head's span, each time it is read, and
     the dict holds neither a parsed value nor a miss.  The engine reads and
-    writes int keys (`get_packed`, `put_packed`).  `get`, `put` and
-    `table` speak tuple keys and count hits and computed keys alike: they
-    are the API of code that uses a store without the engine, and `put`
-    packs a tuple key into the int the engine reads, where a store that
-    took only ints would keep it under a key no count looks up.
+    writes int keys (`get_packed`, `put_packed`); `get` and `table` read
+    tuple keys, for code that uses a store without the engine.
     """
 
     def __init__(self):
         self.computed = 0
         self.hits = 0
         self.loaded = 0
-        # The sorted, verified lines of the file last loaded into an empty
-        # store, and its path.  Keys are never removed or remapped, so no
-        # loaded key is ever put again.
+        # The sorted, verified lines of the file loaded, and its path.  Keys
+        # are never removed or remapped, so no loaded key is ever put again.
         self._lines = []
         self._body_path = None
         # by head id, the (first, end) indices of the lines of that head;
@@ -250,11 +223,6 @@ class MemoStore:
         """Every key and its value: the loaded keys in file order, then
         the added ones in the order they were put."""
         return _Table(self)
-
-    def _value(self, key: int):
-        """The value of int `key`, or None."""
-        value = self._values.get(key)
-        return self._loaded_value(key) if value is None and self._spans else value
 
     def _loaded_value(self, key: int):
         """The value of int `key` in the loaded lines, or None.  The line
@@ -275,9 +243,9 @@ class MemoStore:
         return None
 
     def get_packed(self, key: int):
-        # The engine's hot read: this repeats `_value` inline on purpose,
-        # as a call through `_value` costs the cold counts CPU (measured in
-        # CHANGES.md, under the floor-diagram oracle's slot-by-slot count).
+        # The engine's hot read, written out in full on purpose: a helper
+        # shared with `_Table.__getitem__` costs the cold counts CPU (measured
+        # in CHANGES.md, under the floor-diagram oracle's slot-by-slot count).
         value = self._values.get(key)
         if value is None:
             if not self._spans:
@@ -292,36 +260,13 @@ class MemoStore:
         packed = _packed(key)
         return None if packed is None else self.get_packed(packed)
 
-    def _add(self, key: int, value: int) -> bool:
-        """Store an int key's value; False if the store already holds it."""
-        old = self._value(key)
-        if old is not None:
-            if old != value:
-                raise InconsistencyError(
-                    f"memo key {unpack(key)} already holds {old}, refusing to store {value}"
-                )
-            return False
-        if value < 0:
-            raise InconsistencyError(f"negative count {value} for key {unpack(key)}")
-        self._values[key] = value
-        return True
-
     def put_packed(self, key: int, value: int):
         """Store the count `value` of an int key that `get_packed` has just
-        missed: the engine's write.  The key is not looked for again, so a
-        caller that has not just missed it must use `put`."""
+        missed, without looking for it again: the store's only write."""
         if value < 0:
             raise InconsistencyError(f"negative count {value} for key {unpack(key)}")
         self._values[key] = value
         self.computed += 1
-
-    def put(self, key: tuple, value: int):
-        """Store the count `value` of a tuple key, refusing a value that is
-        not an int (a bool included) before anything is stored, and a
-        value that conflicts with the one the key holds."""
-        if not is_int(value):
-            raise InputError(f"memo key {key!r} needs an int count, got {value!r}")
-        self.computed += self._add(pack(key), value)
 
     def stats(self) -> dict:
         return {
@@ -362,13 +307,14 @@ class MemoStore:
             raise
 
     def load(self, path):
-        """Read a cache file.  Every line is checked before anything is
-        stored: the body must match the digest in its header, be strictly
-        sorted, spell every head, profile and value canonically, hold one
-        value per key and agree with the table.  A load into an empty
-        store keeps the verified lines and parses no value; a load into a
-        store that holds keys adds every loaded key it lacks."""
+        """Read a cache file into an empty store: a store that holds keys,
+        loaded or computed, refuses before it reads the file.  Every line
+        is checked before anything is kept: the body must match the digest
+        in its header, be strictly sorted, spell every head, profile and
+        value canonically and hold one value per key.  No value is parsed."""
         path = os.fspath(path)
+        if len(self):
+            raise InputError(f"cache file {path!r} can only be loaded into an empty store")
         with open(path, "rb") as fh:
             header = fh.read(_HEADER_LEN)
             if not header.startswith(_MAGIC) or header.find(b"\n") != _HEADER_LEN - 1:
@@ -426,14 +372,10 @@ class MemoStore:
             ) from None
         except CurvelabError as exc:
             raise type(exc)(f"cache file {path!r} line {number}: {exc}") from None
-        if len(self):
-            for raw in lines:
-                self.loaded += self._add(*_parse_line(raw))
-        else:
-            ends = [first for _, first in firsts[1:]] + [len(lines)]
-            self._spans = {head: (first, end) for (head, first), end in zip(firsts, ends)}
-            self._lines, self._body_path = lines, path
-            self.loaded += len(lines)
+        ends = [first for _, first in firsts[1:]] + [len(lines)]
+        self._spans = {head: (first, end) for (head, first), end in zip(firsts, ends)}
+        self._lines, self._body_path = lines, path
+        self.loaded += len(lines)
 
 
 class _Table(Mapping):
@@ -450,10 +392,13 @@ class _Table(Mapping):
         # empty profile has one from the start), so a key with no id is
         # neither loaded nor put
         packed = _packed(key)
-        value = None if packed is None else self._store._value(packed)
-        if value is None:
-            raise KeyError(key)
-        return value
+        if packed is not None:
+            value = self._store._values.get(packed)
+            if value is None:
+                value = self._store._loaded_value(packed)
+            if value is not None:
+                return value
+        raise KeyError(key)
 
     def __iter__(self):
         store = self._store

@@ -22,7 +22,7 @@ from math import comb
 from operator import itemgetter
 
 from .errors import AdmissibilityError, CeilingError, InputError, is_int
-from .memo import HEADS, PROFILES, MemoStore, head_id, join, pack, profile_id, split, trim
+from .memo import HEADS, PROFILES, MemoStore, head_id, join, profile_id, split, trim
 from .surfaces import PLANE, QUADRIC, SURFACES
 
 DEFAULT_DEGREE_CEILING = 12
@@ -254,7 +254,8 @@ class SeveriEngine:
         if delta > cap:
             raise AdmissibilityError(f"delta={delta} exceeds the nodal cap {cap} for {label}")
         # every contact with the fixed line starts unassigned and of order 1
-        return self._evaluate(pack((surface.name, klass, delta, (), (surface.meet(klass),))))
+        head = head_id((surface.name, klass, delta))
+        return self._evaluate(join(head, profile_id(()), profile_id((surface.meet(klass),))))
 
     def _evaluate(self, key: int) -> int:
         """Depth-first walk of the edges below `key` on an explicit stack.

@@ -78,8 +78,8 @@ class Surface(namedtuple("Surface", "name word kind flags chern node_cap vote_or
                 and all(is_int(v) and v >= 1 for v in values))
 
     def spell(self, klass) -> str:
-        """A class as a cache line spells it, e.g. `5` or `2,3`."""
-        return ",".join(map(str, klass)) if len(self.flags) > 1 else str(klass)
+        """A class as a cache line spells it by value, e.g. `5` or `2,3`."""
+        return ",".join("%d" % v for v in klass) if len(self.flags) > 1 else "%d" % klass
 
     def parse(self, text: str):
         """The class `text` spells; ValueError unless one natural per flag."""

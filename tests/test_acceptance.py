@@ -244,3 +244,24 @@ def test_acceptance_6_property_suites(capsys, tmp_path):
         assert path_a.read_bytes() == path_b.read_bytes()
 
     _run(capsys, 6, 30.0, "seeded property suites hold", body)
+
+
+def test_acceptance_7_k3_and_abelian_closed_forms(capsys):
+    def body():
+        # K = 0 rows that no fit reads: on a K3 surface T_g is the q^g
+        # coefficient of prod (1 - q^n)^-24, and on an abelian surface
+        # T_(n-1) is n^2 sigma_1(n), computed here with no curvelab code
+        yau_zaslow = [1] + [0] * 8
+        for n in range(1, 9):
+            for _ in range(24):
+                for k in range(n, 9):
+                    yau_zaslow[k] += yau_zaslow[k - n]
+        assert yau_zaslow == [1, 24, 324, 3200, 25650, 176256, 1073720, 5930496, 30178575]
+        result = fit_nodes(8)
+        for g in range(9):
+            assert result.T[g].evaluate((2 * g - 2, 0, 0, 24)) == yau_zaslow[g], g
+        for n in range(1, 10):
+            sigma = sum(d for d in range(1, n + 1) if n % d == 0)
+            assert result.T[n - 1].evaluate((2 * n, 0, 0, 0)) == n * n * sigma, n
+
+    _run(capsys, 7, 5.0, "K3 and abelian closed forms hold at every fitted order", body)

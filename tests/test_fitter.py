@@ -154,11 +154,14 @@ def test_threshold_scan_validation(fit4, engine):
         threshold_scan(fit4, 1, d_range="5", engine=engine)
 
 
-def test_corrupted_counts_break_consistency():
-    # corrupt a middle degree: the true counts below it and the shifted
-    # ones above it cannot lie on one line
+def test_corrupted_counts_break_consistency(tmp_path, write_cache):
+    # corrupt a middle degree in a cache file whose digest matches the
+    # edit: the true counts below it and the shifted ones above it cannot
+    # lie on one line
+    path = tmp_path / "poisoned.memo"
+    write_cache(path, ["P2 8 1 - 8 999"])
     store = MemoStore()
-    store.put(("P2", 8, 1, (), (8,)), 999)
+    store.load(path)
     poisoned = SeveriEngine(store)
     result = fit_nodes(1, engine=poisoned)
     assert not result.residual_consistent

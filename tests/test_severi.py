@@ -199,17 +199,6 @@ def test_memo_hits_grow(engine):
     assert after == before + 1
 
 
-def test_store_refuses_conflicting_value():
-    store = MemoStore()
-    key = ("P2", 3, 1, (), (3,))
-    store.put(key, 12)
-    store.put(key, 12)
-    with pytest.raises(InconsistencyError):
-        store.put(key, 13)
-    with pytest.raises(InconsistencyError):
-        store.put(("P2", 2, 1, (), (2,)), -1)
-
-
 def test_cache_round_trip(tmp_path):
     cold = SeveriEngine()
     value = cold.severi_p2(5, 2)
@@ -258,15 +247,14 @@ def test_cache_bytes_are_deterministic(tmp_path):
 
 
 def test_cache_line_format(tmp_path):
-    store = MemoStore()
-    store.put(("P2", 4, 2, (), (4,)), 225)
-    store.put(("P1XP1", (2, 3), 1, (1,), (0, 1)), 7)
+    store = _run(SeveriEngine(), ("p2", 4, 2), ("quadric", 2, 3, 1))
     path = tmp_path / "memo.txt"
     store.save(path)
     header, body = path.read_bytes().split(b"\n", 1)
     assert header == b"curvelab-memo/v1 " + hashlib.sha256(body).hexdigest().encode()
     lines = body.decode().splitlines()
-    assert lines == ["P1XP1 2,3 1 1 0,1 7", "P2 4 2 - 4 225"]
+    assert lines == sorted(lines) and len(lines) == len(store) == 58
+    assert lines[6] == "P1XP1 1,3 0 1 0,1 2" and lines[-5] == "P2 4 2 - 4 225"
 
     back = MemoStore()
     back.load(path)
@@ -321,16 +309,18 @@ def test_cache_rejects_malformed_lines(tmp_path, write_cache):
 def test_cache_load_conflict(tmp_path, write_cache):
     good = tmp_path / "good.txt"
     bad = tmp_path / "bad.txt"
-    write_cache(good, ["P2 3 1 - 3 12"])
-    write_cache(bad, ["P2 3 1 - 3 999"])
-    store = MemoStore()
-    store.load(good)
-    with pytest.raises(InconsistencyError):
-        store.load(bad)
     # one key with two values within one file
     write_cache(bad, ["P2 3 1 - 3 12", "P2 3 1 - 3 13"])
     with pytest.raises(InconsistencyError):
         MemoStore().load(bad)
+    # a second file, which here disagrees with the first, is refused whole
+    write_cache(good, ["P2 3 1 - 3 12"])
+    write_cache(bad, ["P2 3 1 - 3 999"])
+    store = MemoStore()
+    store.load(good)
+    with pytest.raises(InputError, match=re.escape(repr(str(bad)))):
+        store.load(bad)
+    assert dict(store.table) == {("P2", 3, 1, (), (3,)): 12}
 
 
 # A 291-line cache in which `severi p2 -d 3 --nodes 1` reads one key, on
@@ -388,19 +378,6 @@ def test_cache_load_checks_lines_far_from_the_key_read(
     assert str(info.value) == expected
     code = entry(["severi", "p2", "-d", "3", "--nodes", "1", "--cache", str(path)])
     assert (code, capsys.readouterr()) == (error.exit_code, ("", f"error: {expected}\n"))
-
-
-def test_put_conflicting_with_an_unread_loaded_line(tmp_path):
-    path = tmp_path / "memo.txt"
-    _run(SeveriEngine(), *FAR_QUERIES).save(path)
-    store = MemoStore()
-    store.load(path)
-    # the line `P2 5 1 2 1,1 176`, which nothing has read
-    key = ("P2", 5, 1, (2,), (1, 1))
-    with pytest.raises(InconsistencyError, match="already holds 176, refusing to store 177"):
-        store.put(key, 177)
-    store.put(key, 176)
-    assert store.stats() == {"computed": 0, "hits": 0, "loaded": 291, "size": 291}
 
 
 def _file_table(path):
@@ -525,43 +502,31 @@ def test_grown_save_merges_new_lines_into_the_loaded_body(chunk_lines, tmp_path,
     assert b.read_bytes() == before
 
 
-def test_save_after_a_second_load(tmp_path):
-    cold = _cold_bytes(tmp_path)
-    a, b, c = (tmp_path / name for name in ("a.txt", "b.txt", "c.txt"))
+def test_a_load_into_a_store_that_holds_keys_is_refused(tmp_path, write_cache):
+    a, b, fresh = (tmp_path / name for name in ("a.txt", "b.txt", "fresh.txt"))
     _run(SeveriEngine(), LOADED_QUERY).save(a)
     _run(SeveriEngine(), *GROWN_QUERIES).save(b)
-    # loaded into an empty store, then into a store that holds keys
-    first = MemoStore()
-    first.load(a)
-    _run(SeveriEngine(first), GROWN_QUERIES[0])
-    first.load(b)
-    first.save(c)
-    assert c.read_bytes() == cold
-    # only loaded into a store that holds keys
-    computed = _run(SeveriEngine(), GROWN_QUERIES[1])
-    computed.load(a)
-    computed.load(b)
-    computed.save(c)
-    assert c.read_bytes() == cold
-
-
-def test_second_load_counts_only_the_keys_it_adds(tmp_path):
-    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    _run(SeveriEngine(), LOADED_QUERY).save(a)
-    _run(SeveriEngine(), *GROWN_QUERIES).save(b)
-    first = MemoStore()
-    first.load(a)
-    _run(SeveriEngine(first), GROWN_QUERIES[0])
-    assert first.stats() == {"computed": 31, "hits": 17, "loaded": 27, "size": 58}
-    # b holds a's keys and the computed ones; only the other 94 are loaded
-    first.load(b)
-    assert first.stats() == {"computed": 31, "hits": 17, "loaded": 121, "size": 152}
-    computed = _run(SeveriEngine(), GROWN_QUERIES[1])
-    assert computed.stats() == {"computed": 121, "hits": 68, "loaded": 0, "size": 121}
-    computed.load(a)
-    assert computed.stats()["loaded"] == 0
-    computed.load(b)
-    assert computed.stats() == {"computed": 121, "hits": 68, "loaded": 31, "size": 152}
+    # a head no count builds: a load that read the file would give it an id
+    n = next(_FRESH)
+    write_cache(fresh, [f"P2 {n} 0 - {n} 1"])
+    computed = _run(SeveriEngine(), GROWN_QUERIES[0])
+    loaded = MemoStore()
+    loaded.load(a)
+    grown = MemoStore()
+    grown.load(a)
+    _run(SeveriEngine(grown), GROWN_QUERIES[0])
+    for name, store in (("computed", computed), ("loaded", loaded), ("grown", grown)):
+        before, after = tmp_path / f"{name}.before", tmp_path / f"{name}.after"
+        stats, table = store.stats(), dict(store.table)
+        store.save(before)
+        for path in (a, b, fresh):
+            message = f"cache file {str(path)!r} can only be loaded into an empty store"
+            with pytest.raises(InputError, match=re.escape(message)):
+                store.load(path)
+        assert store.stats() == stats and dict(store.table) == table
+        store.save(after)
+        assert after.read_bytes() == before.read_bytes()
+    assert ("P2", n, 0) not in memo.HEADS.ids
 
 
 def test_values_hold_only_the_keys_put_since_the_load(tmp_path):
@@ -611,9 +576,7 @@ def test_grown_save_formats_no_loaded_key(tmp_path, monkeypatch):
     store.load(path)
     _run(SeveriEngine(store), *GROWN_QUERIES)
     assert store.loaded > 0 and store.computed > 0
-    cold = MemoStore()
-    for key, value in store.table.items():
-        cold.put(key, value)
+    cold = _run(SeveriEngine(), LOADED_QUERY, *GROWN_QUERIES)
     spelled = Counter()
 
     def counted(parts):
@@ -705,6 +668,11 @@ def both_surfaces():
     return eng.store
 
 
+def _key_int(key):
+    """The int of a canonical tuple key, assigning ids to its new parts."""
+    return memo.join(memo.head_id(key[:3]), memo.profile_id(key[3]), memo.profile_id(key[4]))
+
+
 def _assert_profiles_interned(table):
     profiles = [p for key in table for p in key[3:]]
     assert len({id(p) for p in profiles}) == len(set(profiles))
@@ -719,7 +687,7 @@ def test_edge_tables_give_the_reference_edges(both_surfaces):
             continue
         want = Counter(_reference_edges(key, rule))
         got = Counter((factor, memo.unpack(child))
-                      for factor, child in severi._step(memo.pack(key))[1])
+                      for factor, child in severi._step(_key_int(key))[1])
         assert got == want, key
         stepped += 1
     assert stepped > 1000
@@ -741,7 +709,7 @@ def test_memo_keys_share_one_tuple_per_profile(both_surfaces, tmp_path):
 
 def test_packing_round_trips_every_key(both_surfaces):
     keys = list(both_surfaces.table)
-    packed = [memo.pack(key) for key in keys]
+    packed = [_key_int(key) for key in keys]
     assert len(set(packed)) == len(keys)
     assert [memo.unpack(key) for key in packed] == keys
     assert [memo._packed(key) for key in keys] == packed
@@ -750,7 +718,7 @@ def test_packing_round_trips_every_key(both_surfaces):
 def test_every_part_reads_back_from_its_spelling(both_surfaces):
     for key in both_surfaces.table:
         for parts, i in zip((memo.HEADS, memo.PROFILES, memo.PROFILES),
-                            memo.split(memo.pack(key))):
+                            memo.split(_key_int(key))):
             spelling = parts.spellings[i]
             assert parts.by_spelling[spelling] == i
             assert spelling == parts.spell(parts[i]).encode("ascii")
@@ -824,7 +792,9 @@ def test_lookup_assigns_no_id():
     assert store.get(key) is None and key not in store.table
     assert profile not in memo.PROFILES.ids and head not in memo.HEADS.ids
     assert store.get("P2") is None and 5 not in store.table
-    store.put(key, 5)
+    packed = _key_int(key)
+    assert store.get_packed(packed) is None
+    store.put_packed(packed, 5)
     assert store.get(key) == 5 and store.table[key] == 5
     assert memo.PROFILES[memo.PROFILES.ids[profile]] is profile
 
@@ -834,8 +804,8 @@ class _TupleSubclass(tuple):
 
 
 def _hostile_key(rng, key):
-    """A canonical memo key spoiled in one seeded way, so that `put` must
-    refuse it."""
+    """A canonical memo key spoiled in one seeded way, so that it is no
+    5-tuple of canonical parts."""
     surface, degree, delta, alpha, beta = key
     n = rng.choice([delta, degree if type(degree) is int else degree[0]])
     number = rng.choice([str(n), float(n), True, False, -1 - n, None])
@@ -866,9 +836,9 @@ def _hostile_key(rng, key):
 
 
 def test_store_tuple_boundary_fuzz(tmp_path):
-    # hostile tuple keys through put and every lookup, on an empty, a
-    # computed and a loaded store: put refuses each with InputError, and a
-    # lookup gives a value, None or False, or raises KeyError
+    # hostile tuple keys through every lookup, on an empty, a computed and
+    # a loaded store: a lookup gives a value, None or False, or raises
+    # KeyError, and changes no store
     assert MemoStore().get(("P2", 3, 1, [], (3,))) is None
     computed = _run(SeveriEngine(), LOADED_QUERY, *GROWN_QUERIES)
     path = tmp_path / "memo.txt"
@@ -883,8 +853,6 @@ def test_store_tuple_boundary_fuzz(tmp_path):
         for _ in range(150):
             key = _hostile_key(rng, rng.choice(canonical))
             for store in stores:
-                with pytest.raises(InputError):
-                    store.put(key, 1)
                 try:
                     value = store.table[key]
                 except KeyError:
@@ -896,51 +864,65 @@ def test_store_tuple_boundary_fuzz(tmp_path):
     assert loaded._values == {}
 
 
-def test_put_refuses_a_key_not_in_canonical_form(tmp_path):
+def test_put_refuses_a_key_not_in_canonical_form(tmp_path, write_cache):
     n = next(_FRESH)
-    good = ("P2", n, 1, (), (n,))
-    store = MemoStore()
-    store.put(good, 12)
-    # each would be saved in a spelling that a load refuses, or that names
-    # `good`'s head a second time
-    for bad in [
-        ("P2", str(n), 1, (), (n,)),
-        ("P2", float(n), 1, (), (n,)),
-        ("P2", n, True, (), (n,)),
-        ("Q", n, 1, (), (n,)),
-        ("P2", n, 1, (), (n, 0)),
-        ("P2", n, 1, (), [n]),
-    ]:
-        with pytest.raises(InputError, match="not in canonical form"):
-            store.put(bad, 12)
-    assert (n, 0) not in memo.PROFILES.ids and b"%d,0" % n not in memo.PROFILES.by_spelling
-    # so a file spelling the untrimmed profile is still refused in this process
-    body = b"P2 %d 1 - %d,0 12\n" % (n, n)
     path = tmp_path / "untrimmed.memo"
-    path.write_bytes(b"curvelab-memo/v1 %s\n%s" % (hashlib.sha256(body).hexdigest().encode(), body))
+    write_cache(path, [f"P2 {n} 1 - {n},0 12"])
     with pytest.raises(InputError, match="bad field"):
         MemoStore().load(path)
-    # and the file saved after the refused puts loads
-    path = tmp_path / "saved.memo"
-    store.save(path)
+    # the untrimmed profile got no id and no spelling, so the file is
+    # still refused, and the one spelling its key canonically loads
+    assert (n, 0) not in memo.PROFILES.ids and b"%d,0" % n not in memo.PROFILES.by_spelling
+    with pytest.raises(InputError, match="bad field"):
+        MemoStore().load(path)
+    write_cache(path, [f"P2 {n} 1 - {n} 12"])
     loaded = MemoStore()
     loaded.load(path)
-    assert dict(loaded.table) == {good: 12}
+    assert dict(loaded.table) == {("P2", n, 1, (), (n,)): 12}
 
 
-def test_put_refuses_a_value_that_is_not_an_int(tmp_path):
+class _Liar(int):
+    """An int that spells itself as the next number."""
+
+    def __str__(self):
+        return str(int(self) + 1)
+
+
+def test_an_int_subclass_is_spelled_by_its_value(tmp_path):
+    # the engine's first key is built from the caller's class and node
+    # count: they are spelled by their values, so the file names the
+    # counts that were computed and loads
+    assert memo.HEADS.spell(("P2", _Liar(3), _Liar(1))) == "P2 3 1"
+    assert memo.HEADS.spell(("P1XP1", (_Liar(2), 3), 1)) == "P1XP1 2,3 1"
+    assert memo.PROFILES.spell((_Liar(0), _Liar(3))) == "0,3"
+    eng = SeveriEngine()
+    assert eng.severi_p2(_Liar(3), _Liar(1)) == 12
+    assert eng.severi_quadric(_Liar(2), 3, _Liar(1)) == 20
+    path = tmp_path / "memo.txt"
+    eng.store.save(path)
+    lines = path.read_text().splitlines()
+    assert "P2 3 1 - 3 12" in lines and "P1XP1 2,3 1 - 3 20" in lines
+    loaded = MemoStore()
+    loaded.load(path)
+    assert dict(loaded.table) == dict(eng.store.table) == _file_table(path)
+
+
+def test_put_refuses_a_value_that_is_not_an_int(tmp_path, write_cache):
     n = next(_FRESH)
     key = ("P2", n, 1, (), (n,))
-    store = MemoStore()
-    for bad in [12.5, 12.0, True, False, "12", None, b"12", [12]]:
-        with pytest.raises(InputError, match=re.escape(repr(key))):
-            store.put(key, bad)
-    # refused before the key's parts get ids
-    assert ("P2", n, 1) not in memo.HEADS.ids and len(store) == 0
-    with pytest.raises(InconsistencyError, match="negative"):
-        store.put(key, -12)
-    store.put(key, 12)
     path = tmp_path / "memo.txt"
+    for bad in ["12.5", "12.0", "True", "-12", "1e3", "0x12"]:
+        write_cache(path, [f"P2 {n} 1 - {n} {bad}"])
+        with pytest.raises(InputError, match="bad value"):
+            MemoStore().load(path)
+    # the engine's write refuses a negative count before it stores it
+    store = MemoStore()
+    packed = _key_int(key)
+    assert store.get_packed(packed) is None
+    with pytest.raises(InconsistencyError, match="negative"):
+        store.put_packed(packed, -12)
+    assert len(store) == 0 and store.computed == 0
+    store.put_packed(packed, 12)
     store.save(path)
     assert path.read_bytes().split(b"\n", 1)[1] == b"P2 %d 1 - %d 12\n" % (n, n)
     assert store.get(key) == 12 and type(store.get(key)) is int
@@ -966,18 +948,19 @@ def test_an_id_past_the_width_is_refused(monkeypatch):
         fresh.extend([None] * (full - 1 - len(fresh)))
         fresh.spellings.extend([None] * (full - 1 - len(fresh.spellings)))
         monkeypatch.setattr(memo, name, fresh)
-    store = MemoStore()
     key = ("P2", 3, 1, (), (3,))
-    store.put(key, 12)
+    packed = memo.join(memo.HEADS.id(key[:3]), memo.PROFILES.id(()), memo.PROFILES.id((3,)))
+    store = MemoStore()
+    store.put_packed(packed, 12)
     # the last ids of the width make a key of their own
-    assert memo.pack(key) == memo.join(full - 1, 0, full - 1)
-    assert memo.pack(key).bit_length() == 3 * memo.ID_BITS
-    assert memo.unpack(memo.pack(key)) == key and store.get(key) == 12
+    assert packed == memo.join(full - 1, 0, full - 1)
+    assert packed.bit_length() == 3 * memo.ID_BITS
+    assert memo.unpack(packed) == key and store.get(key) == 12
     # a new profile or head past the width is refused
     with pytest.raises(CeilingError):
-        store.put(("P2", 3, 1, (), (1, 1)), 5)
+        memo.PROFILES.id((1, 1))
     with pytest.raises(CeilingError):
-        store.put(("P2", 3, 0, (), (3,)), 5)
+        memo.HEADS.id(("P2", 3, 0))
     # nothing was assigned or stored, so no two keys share an int
     for parts in (memo.HEADS, memo.PROFILES):
         assert len(parts) == len(parts.spellings) == full
