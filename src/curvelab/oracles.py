@@ -9,18 +9,18 @@ counting its roots, less the spurious ones, once it is proved squarefree;
 repeated with independent samples that must agree.  One sampler serves
 every surface whose row in `surfaces.SURFACES` has a pencil row, which is
 all that the surfaces differ in here.
-Every answer is exact, though the bignum steps run modulo powers of the
-one prime P = 2**61 - 1:
+Every answer is exact:
 
-- the resultant's values at integer nodes are exact Bareiss determinants;
-  their interpolant is computed modulo the least power of P that exceeds
-  twice a Hadamard bound on its coefficients, and the lift is accepted only
-  if it reproduces every exact value;
+- the resultant's values at integer nodes, as many as Bezout's bound on
+  its degree plus one, are exact Bareiss determinants, and their
+  interpolant is computed by Newton's divided differences over the
+  integers, each an exact division, so values with no integer interpolant
+  raise instead of returning a wrong polynomial;
 - squarefreeness, and the coprimality of two leading coefficients, are
-  certified modulo P: when P does not divide lc(u), a constant
-  gcd(u mod P, v mod P) proves u and v coprime over Q.  A draw whose
-  certificate fails is redrawn like any other degenerate draw, so every
-  accepted draw is proved.
+  certified modulo the one prime P = 2**61 - 1: when P does not divide
+  lc(u), a constant gcd(u mod P, v mod P) proves u and v coprime over Q.
+  A draw whose certificate fails is redrawn like any other degenerate
+  draw, so every accepted draw is proved.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def floor_diagram_oracle(d: int, delta: int, stats: dict = None) -> int:
 # ---------------------------------------------------------------------------
 # integer univariate polynomial helpers (coefficient lists, index = power)
 
-# The Mersenne prime 2**61 - 1, the one modulus of the pencil oracle.
+# The Mersenne prime 2**61 - 1, the modulus of the pencil oracle's certificates.
 _P = 2**61 - 1
 
 
@@ -272,16 +272,20 @@ def _resultant_y(A: dict, B: dict, stats: dict = None) -> list:
     """Res_y(A, B) as an integer polynomial in x (actual y-degrees).
 
     Exact Sylvester determinants at deg_bound + 1 integer nodes,
-    interpolated under the Hadamard bound of the Sylvester matrix whose
-    entries are replaced by the 1-norms of their x-coefficients; that
-    bound holds on |x| = 1 and so bounds every coefficient of the result.
+    interpolated exactly.  The Hadamard bound of the Sylvester matrix whose
+    entries are replaced by the 1-norms of their x-coefficients holds on
+    |x| = 1, so it bounds every coefficient of the result; it only sizes
+    them (crt_primes).
     """
     ca = _y_coefficients(A)
     cb = _y_coefficients(B)
     m, n = len(ca) - 1, len(cb) - 1
     if m < 1 or n < 1:
         raise InputError("resultant needs positive y-degree in both arguments")
-    deg_bound = n * max(_poly_degree(p) for p in ca) + m * max(_poly_degree(p) for p in cb)
+    # Bezout: deg_x Res_y(A, B) <= deg A * deg B in total degrees, which is
+    # the smaller bound on the plane; the bidegree bound is on the quadric.
+    deg_bound = min(n * max(_poly_degree(p) for p in ca) + m * max(_poly_degree(p) for p in cb),
+                    max(map(sum, A)) * max(map(sum, B)))
     row_a = sum(sum(map(abs, p)) ** 2 for p in ca)
     row_b = sum(sum(map(abs, p)) ** 2 for p in cb)
     bound = isqrt(row_a ** n * row_b ** m) + 1
@@ -302,50 +306,32 @@ def _sylvester_det(ca: list, cb: list, t: int) -> int:
     return _bareiss_det(M)
 
 
-def _newton_mod(nodes: list, values: list, q: int) -> list:
-    """Monomial coefficients mod q of the interpolant through the nodes."""
-    k = len(nodes)
-    coef = [v % q for v in values]
-    inverses = {}
-    for level in range(1, k):
-        for i in range(k - 1, level - 1, -1):
-            diff = nodes[i] - nodes[i - level]
-            inv = inverses.get(diff)
-            if inv is None:
-                inv = inverses[diff] = pow(diff, -1, q)
-            coef[i] = (coef[i] - coef[i - 1]) * inv % q
-    # Horner in the Newton basis: poly = coef[level] + (x - nodes[level]) * poly
-    poly = [coef[-1]]
-    for level in range(k - 2, -1, -1):
-        t = nodes[level]
-        shifted = [0] + poly
-        for p, c in enumerate(poly):
-            shifted[p] = (shifted[p] - t * c) % q
-        shifted[0] = (shifted[0] + coef[level]) % q
-        poly = shifted
-    return poly
-
-
 def _interpolate_integer_poly(nodes: list, values: list, bound: int, stats: dict = None) -> list:
-    """The integer polynomial of degree < len(nodes) through (nodes, values),
-    given that each of its coefficients is at most `bound` in absolute value.
+    """The integer polynomial of degree < len(nodes) through (nodes, values).
 
-    Newton interpolation modulo P**e, the least power of P above 2 * bound
-    (e counts in crt_primes; nodes less than P apart keep every difference
-    invertible), then lifted to the symmetric range.  The lift is accepted
-    only if it reproduces every exact value, so values with no integer
-    interpolant raise instead of returning a wrong polynomial.
+    Newton interpolation over the integers: the divided differences of an
+    integer polynomial at integer nodes are integers, so each is an exact
+    divmod by a node difference, and a nonzero remainder shows that the
+    values have no integer interpolant.  `bound`, at least the absolute
+    value of every coefficient, only sizes the coefficients: the least e
+    with P**e > 2 * bound counts in crt_primes.
     """
-    modulus, e = _P, 1
-    while modulus <= 2 * bound:
-        modulus, e = modulus * _P, e + 1
+    e = 1
+    while _P**e <= 2 * bound:
+        e += 1
     if stats is not None:
         stats["crt_primes"] += e
-    poly = _newton_mod(nodes, values, modulus)
-    half = modulus // 2
-    poly = [c - modulus if c > half else c for c in poly]
-    if any(_poly_eval(poly, t) != v for t, v in zip(nodes, values)):
-        raise InconsistencyError("resultant interpolation produced a non-integer")
+    coef = list(values)
+    for level in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, level - 1, -1):
+            coef[i], rem = divmod(coef[i] - coef[i - 1], nodes[i] - nodes[i - level])
+            if rem:
+                raise InconsistencyError("resultant interpolation produced a non-integer")
+    # Horner in the Newton basis, innermost first: poly = c + (x - t) * poly
+    poly = []
+    for c, t in zip(reversed(coef), reversed(nodes)):
+        poly = [a - t * b for a, b in zip([0] + poly, poly + [0])]
+        poly[0] += c
     return _trim_poly(poly)
 
 

@@ -6,7 +6,6 @@ integers.  SparsePoly wraps a term dict of nonzero Fractions.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 
 from .errors import InputError
@@ -68,6 +67,11 @@ class SparsePoly:
         return key
 
     def __init__(self, terms=None):
+        # imported here: the oracles use only the term functions, and
+        # fractions (with decimal) would cost every oracle command a few
+        # milliseconds of start-up
+        from fractions import Fraction
+
         table = {}
         if terms:
             for key, c in dict(terms).items():
@@ -114,6 +118,8 @@ class SparsePoly:
         return self._of(mul_terms(self.terms, self._terms_of(other)))
 
     def scale(self, c):
+        from fractions import Fraction
+
         c = Fraction(c)
         return self._of({k: c * v for k, v in self.terms.items()} if c else {})
 

@@ -1,19 +1,20 @@
 """Reference algebra for the suites: the power-sum exp and log of a
 TruncatedSeries, series sums and products, linear coordinate changes of a
-germ, the exact integer gcd of univariate polynomials, the marking count
-of a floor diagram and the generator-by-generator jet build.  Apart from
+germ, the exact integer gcd of univariate polynomials, Lagrange
+interpolation of an integer polynomial, the marking count of a floor
+diagram and the generator-by-generator jet build.  Apart from
 that build, all of it is written on the public coefficient dicts, the
 polynomial arithmetic and plain coefficient lists, so it shares no code
 with exp_series, log_series, the jet layer, the floor oracle's slot walk
-or the pencil oracle's modular certificates that the tests compare it
-against.  The jet build shares only the echelon form (JetSubspace) and
-the column order: what it checks is the row order.
+or the pencil oracle's modular certificates and Newton interpolation
+that the tests compare it against.  The jet build shares only the echelon
+form (JetSubspace) and the column order: what it checks is the row order.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, lcm, prod
 
 from curvelab.germs import GermPoly
 from curvelab.jets import JetSubspace, monomial_index
@@ -129,6 +130,30 @@ def poly_gcd(u: list, v: list) -> list:
     while v:
         u, v = v, _primitive(_pseudo_rem(u, v))
     return u
+
+
+def lagrange_interpolate(nodes: list, values: list) -> list:
+    """Integer coefficient list (index = power, no trailing zeros) of the
+    polynomial of degree < len(nodes) through (nodes, values), by
+    Lagrange's formula over the common denominator of its weights; asserts
+    that the interpolant has integer coefficients."""
+    master = [1]  # the product of x - t over the nodes
+    for t in nodes:
+        master = [a - t * b for a, b in zip([0] + master, master + [0])]
+    weights = [prod(t - s for s in nodes if s != t) for t in nodes]
+    denom = lcm(*weights)
+    total = [0] * len(nodes)
+    for t, v, w in zip(nodes, values, weights):
+        # master / (x - t) by synthetic division, from the top down
+        carry, scale = 0, v * (denom // w)
+        for k in range(len(nodes) - 1, -1, -1):
+            carry = master[k + 1] + t * carry
+            total[k] += scale * carry
+    assert all(c % denom == 0 for c in total)
+    total = [c // denom for c in total]
+    while total and total[-1] == 0:
+        total.pop()
+    return total
 
 
 def floor_markings(d: int, edges: list) -> int:

@@ -9,13 +9,20 @@ from curvelab.oracles import (
     _coprime_mod_p,
     _interpolate_integer_poly,
     _is_squarefree,
+    _pencil_pair,
     _poly_derivative,
     _poly_eval,
+    _resultant_y,
+    _sample_poly,
+    _sylvester_det,
+    _y_coefficients,
     floor_diagram_oracle,
     pencil_discriminant_oracle,
 )
+from curvelab.poly import partial_terms
 from curvelab.severi import SeveriEngine
-from reference import floor_markings, poly_gcd
+from curvelab.surfaces import PLANE, QUADRIC
+from reference import floor_markings, lagrange_interpolate, poly_gcd
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +245,25 @@ def test_interpolation_rejects_values_without_integer_interpolant():
     values = [t * (t - 1) // 2 for t in nodes]
     with pytest.raises(InconsistencyError, match="non-integer"):
         _interpolate_integer_poly(nodes, values, 10)
+
+
+def test_bezout_node_count_recovers_the_whole_resultant():
+    # _resultant_y interpolates at Bezout's bound plus one nodes when that
+    # is the smaller bound (the plane); on pairs drawn as the sampler draws
+    # them it must give what the bidegree bound's node count gives
+    rng = random.Random(28)
+    classes = [(PLANE, d) for d in range(2, 7)]
+    classes += [(QUADRIC, (a, b)) for b in range(1, 5) for a in range(1, b + 1)]
+    for surface, klass in classes:
+        pencil = surface.pencil(klass)
+        F, G = _sample_poly(rng, *pencil.draw), _sample_poly(rng, *pencil.draw)
+        for A, B in (_pencil_pair(F, G, pencil.var),
+                     (partial_terms(F, pencil.var), partial_terms(G, pencil.var))):
+            ca, cb = _y_coefficients(A), _y_coefficients(B)
+            m, n = len(ca) - 1, len(cb) - 1
+            nodes = range(n * max(map(len, ca)) + m * max(map(len, cb)) - m - n + 1)
+            R = lagrange_interpolate(nodes, [_sylvester_det(ca, cb, t) for t in nodes])
+            assert _resultant_y(A, B) == R, (surface.name, klass)
 
 
 def test_pencil_input_validation():

@@ -34,16 +34,17 @@ def test_star_import_binds_every_public_name():
     assert namespace["SeveriEngine"] is SeveriEngine
 
 
-def _curvelab_modules_after(*argv):
-    """The curvelab.* modules a fresh process holds after running one CLI
-    command; stdlib modules depend on the site configuration, so they are
-    not compared."""
+def _modules_loaded_by(*argv):
+    """The modules a fresh process loads to run one CLI command, less the
+    ones it held before importing curvelab: what the site configuration
+    loads is not compared."""
     src = os.path.dirname(os.path.dirname(curvelab.__file__))
     code = (
         "import json, sys\n"
+        "before = set(sys.modules)\n"
         "from curvelab.cli import entry\n"
         "code = entry(sys.argv[1:])\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'curvelab')))\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
         "sys.exit(code)\n"
     )
     proc = subprocess.run(
@@ -54,6 +55,11 @@ def _curvelab_modules_after(*argv):
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _curvelab_modules_after(*argv):
+    """The curvelab.* modules a fresh process holds after running one CLI command."""
+    return {m for m in _modules_loaded_by(*argv) if m.split(".")[0] == "curvelab"}
 
 
 def test_germ_analyze_loads_no_fit_oracle_or_catalog():
@@ -89,6 +95,16 @@ def test_commands_that_count_nothing_load_no_engine_or_store(series_commands):
     ]:
         loaded = _curvelab_modules_after(*argv)
         assert not loaded & {"curvelab.severi", "curvelab.memo"}, argv
+
+
+def test_oracle_commands_load_no_fractions():
+    # the oracles use only the term functions of curvelab.poly; fractions,
+    # which loads decimal, would cost each of them milliseconds of start-up
+    for argv in [
+        ("severi", "oracle", "--method", "floor", "-d", "4", "--nodes", "0"),
+        ("severi", "oracle", "--method", "pencil", "--surface", "p1xp1", "-a", "2", "-b", "2"),
+    ]:
+        assert "fractions" not in _modules_loaded_by(*argv), argv
 
 
 def test_series_commands_load_no_fitter(series_commands):
