@@ -311,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     ga = gsub.add_parser("analyze", help="invariants of one germ")
     ga.add_argument("expr", help='germ expression, e.g. "y^2-x^3"')
     ga.add_argument("--k", type=int, default=None,
-                    help="jet order for the length/orbit block")
+                    help="jet order for the length/orbit block (at most the ceiling)")
     ga.add_argument("--ceiling", type=int, default=None,
-                    help="jet order scan limit")
+                    help="jet order scan limit, also bounding --k (default 64)")
     _add_json(ga)
     ga.set_defaults(func=_cmd_germ_analyze)
 

@@ -300,10 +300,18 @@ def germ_report(
 ) -> InvariantReport:
     """Full invariant report at jet order k (default: upper determinacy bound).
 
+    The ceiling bounds k as it bounds the scans: a k above it raises
+    CeilingError before any build, since the order-(k+1) builds grow with k.
     If `stats` is a dict, it receives the jet counters of `_build`
     summed over every build the report makes, one per ideal.
     """
     _require_germ(f)
+    _require_ceiling(ceiling)
+    if k is not None:
+        if not is_int(k) or k < 1:
+            raise InputError("jet order must be a positive integer")
+        if k > ceiling:
+            raise CeilingError(f"jet order k = {k} exceeds ceiling {ceiling} (raise the ceiling)")
     mu = milnor_number(f, ceiling, stats)
     tau = tjurina_number(f, ceiling, stats)
     window = determinacy_window(f, ceiling, stats)

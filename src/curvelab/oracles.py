@@ -11,11 +11,9 @@ every surface whose row in `surfaces.SURFACES` has a pencil row, which is
 all that the surfaces differ in here.
 Every answer is exact:
 
-- the resultant's values at integer nodes, as many as Bezout's bound on
-  its degree plus one, are exact Bareiss determinants, and their
-  interpolant is computed by Newton's divided differences over the
-  integers, each an exact division, so values with no integer interpolant
-  raise instead of returning a wrong polynomial;
+- the resultant in y is computed over Z[x] by the subresultant PRS, in
+  which every division is exact, so one that leaves a remainder raises
+  instead of returning a wrong polynomial;
 - squarefreeness, and the coprimality of two leading coefficients, are
   certified modulo the one prime P = 2**61 - 1: when P does not divide
   lc(u), a constant gcd(u mod P, v mod P) proves u and v coprime over Q.
@@ -27,8 +25,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
-from functools import lru_cache, partial
-from itertools import product
+from functools import lru_cache, partial, reduce
+from itertools import product, zip_longest
 from math import comb, factorial, isqrt, prod
 
 from .errors import InconsistencyError, InputError, is_int
@@ -173,17 +171,44 @@ _P = 2**61 - 1
 
 
 def _trim_poly(p: list) -> list:
-    while p and p[-1] == 0:
+    """p without its zero top entries: ints, or x-polynomials in a y-list."""
+    while p and not p[-1]:
         p.pop()
     return p
 
 
-def _poly_degree(p: list) -> int:
-    return len(p) - 1
-
-
 def _poly_derivative(p: list) -> list:
     return _trim_poly([k * c for k, c in enumerate(p)][1:])
+
+
+def _poly_mul(p: list, q: list) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return _trim_poly(out)
+
+
+def _poly_pow(p: list, e: int) -> list:
+    return reduce(_poly_mul, [p] * e, [1])
+
+
+def _poly_sub(p: list, q: list) -> list:
+    return _trim_poly([c - d for c, d in zip_longest(p, q, fillvalue=0)])
+
+
+def _exact_quotient(p: list, q: list) -> list:
+    """p / q in Z[x] for q nonzero; InconsistencyError unless q divides p
+    (a step that does not divide leaves its remainder above later steps)."""
+    p = list(p)
+    quotient = [0] * max(len(p) - len(q) + 1, 0)
+    for k in range(len(quotient) - 1, -1, -1):
+        quotient[k] = p[k + len(q) - 1] // q[-1]
+        for i, d in enumerate(q):
+            p[k + i] -= quotient[k] * d
+    if any(p):
+        raise InconsistencyError("subresultant division left a remainder")
+    return quotient
 
 
 def _coprime_mod_p(u: list, v: list) -> bool:
@@ -236,103 +261,70 @@ def _y_coefficients(A: dict) -> list:
     return [_trim_poly(row) for row in out]
 
 
-def _poly_eval(p: list, t: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * t + c
-    return acc
-
-
-def _bareiss_det(M: list) -> int:
-    n = len(M)
-    if n == 0:
-        return 1
-    M = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for r in range(k + 1, n):
-                if M[r][k] != 0:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = M[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * pivot - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = pivot
-    return sign * M[n - 1][n - 1]
-
-
 def _resultant_y(A: dict, B: dict, stats: dict = None) -> list:
-    """Res_y(A, B) as an integer polynomial in x (actual y-degrees).
-
-    Exact Sylvester determinants at deg_bound + 1 integer nodes,
-    interpolated exactly.  The Hadamard bound of the Sylvester matrix whose
+    """Res_y(A, B) as an integer polynomial in x (actual y-degrees), by the
+    subresultant PRS.  The Hadamard bound of the Sylvester matrix whose
     entries are replaced by the 1-norms of their x-coefficients holds on
     |x| = 1, so it bounds every coefficient of the result; it only sizes
-    them (crt_primes).
+    them: the least e with P**e > 2 * bound counts in crt_primes.
     """
     ca = _y_coefficients(A)
     cb = _y_coefficients(B)
     m, n = len(ca) - 1, len(cb) - 1
     if m < 1 or n < 1:
         raise InputError("resultant needs positive y-degree in both arguments")
-    # Bezout: deg_x Res_y(A, B) <= deg A * deg B in total degrees, which is
-    # the smaller bound on the plane; the bidegree bound is on the quadric.
-    deg_bound = min(n * max(_poly_degree(p) for p in ca) + m * max(_poly_degree(p) for p in cb),
-                    max(map(sum, A)) * max(map(sum, B)))
     row_a = sum(sum(map(abs, p)) ** 2 for p in ca)
     row_b = sum(sum(map(abs, p)) ** 2 for p in cb)
     bound = isqrt(row_a ** n * row_b ** m) + 1
-    # 0, 1, -1, 2, -2, ...
-    nodes = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(deg_bound + 1)]
-    values = [_sylvester_det(ca, cb, t) for t in nodes]
-    return _interpolate_integer_poly(nodes, values, bound, stats)
-
-
-def _sylvester_det(ca: list, cb: list, t: int) -> int:
-    """Determinant of the Sylvester matrix in y of two polynomials, given
-    by their y-coefficient lists, with x set to t."""
-    m, n = len(ca) - 1, len(cb) - 1
-    arow = [_poly_eval(p, t) for p in reversed(ca)]
-    brow = [_poly_eval(p, t) for p in reversed(cb)]
-    M = [[0] * s + arow + [0] * (n - 1 - s) for s in range(n)]
-    M += [[0] * s + brow + [0] * (m - 1 - s) for s in range(m)]
-    return _bareiss_det(M)
-
-
-def _interpolate_integer_poly(nodes: list, values: list, bound: int, stats: dict = None) -> list:
-    """The integer polynomial of degree < len(nodes) through (nodes, values).
-
-    Newton interpolation over the integers: the divided differences of an
-    integer polynomial at integer nodes are integers, so each is an exact
-    divmod by a node difference, and a nonzero remainder shows that the
-    values have no integer interpolant.  `bound`, at least the absolute
-    value of every coefficient, only sizes the coefficients: the least e
-    with P**e > 2 * bound counts in crt_primes.
-    """
-    e = 1
-    while _P**e <= 2 * bound:
-        e += 1
     if stats is not None:
+        e = 1
+        while _P**e <= 2 * bound:
+            e += 1
         stats["crt_primes"] += e
-    coef = list(values)
-    for level in range(1, len(nodes)):
-        for i in range(len(nodes) - 1, level - 1, -1):
-            coef[i], rem = divmod(coef[i] - coef[i - 1], nodes[i] - nodes[i - level])
-            if rem:
-                raise InconsistencyError("resultant interpolation produced a non-integer")
-    # Horner in the Newton basis, innermost first: poly = c + (x - t) * poly
-    poly = []
-    for c, t in zip(reversed(coef), reversed(nodes)):
-        poly = [a - t * b for a, b in zip([0] + poly, poly + [0])]
-        poly[0] += c
-    return _trim_poly(poly)
+    return _subresultant(ca, cb)
+
+
+def _subresultant(a: list, b: list) -> list:
+    """Res_y(a, b) in Z[x] of two polynomials given by their y-coefficient
+    lists (index = power of y) of x-coefficient lists, both trimmed, with
+    the Sylvester determinant's sign; [] when it is zero.  Collins's
+    subresultant PRS (Cohen, Alg. 3.3.7, without the content step): every
+    division is exact in Z[x], and _exact_quotient raises if one is not.
+    """
+    if not a or not b:
+        return []
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = [1]
+    # deg a > deg b after the first step, so only a first step, where
+    # h = [1], may have delta = 0, and h**-1 is read as h**0 there
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        sign *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return []
+        divisor = _poly_mul(g, _poly_pow(h, delta))
+        a, b = b, [_exact_quotient(c, divisor) for c in r]
+        g = a[-1]
+        h = _exact_quotient(_poly_pow(g, delta), _poly_pow(h, max(delta - 1, 0)))
+    # deg b = 0: the resultant is b**deg a / h**(deg a - 1)
+    res = _exact_quotient(_poly_pow(b[0], len(a) - 1), _poly_pow(h, max(len(a) - 2, 0)))
+    return [sign * c for c in res]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """lc(b)**(deg a - deg b + 1) * a mod b in y, over Z[x]."""
+    lead_b, n = b[-1], len(b) - 1
+    r = list(a)
+    for k in range(len(a) - 1, n - 1, -1):
+        lead = r.pop()
+        r = [_poly_mul(lead_b, c) for c in r]
+        for i in range(n):
+            r[k - n + i] = _poly_sub(r[k - n + i], _poly_mul(lead, b[i]))
+    return _trim_poly(r)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +352,9 @@ def _resultant_degree(A: dict, B: dict, stats: dict, degree: int = None):
     degree is checked first: it is free, and a wrong degree rejects the draw
     before the certificate runs or counts."""
     R = _resultant_y(A, B, stats)
-    if not R or (degree is not None and _poly_degree(R) != degree):
+    if not R or (degree is not None and len(R) - 1 != degree):
         return None
-    return _poly_degree(R) if _is_squarefree(R, stats) else None
+    return len(R) - 1 if _is_squarefree(R, stats) else None
 
 
 def _pencil_pair(F: dict, G: dict, var: int) -> tuple:
@@ -382,7 +374,12 @@ def _meets_at_infinity(F: dict, G: dict, var: int, chart) -> bool:
     root on u = 0, where the affine elimination cannot see it."""
     Fc, Gc = ({chart(i, j): c for (i, j), c in P.items()} for P in (F, G))
     ca, cb = map(_y_coefficients, _pencil_pair(Fc, Gc, var))
-    return len(ca) < 2 or len(cb) < 2 or _sylvester_det(ca, cb, 0) == 0
+    if len(ca) < 2 or len(cb) < 2:
+        return True
+    # At u = 0 the pair's Sylvester determinant vanishes when both top
+    # y-coefficients do, and otherwise exactly when its trimmed resultant does.
+    a0, b0 = ([_trim_poly(p[:1]) for p in c] for c in (ca, cb))
+    return not (a0[-1] or b0[-1]) or not _subresultant(_trim_poly(a0), _trim_poly(b0))
 
 
 def _pencil_sample(pencil: Pencil, rng, stats: dict):

@@ -1,13 +1,15 @@
 """Reference algebra for the suites: the power-sum exp and log of a
 TruncatedSeries, series sums and products, linear coordinate changes of a
-germ, the exact integer gcd of univariate polynomials, Lagrange
-interpolation of an integer polynomial, the marking count of a floor
-diagram and the generator-by-generator jet build.  Apart from
+germ, the exact integer gcd of univariate polynomials, the Sylvester
+determinant of two integer polynomials, Lagrange interpolation of an
+integer polynomial, the Milnor numbers of Kouchnirenko and of Milnor and
+Orlik, the marking count of a floor diagram and the
+generator-by-generator jet build.  Apart from
 that build, all of it is written on the public coefficient dicts, the
 polynomial arithmetic and plain coefficient lists, so it shares no code
 with exp_series, log_series, the jet layer, the floor oracle's slot walk
-or the pencil oracle's modular certificates and Newton interpolation
-that the tests compare it against.  The jet build shares only the echelon
+or the pencil oracle's modular certificates and subresultant PRS that
+the tests compare it against.  The jet build shares only the echelon
 form (JetSubspace) and the column order: what it checks is the row order.
 """
 
@@ -130,6 +132,89 @@ def poly_gcd(u: list, v: list) -> list:
     while v:
         u, v = v, _primitive(_pseudo_rem(u, v))
     return u
+
+
+def sylvester_det(a: list, b: list):
+    """Determinant of the Sylvester matrix of two integer coefficient lists
+    (index = power), of formal degrees len(a) - 1 and len(b) - 1 even when
+    their top coefficients vanish: the n = len(b) - 1 shifted rows of a,
+    then the m = len(a) - 1 of b, highest power first.  Exact Gaussian
+    elimination over Fraction, with row swaps."""
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * s + a[::-1] + [0] * (n - 1 - s) for s in range(n)]
+    rows += [[0] * s + b[::-1] + [0] * (m - 1 - s) for s in range(m)]
+    rows = [[Fraction(c) for c in row] for row in rows]
+    det = Fraction(1)
+    for k in range(m + n):
+        pivot = next((r for r in range(k, m + n) if rows[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for r in range(k + 1, m + n):
+            if rows[r][k]:
+                factor = rows[r][k] / rows[k][k]
+                for c in range(k, m + n):
+                    rows[r][c] -= factor * rows[k][c]
+    assert det.denominator == 1
+    return det.numerator
+
+
+def _edge_is_squarefree(terms: dict, start: tuple, end: tuple) -> bool:
+    """Whether the edge polynomial p(t) = sum_k c_k t^k of a germ's integer
+    terms ((i, j) -> c) along the segment from start to end, i rising and j
+    falling, c_k at its k-th lattice point, has no zero root and
+    gcd(p, p') = 1 over Q: no root of p is zero or repeated."""
+    n = gcd(end[0] - start[0], start[1] - end[1])
+    di, dj = (end[0] - start[0]) // n, (start[1] - end[1]) // n
+    p = [terms.get((start[0] + k * di, start[1] - k * dj), 0) for k in range(n + 1)]
+    return p[0] != 0 and len(poly_gcd(p, [k * c for k, c in enumerate(p)][1:])) == 1
+
+
+def kouchnirenko_mu(terms: dict):
+    """Kouchnirenko's Milnor number 2V - a - b + 1 of a convenient germ
+    with integer terms ((i, j) -> c): x^a and y^b are its least pure powers
+    and V is the area under its Newton polygon.  None unless the germ is
+    convenient and Newton non-degenerate, which is certified exactly, edge
+    by edge (_edge_is_squarefree): the formula holds only then."""
+    support = [key for key, c in terms.items() if c]
+    xs = [i for i, j in support if j == 0]
+    ys = [j for i, j in support if i == 0]
+    if not xs or not ys:
+        return None
+    a, b = min(xs), min(ys)
+    (i0, j0), twice_area = (0, b), 0
+    while j0 > 0:
+        # the next vertex: the steepest step down, the farthest on a tie
+        i1, j1 = min(((i, j) for i, j in support if i > i0),
+                     key=lambda p: (Fraction(p[1] - j0, p[0] - i0), -p[0]))
+        if not _edge_is_squarefree(terms, (i0, j0), (i1, j1)):
+            return None
+        twice_area += (i1 - i0) * (j0 + j1)
+        i0, j0 = i1, j1
+    return twice_area - a - b + 1
+
+
+def milnor_orlik_mu(terms: dict, w1: int, w2: int):
+    """Milnor and Orlik's Milnor number (D/w1 - 1)(D/w2 - 1) of a germ with
+    integer terms ((i, j) -> c), all of weighted degree D = w1*i + w2*j.
+    None unless the germ is weighted homogeneous and reduced, so that its
+    singularity is isolated: it is x^i0 * y^j1 times a product of the
+    factors (x^s - r*y^t) over the roots r of its one edge polynomial, so
+    it is reduced when i0, j1 <= 1 and that polynomial is squarefree."""
+    support = sorted(key for key, c in terms.items() if c)
+    degrees = {w1 * i + w2 * j for i, j in support}
+    if len(degrees) != 1:
+        return None
+    (D,) = degrees
+    (i0, j0), (i1, j1) = support[0], support[-1]
+    if i0 > 1 or j1 > 1 or (i1 > i0 and not _edge_is_squarefree(terms, (i0, j0), (i1, j1))):
+        return None
+    mu = (Fraction(D, w1) - 1) * (Fraction(D, w2) - 1)
+    assert mu.denominator == 1
+    return mu.numerator
 
 
 def lagrange_interpolate(nodes: list, values: list) -> list:

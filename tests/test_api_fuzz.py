@@ -1,10 +1,13 @@
-"""A seeded fuzz of the Python entry points that take a surface class.
+"""A seeded fuzz of the Python entry points that take a surface class,
+and of the germ lab's entry point, `germ_report`, on a fixed isolated germ.
 
-Every draw must return its result (an int, or a `FitResult` from
-`fit_nodes`) or raise a `CurvelabError`; anything else is a defect.  The
-arguments come from a small hostile vocabulary, and its ints are small, so
-that a draw the entry point accepts stays cheap: plane degrees up to 3 and
-bidegrees up to (2,2).
+Every draw must return its result (an int, a `FitResult` from `fit_nodes`
+or an `InvariantReport` from `germ_report`) or raise a `CurvelabError`;
+anything else is a defect.  The arguments come from a small hostile
+vocabulary, and its ints are small, so that a draw the entry point accepts
+stays cheap: plane degrees up to 3 and bidegrees up to (2,2).  A germ
+draw sets either `k` or `ceiling` and leaves the other at its default, so
+no draw that the ceiling admits asks for a large build.
 """
 
 import random
@@ -14,9 +17,12 @@ import pytest
 from curvelab import (
     CurvelabError,
     FitResult,
+    InvariantReport,
     SeveriEngine,
     fit_nodes,
     floor_diagram_oracle,
+    germ_report,
+    parse_germ,
     pencil_discriminant_oracle,
 )
 
@@ -24,6 +30,7 @@ from curvelab import (
 # or tuple they stop at 2, so that a bidegree is at most (2,2)
 OTHERS = (True, False, 0.5, 2.0, "", "2", "p2", None)
 SURFACE_NAMES = ("p2", "P2", "p1xp1", "P1XP1", "P3")
+CUSP = parse_germ("y^2 - x^3")
 
 ENTRY_POINTS = {
     "severi_p2": lambda engine, *args, **kwargs: engine.severi_p2(*args, **kwargs),
@@ -32,7 +39,9 @@ ENTRY_POINTS = {
     "pencil_discriminant_oracle": lambda engine, *args, **kwargs: pencil_discriminant_oracle(
         *args, **kwargs),
     "floor_diagram_oracle": lambda engine, *args, **kwargs: floor_diagram_oracle(*args, **kwargs),
+    "germ_report": lambda engine, *args, **kwargs: germ_report(CUSP, *args, **kwargs),
 }
+RESULT_TYPES = {"fit_nodes": FitResult, "germ_report": InvariantReport}
 
 
 def _value(rng, top=3, depth=0):
@@ -60,6 +69,7 @@ def draws(seed: int, rounds: int = 150) -> list:
         surface = rng.choice(SURFACE_NAMES) if rng.random() < 0.8 else _value(rng)
         out.append(("pencil_discriminant_oracle", (surface, _value(rng)), {"seed": _value(rng)}))
         out.append(("floor_diagram_oracle", (_value(rng), _value(rng)), {}))
+        out.append(("germ_report", (), {rng.choice(("k", "ceiling")): _value(rng)}))
     return out
 
 
@@ -73,5 +83,5 @@ def test_surface_entry_points_return_a_count_or_raise_a_curvelab_error(seed):
             continue
         except Exception as exc:
             pytest.fail(f"{name}{args!r} {kwargs!r} raised {exc!r}")
-        want = FitResult if name == "fit_nodes" else int
+        want = RESULT_TYPES.get(name, int)
         assert isinstance(result, want) and not isinstance(result, bool), (name, args, kwargs)

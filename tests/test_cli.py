@@ -63,6 +63,17 @@ def test_germ_analyze_low_ceiling_is_undecided_not_non_isolated(capsys):
     assert "milnor: 2" in out
 
 
+def test_germ_analyze_k_is_bounded_by_the_ceiling(capsys):
+    # an unbounded --k once built order-(k+1) ideals for minutes; a k above
+    # the ceiling is refused before any build, and a raised ceiling admits it
+    code, out, err = run_cli(capsys, "germ", "analyze", "x^2+y^3", "--k", "65")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["error: jet order k = 65 exceeds ceiling 64 (raise the ceiling)"]
+    code, out, _ = run_cli(capsys, "germ", "analyze", "x^2+y^3", "--k", "65", "--ceiling", "65")
+    assert code == 0
+    assert "scheme length N at k=65: 131" in out
+
+
 def test_germ_analyze_json_reports_jet_counters(capsys):
     code, out, _ = run_cli(capsys, "germ", "analyze", "y^2-x^3", "--json")
     assert code == 0

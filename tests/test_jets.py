@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from curvelab.catalog import load_catalog
+from curvelab.cli import entry
 from curvelab.errors import CeilingError, InputError
 from curvelab.germs import GermPoly, parse_germ
 from curvelab.jets import (
@@ -19,7 +20,7 @@ from curvelab.jets import (
     tjurina_number,
 )
 
-from reference import ideal_by_generator, linear_substitute
+from reference import ideal_by_generator, kouchnirenko_mu, linear_substitute, milnor_orlik_mu
 
 NODE = parse_germ("x*y")
 CUSP = parse_germ("y^2 - x^3")
@@ -175,10 +176,83 @@ def test_tau_at_most_mu_on_random_germs():
         checked += 1
 
 
+def _convenient_draw(rng) -> dict:
+    """Integer terms with pure powers x^a and y^b, 2 <= a, b <= 4, and up
+    to four mixed monomials of degree at most 5."""
+    terms = {(rng.randint(2, 4), 0): rng.choice((-1, 1)),
+             (0, rng.randint(2, 4)): rng.choice((-1, 1))}
+    for _ in range(rng.randint(0, 4)):
+        i, j = rng.randint(1, 4), rng.randint(1, 4)
+        if i + j <= 5:
+            terms[(i, j)] = rng.randint(-2, 2)
+    return {key: c for key, c in terms.items() if c}
+
+
+def _weighted_draw(rng) -> tuple:
+    """(terms, w1, w2): integer terms on one weighted-degree line D, for
+    coprime weights up to 4 and D up to 12."""
+    w1, w2 = rng.choice([(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 4), (4, 3)])
+    D = rng.randint(2 * max(w1, w2), 12)
+    line = [(i, (D - w1 * i) // w2) for i in range(D // w1 + 1) if (D - w1 * i) % w2 == 0]
+    terms = {key: rng.choice((-3, -2, -1, 1, 2, 3)) for key in line if rng.random() < 0.7}
+    return terms, w1, w2
+
+
+def test_mu_and_tau_match_kouchnirenko_and_milnor_orlik(capsys):
+    # Kouchnirenko's formula on convenient Newton non-degenerate germs, and
+    # Milnor-Orlik's with tau = mu on reduced weighted homogeneous ones, each
+    # precondition certified exactly by the reference; a draw that fails it
+    # is redrawn, and the redraws are counted
+    rng = random.Random(19)
+    accepted, redraws = 0, 0
+    while accepted < 12:
+        terms = _convenient_draw(rng)
+        mu = kouchnirenko_mu(terms)
+        if mu is None:
+            redraws += 1
+            continue
+        assert milnor_number(GermPoly(terms)) == mu, terms
+        accepted += 1
+    assert redraws < accepted
+    accepted, redraws = 0, 0
+    while accepted < 12:
+        terms, w1, w2 = _weighted_draw(rng)
+        mu = milnor_orlik_mu(terms, w1, w2)
+        if mu is None:
+            redraws += 1
+            continue
+        f = GermPoly(terms)
+        assert milnor_number(f) == tjurina_number(f) == mu, (terms, w1, w2)
+        assert kouchnirenko_mu(terms) in (None, mu)
+        accepted += 1
+    assert redraws < 2 * accepted
+    # (x - y)^2 + x^3 is a cusp, mu = 2, but its edge polynomial (t - 1)^2
+    # is a square: the formula, which would give 1, does not apply
+    assert kouchnirenko_mu({(2, 0): 1, (1, 1): -2, (0, 2): 1, (3, 0): 1}) is None
+    assert milnor_number(parse_germ("x^2 - 2*x*y + y^2 + x^3")) == 2
+    # every monomial of y^2 * (x^a + y^b) has y-degree >= 2: not isolated
+    a, b = rng.randint(2, 4), rng.randint(2, 4)
+    assert entry(["germ", "analyze", f"x^{a}*y^2 + y^{b + 2}"]) == 3
+    assert capsys.readouterr().err.startswith("error: singularity undecided up to ceiling 64")
+
+
 def test_quasi_homogeneous_mu_equals_tau():
     for text in ["x^3 - y^3", "x^4 - y^4", "y^2 - x^5", "x^3 + y^4", "x^3 + y^5"]:
         f = parse_germ(text)
         assert milnor_number(f) == tjurina_number(f)
+
+
+def test_germ_report_refuses_a_k_above_its_ceiling_before_any_build():
+    stats = {}
+    with pytest.raises(CeilingError, match=r"jet order k = 10+ exceeds ceiling 64"):
+        germ_report(CUSP, k=10**30, stats=stats)
+    assert stats == {}
+    with pytest.raises(CeilingError, match="exceeds ceiling 8"):
+        germ_report(CUSP, k=9, ceiling=8)
+    assert germ_report(CUSP, k=8, ceiling=8).k_used == 8
+    for bad in (0, -1, True, 2.0, "3"):
+        with pytest.raises(InputError, match="jet order must be a positive integer"):
+            germ_report(CUSP, k=bad)
 
 
 def test_germ_report_defaults_to_upper_window_bound():

@@ -7,14 +7,13 @@ from curvelab.errors import InconsistencyError, InputError
 from curvelab.oracles import (
     _P,
     _coprime_mod_p,
-    _interpolate_integer_poly,
+    _exact_quotient,
     _is_squarefree,
+    _meets_at_infinity,
     _pencil_pair,
     _poly_derivative,
-    _poly_eval,
     _resultant_y,
     _sample_poly,
-    _sylvester_det,
     _y_coefficients,
     floor_diagram_oracle,
     pencil_discriminant_oracle,
@@ -22,7 +21,7 @@ from curvelab.oracles import (
 from curvelab.poly import partial_terms
 from curvelab.severi import SeveriEngine
 from curvelab.surfaces import PLANE, QUADRIC
-from reference import floor_markings, lagrange_interpolate, poly_gcd
+from reference import floor_markings, lagrange_interpolate, poly_gcd, sylvester_det
 
 
 @pytest.fixture(scope="module")
@@ -223,34 +222,52 @@ def test_coprime_certificate():
         assert _coprime_mod_p(u, v) == (len(poly_gcd(u, v)) == 1)
 
 
-def test_interpolation_round_trips_coefficients_beyond_two_primes():
-    # the second bound, above 2**1000, checks that no fixed modulus caps
-    # the coefficient size
+def _at(p, t):
+    return sum(c * t**k for k, c in enumerate(p))
+
+
+def _reference_resultant(A, B):
+    """Res_y(A, B) interpolated from reference Sylvester determinants at
+    one more integer node than a bound on its x-degree: the lesser of the
+    bidegree bound and Bezout's, the product of the total degrees."""
+    ca, cb = _y_coefficients(A), _y_coefficients(B)
+    m, n = len(ca) - 1, len(cb) - 1
+    nodes = range(min(n * max(map(len, ca)) + m * max(map(len, cb)) - m - n,
+                      max(map(sum, A)) * max(map(sum, B))) + 1)
+    return lagrange_interpolate(
+        nodes, [sylvester_det([_at(p, t) for p in ca], [_at(p, t) for p in cb]) for t in nodes])
+
+
+def test_resultant_with_coefficients_beyond_seventeen_primes():
+    # coefficients of about P^5 in each argument give a resultant, of
+    # degree 3 in A's and 1 in B's, beyond P^17 (above 2**1000): no fixed
+    # modulus caps the coefficient size, and crt_primes, from the Hadamard
+    # bound, still covers every coefficient.  A's y-degree 1 is below B's
+    # 3, and both are odd, so the PRS swaps them and flips the sign.
     rng = random.Random(5)
-    for e, big in ((3, _P**2), (18, _P**17)):
-        for degree in (0, 1, 7, 20):
-            poly = [rng.randint(-3 * big, 3 * big) for _ in range(degree)]
-            poly.append(rng.choice([-1, 1]) * (2 * big + rng.randint(1, big)))
-            nodes = list(range(degree + 1))
-            values = [_poly_eval(poly, t) for t in nodes]
-            bound = max(map(abs, poly), default=0)
-            stats = {"crt_primes": 0}
-            assert _interpolate_integer_poly(nodes, values, bound, stats) == poly
-            assert stats["crt_primes"] == e
+    for big, beyond in ((_P, _P**2), (_P**5, _P**17)):
+        A = {(i, j): rng.randint(-big, big) for i in range(3) for j in range(2)}
+        B = {(i, j): rng.randint(-big, big) for i in range(2) for j in range(4)}
+        stats = {"crt_primes": 0}
+        R = _resultant_y(A, B, stats)
+        assert max(map(abs, R)) > beyond
+        assert R == _reference_resultant(A, B)
+        assert _P ** stats["crt_primes"] > 2 * max(map(abs, R))
 
 
-def test_interpolation_rejects_values_without_integer_interpolant():
-    # x*(x-1)/2 takes integer values everywhere but has rational coefficients
-    nodes = [0, 1, 2, 3]
-    values = [t * (t - 1) // 2 for t in nodes]
-    with pytest.raises(InconsistencyError, match="non-integer"):
-        _interpolate_integer_poly(nodes, values, 10)
+def test_inexact_division_raises():
+    assert _exact_quotient([6, 5, 1], [2, 1]) == [3, 1]
+    assert _exact_quotient([], [7, 1]) == []
+    # x^2 + 1 = (x + 2)(x - 2) + 5; 2 does not divide it; x does not divide 1
+    for p, q in (([1, 0, 1], [2, 1]), ([1, 0, 1], [2]), ([1], [0, 1]), ([2, 0, 1], [0, 1])):
+        with pytest.raises(InconsistencyError, match="division left a remainder"):
+            _exact_quotient(p, q)
 
 
 def test_bezout_node_count_recovers_the_whole_resultant():
-    # _resultant_y interpolates at Bezout's bound plus one nodes when that
-    # is the smaller bound (the plane); on pairs drawn as the sampler draws
-    # them it must give what the bidegree bound's node count gives
+    # the subresultant PRS must give the polynomial that reference
+    # Sylvester determinants interpolate at the node count of the lesser
+    # bound, Bezout's on the plane, on pairs drawn as the sampler draws them
     rng = random.Random(28)
     classes = [(PLANE, d) for d in range(2, 7)]
     classes += [(QUADRIC, (a, b)) for b in range(1, 5) for a in range(1, b + 1)]
@@ -259,11 +276,42 @@ def test_bezout_node_count_recovers_the_whole_resultant():
         F, G = _sample_poly(rng, *pencil.draw), _sample_poly(rng, *pencil.draw)
         for A, B in (_pencil_pair(F, G, pencil.var),
                      (partial_terms(F, pencil.var), partial_terms(G, pencil.var))):
-            ca, cb = _y_coefficients(A), _y_coefficients(B)
-            m, n = len(ca) - 1, len(cb) - 1
-            nodes = range(n * max(map(len, ca)) + m * max(map(len, cb)) - m - n + 1)
-            R = lagrange_interpolate(nodes, [_sylvester_det(ca, cb, t) for t in nodes])
-            assert _resultant_y(A, B) == R, (surface.name, klass)
+            assert _resultant_y(A, B) == _reference_resultant(A, B), (surface.name, klass)
+
+
+def _top_trimmed(p):
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def test_meets_at_infinity_matches_the_determinant_at_u_0():
+    # the pair meets on u = 0 exactly when its Sylvester determinant there,
+    # at the formal y-degrees, vanishes.  The seed draws both cases in
+    # which that differs from the resultant of the pair without its zero
+    # tops: one top vanishes (the determinant and that resultant differ by
+    # a nonzero factor), and both vanish where that resultant does not
+    rng = random.Random(18)
+    classes = [(PLANE, d, 3) for d in range(2, 8)]
+    classes += [(QUADRIC, (a, b), 12) for b in range(1, 5) for a in range(1, b + 1)]
+    one_top = both_tops = 0
+    for surface, klass, draws in classes:
+        pencil = surface.pencil(klass)
+        for _ in range(draws):
+            F, G = _sample_poly(rng, *pencil.draw), _sample_poly(rng, *pencil.draw)
+            Fc, Gc = ({pencil.chart(i, j): c for (i, j), c in P.items()} for P in (F, G))
+            ca, cb = map(_y_coefficients, _pencil_pair(Fc, Gc, pencil.var))
+            if len(ca) < 2 or len(cb) < 2:
+                expected = True
+            else:
+                a0, b0 = [_at(p, 0) for p in ca], [_at(p, 0) for p in cb]
+                expected = sylvester_det(a0, b0) == 0
+                one_top += (a0[-1] == 0) != (b0[-1] == 0)
+                trimmed = _top_trimmed(a0), _top_trimmed(b0)
+                both_tops += a0[-1] == b0[-1] == 0 and all(trimmed) and sylvester_det(*trimmed) != 0
+            assert _meets_at_infinity(F, G, pencil.var, pencil.chart) == expected, (
+                surface.name, klass)
+    assert one_top > 0 and both_tops > 0
 
 
 def test_pencil_input_validation():
