@@ -12,7 +12,7 @@ import json
 from collections import namedtuple
 from importlib import resources
 
-from .errors import InconsistencyError, InputError
+from .errors import InconsistencyError, InputError, label_tuple
 from .germs import GermPoly, parse_germ
 
 ALIASES = {"node": "A1", "cusp": "A2"}
@@ -145,6 +145,8 @@ def load_catalog() -> dict:
 
 def lookup(label: str) -> SingularityType:
     """One entry by label or alias, validated on first lookup."""
+    if not isinstance(label, str):
+        raise InputError(f"label must be a string, got {label!r}")
     key = ALIASES.get(label, label)
     if key not in _raw_entries():
         raise InputError(f"unknown singularity label {label!r}")
@@ -165,9 +167,7 @@ def codim_weights(keys) -> dict:
 def collection_stats(parts) -> CollectionStats:
     from .series import aut_count
 
-    if isinstance(parts, str) or not hasattr(parts, "__iter__"):
-        raise InputError(f"parts must be a sequence of singularity labels, got {parts!r}")
-    resolved = [lookup(p) for p in parts]
+    resolved = [lookup(p) for p in label_tuple(parts, "parts")]
     canonical = [e.label for e in resolved]
     return CollectionStats(
         N=sum(e.N for e in resolved),

@@ -200,11 +200,13 @@ def _cmd_severi_oracle(args) -> int:
     if args.method == "floor" and not surface.floor:
         covered = " and ".join(f"the {other.word}" for other in SURFACES.values() if other.floor)
         raise InputError(f"the floor-diagram oracle only covers {covered}")
-    # a flag the chosen count does not read is refused, not ignored
-    if any(getattr(args, flag) is not None for flag in _CLASS_FLAGS if flag not in surface.flags):
-        raise InputError(surface.wrong_flag)
-    values = [getattr(args, flag) for flag in surface.flags]
     flags = " and ".join(f"-{flag}" for flag in surface.flags)
+    # a flag the chosen count does not read is refused, not ignored
+    given = [f"-{flag}" for flag in _CLASS_FLAGS
+             if flag not in surface.flags and getattr(args, flag) is not None]
+    if given:
+        raise InputError(f"the {surface.word} takes {flags}, not {' and '.join(given)}")
+    values = [getattr(args, flag) for flag in surface.flags]
     stats = {}
     if args.method == "floor":
         if args.seed is not None:

@@ -34,6 +34,17 @@ class InconsistencyError(CurvelabError):
     exit_code = 4
 
 
+def label_tuple(parts, name: str) -> tuple:
+    """The label multiset `parts` as a tuple; InputError naming the argument
+    `name` unless it is an iterable of strings and not one string, which
+    sorted() would split into characters."""
+    if not isinstance(parts, str) and hasattr(parts, "__iter__"):
+        labels = tuple(parts)
+        if all(isinstance(label, str) for label in labels):
+            return labels
+    raise InputError(f"{name} must be a sequence of singularity labels, got {parts!r}")
+
+
 def is_int(value) -> bool:
     """True for an int that is not a bool: `isinstance(True, int)` holds,
     but a flag is never a degree, a count or an order."""

@@ -149,7 +149,7 @@ def fit_nodes(r_max: int, plane_degrees=None, quadric_bidegrees=None,
         for r, n in enumerate(counts):
             if n <= 0:
                 raise InconsistencyError(
-                    f"nonpositive count {n} at {surface.fit_label(klass)} r={r}")
+                    f"nonpositive count {n} at {surface.word} {surface.label(klass)} r={r}")
         rows.append((surface.chern(klass), _log_coefficients(counts), surface.vote_order(klass)))
 
     a_polys = {}

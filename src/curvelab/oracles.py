@@ -27,7 +27,7 @@ import random
 from collections import Counter, defaultdict
 from functools import lru_cache, partial, reduce
 from itertools import product, zip_longest
-from math import comb, factorial, isqrt, prod
+from math import comb, factorial, prod
 
 from .errors import InconsistencyError, InputError, is_int
 from .poly import add_terms, mul_terms, partial_terms
@@ -261,26 +261,13 @@ def _y_coefficients(A: dict) -> list:
     return [_trim_poly(row) for row in out]
 
 
-def _resultant_y(A: dict, B: dict, stats: dict = None) -> list:
+def _resultant_y(A: dict, B: dict) -> list:
     """Res_y(A, B) as an integer polynomial in x (actual y-degrees), by the
-    subresultant PRS.  The Hadamard bound of the Sylvester matrix whose
-    entries are replaced by the 1-norms of their x-coefficients holds on
-    |x| = 1, so it bounds every coefficient of the result; it only sizes
-    them: the least e with P**e > 2 * bound counts in crt_primes.
-    """
+    subresultant PRS."""
     ca = _y_coefficients(A)
     cb = _y_coefficients(B)
-    m, n = len(ca) - 1, len(cb) - 1
-    if m < 1 or n < 1:
+    if len(ca) < 2 or len(cb) < 2:
         raise InputError("resultant needs positive y-degree in both arguments")
-    row_a = sum(sum(map(abs, p)) ** 2 for p in ca)
-    row_b = sum(sum(map(abs, p)) ** 2 for p in cb)
-    bound = isqrt(row_a ** n * row_b ** m) + 1
-    if stats is not None:
-        e = 1
-        while _P**e <= 2 * bound:
-            e += 1
-        stats["crt_primes"] += e
     return _subresultant(ca, cb)
 
 
@@ -339,10 +326,10 @@ def _sample_poly(rng, xdeg: int, ydeg: int, total: int) -> dict:
 
 
 def _leads_coprime(A: dict, B: dict, ydegs) -> bool:
-    """Whether A and B are nonzero, of y-degrees `ydegs` unless that is
-    None, with top y-coefficients proved coprime."""
+    """Whether A and B are nonzero, of y-degrees `ydegs`, with top
+    y-coefficients proved coprime."""
     ca, cb = _y_coefficients(A), _y_coefficients(B)
-    return (bool(ca and cb) and ydegs in (None, (len(ca) - 1, len(cb) - 1))
+    return (bool(ca and cb) and ydegs == (len(ca) - 1, len(cb) - 1)
             and _coprime_mod_p(ca[-1], cb[-1]))
 
 
@@ -351,7 +338,7 @@ def _resultant_degree(A: dict, B: dict, stats: dict, degree: int = None):
     of the given x-degree when one is given, and certified squarefree.  The
     degree is checked first: it is free, and a wrong degree rejects the draw
     before the certificate runs or counts."""
-    R = _resultant_y(A, B, stats)
+    R = _resultant_y(A, B)
     if not R or (degree is not None and len(R) - 1 != degree):
         return None
     return len(R) - 1 if _is_squarefree(R, stats) else None
@@ -421,14 +408,13 @@ def pencil_discriminant_oracle(surface: str, degree, seed: int = 0, stats: dict 
     samples must agree or the call fails loudly.
 
     If `stats` is a dict, it receives deterministic counters summed over
-    the three draws: samples, retries, crt_primes and
-    exact_squarefree_fallbacks.
+    the three draws: samples, retries and exact_squarefree_fallbacks.
     """
     if not is_int(seed):
         raise InputError(f"pencil oracle seed must be an integer, got {seed!r}")
     if stats is None:
         stats = {}
-    for key in ("samples", "retries", "crt_primes", "exact_squarefree_fallbacks"):
+    for key in ("samples", "retries", "exact_squarefree_fallbacks"):
         stats.setdefault(key, 0)
     row = SURFACES.get(str(surface).upper())
     if row is None or row.pencil is None:

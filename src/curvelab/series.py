@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 from math import factorial, lcm
 
-from .errors import InputError, is_int
+from .errors import InputError, is_int, label_tuple
 from .poly import SparsePoly, format_rational
 
 
@@ -317,7 +317,7 @@ def assemble_series(
 
 def extract_universal(series: TruncatedSeries, parts) -> ChernPolynomial:
     """Coefficient of the given label multiset; error outside the cap."""
-    key = tuple(sorted(parts))
+    key = tuple(sorted(label_tuple(parts, "parts")))
     if series.key_weight(key) > series.cap:
         raise InputError(
             f"multiset {','.join(key)} lies outside the truncation cap {series.cap}"
@@ -349,7 +349,7 @@ def assemble_from_table(a_table: dict, chern, parts, stats: dict = None):
     exponentiated; `stats` receives the counters of exp_series.
     """
     table = normalize_table(a_table)
-    parts = tuple(sorted(parts))
+    parts = tuple(sorted(label_tuple(parts, "parts")))
     subs = _sub_multisets(parts)
     for needed in subs:
         if needed not in table:

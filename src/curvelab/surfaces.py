@@ -13,9 +13,7 @@ data relative to a fixed line (a ruling on the quadric): the value of a
 base key (None for other keys), the residual class left when the fixed
 line splits off, and the points in which a class meets that line.
 `pencil` is the pencil oracle's sampler row of a class, refusing a class
-out of its range, or None; `floor` says if the floor oracle covers it;
-`fit_label` names a class in the fit's errors, and `wrong_flag` refuses
-another surface's class flag on the command line.
+out of its range, or None; `floor` says if the floor oracle covers it.
 """
 
 from collections import namedtuple
@@ -25,8 +23,8 @@ from .errors import InputError, is_int
 # One surface and class as the pencil sampler sees it: F and G are drawn by
 # `_sample_poly(rng, *draw)`; `var` picks E2 = F*Gv - Fv*G; `e_ydegs` are
 # the generic y-degrees of (E1, E2); `fake` counts the spurious roots, the
-# common roots of (Fv, Gv), which must have y-degrees `fake_ydegs` unless
-# that is None; `chart` moves the curve at infinity to u = 0.
+# common roots of (Fv, Gv), which must have y-degrees `fake_ydegs`; `chart`
+# moves the curve at infinity to u = 0.
 Pencil = namedtuple("Pencil", "draw var e_ydegs fake fake_ydegs chart")
 
 
@@ -49,7 +47,8 @@ def _quadric_pencil(bidegree) -> Pencil:
     # F*Gy - Fy*G instead gives coprime leading coefficients; its spurious
     # zeros are the common roots of (Fy, Gy), of which there are 2a(b-1).
     # F*Gy - Fy*G loses its top term identically, so its generic y-degree
-    # is 2b - 2.  The chart u = 1/x reverses F and G in x.
+    # is 2b - 2.  Fv and Gv have y-degree b - v.  The chart u = 1/x
+    # reverses F and G in x.
     try:
         a, b = bidegree
     except (TypeError, ValueError):
@@ -59,12 +58,13 @@ def _quadric_pencil(bidegree) -> Pencil:
     # Counts are symmetric in the bidegree, so normalise to a <= b; the
     # elimination needs the y-direction to carry the larger degree.
     a, b = min(a, b), max(a, b)
-    return Pencil((a, b, a + b), 0 if a == 1 else 1, (2 * b - 1, 2 * b if a == 1 else 2 * b - 2),
-                  0 if a == 1 else 2 * a * (b - 1), None, lambda i, j: (a - i, j))
+    v = 0 if a == 1 else 1
+    return Pencil((a, b, a + b), v, (2 * b - 1, 2 * b if a == 1 else 2 * b - 2),
+                  0 if a == 1 else 2 * a * (b - 1), (b - v, b - v), lambda i, j: (a - i, j))
 
 
 class Surface(namedtuple("Surface", "name word kind flags chern node_cap vote_order base "
-                                    "residual meet pencil floor fit_label wrong_flag")):
+                                    "residual meet pencil floor")):
     __slots__ = ()
 
     def klass(self, *values):
@@ -104,8 +104,7 @@ SURFACES = {surface.name: surface for surface in (
         chern=lambda d: (d * d, -3 * d, 9, 3), vote_order=lambda d: d - 2,
         node_cap=lambda d: d * (d - 1) // 2,  # d generic lines
         base=lambda d, delta, alpha, beta: int(delta == 0) if d == 1 else None,
-        residual=lambda d: d - 1, meet=lambda d: d, fit_label=lambda d: f"P2 d={d}",
-        wrong_flag="-a and -b give a p1xp1 bidegree; the plane takes -d",
+        residual=lambda d: d - 1, meet=lambda d: d,
     ),
     Surface(
         "P1XP1", "quadric", "bidegree", ("a", "b"), pencil=_quadric_pencil, floor=False,
@@ -117,8 +116,6 @@ SURFACES = {surface.name: surface for surface in (
         base=lambda ab, delta, alpha, beta: (
             int(delta == 0 and len(alpha) <= 1 and len(beta) <= 1) if ab[0] == 0 else None),
         residual=lambda ab: (ab[0] - 1, ab[1]), meet=lambda ab: ab[1],
-        fit_label=lambda ab: "P1XP1 ({},{})".format(*ab),
-        wrong_flag="-d gives a plane degree; p1xp1 takes -a and -b",
     ),
 )}
 PLANE, QUADRIC = SURFACES.values()

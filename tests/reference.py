@@ -134,12 +134,34 @@ def poly_gcd(u: list, v: list) -> list:
     return u
 
 
-def sylvester_det(a: list, b: list):
+def sylvester_det(a: list, b: list) -> int:
     """Determinant of the Sylvester matrix of two integer coefficient lists
     (index = power), of formal degrees len(a) - 1 and len(b) - 1 even when
     their top coefficients vanish: the n = len(b) - 1 shifted rows of a,
-    then the m = len(a) - 1 of b, highest power first.  Exact Gaussian
-    elimination over Fraction, with row swaps."""
+    then the m = len(a) - 1 of b, highest power first.  Fraction-free
+    Bareiss elimination over Z, with row swaps: each step's division by
+    the previous pivot is exact."""
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * s + a[::-1] + [0] * (n - 1 - s) for s in range(n)]
+    rows += [[0] * s + b[::-1] + [0] * (m - 1 - s) for s in range(m)]
+    sign, previous = 1, 1
+    for k in range(m + n):
+        pivot = next((r for r in range(k, m + n) if rows[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        for r in range(k + 1, m + n):
+            for c in range(k + 1, m + n):
+                rows[r][c] = (rows[r][c] * rows[k][k] - rows[r][k] * rows[k][c]) // previous
+        previous = rows[k][k]
+    return sign * previous
+
+
+def sylvester_det_by_fractions(a: list, b: list):
+    """sylvester_det by exact Gaussian elimination over Fraction, with row
+    swaps."""
     m, n = len(a) - 1, len(b) - 1
     rows = [[0] * s + a[::-1] + [0] * (n - 1 - s) for s in range(n)]
     rows += [[0] * s + b[::-1] + [0] * (m - 1 - s) for s in range(m)]

@@ -166,6 +166,16 @@ def test_collection_stats_refuses_a_scalar():
     assert catalog.collection_stats(("A1",)).l == 1
 
 
+def test_a_label_must_be_a_string():
+    # each used to raise a bare TypeError, "unhashable type: 'list'"
+    for bad in [["A1"], ("A1",), 5, None]:
+        with pytest.raises(InputError, match="label must be a string"):
+            catalog.lookup(bad)
+    for bad in [[["A1"]], ["A1", 5]]:
+        with pytest.raises(InputError, match="parts must be a sequence of singularity labels"):
+            catalog.collection_stats(bad)
+
+
 def test_collection_stats_unknown_label():
     with pytest.raises(InputError):
         catalog.collection_stats(["A1", "Q3"])

@@ -219,7 +219,7 @@ def test_severi_oracle_flag_validation(capsys):
         (["--method", "floor", "-d", "4", "--nodes", "2", "--seed", "7"],
          "the floor oracle has none"),
         (["--method", "pencil", "--surface", "p1xp1", "-d", "3", "-a", "2", "-b", "2"],
-         "p1xp1 takes -a and -b"),
+         "the quadric takes -a and -b"),
     ]:
         code, out, err = run_cli(capsys, "severi", "oracle", *argv)
         assert (code, out) == (2, ""), argv
@@ -562,11 +562,11 @@ def test_json_output_is_byte_deterministic(tmp_path, capsys):
     # with its resultant of (Fy, Gy)
     pencils = {
         ("-d", "3", "--seed", "3"): (12, {
-            "samples": 4, "retries": 1, "crt_primes": 10, "exact_squarefree_fallbacks": 1}),
+            "samples": 4, "retries": 1, "exact_squarefree_fallbacks": 1}),
         ("--surface", "p1xp1", "-a", "1", "-b", "1", "--seed", "21"): (2, {
-            "samples": 4, "retries": 1, "crt_primes": 3, "exact_squarefree_fallbacks": 0}),
+            "samples": 4, "retries": 1, "exact_squarefree_fallbacks": 0}),
         ("--surface", "p1xp1", "-a", "2", "-b", "3", "--seed", "27"): (20, {
-            "samples": 4, "retries": 1, "crt_primes": 9, "exact_squarefree_fallbacks": 0}),
+            "samples": 4, "retries": 1, "exact_squarefree_fallbacks": 0}),
     }
     for args, (count, stats) in pencils.items():
         pencil = ("severi", "oracle", "--method", "pencil", *args, "--json")
@@ -583,24 +583,22 @@ def test_json_output_is_byte_deterministic(tmp_path, capsys):
 
 
 def test_pencil_json_stats_at_seed_5(capsys):
-    # the pencil commands of the compute_cold benchmark workload; crt_primes
-    # is the exponent of the interpolation modulus 2**61 - 1
+    # the pencil commands of the compute_cold benchmark workload
     pencils = {
-        ("-d", "2"): (3, 6), ("-d", "3"): (12, 9), ("-d", "4"): (27, 12),
-        ("-d", "5"): (48, 15),
-        ("--surface", "p1xp1", "-a", "1", "-b", "1"): (2, 3),
-        ("--surface", "p1xp1", "-a", "1", "-b", "2"): (4, 3),
-        ("--surface", "p1xp1", "-a", "2", "-b", "2"): (12, 6),
-        ("--surface", "p1xp1", "-a", "2", "-b", "3"): (20, 9),
-        ("--surface", "p1xp1", "-a", "3", "-b", "3"): (34, 9),
+        ("-d", "2"): 3, ("-d", "3"): 12, ("-d", "4"): 27,
+        ("-d", "5"): 48,
+        ("--surface", "p1xp1", "-a", "1", "-b", "1"): 2,
+        ("--surface", "p1xp1", "-a", "1", "-b", "2"): 4,
+        ("--surface", "p1xp1", "-a", "2", "-b", "2"): 12,
+        ("--surface", "p1xp1", "-a", "2", "-b", "3"): 20,
+        ("--surface", "p1xp1", "-a", "3", "-b", "3"): 34,
     }
-    for args, (count, crt_primes) in pencils.items():
+    for args, count in pencils.items():
         _, out, _ = run_cli(capsys, "severi", "oracle", "--method", "pencil", *args,
                             "--seed", "5", "--json")
         payload = json.loads(out)
         assert (payload["result"], payload["stats"]) == (count, {
-            "samples": 3, "retries": 0, "crt_primes": crt_primes,
-            "exact_squarefree_fallbacks": 0}), args
+            "samples": 3, "retries": 0, "exact_squarefree_fallbacks": 0}), args
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

@@ -269,3 +269,18 @@ def test_extract_universal_respects_cap():
         extract_universal(series, ("A1",) * 3)
     assert "truncation cap" in str(err.value)
 
+
+
+def test_parts_must_be_a_sequence_of_labels():
+    # a bare string used to be split into its characters ("label '1' has no
+    # assigned weight", "missing entry 1"), and an int or a list label
+    # raised a bare TypeError
+    series = assemble_series({("A1",): A1}, {"A1": 1}, cap=2)
+    chern = (16, -12, 9, 3)
+    for bad in ["A1", "", 5, None, [["A1"]], ("A1", 1)]:
+        with pytest.raises(InputError, match="parts must be a sequence of singularity labels"):
+            extract_universal(series, bad)
+        with pytest.raises(InputError, match="parts must be a sequence of singularity labels"):
+            assemble_from_table({("A1",): A1}, chern, bad)
+    assert extract_universal(series, ["A1"]) == A1
+    assert assemble_from_table({("A1",): A1}, chern, iter(["A1"])) == 27
