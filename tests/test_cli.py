@@ -285,6 +285,11 @@ def test_series_assemble(tmp_path, capsys):
         capsys, "series", "assemble", "--a-table", str(table_path), "--cap", "1"
     )
     assert out.strip().splitlines() == ["A1: 3*x + 2*y + t"]
+    # a cap above the ceiling is refused at once: `--cap 65` used to run on
+    for cap in ("33", "65", "9" * 30):
+        argv = ("series", "assemble", "--a-table", str(table_path), "--cap", cap)
+        message = f"error: truncation cap {cap} exceeds the cap ceiling 32\n"
+        assert run_cli(capsys, *argv) == (3, "", message)
 
 
 def test_text_outputs_match_golden_digests(tmp_path, capsys):

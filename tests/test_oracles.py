@@ -1,4 +1,7 @@
 import random
+from itertools import permutations
+from math import prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +29,7 @@ from reference import (
     lagrange_interpolate,
     poly_gcd,
     sylvester_det,
-    sylvester_det_by_fractions,
+    sylvester_matrix,
 )
 
 
@@ -265,16 +268,23 @@ def test_inexact_division_raises():
             _exact_quotient(p, q)
 
 
-def test_bareiss_reference_matches_fraction_elimination():
-    # the reference Sylvester determinant by Bareiss elimination equals
-    # exact elimination over Fraction, also on the fifth of the pairs whose
-    # top coefficient is zeroed, where rows must swap
+def _leibniz_det(rows):
+    """A determinant by its definition: the signed sum over permutations."""
+    n = len(rows)
+    return sum((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+               * prod(rows[i][p[i]] for i in range(n)) for p in permutations(range(n)))
+
+
+def test_bareiss_reference_matches_the_leibniz_formula():
+    # the reference Sylvester determinant by Bareiss elimination equals the
+    # determinant's definition, also on the fifth of the pairs whose top
+    # coefficient is zeroed, where rows must swap
     rng = random.Random(31)
     for k in range(300):
-        a, b = ([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] for _ in "ab")
+        a, b = ([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] for _ in "ab")
         if k % 5 == 0:
             rng.choice((a, b))[-1] = 0
-        assert sylvester_det(a, b) == sylvester_det_by_fractions(a, b), (a, b)
+        assert sylvester_det(a, b) == _leibniz_det(sylvester_matrix(a, b)), (a, b)
 
 
 def test_bezout_node_count_recovers_the_whole_resultant():
@@ -290,6 +300,19 @@ def test_bezout_node_count_recovers_the_whole_resultant():
         for A, B in (_pencil_pair(F, G, pencil.var),
                      (partial_terms(F, pencil.var), partial_terms(G, pencil.var))):
             assert _resultant_y(A, B) == _reference_resultant(A, B), (surface.name, klass)
+
+
+def test_pencil_rows_state_the_y_degrees_of_fv_and_gv():
+    # no field of a pencil row is None: the quadric's rows state the y-degrees
+    # of (Fv, Gv) as the plane's do, and a draw with every coefficient 1 has them
+    ones = SimpleNamespace(randint=lambda lo, hi: 1)
+    classes = [(PLANE, d) for d in range(2, 8)]
+    classes += [(QUADRIC, (a, b)) for a in range(1, 5) for b in range(1, 5)]
+    for surface, klass in classes:
+        pencil = surface.pencil(klass)
+        assert None not in pencil, (surface.name, klass)
+        Fv = partial_terms(_sample_poly(ones, *pencil.draw), pencil.var)
+        assert (len(_y_coefficients(Fv)) - 1,) * 2 == pencil.fake_ydegs, (surface.name, klass)
 
 
 def _top_trimmed(p):

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from curvelab.errors import InputError
+from curvelab.errors import CeilingError, InputError
 from curvelab.series import (
+    MAX_CAP,
     ChernPolynomial,
     TruncatedSeries,
     assemble_from_table,
@@ -100,6 +101,11 @@ def test_series_validation():
     s = TruncatedSeries({"A1": 1}, cap=3)
     with pytest.raises(InputError):
         s.key_weight(("A9",))
+    # a cap above the ceiling is refused before any work: a huge one never ended
+    assert TruncatedSeries({"A1": 1}, MAX_CAP).cap == MAX_CAP
+    for cap in (MAX_CAP + 1, 10**30):
+        with pytest.raises(CeilingError, match=f"truncation cap {cap} exceeds the cap ceiling"):
+            assemble_series({("A1",): A1}, {"A1": 1}, cap)
 
 
 def test_series_keys_are_multisets():
