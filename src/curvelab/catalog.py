@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from functools import cache
 from importlib import resources
 
 from .errors import InconsistencyError, InputError, label_tuple
@@ -114,28 +115,21 @@ def _validate(raw: dict) -> SingularityType:
     )
 
 
-_RAW: dict | None = None
-_VALIDATED: dict = {}
-
-
+@cache
 def _raw_entries() -> dict:
     """Label -> raw catalog entry, read once per process; labels are unique."""
-    global _RAW
-    if _RAW is None:
-        text = resources.files("curvelab").joinpath("data/catalog.json").read_text()
-        table = {}
-        for raw in json.loads(text)["entries"]:
-            if raw["label"] in table:
-                raise InconsistencyError(f"duplicate catalog label {raw['label']}")
-            table[raw["label"]] = raw
-        _RAW = table
-    return _RAW
+    text = resources.files("curvelab").joinpath("data/catalog.json").read_text()
+    table = {}
+    for raw in json.loads(text)["entries"]:
+        if raw["label"] in table:
+            raise InconsistencyError(f"duplicate catalog label {raw['label']}")
+        table[raw["label"]] = raw
+    return table
 
 
+@cache
 def _validated(label: str) -> SingularityType:
-    if label not in _VALIDATED:
-        _VALIDATED[label] = _validate(_raw_entries()[label])
-    return _VALIDATED[label]
+    return _validate(_raw_entries()[label])
 
 
 def load_catalog() -> dict:

@@ -35,14 +35,14 @@ def _emit(args, result, stats=None, text="") -> int:
     return 0
 
 
-def _count(args, compute):
-    """(compute(engine), store stats) for a Severi engine at --ceiling
+def _count(args, compute, ceiling=None):
+    """(compute(engine), store stats) for a Severi engine at `ceiling`
     whose memo store is loaded from --cache before and saved there after."""
     from .memo import MemoStore
     from .severi import DEFAULT_DEGREE_CEILING, SeveriEngine
 
     store = MemoStore()
-    ceiling = DEFAULT_DEGREE_CEILING if args.ceiling is None else args.ceiling
+    ceiling = DEFAULT_DEGREE_CEILING if ceiling is None else ceiling
     engine = SeveriEngine(store, degree_ceiling=ceiling)
     path = args.cache
     if path == "":
@@ -189,7 +189,7 @@ def _cmd_germ_catalog(args) -> int:
 def _cmd_severi(args) -> int:
     surface = args.surface
     klass = surface.klass(*(getattr(args, flag) for flag in surface.flags))
-    value, stats = _count(args, lambda engine: engine.count(surface, klass, args.nodes))
+    value, stats = _count(args, lambda e: e.count(surface, klass, args.nodes), args.ceiling)
     return _emit(args, value, stats, str(value))
 
 
@@ -295,9 +295,6 @@ def _add_json(p):
 def _add_cache(p):
     p.add_argument("--cache", default=None, metavar="PATH",
                    help="load/save the memo table at PATH")
-    # the default is severi.DEFAULT_DEGREE_CEILING, which _count applies
-    p.add_argument("--ceiling", type=int, default=None,
-                   help="degree ceiling (default 12)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     ga.add_argument("--k", type=int, default=None,
                     help="jet order for the length/orbit block (at most the ceiling)")
     ga.add_argument("--ceiling", type=int, default=None,
-                    help="jet order scan limit, also bounding --k (default 64)")
+                    help="jet order scan limit, also bounding --k (default 64, at most 512)")
     _add_json(ga)
     ga.set_defaults(func=_cmd_germ_analyze)
 
@@ -336,6 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(f"-{flag}", type=int, required=True)
         sp.add_argument("--nodes", type=int, required=True)
         _add_cache(sp)
+        # the default is severi.DEFAULT_DEGREE_CEILING, which _count applies
+        sp.add_argument("--ceiling", type=int, default=None, help="degree ceiling (default 12)")
         _add_json(sp)
         sp.set_defaults(func=_cmd_severi, surface=surface)
 

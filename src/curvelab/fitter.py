@@ -13,7 +13,7 @@ from math import factorial
 
 from .errors import CeilingError, InconsistencyError, InputError, is_int
 from .series import ChernPolynomial, TruncatedSeries, exp_series, log_series
-from .severi import SeveriEngine
+from .severi import DEFAULT_DEGREE_CEILING, SeveriEngine
 from .surfaces import PLANE, QUADRIC
 
 NODE_LABEL = "A1"
@@ -172,42 +172,25 @@ def fit_nodes(r_max: int, plane_degrees=None, quadric_bidegrees=None,
     return FitResult(r_max, a_polys, t_polys, consistent)
 
 
-def threshold_scan(
-    result: FitResult,
-    r: int,
-    d_range=None,
-    engine: SeveriEngine = None,
-) -> int:
+def threshold_scan(result: FitResult, r: int, engine: SeveriEngine = None) -> int:
     """Smallest plane degree from which the fitted polynomial counts exactly.
 
-    Scans the given degrees and returns the first admissible d such that
-    every admissible degree from d onward agrees with severi_p2.
+    Scans down from DEFAULT_DEGREE_CEILING through the degrees that admit
+    r nodes (the node cap grows with d and exceeds MAX_ORDER at the ceiling)
+    and returns the last d down to which severi_p2 agrees with T[r].
     """
     if not is_int(r) or not 1 <= r <= MAX_ORDER:
         raise InputError(f"threshold scan needs an order r in 1..{MAX_ORDER}, got {r!r}")
     if r not in result.T:
         raise InputError(f"threshold scan of order {r} needs a fit up to order {r}, "
                          f"not {result.r_max}")
-    if d_range is None:
-        d_range = range(1, 13)
-    elif not hasattr(d_range, "__iter__"):
-        raise InputError(f"d_range must be a sequence of plane degrees, got {d_range!r}")
     engine = engine if engine is not None else SeveriEngine()
-    admissible = []
-    for d in d_range:
-        if not is_int(d):
-            raise InputError(f"bad plane degree {d!r}")
-        if PLANE.node_cap(d) >= r:
-            admissible.append(d)
-    admissible.sort()
-    if not admissible:
-        raise InputError("no degree in the scanned range admits that many nodes")
     threshold = None
-    for d in reversed(admissible):
-        if engine.severi_p2(d, r) == result.T[r].evaluate(PLANE.chern(d)):
-            threshold = d
-        else:
+    for d in range(DEFAULT_DEGREE_CEILING, 0, -1):
+        fitted = result.T[r].evaluate(PLANE.chern(d))
+        if PLANE.node_cap(d) < r or engine.severi_p2(d, r) != fitted:
             break
+        threshold = d
     if threshold is None:
         raise InconsistencyError(
             f"order-{r} polynomial never matches the counts in the scanned range"

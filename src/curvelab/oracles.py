@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
-from functools import lru_cache, partial, reduce
+from functools import cache, partial, reduce
 from itertools import product, zip_longest
 from math import comb, factorial, prod
 
@@ -37,7 +37,7 @@ from .surfaces import SURFACES, Pencil
 # floor diagrams
 
 
-@lru_cache(maxsize=None)
+@cache
 def _weight_multisets(budget: int) -> tuple:
     """Non-increasing positive weight tuples with sum <= budget."""
     out = [()]

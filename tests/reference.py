@@ -11,6 +11,9 @@ with exp_series, log_series, the jet layer, the floor oracle's slot walk
 or the pencil oracle's modular certificates and subresultant PRS that
 the tests compare it against.  The jet build shares only the echelon
 form (JetSubspace) and the column order: what it checks is the row order.
+The Milnor number as the intersection number of the partials takes its
+resultant from the pencil oracle's subresultant PRS, which the pencil
+tests check, and shares no code with the jet layer it is compared with.
 """
 
 from collections import Counter
@@ -20,6 +23,7 @@ from math import factorial, gcd, lcm, prod
 
 from curvelab.germs import GermPoly
 from curvelab.jets import JetSubspace, monomial_index
+from curvelab.oracles import _subresultant
 from curvelab.series import ChernPolynomial, TruncatedSeries
 
 ONE = ChernPolynomial.constant(1)
@@ -285,3 +289,44 @@ def floor_markings(d: int, edges: list) -> int:
     labeled = orders(1, frozenset())
     assert labeled % symmetries == 0
     return weight * labeled // symmetries
+
+
+def _trimmed(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _integer_y_rows(p: GermPoly) -> list:
+    """p times the lcm of its denominators, as a list over the powers of y
+    of integer coefficient lists over the powers of x, all trimmed."""
+    if p.is_zero():
+        return []
+    scale = lcm(*(Fraction(c).denominator for c in p.terms.values()))
+    rows = [[] for _ in range(max(j for _, j in p.terms) + 1)]
+    for (i, j), c in p.terms.items():
+        rows[j] += [0] * (i + 1 - len(rows[j]))
+        rows[j][i] = int(c * scale)
+    return rows
+
+
+def resultant_mu(f: GermPoly):
+    """The Milnor number i0(f_x, f_y) of f as the order at x = 0 of
+    Res_y(f_x, f_y) (Fulton, Algebraic Curves, on resultants and
+    intersection numbers), or None when that resultant is zero, as it is
+    when the partials share a factor.  The order counts every common point
+    of the partials on the line x = 0, and a point at infinity on it when
+    both top y-coefficients vanish at x = 0.  So f is sheared first, by
+    x -> x + c*y for c = 0, 1, ..., until the gcd over Q of f_x(0, y) and
+    f_y(0, y) is a power of y and a top y-coefficient is nonzero at x = 0.
+    """
+    for c in range(8):
+        g = linear_substitute(f, 1, c, 0, 1)
+        a, b = _integer_y_rows(g.partial_x()), _integer_y_rows(g.partial_y())
+        if not a or not b:
+            return None
+        on_line = poly_gcd(*(_trimmed([row[0] if row else 0 for row in p]) for p in (a, b)))
+        if on_line and not any(on_line[:-1]) and (a[-1][0] or b[-1][0]):
+            resultant = _subresultant(a, b)
+            return next((i for i, coef in enumerate(resultant) if coef), None)
+    raise AssertionError(f"no shear x -> x + c*y, c < 8, certifies {f.to_string()}")

@@ -150,7 +150,7 @@ def test_acceptance_5_closed_loop(capsys):
     def body():
         result = _shared_fit()
         for r in range(1, 5):
-            threshold = threshold_scan(result, r, d_range=range(1, 13), engine=_ENGINE)
+            threshold = threshold_scan(result, r, engine=_ENGINE)
             for d in range(threshold, 13):
                 want = _ENGINE.severi_p2(d, r)
                 assert result.T[r].evaluate(chern_p2(d)) == want, (d, r)

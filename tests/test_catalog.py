@@ -14,7 +14,18 @@ def test_catalog_loads_and_validates():
     assert len(table) == 24
 
 
-def test_lookup_validates_only_the_entry_it_returns(monkeypatch):
+@pytest.fixture
+def fresh_caches():
+    """Empty the catalog's caches before the test and again after it, so
+    that no entry the test reads, nor a patched table, stays cached."""
+    catalog._raw_entries.cache_clear()
+    catalog._validated.cache_clear()
+    yield
+    catalog._raw_entries.cache_clear()
+    catalog._validated.cache_clear()
+
+
+def test_lookup_validates_only_the_entry_it_returns(monkeypatch, fresh_caches):
     validated = []
     original = catalog._validate
 
@@ -23,7 +34,6 @@ def test_lookup_validates_only_the_entry_it_returns(monkeypatch):
         return original(raw)
 
     monkeypatch.setattr(catalog, "_validate", counting)
-    monkeypatch.setattr(catalog, "_VALIDATED", {})
     assert catalog.lookup("node").label == "A1"
     assert catalog.lookup("A1").tau == 1
     assert catalog.collection_stats(["A1", "A2", "A1"]).codim == 4
@@ -33,7 +43,7 @@ def test_lookup_validates_only_the_entry_it_returns(monkeypatch):
     assert sorted(validated) == sorted(catalog.load_catalog())
 
 
-def test_duplicate_label_is_rejected_when_the_file_is_read(monkeypatch):
+def test_duplicate_label_is_rejected_when_the_file_is_read(monkeypatch, fresh_caches):
     entries = [
         {"label": "A1", "flavor": "analytic", "normal_form": "x*y", "k_used": 2,
          "dim_es": 0, "mu": 1, "tau": 1, "N": 5, "codim": 1},
@@ -41,8 +51,6 @@ def test_duplicate_label_is_rejected_when_the_file_is_read(monkeypatch):
     text = json.dumps({"entries": entries})
     files = SimpleNamespace(joinpath=lambda name: SimpleNamespace(read_text=lambda: text))
     monkeypatch.setattr(catalog, "resources", SimpleNamespace(files=lambda pkg: files))
-    monkeypatch.setattr(catalog, "_RAW", None)
-    monkeypatch.setattr(catalog, "_VALIDATED", {})
     with pytest.raises(InconsistencyError) as err:
         catalog.lookup("A2")
     assert str(err.value) == "duplicate catalog label A1"

@@ -128,10 +128,36 @@ def test_germ_catalog_refuses_an_empty_label_or_multiset(capsys):
 def test_ceiling_help_names_the_engine_default(capsys):
     from curvelab.severi import DEFAULT_DEGREE_CEILING
 
-    for command in (("severi", "p2"), ("severi", "p1xp1"), ("fit", "nodes"), ("fit", "scan")):
+    for command in (("severi", "p2"), ("severi", "p1xp1")):
         with pytest.raises(SystemExit):
             entry([*command, "--help"])
         assert f"degree ceiling (default {DEFAULT_DEGREE_CEILING})" in capsys.readouterr().out
+
+
+def test_fit_commands_take_no_ceiling(capsys):
+    # the fit rows and the scanned degrees all lie under the default ceiling
+    for command in (("fit", "nodes", "--max-r", "2"), ("fit", "scan", "-r", "2")):
+        with pytest.raises(SystemExit) as info:
+            entry([*command, "--ceiling", "12"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --ceiling 12" in capsys.readouterr().err
+
+
+def test_a_huge_jet_ceiling_is_refused_at_once():
+    # it used to scan a non-isolated germ up to the ceiling, for ever: run
+    # in a child, so that such a scan fails by the timeout, not a hang
+    src = os.path.dirname(os.path.dirname(curvelab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    huge = "9" * 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvelab", "germ", "analyze", "x^2*y^2", "--ceiling", huge],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=20,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"error: ceiling {huge} exceeds its maximum 512\n"
 
 
 def test_severi_counts(capsys):

@@ -9,8 +9,9 @@ denominators, and, for the PATH options, a directory, missing, truncated,
 empty and non-UTF-8 files, and a-tables holding `NaN`, `1e400`, `true` or
 a list.  Ints are small, so that a draw the command accepts stays cheap,
 except one per draw, which may lie one past a default ceiling (to draw
-that ceiling's refusal) or be huge.  A `--ceiling` never takes a huge
-value: raising it is the way to ask for a long computation.
+that ceiling's refusal) or be huge.  A huge `--ceiling` is cheap too: the
+jet ceiling is refused above its maximum, and the degree ceiling only
+admits the small classes drawn beside it.
 
 Every draw must exit with a code of README's table; a failure that is
 not argparse's prints exactly one `error:` line and nothing on stdout; no
@@ -78,8 +79,7 @@ def _value(rng, action, large: bool) -> str:
         return rng.choice(PATHS)
     if action.type is int:
         if large:
-            pool = BEYOND if "--ceiling" in action.option_strings else BEYOND + (HUGE,)
-            return rng.choice(pool)
+            return rng.choice(BEYOND + (HUGE,))
         return rng.choice(SMALL) if rng.random() < 0.8 else rng.choice(HOSTILE)
     text = TEXT.get(action.dest) or sum(TEXT.values(), ())
     return rng.choice(text) if rng.random() < 0.7 else rng.choice(HOSTILE)
@@ -140,7 +140,9 @@ def test_cli_draws_exit_cleanly(tmp_path, monkeypatch, capsys, cache_bytes):
     monkeypatch.chdir(workdir)
     leaves = commands(build_parser())
     limits = set()
-    for seed in (1, 2, 3, 4):
+    # between them these seeds draw every ceiling's refusal (seed 8 the
+    # jet scan's "undecided" one)
+    for seed in (1, 2, 3, 4, 8):
         rng = random.Random(seed)
         for _ in range(60):
             argv = draw(rng, leaves)

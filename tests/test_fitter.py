@@ -6,9 +6,19 @@ from math import factorial
 import pytest
 
 from curvelab.errors import CeilingError, InputError
-from curvelab.fitter import chern_p2, chern_quadric, fit_nodes, threshold_scan
+from curvelab.fitter import (
+    DEFAULT_PLANE_DEGREES,
+    MAX_ORDER,
+    FitResult,
+    chern_p2,
+    chern_quadric,
+    default_quadric_bidegrees,
+    fit_nodes,
+    threshold_scan,
+)
 from curvelab.series import ChernPolynomial, assemble_from_table, assemble_series
-from curvelab.severi import MemoStore, SeveriEngine
+from curvelab.severi import DEFAULT_DEGREE_CEILING, MemoStore, SeveriEngine
+from curvelab.surfaces import PLANE, QUADRIC
 
 A1_LINE = ChernPolynomial.linear(3, 2, 0, 1)
 
@@ -83,8 +93,6 @@ def test_threshold_scan(fit4, engine):
     assert threshold_scan(fit4, 4, engine=engine) <= 5
     with pytest.raises(InputError):
         threshold_scan(fit4, 5, engine=engine)
-    with pytest.raises(InputError):
-        threshold_scan(fit4, 1, d_range=[1], engine=engine)
 
 
 def test_closed_loop_against_recursion(fit4, engine):
@@ -144,14 +152,30 @@ def test_threshold_scan_validation(fit4, engine):
     for bad in [True, 0, 9, "2"]:
         with pytest.raises(InputError, match="threshold scan needs an order r in 1..8"):
             threshold_scan(fit4, bad, engine=engine)
-    with pytest.raises(InputError, match="bad plane degree True"):
-        threshold_scan(fit4, 1, d_range=[True, 2, 3], engine=engine)
-    for bad in [5, 5.0, object()]:
-        with pytest.raises(InputError, match="d_range must be a sequence"):
-            threshold_scan(fit4, 1, d_range=bad, engine=engine)
-    # a string is a sequence, whose characters are not degrees
-    with pytest.raises(InputError, match="bad plane degree '5'"):
-        threshold_scan(fit4, 1, d_range="5", engine=engine)
+
+
+def test_every_default_row_and_scanned_degree_lies_under_the_engine_ceiling():
+    # the fit commands count at DEFAULT_DEGREE_CEILING and take no
+    # --ceiling, so a MAX_ORDER whose rows or scan reach past it must
+    # derive the ceiling from r
+    for r in range(MAX_ORDER + 1):
+        rows = [PLANE.size(d) for d in DEFAULT_PLANE_DEGREES]
+        rows += [QUADRIC.size(ab) for ab in default_quadric_bidegrees(r)]
+        assert max(rows) <= DEFAULT_DEGREE_CEILING, r
+    # an engine that echoes the fitted value makes the scan visit every
+    # degree it admits, down to the least
+    poly = ChernPolynomial.linear(1, 2, 3, 4)
+
+    class Echo:
+        def severi_p2(self, d, r):
+            scanned.append(d)
+            return poly.evaluate(chern_p2(d))
+
+    for r in range(1, MAX_ORDER + 1):
+        scanned = []
+        threshold = threshold_scan(FitResult(r, {}, {r: poly}, True), r, engine=Echo())
+        assert scanned and threshold == min(scanned), r
+        assert max(PLANE.size(d) for d in scanned) <= DEFAULT_DEGREE_CEILING, r
 
 
 def test_corrupted_counts_break_consistency(tmp_path, write_cache):

@@ -8,6 +8,7 @@ from curvelab.cli import entry
 from curvelab.errors import CeilingError, InputError
 from curvelab.germs import GermPoly, parse_germ
 from curvelab.jets import (
+    MAX_CEILING,
     _gradient_frame,
     determinacy_window,
     dim_s0,
@@ -20,7 +21,13 @@ from curvelab.jets import (
     tjurina_number,
 )
 
-from reference import ideal_by_generator, kouchnirenko_mu, linear_substitute, milnor_orlik_mu
+from reference import (
+    ideal_by_generator,
+    kouchnirenko_mu,
+    linear_substitute,
+    milnor_orlik_mu,
+    resultant_mu,
+)
 
 NODE = parse_germ("x*y")
 CUSP = parse_germ("y^2 - x^3")
@@ -84,6 +91,10 @@ def test_ceiling_must_be_an_integer():
             determinacy_window(CUSP, ceiling=bad)
     with pytest.raises(InputError, match="ceiling must be at least 1, got 0"):
         germ_report(CUSP, ceiling=0)
+    # one past the maximum is refused before any build, the maximum is scanned
+    with pytest.raises(CeilingError, match=f"ceiling {MAX_CEILING + 1} exceeds its maximum"):
+        germ_report(parse_germ("x^2*y^2"), ceiling=MAX_CEILING + 1)
+    assert milnor_number(CUSP, ceiling=MAX_CEILING) == 2
 
 
 def test_determinacy_windows():
@@ -448,6 +459,21 @@ def _assert_same_image(f, orders):
             assert ours.dimension == ref.dimension, (f.to_string(), name, K)
             assert ours.standard_monomials(K) == ref.standard_monomials(K), (
                 f.to_string(), name, K)
+
+
+def test_milnor_number_is_the_order_of_the_resultant_of_the_partials():
+    # mu = i0(f_x, f_y) for an isolated germ (ROADMAP direction 24); a
+    # zero resultant (None) comes with the jet scan's refusal here
+    for entry in load_catalog().values():
+        assert resultant_mu(entry.normal_form) == milnor_number(entry.normal_form), entry.label
+    for f, _ in _seeded_germs():
+        try:
+            mu = milnor_number(f)
+        except CeilingError:
+            mu = None
+        assert resultant_mu(f) == mu, f.to_string()
+    # the partials 2xy^2 and 2x^2y share the factor xy through the origin
+    assert resultant_mu(parse_germ("x^2*y^2")) is None
 
 
 def test_ideal_in_jets_matches_generator_order_on_catalog_forms():
