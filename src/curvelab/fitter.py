@@ -19,18 +19,18 @@ from .surfaces import PLANE, QUADRIC
 NODE_LABEL = "A1"
 MAX_ORDER = 8
 
-DEFAULT_PLANE_DEGREES = tuple(range(6, 13))
 
-
-def default_quadric_bidegrees(r_max: int) -> tuple:
-    """Quadric bidegrees 3 <= a <= b <= top for a fit up to order r_max.
+def fit_rows(r_max: int) -> tuple:
+    """The (surface, class) rows a fit up to order r_max counts on: plane
+    degrees 6..12, then quadric bidegrees 3 <= a <= b <= top.
 
     The plane rows alone span only 3 of the 4 Chern directions, and a
     quadric row votes only up to order min(a, b) - 1, so top grows with
     r_max: 5 up to order 4, r_max + 2 beyond.
     """
     top = 5 if r_max <= 4 else r_max + 2
-    return tuple((a, b) for a in range(3, top + 1) for b in range(a, top + 1))
+    return tuple([(PLANE, d) for d in range(6, 13)] + [
+        (QUADRIC, (a, b)) for a in range(3, top + 1) for b in range(a, top + 1)])
 
 
 def chern_p2(d: int) -> tuple:
@@ -41,20 +41,6 @@ def chern_p2(d: int) -> tuple:
 def chern_quadric(a: int, b: int) -> tuple:
     """Chern vector of (P^1 x P^1, O(a,b))."""
     return QUADRIC.chern((a, b))
-
-
-def _classes(surface, given, name: str) -> tuple:
-    """The distinct classes in `given`, sorted, each checked before
-    deduplication would merge True into 1."""
-    if not hasattr(given, "__iter__"):
-        kinds = f"{surface.word} {surface.kind}s"
-        raise InputError(f"{name} must be a sequence of {kinds}, got {given!r}")
-    several = len(surface.flags) > 1
-    given = tuple(tuple(c) if several and hasattr(c, "__iter__") else c for c in given)
-    for klass in given:
-        if not surface.valid(klass):
-            raise InputError(f"bad {surface.word} {surface.kind} {klass!r}")
-    return tuple(sorted(set(given)))
 
 
 class FitResult(namedtuple("FitResult", "r_max a T residual_consistent")):
@@ -113,8 +99,8 @@ def _solve_linear4(equations) -> tuple:
                 factor = row[col]
                 aug[i] = [v - factor * w for v, w in zip(row, norm)]
     if len(pivot_rows) < 4:
-        raise InputError(f"fit data spans only {len(pivot_rows)} of the 4 Chern directions; "
-                         "add plane degrees and quadric bidegrees")
+        raise InconsistencyError(
+            f"fit rows span only {len(pivot_rows)} of the 4 Chern directions")
     solution = [Fraction(0)] * 4
     for col, row in reversed(pivot_rows):
         value = row[4] - sum(row[j] * solution[j] for j in range(4) if j != col)
@@ -122,28 +108,20 @@ def _solve_linear4(equations) -> tuple:
     return tuple(solution)
 
 
-def fit_nodes(r_max: int, plane_degrees=None, quadric_bidegrees=None,
-              engine: SeveriEngine = None) -> FitResult:
+def fit_nodes(r_max: int, engine: SeveriEngine = None) -> FitResult:
+    """Fit the node-count polynomials up to order r_max on the rows of
+    fit_rows(r_max), counted by `engine` (a fresh SeveriEngine if None)."""
     if not is_int(r_max) or r_max < 0:
         raise InputError("r_max must be a nonnegative integer")
     if r_max > MAX_ORDER:
         raise CeilingError(f"r_max {r_max} exceeds the order ceiling {MAX_ORDER}")
-
-    if plane_degrees is None:
-        plane_degrees = DEFAULT_PLANE_DEGREES
-    if quadric_bidegrees is None:
-        quadric_bidegrees = default_quadric_bidegrees(r_max)
-    classes = [(surface, klass) for surface, given, name in (
-        (PLANE, plane_degrees, "plane_degrees"),
-        (QUADRIC, quadric_bidegrees, "quadric_bidegrees"),
-    ) for klass in _classes(surface, given, name)]
 
     engine = engine if engine is not None else SeveriEngine()
 
     # one row per surface polarization, planes first: its Chern vector, the
     # log of its count series, and the largest order the row may vote on
     rows = []
-    for surface, klass in classes:
+    for surface, klass in fit_rows(r_max):
         cap = surface.node_cap(klass)
         counts = [engine.count(surface, klass, r) for r in range(min(r_max, cap) + 1)]
         for r, n in enumerate(counts):

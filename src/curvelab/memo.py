@@ -135,12 +135,12 @@ _HEADER_LEN = len(_MAGIC) + 64 + 1
 _CHUNK_LINES = 4096
 
 
-def _sha256(data=b""):
+def _sha256():
     # imported here: hashlib loads OpenSSL, which would cost every
     # command a few milliseconds, and only cache files need it
     import hashlib
 
-    return hashlib.sha256(data)
+    return hashlib.sha256()
 
 
 def _format_profile(profile) -> str:

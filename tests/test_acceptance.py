@@ -15,8 +15,8 @@ from curvelab.errors import CeilingError
 from curvelab.fitter import (
     chern_p2,
     chern_quadric,
-    default_quadric_bidegrees,
     fit_nodes,
+    fit_rows,
     threshold_scan,
 )
 from curvelab.germs import GermPoly, parse_germ
@@ -30,6 +30,7 @@ from curvelab.jets import (
 from curvelab.oracles import floor_diagram_oracle, pencil_discriminant_oracle
 from curvelab.series import ChernPolynomial, TruncatedSeries, exp_series, log_series
 from curvelab.severi import MemoStore, SeveriEngine
+from curvelab.surfaces import QUADRIC
 
 from reference import linear_substitute, one_plus
 
@@ -39,12 +40,7 @@ _FIT_CACHE = {}
 
 def _shared_fit():
     if "fit4" not in _FIT_CACHE:
-        _FIT_CACHE["fit4"] = fit_nodes(
-            4,
-            plane_degrees=range(6, 13),
-            quadric_bidegrees=[(a, b) for a in range(3, 6) for b in range(3, 6)],
-            engine=_ENGINE,
-        )
+        _FIT_CACHE["fit4"] = fit_nodes(4, engine=_ENGINE)
     return _FIT_CACHE["fit4"]
 
 
@@ -126,15 +122,13 @@ def test_acceptance_4_multiplicative_fit(capsys):
         result = _shared_fit()
         assert result.residual_consistent
         for r_max in range(1, 9):
-            # overdetermined at every order of the default data: the plane
-            # rows with d >= r+2 plus at least one quadric row with
-            # min(a,b) >= r+1, against 4 unknowns
+            # overdetermined at every order: the rows of the fit that vote
+            # at order r, at least one of them a quadric, against 4 unknowns
             for r in range(1, r_max + 1):
-                plane_rows = sum(1 for d in range(6, 13) if d >= r + 2)
-                quadric_rows = sum(
-                    1 for a, b in default_quadric_bidegrees(r_max) if min(a, b) >= r + 1
-                )
-                assert quadric_rows >= 1 and plane_rows + quadric_rows > 4, (r_max, r)
+                voting = [surface for surface, klass in fit_rows(r_max)
+                          if r <= surface.vote_order(klass)]
+                quadric_rows = sum(1 for surface in voting if surface is QUADRIC)
+                assert quadric_rows >= 1 and len(voting) > 4, (r_max, r)
         for r in range(1, 5):
             assert result.a[r].is_linear()
         for r in range(5):

@@ -5,7 +5,8 @@ Every draw must return its result (an int, a `FitResult` from `fit_nodes`
 or an `InvariantReport` from `germ_report`) or raise a `CurvelabError`;
 anything else is a defect.  The arguments come from a small hostile
 vocabulary, and its ints are small, so that a draw the entry point accepts
-stays cheap: plane degrees up to 3 and bidegrees up to (2,2).  A germ
+stays cheap: plane degrees up to 3, bidegrees up to (2,2), and fits up
+to order 2 on the fit's own rows, counted by one shared engine.  A germ
 draw sets either `k` or `ceiling` and leaves the other at its default, so
 no draw that the ceiling admits asks for a large build.
 """
@@ -63,9 +64,7 @@ def draws(seed: int, rounds: int = 150) -> list:
     for _ in range(rounds):
         out.append(("severi_p2", (_value(rng), _value(rng)), {}))
         out.append(("severi_quadric", (_value(rng), _value(rng), _value(rng)), {}))
-        rows = {key: _value(rng) for key in ("plane_degrees", "quadric_bidegrees")
-                if rng.random() < 0.8}
-        out.append(("fit_nodes", (_value(rng, 2),), rows))
+        out.append(("fit_nodes", (_value(rng, 2),), {}))
         surface = rng.choice(SURFACE_NAMES) if rng.random() < 0.8 else _value(rng)
         out.append(("pencil_discriminant_oracle", (surface, _value(rng)), {"seed": _value(rng)}))
         out.append(("floor_diagram_oracle", (_value(rng), _value(rng)), {}))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -5,15 +7,15 @@ from math import factorial
 
 import pytest
 
-from curvelab.errors import CeilingError, InputError
+from curvelab.errors import CeilingError, InconsistencyError, InputError
 from curvelab.fitter import (
-    DEFAULT_PLANE_DEGREES,
     MAX_ORDER,
     FitResult,
+    _solve_linear4,
     chern_p2,
     chern_quadric,
-    default_quadric_bidegrees,
     fit_nodes,
+    fit_rows,
     threshold_scan,
 )
 from curvelab.series import ChernPolynomial, assemble_from_table, assemble_series
@@ -38,17 +40,6 @@ def test_chern_vectors():
     assert chern_quadric(2, 2) == (8, -8, 8, 4)
 
 
-def test_one_node_line_from_small_degrees(engine):
-    result = fit_nodes(
-        1,
-        plane_degrees=range(3, 7),
-        quadric_bidegrees=[(1, 1), (2, 2)],
-        engine=engine,
-    )
-    assert result.a[1] == A1_LINE
-    assert result.residual_consistent
-
-
 def test_default_fit_is_exactly_consistent(fit4):
     assert fit4.residual_consistent
     assert fit4.a[1] == A1_LINE
@@ -71,7 +62,7 @@ def test_json_object_keys(fit4):
 
 
 def test_order_zero_fit():
-    result = fit_nodes(0, plane_degrees=[3], quadric_bidegrees=[])
+    result = fit_nodes(0)
     assert result.a == {}
     assert result.T == {0: ChernPolynomial.constant(1)}
     assert result.residual_consistent
@@ -105,12 +96,67 @@ def test_closed_loop_against_recursion(fit4, engine):
                 assert fit4.T[r].evaluate(chern_quadric(a, b)) == engine.severi_quadric(a, b, r)
 
 
-def test_rank_deficiency_is_reported(engine):
-    # plane data alone cannot separate the two constant Chern directions
-    with pytest.raises(InputError):
-        fit_nodes(1, plane_degrees=range(3, 10), quadric_bidegrees=[], engine=engine)
-    with pytest.raises(InputError):
-        fit_nodes(1, plane_degrees=[5], quadric_bidegrees=[(2, 2)], engine=engine)
+def _rank(vectors) -> int:
+    """The rank over Fraction of Chern vectors, by Gaussian elimination."""
+    rows = [[Fraction(v) for v in vec] for vec in vectors]
+    rank = 0
+    for col in range(4):
+        nonzero = [i for i in range(rank, len(rows)) if rows[i][col] != 0]
+        if not nonzero:
+            continue
+        rows[rank], rows[nonzero[0]] = rows[nonzero[0]], rows[rank]
+        pivot = rows[rank]
+        for row in rows[rank + 1:]:
+            factor = row[col] / pivot[col]
+            row[:] = [v - factor * w for v, w in zip(row, pivot)]
+        rank += 1
+    return rank
+
+
+def test_every_order_of_every_fit_has_rank_4_among_its_voting_rows():
+    # the rows are fixed, so no caller can make the fit underdetermined
+    for r_max in range(MAX_ORDER + 1):
+        for r in range(1, r_max + 1):
+            voting = [(surface, klass) for surface, klass in fit_rows(r_max)
+                      if r <= surface.vote_order(klass)]
+            assert any(surface is QUADRIC for surface, _ in voting), (r_max, r)
+            assert _rank(surface.chern(klass) for surface, klass in voting) == 4, (r_max, r)
+
+
+def test_a_rank_deficient_system_is_an_inconsistency():
+    # plane rows alone cannot separate the two constant Chern directions
+    equations = [(PLANE.chern(d), d) for d in range(3, 10)]
+    assert _rank(vec for vec, _ in equations) == 3
+    with pytest.raises(InconsistencyError, match="span only 3 of the 4 Chern directions"):
+        _solve_linear4(equations)
+
+
+# sha256 of each fit_nodes(r).to_json_obj() as sorted compact JSON, r = 0..8
+FIT_DIGESTS = [
+    "21d9dbc2566d76ec6e9ad69196a986c51292312466c958eb70851e7e2ab6ee75",
+    "ea08616a2ef5e274fabd73df421ba1708175efa008b457e814907ae0cc4e927c",
+    "31d3f197cf10d76d54ed989b1fb3237f02ca59fddc3f1b875b4327a70a8353cb",
+    "357533d261e603eaf5d95cb10e630e21a778f88ef7ac7398bd6a2453dee11888",
+    "6b4714a326c8e59b4d531a0392150c58147dfd0d0e4204be479e143235bafe1b",
+    "054a2276a4d0a117997a32915e6b5f01dabf83fd8f96baceacb217d4765e7a57",
+    "1a70b20d59f82ea4b5819c1da9337d7c68d4d6c29f12b2c513868cc7f8e5c80c",
+    "31ae3d1aecfec1e2253ac7c7a6d2bb1169e0db325b8d35c1cf0d67edee26c6d7",
+    "ff103b9872d8eec87d821a4f1378477e615fa96092f27b16c4517f500091429c",
+]
+
+
+def test_fit_outputs_are_pinned():
+    # every a_r and T_r up to MAX_ORDER, and the states the rows cost; a
+    # change of rows for r_max > 8 must leave these as they are
+    engine = SeveriEngine()
+    for r, want in enumerate(FIT_DIGESTS):
+        obj = fit_nodes(r, engine=engine).to_json_obj()
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, r
+    assert engine.store.stats()["computed"] == 55923
+    engine = SeveriEngine()
+    fit_nodes(4, engine=engine)
+    assert engine.store.stats()["computed"] == 3224
 
 
 def test_parameter_validation():
@@ -122,30 +168,6 @@ def test_parameter_validation():
         fit_nodes(True)
     with pytest.raises(CeilingError):
         fit_nodes(9)
-    with pytest.raises(InputError):
-        fit_nodes(1, plane_degrees=[0], quadric_bidegrees=[(1, 1)])
-    with pytest.raises(InputError):
-        fit_nodes(1, plane_degrees=[3], quadric_bidegrees=[(1, 0)])
-    # a bool is refused wherever it sits, also beside the int it equals
-    for planes in ([True], [1, True], [True, 1]):
-        with pytest.raises(InputError, match="bad plane degree True"):
-            fit_nodes(1, plane_degrees=planes, quadric_bidegrees=[(3, 3)])
-    with pytest.raises(InputError, match="bad quadric bidegree"):
-        fit_nodes(1, plane_degrees=[3], quadric_bidegrees=[(3, 3), (True, 3)])
-
-
-def test_fit_nodes_refuses_scalar_rows():
-    # each of these used to raise a bare TypeError from tuple()
-    for kwargs, message in [
-        ({"plane_degrees": 5}, "plane_degrees must be a sequence of plane degrees, got 5"),
-        ({"quadric_bidegrees": 5},
-         "quadric_bidegrees must be a sequence of quadric bidegrees, got 5"),
-        ({"quadric_bidegrees": [3]}, "bad quadric bidegree 3"),
-        ({"quadric_bidegrees": [(2, 2), None]}, "bad quadric bidegree None"),
-    ]:
-        with pytest.raises(InputError) as info:
-            fit_nodes(2, **kwargs)
-        assert str(info.value) == message, kwargs
 
 
 def test_threshold_scan_validation(fit4, engine):
@@ -159,9 +181,8 @@ def test_every_default_row_and_scanned_degree_lies_under_the_engine_ceiling():
     # --ceiling, so a MAX_ORDER whose rows or scan reach past it must
     # derive the ceiling from r
     for r in range(MAX_ORDER + 1):
-        rows = [PLANE.size(d) for d in DEFAULT_PLANE_DEGREES]
-        rows += [QUADRIC.size(ab) for ab in default_quadric_bidegrees(r)]
-        assert max(rows) <= DEFAULT_DEGREE_CEILING, r
+        size = max(surface.size(klass) for surface, klass in fit_rows(r))
+        assert size <= DEFAULT_DEGREE_CEILING, r
     # an engine that echoes the fitted value makes the scan visit every
     # degree it admits, down to the least
     poly = ChernPolynomial.linear(1, 2, 3, 4)
