@@ -15,9 +15,9 @@ _LAYERS = {
                "InputError"),
     "fitter": ("FitResult", "chern_p2", "chern_quadric", "fit_nodes", "threshold_scan"),
     "germs": ("GermPoly", "parse_germ"),
-    "jets": ("DEFAULT_CEILING", "InvariantReport", "JetSubspace", "determinacy_window",
-             "dim_s0", "germ_report", "ideal_in_jets", "milnor_number", "orbit_tangent_dim",
-             "scheme_length", "tjurina_number"),
+    "jets": ("InvariantReport", "JetSubspace", "determinacy_window", "dim_s0", "germ_report",
+             "ideal_in_jets", "milnor_number", "orbit_tangent_dim", "scheme_length",
+             "tjurina_number"),
     "memo": ("MemoStore",),
     "oracles": ("floor_diagram_oracle", "pencil_discriminant_oracle"),
     "series": ("ChernPolynomial", "TruncatedSeries", "assemble_from_table", "assemble_series",

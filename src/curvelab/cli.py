@@ -135,12 +135,11 @@ def _dump_a_table(table: dict) -> str:
 
 def _cmd_germ_analyze(args) -> int:
     from .germs import parse_germ
-    from .jets import DEFAULT_CEILING, germ_report
+    from .jets import germ_report
 
     f = parse_germ(args.expr)
-    ceiling = DEFAULT_CEILING if args.ceiling is None else args.ceiling
     stats = {}
-    report = germ_report(f, k=args.k, ceiling=ceiling, stats=stats)
+    report = germ_report(f, k=args.k, stats=stats)
     k = report.k_used
     lines = [
         f"germ: {report.expression}",
@@ -310,9 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     ga = gsub.add_parser("analyze", help="invariants of one germ")
     ga.add_argument("expr", help='germ expression, e.g. "y^2-x^3"')
     ga.add_argument("--k", type=int, default=None,
-                    help="jet order for the length/orbit block (at most the ceiling)")
-    ga.add_argument("--ceiling", type=int, default=None,
-                    help="jet order scan limit, also bounding --k (default 64, at most 512)")
+                    help="jet order for the length/orbit block (at most 512)")
     _add_json(ga)
     ga.set_defaults(func=_cmd_germ_analyze)
 

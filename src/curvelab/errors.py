@@ -17,7 +17,8 @@ class InputError(CurvelabError):
 
 
 class CeilingError(CurvelabError):
-    """A configurable ceiling was exceeded (jet truncation, degree). Exit 3."""
+    """A limit was hit (degree ceiling, jet order, series cap), or a germ
+    was proved not isolated. Exit 3."""
 
     exit_code = 3
 
@@ -48,15 +49,3 @@ def is_int(value) -> bool:
     """True for an int that is not a bool: `isinstance(True, int)` holds,
     but a flag is never a degree, a count or an order."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def check_ceiling(value, name: str, maximum: int = None):
-    """Refuse a ceiling `value` that is not an int of at least 1 with
-    InputError (below 1 nothing is scanned, so no limit can have been
-    reached), and one above `maximum`, if given, with CeilingError."""
-    if not is_int(value):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise InputError(f"{name} must be at least 1, got {value}")
-    if maximum is not None and value > maximum:
-        raise CeilingError(f"{name} {value} exceeds its maximum {maximum}")

@@ -3,7 +3,8 @@
 Everything is reduced inside the finite quotient C{x,y}/m^K, where the
 monomials x^i y^j with i + j < K form a basis.  Rows are kept sparse
 (dict column -> Fraction) because generator families are often monomial
-and the default non-isolation ceiling makes dense rows infeasible.
+and a non-isolated germ is scanned up to its Bézout bound, where dense
+rows are infeasible.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import CeilingError, InputError, check_ceiling, is_int
+from .errors import CeilingError, InputError, is_int
 from .germs import GermPoly
 
-DEFAULT_CEILING = 64
-# the scans of a non-isolated germ cost about 4.5 times more per doubling
-# of the ceiling: `x^2*y^2` is refused in about 2 s of CPU at 512 (CPython 3.11)
-MAX_CEILING = 512
+# every jet build stops by order MAX_JET_ORDER + 1: a scan that reaches it
+# costs about 1.3 s of CPU (`x^20*y^20`, CPython 3.11), and a k above it is
+# refused before any build, since the order-(k+1) builds grow with k
+MAX_JET_ORDER = 512
 
 _ZERO = Fraction(0)
 
@@ -136,12 +137,22 @@ def _build(generators, K: int, stats: dict = None):
         yield D, space
 
 
+def _check_order(value, name="jet order", symbol="k", top=MAX_JET_ORDER):
+    """Refuse an order `value` that is not an int of at least 1 with
+    InputError, and one above `top` with CeilingError, before any build:
+    a build's work grows with its order."""
+    if not is_int(value) or value < 1:
+        raise InputError(f"{name} must be a positive integer")
+    if value > top:
+        raise CeilingError(f"{name} {symbol} = {value} exceeds its maximum {top}")
+
+
 def ideal_in_jets(generators, truncation_order: int, stats: dict = None) -> JetSubspace:
     """Image in C{x,y}/m^K of the ideal generated by `generators`: the
-    build of `_build` run to the end (see there for `stats`)."""
+    build of `_build` run to the end (see there for `stats`), for K up to
+    MAX_JET_ORDER + 1, the order of jets up to MAX_JET_ORDER."""
     K = truncation_order
-    if not is_int(K) or K < 1:
-        raise InputError("truncation order must be a positive integer")
+    _check_order(K, "truncation order", "K", MAX_JET_ORDER + 1)
     if not generators:
         raise InputError("need generators")
     for _, space in _build(generators, K, stats):
@@ -154,57 +165,66 @@ def _require_germ(f: GermPoly):
         raise InputError("constant term nonzero: not a germ at the origin")
 
 
-def _saturation(gens, ceiling: int, stats: dict = None):
-    """(K, space) for the least K <= ceiling + 1 at which the ideal spanned
+def _saturation(gens, limit: int, stats: dict = None):
+    """(K, space) for the least K <= limit + 1 at which the ideal spanned
     by gens holds every monomial of degree K - 1 modulo m^K, or None.
 
     By the Nakayama jet criterion the ideal then contains m^(K-1), and the
     quotient C{x,y}/I equals its image at order K - 1.  One build at order
-    ceiling + 1 answers every K: it stops at the first degree D = K - 1
+    limit + 1 answers every K: it stops at the first degree D = K - 1
     whose monomials are all pivots, which are final by then.
     """
-    for D, space in _build(gens, ceiling + 1, stats):
+    for D, space in _build(gens, limit + 1, stats):
         if space.pivots_cover_degree(D):
             return D + 1, space
     return None
 
 
-def _quotient_basis(gens, ceiling: int, stats: dict = None) -> list:
-    """Standard monomials (i, j) spanning C{x,y}/I for the ideal I spanned
-    by gens, so their number is the colength dim C{x,y}/I.
+def _scan(f: GermPoly, gens, stats: dict = None):
+    """(K, space) of `_saturation` for gens, one of f's Jacobian ideal,
+    Tjurina ideal or determinacy frame, scanned up to f's own limit.
 
-    I is read at the least order K <= ceiling + 1 at which it saturates;
-    the basis is then the non-pivot monomials of degree < K - 1.  With no
-    saturation up to the ceiling the scan cannot tell a non-isolated
-    singularity from one that needs a higher ceiling.
+    With B = deg f_x * deg f_y (a zero partial has degree 0), an isolated
+    germ has mu <= B by Bézout's theorem, once the common factors of the
+    partials that miss the origin are cancelled, and its Jacobian ideal,
+    of colength mu, contains m^mu.  So the Jacobian and Tjurina ideals
+    saturate by K = B + 1, and the frame m*J + (f), which contains
+    m^(mu+1), by K = B + 2: a scan to limit B + 1 that does not saturate
+    proves the germ non-isolated.  The scan stops by MAX_JET_ORDER, so a
+    germ with B + 1 above it that does not saturate there is undecided.
     """
-    check_ceiling(ceiling, "ceiling", MAX_CEILING)
-    if all(g.is_zero() for g in gens):
-        raise CeilingError("singularity not isolated: every generator vanishes")
-    found = _saturation(gens, ceiling, stats)
-    if found is None:
-        raise CeilingError(
-            f"singularity undecided up to ceiling {ceiling} (not isolated, or raise the ceiling)"
-        )
-    K, space = found
+    _require_germ(f)
+    bound = f.partial_x().total_degree() * f.partial_y().total_degree()
+    found = _saturation(gens, min(bound + 1, MAX_JET_ORDER), stats)
+    if found is not None:
+        return found
+    if bound + 1 > MAX_JET_ORDER:
+        raise CeilingError(f"singularity undecided up to order {MAX_JET_ORDER} "
+                           f"(its Bézout bound {bound} exceeds it)")
+    raise CeilingError("singularity not isolated")
+
+
+def _quotient_basis(f: GermPoly, gens, stats: dict = None) -> list:
+    """Standard monomials (i, j) spanning C{x,y}/I for the ideal I spanned
+    by gens, read at the order K at which `_scan` saturates: the non-pivot
+    monomials of degree < K - 1, so their number is dim C{x,y}/I."""
+    K, space = _scan(f, gens, stats)
     return space.standard_monomials(K - 1)
 
 
-def milnor_number(f: GermPoly, ceiling: int = DEFAULT_CEILING, stats: dict = None) -> int:
+def milnor_number(f: GermPoly, stats: dict = None) -> int:
     """dim C{x,y}/(f_x, f_y); raises CeilingError on non-isolated germs."""
-    _require_germ(f)
-    return len(_quotient_basis([f.partial_x(), f.partial_y()], ceiling, stats))
+    return len(_quotient_basis(f, [f.partial_x(), f.partial_y()], stats))
 
 
-def tjurina_basis(f: GermPoly, ceiling: int = DEFAULT_CEILING, stats: dict = None) -> list:
+def tjurina_basis(f: GermPoly, stats: dict = None) -> list:
     """Standard monomials (i, j) spanning C{x,y}/(f, f_x, f_y)."""
-    _require_germ(f)
-    return _quotient_basis([f, f.partial_x(), f.partial_y()], ceiling, stats)
+    return _quotient_basis(f, [f, f.partial_x(), f.partial_y()], stats)
 
 
-def tjurina_number(f: GermPoly, ceiling: int = DEFAULT_CEILING, stats: dict = None) -> int:
+def tjurina_number(f: GermPoly, stats: dict = None) -> int:
     """dim C{x,y}/(f, f_x, f_y)."""
-    return len(tjurina_basis(f, ceiling, stats))
+    return len(tjurina_basis(f, stats))
 
 
 def _gradient_frame(f: GermPoly) -> list:
@@ -218,34 +238,25 @@ def _gradient_frame(f: GermPoly) -> list:
     ]
 
 
-def determinacy_window(
-    f: GermPoly, ceiling: int = DEFAULT_CEILING, stats: dict = None
-) -> tuple[int, int]:
+def determinacy_window(f: GermPoly, stats: dict = None) -> tuple[int, int]:
     """(k_low, k_high): jets of order >= k_high determine the germ up to
     coordinate change, and k_low is the matching lower bound.
     """
-    _require_germ(f)
-    check_ceiling(ceiling, "ceiling", MAX_CEILING)
-    found = _saturation(_gradient_frame(f), ceiling, stats)
-    if found is None:
-        raise CeilingError(f"determinacy exceeds ceiling {ceiling}")
-    K = found[0]
+    K = _scan(f, _gradient_frame(f), stats)[0]
     return (K - 2, K - 1)
 
 
 def scheme_length(f: GermPoly, k: int, stats: dict = None) -> int:
     """Length of the order-k neighborhood scheme: dim C{x,y}/(f + m^{k+1})."""
     _require_germ(f)
-    if not is_int(k) or k < 1:
-        raise InputError("jet order must be a positive integer")
+    _check_order(k)
     return jet_dimension(k + 1) - ideal_in_jets([f], k + 1, stats).dimension
 
 
 def orbit_tangent_dim(f: GermPoly, k: int, stats: dict = None) -> int:
     """Tangent dimension of the equivalence-class orbit inside order-k jets."""
     _require_germ(f)
-    if not is_int(k) or k < 1:
-        raise InputError("jet order must be a positive integer")
+    _check_order(k)
     return ideal_in_jets(_gradient_frame(f), k + 1, stats).dimension
 
 
@@ -289,26 +300,20 @@ class InvariantReport(namedtuple(
         }
 
 
-def germ_report(
-    f: GermPoly, k: int = None, ceiling: int = DEFAULT_CEILING, stats: dict = None
-) -> InvariantReport:
+def germ_report(f: GermPoly, k: int = None, stats: dict = None) -> InvariantReport:
     """Full invariant report at jet order k (default: upper determinacy bound).
 
-    The ceiling bounds k as it bounds the scans: a k above it raises
-    CeilingError before any build, since the order-(k+1) builds grow with k.
-    If `stats` is a dict, it receives the jet counters of `_build`
-    summed over every build the report makes, one per ideal.
+    A k above MAX_JET_ORDER raises CeilingError before any build, since
+    the order-(k+1) builds grow with k.  If `stats` is a dict, it
+    receives the jet counters of `_build` summed over every build the
+    report makes, one per ideal.
     """
     _require_germ(f)
-    check_ceiling(ceiling, "ceiling", MAX_CEILING)
     if k is not None:
-        if not is_int(k) or k < 1:
-            raise InputError("jet order must be a positive integer")
-        if k > ceiling:
-            raise CeilingError(f"jet order k = {k} exceeds ceiling {ceiling} (raise the ceiling)")
-    mu = milnor_number(f, ceiling, stats)
-    tau = tjurina_number(f, ceiling, stats)
-    window = determinacy_window(f, ceiling, stats)
+        _check_order(k)
+    mu = milnor_number(f, stats)
+    tau = tjurina_number(f, stats)
+    window = determinacy_window(f, stats)
     if k is None:
         k = window[1]
     orbit = orbit_tangent_dim(f, k, stats)

@@ -21,7 +21,7 @@ from functools import cache
 from math import comb
 from operator import itemgetter
 
-from .errors import AdmissibilityError, CeilingError, InputError, check_ceiling, is_int
+from .errors import AdmissibilityError, CeilingError, InputError, is_int
 from .memo import HEADS, PROFILES, MemoStore, head_id, join, profile_id, split, trim
 from .surfaces import PLANE, QUADRIC, SURFACES
 
@@ -229,7 +229,11 @@ def _edges(head: int, alpha: int, beta: int):
 
 class SeveriEngine:
     def __init__(self, store: MemoStore = None, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
-        check_ceiling(degree_ceiling, "degree ceiling")
+        # below 1 nothing is counted, so no ceiling can have been reached
+        if not is_int(degree_ceiling):
+            raise InputError(f"degree ceiling must be an integer, got {degree_ceiling!r}")
+        if degree_ceiling < 1:
+            raise InputError(f"degree ceiling must be at least 1, got {degree_ceiling}")
         self.store = store if store is not None else MemoStore()
         self.degree_ceiling = degree_ceiling
 

@@ -1,14 +1,16 @@
 """A seeded fuzz of the Python entry points that take a surface class,
-and of the germ lab's entry point, `germ_report`, on a fixed isolated germ.
+and of the germ lab's entry points that take a jet order, on a fixed
+isolated germ.
 
-Every draw must return its result (an int, a `FitResult` from `fit_nodes`
-or an `InvariantReport` from `germ_report`) or raise a `CurvelabError`;
-anything else is a defect.  The arguments come from a small hostile
-vocabulary, and its ints are small, so that a draw the entry point accepts
-stays cheap: plane degrees up to 3, bidegrees up to (2,2), and fits up
-to order 2 on the fit's own rows, counted by one shared engine.  A germ
-draw sets either `k` or `ceiling` and leaves the other at its default, so
-no draw that the ceiling admits asks for a large build.
+Every draw must return its result (an int, a `FitResult` from `fit_nodes`,
+an `InvariantReport` from `germ_report` or a `JetSubspace` from
+`ideal_in_jets`) or raise a `CurvelabError`; anything else is a defect.
+The arguments come from a small hostile vocabulary, and its ints are
+small, so that a draw the entry point accepts stays cheap: plane degrees
+up to 3, bidegrees up to (2,2), and fits up to order 2 on the fit's own
+rows, counted by one shared engine.  A germ draw sets only the order
+(`k`, or the truncation order of `ideal_in_jets`), and the huge one,
+10**30, must be refused before any build.
 """
 
 import random
@@ -19,12 +21,17 @@ from curvelab import (
     CurvelabError,
     FitResult,
     InvariantReport,
+    JetSubspace,
     SeveriEngine,
+    dim_s0,
     fit_nodes,
     floor_diagram_oracle,
     germ_report,
+    ideal_in_jets,
+    orbit_tangent_dim,
     parse_germ,
     pencil_discriminant_oracle,
+    scheme_length,
 )
 
 # ints are drawn most often, so that some draws are valid; inside a list
@@ -41,8 +48,13 @@ ENTRY_POINTS = {
         *args, **kwargs),
     "floor_diagram_oracle": lambda engine, *args, **kwargs: floor_diagram_oracle(*args, **kwargs),
     "germ_report": lambda engine, *args, **kwargs: germ_report(CUSP, *args, **kwargs),
+    "ideal_in_jets": lambda engine, *args, **kwargs: ideal_in_jets([CUSP], *args, **kwargs),
+    "scheme_length": lambda engine, *args, **kwargs: scheme_length(CUSP, *args, **kwargs),
+    "orbit_tangent_dim": lambda engine, *args, **kwargs: orbit_tangent_dim(CUSP, *args, **kwargs),
+    "dim_s0": lambda engine, *args, **kwargs: dim_s0(CUSP, *args, **kwargs),
 }
-RESULT_TYPES = {"fit_nodes": FitResult, "germ_report": InvariantReport}
+RESULT_TYPES = {"fit_nodes": FitResult, "germ_report": InvariantReport,
+                "ideal_in_jets": JetSubspace}
 
 
 def _value(rng, top=3, depth=0):
@@ -68,7 +80,9 @@ def draws(seed: int, rounds: int = 150) -> list:
         surface = rng.choice(SURFACE_NAMES) if rng.random() < 0.8 else _value(rng)
         out.append(("pencil_discriminant_oracle", (surface, _value(rng)), {"seed": _value(rng)}))
         out.append(("floor_diagram_oracle", (_value(rng), _value(rng)), {}))
-        out.append(("germ_report", (), {rng.choice(("k", "ceiling")): _value(rng)}))
+        out.append(("germ_report", (), {"k": _value(rng)}))
+        for name in ("ideal_in_jets", "scheme_length", "orbit_tangent_dim", "dim_s0"):
+            out.append((name, (_value(rng),), {}))
     return out
 
 

@@ -50,26 +50,34 @@ def test_germ_analyze_refuses_a_zero_denominator(capsys):
     assert err == "error: zero denominator in term '2/0*x^2'\n"
 
 
-def test_germ_analyze_low_ceiling_is_undecided_not_non_isolated(capsys):
-    # the cusp is isolated; ceiling 1 only cannot see its saturation order
-    code, out, err = run_cli(capsys, "germ", "analyze", "x^2+y^3", "--ceiling", "1")
-    assert code == 3
-    assert out == ""
-    assert err.splitlines() == [
-        "error: singularity undecided up to ceiling 1 (not isolated, or raise the ceiling)"
-    ]
-    code, out, _ = run_cli(capsys, "germ", "analyze", "x^2+y^3", "--ceiling", "3")
-    assert code == 0
-    assert "milnor: 2" in out
+def test_germ_analyze_proves_non_isolation(capsys):
+    # the scan runs to the Bezout bound of the partials plus 1, which an
+    # isolated germ saturates within: the refusal is a proof, one line
+    for text in ("x^2*y^2", "x^2", "x - x"):
+        code, out, err = run_cli(capsys, "germ", "analyze", text)
+        assert (code, out, err) == (3, "", "error: singularity not isolated\n"), text
+
+
+def test_germ_analyze_scans_as_far_as_the_germ_needs(capsys):
+    # mu = 69 needs a scan to order 70, past the fixed ceiling of 64 that
+    # once refused this germ
+    code, out, err = run_cli(capsys, "germ", "analyze", "y^2 - x^70")
+    assert (code, err) == (0, "")
+    assert "milnor: 69\ntjurina: 69\ndeterminacy window: (69, 70)\n" in out
+    # the limit comes from the germ, so there is no --ceiling to set it
+    with pytest.raises(SystemExit) as info:
+        entry(["germ", "analyze", "y^2 - x^70", "--ceiling", "64"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --ceiling 64" in capsys.readouterr().err
 
 
 def test_germ_analyze_k_is_bounded_by_the_ceiling(capsys):
     # an unbounded --k once built order-(k+1) ideals for minutes; a k above
-    # the ceiling is refused before any build, and a raised ceiling admits it
-    code, out, err = run_cli(capsys, "germ", "analyze", "x^2+y^3", "--k", "65")
+    # the jet order maximum is refused before any build
+    code, out, err = run_cli(capsys, "germ", "analyze", "x^2+y^3", "--k", "513")
     assert (code, out) == (3, "")
-    assert err.splitlines() == ["error: jet order k = 65 exceeds ceiling 64 (raise the ceiling)"]
-    code, out, _ = run_cli(capsys, "germ", "analyze", "x^2+y^3", "--k", "65", "--ceiling", "65")
+    assert err.splitlines() == ["error: jet order k = 513 exceeds its maximum 512"]
+    code, out, _ = run_cli(capsys, "germ", "analyze", "x^2+y^3", "--k", "65")
     assert code == 0
     assert "scheme length N at k=65: 131" in out
 
@@ -144,20 +152,26 @@ def test_fit_commands_take_no_ceiling(capsys):
 
 
 def test_a_huge_jet_ceiling_is_refused_at_once():
-    # it used to scan a non-isolated germ up to the ceiling, for ever: run
-    # in a child, so that such a scan fails by the timeout, not a hang
+    # a huge --ceiling used to scan a non-isolated germ up to it, for
+    # ever, and a huge --k to build up to it: the germ lab now takes no
+    # ceiling, and refuses a k above its maximum at once.  Run in a child,
+    # so that such a scan fails by the timeout, not a hang
     src = os.path.dirname(os.path.dirname(curvelab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     huge = "9" * 30
-    proc = subprocess.run(
-        [sys.executable, "-m", "curvelab", "germ", "analyze", "x^2*y^2", "--ceiling", huge],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=20,
-    )
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == f"error: ceiling {huge} exceeds its maximum 512\n"
+    for flag, code, message in [
+        ("--ceiling", 2, f"unrecognized arguments: --ceiling {huge}\n"),
+        ("--k", 3, f"error: jet order k = {huge} exceeds its maximum 512\n"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvelab", "germ", "analyze", "x^2*y^2", flag, huge],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (code, ""), flag
+        assert proc.stderr.endswith(message), flag
 
 
 def test_severi_counts(capsys):
@@ -194,7 +208,7 @@ def test_severi_limit_errors(capsys):
 def test_limits_below_one_are_bad_input(capsys):
     # nothing is scanned below 1, so no limit can have been hit there
     for argv, message in [
-        (("germ", "analyze", "x^2+y^3", "--ceiling", "0"), "ceiling must be at least 1"),
+        (("germ", "analyze", "x^2+y^3", "--k", "0"), "jet order must be a positive integer"),
         (("severi", "p2", "-d", "3", "--nodes", "1", "--ceiling", "-1"),
          "degree ceiling must be at least 1"),
         (("fit", "scan", "-r", "0"), "needs an order r in 1..8"),

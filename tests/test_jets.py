@@ -1,15 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import curvelab
 from curvelab.catalog import load_catalog
 from curvelab.cli import entry
 from curvelab.errors import CeilingError, InputError
 from curvelab.germs import GermPoly, parse_germ
 from curvelab.jets import (
-    MAX_CEILING,
+    MAX_JET_ORDER,
     _gradient_frame,
+    _saturation,
     determinacy_window,
     dim_s0,
     germ_report,
@@ -48,6 +53,8 @@ def test_ideal_in_jets_cusp():
 def test_ideal_in_jets_requires_something():
     with pytest.raises(InputError):
         ideal_in_jets([], 3)
+    with pytest.raises(InputError, match="truncation order must be a positive integer"):
+        ideal_in_jets([NODE], "3")
     with pytest.raises(InputError):
         ideal_in_jets([NODE], 0)
     with pytest.raises(InputError):
@@ -77,24 +84,36 @@ def test_tjurina_numbers():
 
 def test_non_isolated_hits_ceiling():
     f = parse_germ("x^2*y^2")
-    with pytest.raises(CeilingError):
-        milnor_number(f, ceiling=10)
-    with pytest.raises(CeilingError):
-        determinacy_window(f, ceiling=10)
+    fx, fy = f.partial_x(), f.partial_y()
+    assert _saturation([fx, fy], 10) is None
+    assert _saturation(_gradient_frame(f), 10) is None
+    # its Bezout bound is 3 * 3, so a scan to order 10 is a proof
+    with pytest.raises(CeilingError, match="^singularity not isolated$"):
+        milnor_number(f)
+    with pytest.raises(CeilingError, match="^singularity not isolated$"):
+        determinacy_window(f)
 
 
 def test_ceiling_must_be_an_integer():
+    # MAX_JET_ORDER is the one ceiling of the germ lab: it bounds k, and a
+    # k above it is refused before any build
     for bad in [True, "64", 64.0]:
-        with pytest.raises(InputError, match="ceiling must be an integer"):
-            milnor_number(CUSP, ceiling=bad)
-        with pytest.raises(InputError, match="ceiling must be an integer"):
-            determinacy_window(CUSP, ceiling=bad)
-    with pytest.raises(InputError, match="ceiling must be at least 1, got 0"):
-        germ_report(CUSP, ceiling=0)
-    # one past the maximum is refused before any build, the maximum is scanned
-    with pytest.raises(CeilingError, match=f"ceiling {MAX_CEILING + 1} exceeds its maximum"):
-        germ_report(parse_germ("x^2*y^2"), ceiling=MAX_CEILING + 1)
-    assert milnor_number(CUSP, ceiling=MAX_CEILING) == 2
+        with pytest.raises(InputError, match="jet order must be a positive integer"):
+            germ_report(CUSP, k=bad)
+    stats = {}
+    with pytest.raises(CeilingError, match=f"jet order k = {MAX_JET_ORDER + 1} exceeds its maximum"):
+        germ_report(parse_germ("x^2*y^2"), k=MAX_JET_ORDER + 1, stats=stats)
+    assert stats == {}
+    # a scan whose Bezout bound lies past the maximum stops there, undecided
+    stats = {}
+    with pytest.raises(CeilingError, match=(
+            f"^singularity undecided up to order {MAX_JET_ORDER} "
+            r"\(its Bézout bound 1521 exceeds it\)$")):
+        germ_report(parse_germ("x^20*y^20"), stats=stats)
+    assert stats["max_order"] == MAX_JET_ORDER + 1
+    # a germ with that bound that saturates below the maximum is analysed
+    report = germ_report(parse_germ("y^2 - x^3 + x^20*y^20"))
+    assert (report.milnor, report.tjurina, report.determinacy_window) == (2, 2, (2, 3))
 
 
 def test_determinacy_windows():
@@ -180,10 +199,10 @@ def test_tau_at_most_mu_on_random_germs():
         if f.is_zero() or f.multiplicity() < 2:
             continue
         try:
-            mu = milnor_number(f, ceiling=12)
+            mu = milnor_number(f)
         except CeilingError:
             continue
-        assert tjurina_number(f, ceiling=12) <= mu
+        assert tjurina_number(f) <= mu
         checked += 1
 
 
@@ -244,7 +263,7 @@ def test_mu_and_tau_match_kouchnirenko_and_milnor_orlik(capsys):
     # every monomial of y^2 * (x^a + y^b) has y-degree >= 2: not isolated
     a, b = rng.randint(2, 4), rng.randint(2, 4)
     assert entry(["germ", "analyze", f"x^{a}*y^2 + y^{b + 2}"]) == 3
-    assert capsys.readouterr().err.startswith("error: singularity undecided up to ceiling 64")
+    assert capsys.readouterr().err == "error: singularity not isolated\n"
 
 
 def test_quasi_homogeneous_mu_equals_tau():
@@ -255,15 +274,47 @@ def test_quasi_homogeneous_mu_equals_tau():
 
 def test_germ_report_refuses_a_k_above_its_ceiling_before_any_build():
     stats = {}
-    with pytest.raises(CeilingError, match=r"jet order k = 10+ exceeds ceiling 64"):
+    with pytest.raises(CeilingError, match=r"jet order k = 10+ exceeds its maximum 512"):
         germ_report(CUSP, k=10**30, stats=stats)
     assert stats == {}
-    with pytest.raises(CeilingError, match="exceeds ceiling 8"):
-        germ_report(CUSP, k=9, ceiling=8)
-    assert germ_report(CUSP, k=8, ceiling=8).k_used == 8
+    assert germ_report(CUSP, k=65).scheme_length_at == {65: 131}
     for bad in (0, -1, True, 2.0, "3"):
         with pytest.raises(InputError, match="jet order must be a positive integer"):
             germ_report(CUSP, k=bad)
+
+
+def test_orders_above_the_maximum_are_refused_at_once():
+    # each of these once built toward order 10**30, for ever: run in a
+    # child, so that such a build fails by the timeout, not a hang
+    src = os.path.dirname(os.path.dirname(curvelab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from curvelab import *\n"
+        "f = parse_germ('y^2 - x^3')\n"
+        "for k in map(int, sys.argv[1:]):\n"
+        "    for call in (lambda: ideal_in_jets([f], k + 1), lambda: scheme_length(f, k),\n"
+        "                 lambda: orbit_tangent_dim(f, k), lambda: dim_s0(f, k)):\n"
+        "        try:\n"
+        "            call()\n"
+        "        except CeilingError as exc:\n"
+        "            print(exc)\n"
+    )
+    orders = (MAX_JET_ORDER + 1, 10**30)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, orders)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=20,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        line
+        for k in orders
+        for line in (f"truncation order K = {k + 1} exceeds its maximum {MAX_JET_ORDER + 1}",
+                     *[f"jet order k = {k} exceeds its maximum {MAX_JET_ORDER}"] * 3)
+    ]
 
 
 def test_germ_report_defaults_to_upper_window_bound():
@@ -288,11 +339,11 @@ def test_germ_report_defaults_to_upper_window_bound():
 # the one saturating build against the per-order scan it replaced
 
 
-def _reference_saturation(gens, ceiling, first=1):
+def _reference_saturation(gens, limit, first=1):
     """The per-order scan as it was before the build ladder: one build at
-    every order K from `first` to ceiling + 1, until the degree K - 1
+    every order K from `first` to limit + 1, until the degree K - 1
     monomials lie in the truncated ideal.  Returns (K, colength at K - 1),
-    or None when no order up to the ceiling saturates.
+    or None when no order up to the limit saturates.
 
     Truncating the order-K span to order K - 1 maps it onto the order-(K-1)
     span with kernel its degree K - 1 part, so the K monomials of degree
@@ -302,7 +353,7 @@ def _reference_saturation(gens, ceiling, first=1):
     if not gens:
         return None
     below = ideal_in_jets(gens, first - 1).dimension if first > 1 else 0
-    for K in range(first, ceiling + 2):
+    for K in range(first, limit + 2):
         dim = ideal_in_jets(gens, K).dimension
         if dim - below == K:
             return K, jet_dimension(K - 1) - below
@@ -310,13 +361,13 @@ def _reference_saturation(gens, ceiling, first=1):
     return None
 
 
-def _reference_invariants(f, ceiling):
+def _reference_invariants(f, limit):
     """(mu, tau, window) by the reference scan; None where it hits the
-    ceiling."""
+    limit."""
     fx, fy = f.partial_x(), f.partial_y()
-    mu = _reference_saturation([fx, fy], ceiling)
-    tau = _reference_saturation([f, fx, fy], ceiling)
-    window = _reference_saturation(_gradient_frame(f), ceiling, first=2)
+    mu = _reference_saturation([fx, fy], limit)
+    tau = _reference_saturation([f, fx, fy], limit)
+    window = _reference_saturation(_gradient_frame(f), limit, first=2)
     return (
         mu and mu[1],
         tau and tau[1],
@@ -324,14 +375,17 @@ def _reference_invariants(f, ceiling):
     )
 
 
-def _scan_invariants(f, ceiling):
-    out = []
-    for fn in (milnor_number, tjurina_number, determinacy_window):
-        try:
-            out.append(fn(f, ceiling))
-        except CeilingError:
-            out.append(None)
-    return tuple(out)
+def _scan_invariants(f, limit):
+    """(mu, tau, window) by `_saturation` up to `limit`, as the public
+    functions read them; None where it does not saturate."""
+    fx, fy = f.partial_x(), f.partial_y()
+    mu, tau, window = (_saturation(gens, limit) for gens in (
+        [fx, fy], [f, fx, fy], _gradient_frame(f)))
+    return (
+        mu and len(mu[1].standard_monomials(mu[0] - 1)),
+        tau and len(tau[1].standard_monomials(tau[0] - 1)),
+        window and (window[0] - 2, window[0] - 1),
+    )
 
 
 def _random_germ(rng):
@@ -387,8 +441,8 @@ def test_saturation_matches_reference_on_seeded_germs():
 @pytest.mark.parametrize("text", ["x^2*y^2", "x^2*y"])
 def test_saturation_matches_reference_at_every_ceiling(text):
     f = parse_germ(text)
-    # A ceiling only cuts the scan short, so one reference scan to 33
-    # gives the reference outcome at each lower ceiling.
+    # A limit only cuts the scan short, so one reference scan to 33
+    # gives the reference outcome at each lower limit.
     fx, fy = f.partial_x(), f.partial_y()
     scans = [
         _reference_saturation([fx, fy], 33),
@@ -396,29 +450,29 @@ def test_saturation_matches_reference_at_every_ceiling(text):
         _reference_saturation(_gradient_frame(f), 33, first=2),
     ]
     assert scans == [None, None, None]  # neither germ is isolated
-    for ceiling in (1, 2, 7, 8, 9, 16, 17, 33, 64):
-        assert _scan_invariants(f, ceiling) == (None, None, None), ceiling
+    for limit in (1, 2, 7, 8, 9, 16, 17, 33, 64):
+        assert _scan_invariants(f, limit) == (None, None, None), limit
     if text == "x^2*y^2":
-        # the benchmark germ, scanned by the reference up to the default
+        # the benchmark germ, scanned by the reference up to 64
         assert _reference_saturation([fx, fy], 64) is None
 
 
 def test_low_ceiling_outcomes_match_reference():
-    # isolated germs at ceilings below, at and above their saturation order
+    # isolated germs at limits below, at and above their saturation order
     for text in ["x^2 + y^3", "x^7 - y^7", "y^2 - x^9", "x^3 + x*y^5", "x^9 + y^9"]:
         f = parse_germ(text)
-        for ceiling in (1, 2, 7, 8, 9, 16, 17):
-            assert _scan_invariants(f, ceiling) == _reference_invariants(f, ceiling), (
-                text, ceiling)
+        for limit in (1, 2, 7, 8, 9, 16, 17):
+            assert _scan_invariants(f, limit) == _reference_invariants(f, limit), (
+                text, limit)
 
 
 def test_nonisolated_refusal_makes_one_build():
     stats = {}
-    with pytest.raises(CeilingError, match="undecided up to ceiling 64"):
-        germ_report(parse_germ("x^2*y^2"), ceiling=64, stats=stats)
-    # the Milnor scan builds once at order 65 and refuses: every row of
-    # x * y^2 and x^2 * y of degree <= 64, 1953 each
-    assert stats == {"ideal_builds": 1, "rows_inserted": 3906, "max_order": 65}
+    with pytest.raises(CeilingError, match="^singularity not isolated$"):
+        germ_report(parse_germ("x^2*y^2"), stats=stats)
+    # the Milnor scan builds once at order 11, its Bezout bound 9 plus 2,
+    # and refuses: every row of x * y^2 and x^2 * y of degree <= 10, 36 each
+    assert stats == {"ideal_builds": 1, "rows_inserted": 72, "max_order": 11}
     stats = {}
     assert milnor_number(CUSP, stats=stats) == 2
     # the build stops at order 3: y (degree 1), then x*y, y^2 and x^2
@@ -437,7 +491,7 @@ def test_germ_report_stats_count_every_build():
     stats = {}
     with pytest.raises(CeilingError):
         germ_report(parse_germ("x^2*y^2"), stats=stats)
-    assert stats == {"ideal_builds": 1, "rows_inserted": 3906, "max_order": 65}
+    assert stats == {"ideal_builds": 1, "rows_inserted": 72, "max_order": 11}
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +528,60 @@ def test_milnor_number_is_the_order_of_the_resultant_of_the_partials():
         assert resultant_mu(f) == mu, f.to_string()
     # the partials 2xy^2 and 2x^2y share the factor xy through the origin
     assert resultant_mu(parse_germ("x^2*y^2")) is None
+
+
+def _bezout_bound(f):
+    return f.partial_x().total_degree() * f.partial_y().total_degree()
+
+
+def _bound_family():
+    """(germ, k): the catalog forms, the seeded germs, thirty seeded random
+    germs, and y^2 - x^(k+1) for k = 1..12 (k None elsewhere)."""
+    for entry in load_catalog().values():
+        yield entry.normal_form, None
+    for f, _ in _seeded_germs():
+        yield f, None
+    rng = random.Random(37)
+    for _ in range(30):
+        yield _random_germ(rng), None
+    for k in range(1, 13):
+        yield parse_germ(f"y^2 - x^{k + 1}"), k
+
+
+def test_isolation_is_decided_within_the_bezout_bound():
+    # An isolated germ has mu <= B = deg f_x * deg f_y, so its Jacobian and
+    # Tjurina ideals saturate by order B + 1 and its determinacy frame by
+    # B + 2.  Each ideal is scanned twelve orders past that, to see where
+    # it saturates: an isolated germ must saturate within the bound, and
+    # a germ none of whose scans saturates must be refused as not isolated.
+    # Where the resultant of the partials certifies mu, the germ is isolated.
+    isolated = 0
+    refused = []
+    for f, k in _bound_family():
+        B = _bezout_bound(f)
+        fx, fy = f.partial_x(), f.partial_y()
+        scans = [_saturation(gens, B + 12) for gens in ([fx, fy], [f, fx, fy], _gradient_frame(f))]
+        try:
+            certified = resultant_mu(f)
+        except AssertionError:  # no shear certifies the resultant
+            certified = None
+        if scans[0] is None:
+            assert scans == [None, None, None] and certified is None, f.to_string()
+            refused.append(f)
+            continue
+        (K_mu, _), (K_tau, _), (K_frame, _) = scans
+        assert K_mu <= B + 1 and K_tau <= B + 1 and K_frame <= B + 2, f.to_string()
+        assert certified in (None, milnor_number(f)), f.to_string()
+        if k is not None:
+            # the A_k: mu = B = k, and the frame needs the whole bound
+            assert (milnor_number(f), K_frame) == (k, B + 2)
+        isolated += 1
+    refused += [parse_germ("x^2*y^2"), parse_germ("x^2"), GermPoly({})]
+    for f in refused:
+        for fn in (milnor_number, tjurina_number, determinacy_window, germ_report):
+            with pytest.raises(CeilingError, match="^singularity not isolated$"):
+                fn(f)
+    assert isolated >= 60 and len(refused) >= 12
 
 
 def test_ideal_in_jets_matches_generator_order_on_catalog_forms():
