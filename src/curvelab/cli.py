@@ -15,6 +15,7 @@ engine and its memo store through `_count`; no other command loads either.
 import argparse
 import json
 import os
+import re
 import sys
 
 from .errors import CurvelabError, InputError
@@ -307,6 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     germ = sub.add_parser("germ", help="local singularity analysis")
     gsub = germ.add_subparsers(dest="subcommand", required=True)
     ga = gsub.add_parser("analyze", help="invariants of one germ")
+    # read a germ such as "-y^2+x^3" as a positional, as argparse reads "-3"
+    ga._negative_number_matcher = re.compile(r"-[^-]")
     ga.add_argument("expr", help='germ expression, e.g. "y^2-x^3"')
     ga.add_argument("--k", type=int, default=None,
                     help="jet order for the length/orbit block (at most 512)")

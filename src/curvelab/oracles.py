@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
-from functools import cache, partial, reduce
-from itertools import product, zip_longest
+from functools import cache, partial
+from itertools import product
 from math import comb, factorial, prod
 
 from .errors import InconsistencyError, InputError, is_int
-from .poly import add_terms, mul_terms, partial_terms
+from .poly import mul_rows, partial_rows, poly_derivative, sub_rows, subresultant, trim_poly
 from .surfaces import SURFACES, Pencil
 
 # ---------------------------------------------------------------------------
@@ -164,51 +164,9 @@ def floor_diagram_oracle(d: int, delta: int, stats: dict = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer univariate polynomial helpers (coefficient lists, index = power)
+# the pencil-discriminant oracle, on integer y-rows from the draw to the certificate
 
-# The Mersenne prime 2**61 - 1, the modulus of the pencil oracle's certificates.
 _P = 2**61 - 1
-
-
-def _trim_poly(p: list) -> list:
-    """p without its zero top entries: ints, or x-polynomials in a y-list."""
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_derivative(p: list) -> list:
-    return _trim_poly([k * c for k, c in enumerate(p)][1:])
-
-
-def _poly_mul(p: list, q: list) -> list:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, c in enumerate(p):
-        for j, d in enumerate(q):
-            out[i + j] += c * d
-    return _trim_poly(out)
-
-
-def _poly_pow(p: list, e: int) -> list:
-    return reduce(_poly_mul, [p] * e, [1])
-
-
-def _poly_sub(p: list, q: list) -> list:
-    return _trim_poly([c - d for c, d in zip_longest(p, q, fillvalue=0)])
-
-
-def _exact_quotient(p: list, q: list) -> list:
-    """p / q in Z[x] for q nonzero; InconsistencyError unless q divides p
-    (a step that does not divide leaves its remainder above later steps)."""
-    p = list(p)
-    quotient = [0] * max(len(p) - len(q) + 1, 0)
-    for k in range(len(quotient) - 1, -1, -1):
-        quotient[k] = p[k + len(q) - 1] // q[-1]
-        for i, d in enumerate(q):
-            p[k + i] -= quotient[k] * d
-    if any(p):
-        raise InconsistencyError("subresultant division left a remainder")
-    return quotient
 
 
 def _coprime_mod_p(u: list, v: list) -> bool:
@@ -219,7 +177,7 @@ def _coprime_mod_p(u: list, v: list) -> bool:
     if not u or u[-1] % _P == 0:
         return False
     u = [c % _P for c in u]
-    v = _trim_poly([c % _P for c in v])
+    v = trim_poly([c % _P for c in v])
     while v:  # Euclid over GF(P); u stays nonzero
         inv = pow(v[-1], -1, _P)
         v = [c * inv % _P for c in v]
@@ -228,7 +186,7 @@ def _coprime_mod_p(u: list, v: list) -> bool:
             lead, shift = u.pop(), len(u) - dv
             for k in range(dv):
                 u[k + shift] = (u[k + shift] - lead * v[k]) % _P
-            _trim_poly(u)
+            trim_poly(u)
         u, v = v, u
     return len(u) == 1
 
@@ -238,135 +196,62 @@ def _is_squarefree(p: list, stats: dict = None) -> bool:
     coprime (a square factor of p divides both).  A test the certificate
     does not settle returns False and counts in exact_squarefree_fallbacks.
     """
-    if _coprime_mod_p(p, _poly_derivative(p)):
+    if _coprime_mod_p(p, poly_derivative(p)):
         return True
     if stats is not None:
         stats["exact_squarefree_fallbacks"] += 1
     return False
 
 
-# ---------------------------------------------------------------------------
-# bivariate integer polynomials as dicts (i, j) -> coeff
+def _sample_poly(rng, xdeg: int, ydeg: int, total: int) -> list:
+    """y-rows with random coefficients in -9..9 of x^i y^j, i <= xdeg,
+    j <= ydeg, i + j <= total, drawn with i outermost."""
+    rows = [[0] * (xdeg + 1) for _ in range(ydeg + 1)]
+    for i in range(xdeg + 1):
+        for j in range(min(ydeg, total - i) + 1):
+            rows[j][i] = rng.randint(-9, 9)
+    return trim_poly([trim_poly(row) for row in rows])
 
 
-def _y_coefficients(A: dict) -> list:
-    """List over y-powers of x-coefficient lists."""
-    if not A:
-        return []
-    ydeg = max(j for (_, j) in A)
-    xdeg = max(i for (i, _) in A)
-    out = [[0] * (xdeg + 1) for _ in range(ydeg + 1)]
-    for (i, j), c in A.items():
-        out[j][i] = c
-    return [_trim_poly(row) for row in out]
+def _leads_coprime(A: list, B: list, ydegs) -> bool:
+    """Whether A and B have the positive y-degrees `ydegs` and tops proved coprime."""
+    return ydegs == (len(A) - 1, len(B) - 1) and _coprime_mod_p(A[-1], B[-1])
 
 
-def _resultant_y(A: dict, B: dict) -> list:
-    """Res_y(A, B) as an integer polynomial in x (actual y-degrees), by the
-    subresultant PRS."""
-    ca = _y_coefficients(A)
-    cb = _y_coefficients(B)
-    if len(ca) < 2 or len(cb) < 2:
-        raise InputError("resultant needs positive y-degree in both arguments")
-    return _subresultant(ca, cb)
-
-
-def _subresultant(a: list, b: list) -> list:
-    """Res_y(a, b) in Z[x] of two polynomials given by their y-coefficient
-    lists (index = power of y) of x-coefficient lists, both trimmed, with
-    the Sylvester determinant's sign; [] when it is zero.  Collins's
-    subresultant PRS (Cohen, Alg. 3.3.7, without the content step): every
-    division is exact in Z[x], and _exact_quotient raises if one is not.
-    """
-    if not a or not b:
-        return []
-    sign = 1
-    if len(a) < len(b):
-        a, b = b, a
-        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
-    g = h = [1]
-    # deg a > deg b after the first step, so only a first step, where
-    # h = [1], may have delta = 0, and h**-1 is read as h**0 there
-    while len(b) > 1:
-        delta = len(a) - len(b)
-        sign *= (-1) ** ((len(a) - 1) * (len(b) - 1))
-        r = _pseudo_remainder(a, b)
-        if not r:
-            return []
-        divisor = _poly_mul(g, _poly_pow(h, delta))
-        a, b = b, [_exact_quotient(c, divisor) for c in r]
-        g = a[-1]
-        h = _exact_quotient(_poly_pow(g, delta), _poly_pow(h, max(delta - 1, 0)))
-    # deg b = 0: the resultant is b**deg a / h**(deg a - 1)
-    res = _exact_quotient(_poly_pow(b[0], len(a) - 1), _poly_pow(h, max(len(a) - 2, 0)))
-    return [sign * c for c in res]
-
-
-def _pseudo_remainder(a: list, b: list) -> list:
-    """lc(b)**(deg a - deg b + 1) * a mod b in y, over Z[x]."""
-    lead_b, n = b[-1], len(b) - 1
-    r = list(a)
-    for k in range(len(a) - 1, n - 1, -1):
-        lead = r.pop()
-        r = [_poly_mul(lead_b, c) for c in r]
-        for i in range(n):
-            r[k - n + i] = _poly_sub(r[k - n + i], _poly_mul(lead, b[i]))
-    return _trim_poly(r)
-
-
-# ---------------------------------------------------------------------------
-# the pencil-discriminant oracle
-
-
-def _sample_poly(rng, xdeg: int, ydeg: int, total: int) -> dict:
-    """Random coefficients in -9..9 of x^i y^j, i <= xdeg, j <= ydeg, i + j <= total."""
-    draws = {(i, j): rng.randint(-9, 9)
-             for i in range(xdeg + 1) for j in range(ydeg + 1) if i + j <= total}
-    return {k: c for k, c in draws.items() if c}
-
-
-def _leads_coprime(A: dict, B: dict, ydegs) -> bool:
-    """Whether A and B are nonzero, of y-degrees `ydegs`, with top
-    y-coefficients proved coprime."""
-    ca, cb = _y_coefficients(A), _y_coefficients(B)
-    return (bool(ca and cb) and ydegs == (len(ca) - 1, len(cb) - 1)
-            and _coprime_mod_p(ca[-1], cb[-1]))
-
-
-def _resultant_degree(A: dict, B: dict, stats: dict, degree: int = None):
+def _resultant_degree(A: list, B: list, stats: dict, degree: int = None):
     """x-degree of Res_y(A, B), or None unless the resultant is nonzero,
     of the given x-degree when one is given, and certified squarefree.  The
     degree is checked first: it is free, and a wrong degree rejects the draw
     before the certificate runs or counts."""
-    R = _resultant_y(A, B)
+    R = subresultant(A, B)
     if not R or (degree is not None and len(R) - 1 != degree):
         return None
     return len(R) - 1 if _is_squarefree(R, stats) else None
 
 
-def _pencil_pair(F: dict, G: dict, var: int) -> tuple:
+def _pencil_pair(F: list, G: list, var: int) -> tuple:
     """The pair (E1, E2) whose common roots locate the singular members
     of the pencil spanned by F and G: E1 = Fx*Gy - Fy*Gx and
     E2 = F*Gv - Fv*G, v the variable number `var` (0 = x, 1 = y).  The
     common roots of (Fv, Gv) are common roots of the pair too, and spurious."""
-    (Fx, Fy), (Gx, Gy) = ((partial_terms(P, 0), partial_terms(P, 1)) for P in (F, G))
-    E1 = add_terms(mul_terms(Fx, Gy), mul_terms(Fy, Gx), -1)
+    (Fx, Fy), (Gx, Gy) = ((partial_rows(P, 0), partial_rows(P, 1)) for P in (F, G))
+    E1 = sub_rows(mul_rows(Fx, Gy), mul_rows(Fy, Gx))
     Fv, Gv = (Fx, Gx) if var == 0 else (Fy, Gy)
-    return E1, add_terms(mul_terms(F, Gv), mul_terms(Fv, G), -1)
+    return E1, sub_rows(mul_rows(F, Gv), mul_rows(Fv, G))
 
 
-def _meets_at_infinity(F: dict, G: dict, var: int, chart) -> bool:
-    """Whether the pencil pair of F and G, moved by `chart` (exponents to
-    exponents) to coordinates (u, y) with u = 0 at infinity, may share a
-    root on u = 0, where the affine elimination cannot see it."""
-    Fc, Gc = ({chart(i, j): c for (i, j), c in P.items()} for P in (F, G))
-    ca, cb = map(_y_coefficients, _pencil_pair(Fc, Gc, var))
+def _meets_at_infinity(F: list, G: list, var: int, chart) -> bool:
+    """Whether the pencil pair of F and G, moved to coordinates (u, y) with
+    u = 0 at infinity by reversing each row j in x to width chart[j], may
+    share a root on u = 0, where the affine elimination cannot see it."""
+    ca, cb = _pencil_pair(*([trim_poly([0] * (w + 1 - len(row)) + row[::-1])
+                             for row, w in zip(P, chart)] for P in (F, G)), var)
     if len(ca) < 2 or len(cb) < 2:
         return True
     # At u = 0 the pair's Sylvester determinant vanishes when both top
     # y-coefficients do, and otherwise exactly when its trimmed resultant does.
-    a0, b0 = ([_trim_poly(p[:1]) for p in c] for c in (ca, cb))
-    return not (a0[-1] or b0[-1]) or not _subresultant(_trim_poly(a0), _trim_poly(b0))
+    a0, b0 = ([trim_poly(p[:1]) for p in c] for c in (ca, cb))
+    return not (a0[-1] or b0[-1]) or not subresultant(trim_poly(a0), trim_poly(b0))
 
 
 def _pencil_sample(pencil: Pencil, rng, stats: dict):
@@ -383,7 +268,7 @@ def _pencil_sample(pencil: Pencil, rng, stats: dict):
     if _meets_at_infinity(F, G, pencil.var, pencil.chart):
         return None
     if pencil.fake:
-        Fv, Gv = partial_terms(F, pencil.var), partial_terms(G, pencil.var)
+        Fv, Gv = partial_rows(F, pencil.var), partial_rows(G, pencil.var)
         if not _leads_coprime(Fv, Gv, pencil.fake_ydegs) or (
                 _resultant_degree(Fv, Gv, stats, pencil.fake) is None):
             return None

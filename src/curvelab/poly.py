@@ -1,14 +1,16 @@
-"""Sparse polynomials as dicts from exponent tuples to nonzero coefficients.
-
-The term functions never coerce a coefficient, so integer terms stay
-integers.  SparsePoly wraps a term dict of nonzero Fractions.
+"""Polynomials as sparse dicts from exponent tuples to nonzero coefficients,
+whose term functions never coerce a coefficient, so integer terms stay
+integers (SparsePoly wraps a term dict of nonzero Fractions), and the
+dense integer kernel on Z[x] lists and Z[x][y] rows at the end.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import zip_longest
 from operator import add
 
-from .errors import InputError
+from .errors import InconsistencyError, InputError
 
 
 def add_terms(a: dict, b: dict, sign: int = 1) -> dict:
@@ -67,7 +69,7 @@ class SparsePoly:
         return key
 
     def __init__(self, terms=None):
-        # imported here: the oracles use only the term functions, and
+        # imported here: the oracles use only the integer kernel, and
         # fractions (with decimal) would cost every oracle command a few
         # milliseconds of start-up
         from fractions import Fraction
@@ -153,3 +155,112 @@ class SparsePoly:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_string()})"
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel: Z[x] as int lists (index = power of x) and Z[x][y] as
+# y-rows, lists over the powers of y of Z[x] lists; every list is trimmed
+
+
+def trim_poly(p: list) -> list:
+    """p without its zero top entries: ints, or x-polynomials in a y-list."""
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def poly_derivative(p: list) -> list:
+    return trim_poly([k * c for k, c in enumerate(p)][1:])
+
+
+def poly_mul(p: list, q: list) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return trim_poly(out)
+
+
+def poly_pow(p: list, e: int) -> list:
+    return reduce(poly_mul, [p] * e, [1])
+
+
+def poly_sub(p: list, q: list) -> list:
+    return trim_poly([c - d for c, d in zip_longest(p, q, fillvalue=0)])
+
+
+def exact_quotient(p: list, q: list) -> list:
+    """p / q in Z[x] for q nonzero; InconsistencyError unless q divides p
+    (a step that does not divide leaves its remainder above later steps)."""
+    p = list(p)
+    quotient = [0] * max(len(p) - len(q) + 1, 0)
+    for k in range(len(quotient) - 1, -1, -1):
+        quotient[k] = p[k + len(q) - 1] // q[-1]
+        for i, d in enumerate(q):
+            p[k + i] -= quotient[k] * d
+    if any(p):
+        raise InconsistencyError("subresultant division left a remainder")
+    return quotient
+
+
+def mul_rows(a: list, b: list) -> list:
+    """a * b of two y-row polynomials."""
+    out = [[] for _ in range(len(a) + len(b) - 1)]
+    for j, p in enumerate(a):
+        for k, q in enumerate(b):
+            out[j + k] = [c + d for c, d in zip_longest(out[j + k], poly_mul(p, q), fillvalue=0)]
+    return trim_poly([trim_poly(row) for row in out])
+
+
+def sub_rows(a: list, b: list) -> list:
+    """a - b of two y-row polynomials."""
+    return trim_poly([poly_sub(p, q) for p, q in zip_longest(a, b, fillvalue=[])])
+
+
+def partial_rows(a: list, var: int) -> list:
+    """The derivative of a y-row polynomial by x (var 0) or by y (var 1)."""
+    if var == 0:
+        return trim_poly([poly_derivative(row) for row in a])
+    return [[j * c for c in row] for j, row in enumerate(a)][1:]
+
+
+def subresultant(a: list, b: list) -> list:
+    """Res_y(a, b) in Z[x] of two y-row polynomials, with the Sylvester
+    determinant's sign; [] when it is zero.  Collins's subresultant PRS
+    (Cohen, Alg. 3.3.7, without the content step): every division is
+    exact in Z[x], and exact_quotient raises if one is not.
+    """
+    if not a or not b:
+        return []
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = [1]
+    # deg a > deg b after the first step, so only a first step, where
+    # h = [1], may have delta = 0, and h**-1 is read as h**0 there
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        sign *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+        r = pseudo_remainder(a, b)
+        if not r:
+            return []
+        divisor = poly_mul(g, poly_pow(h, delta))
+        a, b = b, [exact_quotient(c, divisor) for c in r]
+        g = a[-1]
+        h = exact_quotient(poly_pow(g, delta), poly_pow(h, max(delta - 1, 0)))
+    # deg b = 0: the resultant is b**deg a / h**(deg a - 1)
+    res = exact_quotient(poly_pow(b[0], len(a) - 1), poly_pow(h, max(len(a) - 2, 0)))
+    return [sign * c for c in res]
+
+
+def pseudo_remainder(a: list, b: list) -> list:
+    """lc(b)**(deg a - deg b + 1) * a mod b in y, over Z[x]."""
+    lead_b, n = b[-1], len(b) - 1
+    r = list(a)
+    for k in range(len(a) - 1, n - 1, -1):
+        lead = r.pop()
+        r = [poly_mul(lead_b, c) for c in r]
+        for i in range(n):
+            r[k - n + i] = poly_sub(r[k - n + i], poly_mul(lead, b[i]))
+    return trim_poly(r)

@@ -23,8 +23,8 @@ from .errors import InputError, is_int
 # One surface and class as the pencil sampler sees it: F and G are drawn by
 # `_sample_poly(rng, *draw)`; `var` picks E2 = F*Gv - Fv*G; `e_ydegs` are
 # the generic y-degrees of (E1, E2); `fake` counts the spurious roots, the
-# common roots of (Fv, Gv), which must have y-degrees `fake_ydegs`; `chart`
-# moves the curve at infinity to u = 0.
+# common roots of (Fv, Gv), which must have y-degrees `fake_ydegs`; row j
+# reversed in x to width chart[j] moves the curve at infinity to u = 0.
 Pencil = namedtuple("Pencil", "draw var e_ydegs fake fake_ydegs chart")
 
 
@@ -37,7 +37,7 @@ def _plane_pencil(d) -> Pencil:
     if not is_int(d) or not (2 <= d <= 7):
         raise InputError("plane pencil oracle supports 2 <= d <= 7")
     return Pencil((d, d, d), 0, (2 * d - 2, 2 * d - 1), (d - 1) ** 2, (d - 1, d - 1),
-                  lambda i, j: (d - i - j, j))
+                  tuple(range(d, -1, -1)))
 
 
 def _quadric_pencil(bidegree) -> Pencil:
@@ -60,7 +60,7 @@ def _quadric_pencil(bidegree) -> Pencil:
     a, b = min(a, b), max(a, b)
     v = 0 if a == 1 else 1
     return Pencil((a, b, a + b), v, (2 * b - 1, 2 * b if a == 1 else 2 * b - 2),
-                  0 if a == 1 else 2 * a * (b - 1), (b - v, b - v), lambda i, j: (a - i, j))
+                  0 if a == 1 else 2 * a * (b - 1), (b - v, b - v), (a,) * (b + 1))
 
 
 class Surface(namedtuple("Surface", "name word kind flags chern node_cap vote_order base "

@@ -2,18 +2,20 @@
 TruncatedSeries, series sums and products, linear coordinate changes of a
 germ, the exact integer gcd of univariate polynomials, the Sylvester
 matrix of two integer polynomials and its determinant, Lagrange
-interpolation of an integer polynomial, the Milnor numbers of Kouchnirenko
-and of Milnor and Orlik, the marking count of a floor diagram and the
-generator-by-generator jet build.  Apart from
-that build, all of it is written on the public coefficient dicts, the
+interpolation of an integer polynomial, the resultant in y of two integer
+polynomials in x and y interpolated from those determinants, the Milnor
+numbers of Kouchnirenko and of Milnor and Orlik, the marking count of a
+floor diagram and the generator-by-generator jet build.  Apart from that
+build, all of it is written on the public coefficient dicts, the
 polynomial arithmetic and plain coefficient lists, so it shares no code
 with exp_series, log_series, the jet layer, the floor oracle's slot walk
 or the pencil oracle's modular certificates and subresultant PRS that
 the tests compare it against.  The jet build shares only the echelon
 form (JetSubspace) and the column order: what it checks is the row order.
 The Milnor number as the intersection number of the partials takes its
-resultant from the pencil oracle's subresultant PRS, which the pencil
-tests check, and shares no code with the jet layer it is compared with.
+resultant from the subresultant PRS of curvelab.poly, which the kernel
+and pencil tests check against the interpolated resultant, and shares no
+code with the jet layer it is compared with.
 """
 
 from collections import Counter
@@ -23,7 +25,7 @@ from math import factorial, gcd, lcm, prod
 
 from curvelab.germs import GermPoly
 from curvelab.jets import JetSubspace, monomial_index
-from curvelab.oracles import _subresultant
+from curvelab.poly import subresultant
 from curvelab.series import ChernPolynomial, TruncatedSeries
 
 ONE = ChernPolynomial.constant(1)
@@ -247,6 +249,27 @@ def lagrange_interpolate(nodes: list, values: list) -> list:
     return total
 
 
+def _at(p: list, t: int) -> int:
+    return sum(c * t**k for k, c in enumerate(p))
+
+
+def interpolated_resultant(a: list, b: list) -> list:
+    """Res_y(a, b) of two polynomials given as y-rows (a list over the
+    powers of y of integer coefficient lists over the powers of x, all
+    trimmed), interpolated from Sylvester determinants at one more integer
+    node than a bound on its x-degree: the lesser of the bidegree bound
+    and Bezout's, the product of the total degrees."""
+    m, n = len(a) - 1, len(b) - 1
+
+    def total_degree(rows):
+        return max(j + len(row) - 1 for j, row in enumerate(rows) if row)
+
+    nodes = range(min(n * max(map(len, a)) + m * max(map(len, b)) - m - n,
+                      total_degree(a) * total_degree(b)) + 1)
+    return lagrange_interpolate(
+        nodes, [sylvester_det([_at(p, t) for p in a], [_at(p, t) for p in b]) for t in nodes])
+
+
 def floor_markings(d: int, edges: list) -> int:
     """Reference marking count of a floor diagram on vertices 1..d with
     weighted edges (i, j, w), i < j.  Each edge carries one labeled mark,
@@ -327,6 +350,6 @@ def resultant_mu(f: GermPoly):
             return None
         on_line = poly_gcd(*(_trimmed([row[0] if row else 0 for row in p]) for p in (a, b)))
         if on_line and not any(on_line[:-1]) and (a[-1][0] or b[-1][0]):
-            resultant = _subresultant(a, b)
+            resultant = subresultant(a, b)
             return next((i for i, coef in enumerate(resultant) if coef), None)
     raise AssertionError(f"no shear x -> x + c*y, c < 8, certifies {f.to_string()}")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ import pytest
 
 import curvelab
 from curvelab.catalog import load_catalog
-from curvelab.cli import entry
+from curvelab.cli import build_parser, entry
 from curvelab.severi import SeveriEngine
 
 
@@ -56,6 +57,49 @@ def test_germ_analyze_proves_non_isolation(capsys):
     for text in ("x^2*y^2", "x^2", "x - x"):
         code, out, err = run_cli(capsys, "germ", "analyze", text)
         assert (code, out, err) == (3, "", "error: singularity not isolated\n"), text
+
+
+def test_germ_analyze_reads_a_leading_minus_as_the_germ(capsys):
+    # argparse once took "-y^2+x^3" for an unknown option and then refused
+    # the command for a missing expr; "--" before the germ works as well
+    code, out, err = run_cli(capsys, "germ", "analyze", "-y^2+x^3")
+    assert (code, err) == (0, "")
+    assert out.startswith("germ: -y^2 + x^3\nmultiplicity: 2\nmilnor: 2\n")
+    for argv in (("-2*y^5", "--json"), ("--", "-x^3*y^2")):
+        code, out, err = run_cli(capsys, "germ", "analyze", *argv)
+        assert (code, out, err) == (3, "", "error: singularity not isolated\n"), argv
+
+
+# a valid argv of every command, by its path
+_VALID_ARGS = {
+    ("germ", "analyze"): ["x^2+y^3"],
+    ("germ", "catalog"): [],
+    ("severi", "p2"): ["-d", "3", "--nodes", "1"],
+    ("severi", "p1xp1"): ["-a", "1", "-b", "1", "--nodes", "1"],
+    ("severi", "oracle"): ["--method", "floor"],
+    ("fit", "nodes"): [],
+    ("fit", "scan"): ["-r", "1"],
+    ("series", "eval"): ["--a-table", "a.json", "--parts", "A1", "--chern", "1,1,1,1"],
+    ("series", "assemble"): ["--a-table", "a.json"],
+}
+
+
+def test_unknown_options_are_refused_by_argparse_on_every_command(capsys):
+    def subcommands(parser):
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    assert set(_VALID_ARGS) == {(name, sub) for name, parser in subcommands(build_parser()).items()
+                                for sub in subcommands(parser)}
+    for path, args in _VALID_ARGS.items():
+        for option in ("--no-such-option", "-q"):
+            with pytest.raises(SystemExit) as info:
+                entry([*path, *args, option])
+            assert info.value.code == 2, (path, option)
+            err = capsys.readouterr().err
+            assert err.startswith("usage: curvelab "), (path, option)
+            assert err.endswith(f"curvelab: error: unrecognized arguments: {option}\n"), (
+                path, option)
 
 
 def test_germ_analyze_scans_as_far_as_the_germ_needs(capsys):

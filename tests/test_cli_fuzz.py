@@ -42,7 +42,7 @@ HOSTILE = ("", "-", "+2", "1e3", "0x3", "٣", "２", "1/0", "nan", " 2 ", "2,3",
 # text by the argument's dest; an argument not listed here draws from all of it
 TEXT = {
     "expr": ("y^2 - x^3", "x*y", "x^2*y^2", "x*y+1", "1/0*x^2 + y^3", "x^", "1/2*x^2 + 3*y^5",
-             "y^2 - x^70", "x^2"),
+             "y^2 - x^70", "x^2", "-y^2+x^3"),
     "label": ("A1", "node", "cusp", "E8", "Z9", "A1,A1"),
     "parts": ("A1", "A1,A1", "A1,A2", "node", "Z9", ",", "A1,,A1"),
     "chern": ("36,-18,9,3", "16,-12,9,3", "1,1,1", "1/0,1,1,1", "1/2,0,0,0"),

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -32,6 +33,42 @@ def test_star_import_binds_every_public_name():
     exec("from curvelab import *", namespace)
     assert set(curvelab.__all__) <= set(namespace)
     assert namespace["SeveriEngine"] is SeveriEngine
+
+
+def _package_imports():
+    """(file name, module, names) of every import statement of a curvelab
+    module in the files of the package, nested ones too; a relative
+    module is spelled in full."""
+    package = os.path.dirname(curvelab.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level:
+                    module = ".".join(filter(None, ("curvelab", module)))
+                if module.split(".")[0] == "curvelab":
+                    yield name, module, [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "curvelab":
+                        yield name, alias.name, []
+
+
+def test_modules_import_only_public_names_of_each_other():
+    imports = list(_package_imports())
+    assert {(name, module) for name, module, _ in imports} >= {
+        ("oracles.py", "curvelab.poly"), ("cli.py", "curvelab.oracles")}
+    private = [(name, module, imported) for name, module, names in imports
+               for imported in [module.split(".")[-1], *names] if imported.startswith("_")]
+    assert private == []
+    # the oracles stay independent of the layers they check
+    importers = {name for name, module, names in imports
+                 if module == "curvelab.oracles" or (module == "curvelab" and "oracles" in names)}
+    assert importers == {"cli.py"}
 
 
 def _modules_loaded_by(*argv):

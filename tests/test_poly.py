@@ -5,10 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from curvelab.errors import InputError
+from curvelab.errors import InconsistencyError, InputError
 from curvelab.germs import GermPoly, parse_germ
-from curvelab.poly import add_terms, mul_terms, partial_terms
+from curvelab.poly import (
+    add_terms,
+    exact_quotient,
+    mul_rows,
+    mul_terms,
+    partial_rows,
+    partial_terms,
+    sub_rows,
+    subresultant,
+    trim_poly,
+)
 from curvelab.series import ChernPolynomial
+from reference import interpolated_resultant
+
+# the Mersenne prime 2**61 - 1, the pencil oracle's certificate modulus
+P = 2**61 - 1
 
 
 def _random_terms(rng, nvars: int) -> dict:
@@ -62,6 +76,50 @@ def test_term_functions_agree_with_polynomial_arithmetic():
         P, Q = ChernPolynomial(p), ChernPolynomial(q)
         assert ChernPolynomial(mul_terms(p, q)) == P * Q
         assert ChernPolynomial(add_terms(p, q)) == P + Q
+
+
+def _rows(terms: dict) -> list:
+    """The y-rows of integer terms (i, j) -> c."""
+    rows = [[] for _ in range(max((j for _, j in terms), default=-1) + 1)]
+    for (i, j), c in terms.items():
+        rows[j] += [0] * (i + 1 - len(rows[j]))
+        rows[j][i] += c
+    return trim_poly([trim_poly(row) for row in rows])
+
+
+def test_row_functions_agree_with_the_term_functions():
+    rng = random.Random(9)
+    for _ in range(60):
+        a, b = _random_terms(rng, 2), _random_terms(rng, 2)
+        A, B = _rows(a), _rows(b)
+        assert mul_rows(A, B) == _rows(mul_terms(a, b))
+        assert sub_rows(A, B) == _rows(add_terms(a, b, -1))
+        assert sub_rows(A, A) == []
+        for var in (0, 1):
+            assert partial_rows(A, var) == _rows(partial_terms(a, var))
+
+
+def test_resultant_with_coefficients_beyond_seventeen_primes():
+    # coefficients of about P^5 in each argument give a resultant, of
+    # degree 3 in A's and 1 in B's, beyond P^17 (above 2**1000): no fixed
+    # modulus caps the coefficient size.  A's y-degree 1 is below B's 3,
+    # and both are odd, so the PRS swaps them and flips the sign.
+    rng = random.Random(5)
+    for big, beyond in ((P, P**2), (P**5, P**17)):
+        A = _rows({(i, j): rng.randint(-big, big) for i in range(3) for j in range(2)})
+        B = _rows({(i, j): rng.randint(-big, big) for i in range(2) for j in range(4)})
+        R = subresultant(A, B)
+        assert max(map(abs, R)) > beyond
+        assert R == interpolated_resultant(A, B)
+
+
+def test_inexact_division_raises():
+    assert exact_quotient([6, 5, 1], [2, 1]) == [3, 1]
+    assert exact_quotient([], [7, 1]) == []
+    # x^2 + 1 = (x + 2)(x - 2) + 5; 2 does not divide it; x does not divide 1
+    for p, q in (([1, 0, 1], [2, 1]), ([1, 0, 1], [2]), ([1], [0, 1]), ([2, 0, 1], [0, 1])):
+        with pytest.raises(InconsistencyError, match="division left a remainder"):
+            exact_quotient(p, q)
 
 
 def test_germ_and_chern_polynomials_never_compare_or_combine():
