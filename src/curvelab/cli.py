@@ -65,9 +65,11 @@ def _count(args, compute, ceiling=None):
 
 
 def _parse_parts(text: str) -> tuple:
-    parts = tuple(p.strip() for p in text.split(",") if p.strip())
-    if not parts:
+    if not text.strip():
         raise InputError("empty singularity multiset")
+    parts = tuple(p.strip() for p in text.split(","))
+    if "" in parts:
+        raise InputError(f"empty label in singularity multiset {text!r}")
     return parts
 
 

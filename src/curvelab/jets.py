@@ -17,24 +17,20 @@ from .germs import GermPoly
 
 # every jet build stops by order MAX_JET_ORDER + 1: a scan that reaches it
 # costs about 1.3 s of CPU (`x^20*y^20`, CPython 3.11), and a k above it is
-# refused before any build, since the order-(k+1) builds grow with k
+# refused before any build, since a build that never saturates grows with k
 MAX_JET_ORDER = 512
 
 _ZERO = Fraction(0)
 
 
-def _tri(d: int) -> int:
-    return d * (d + 1) // 2
-
-
 def monomial_index(i: int, j: int) -> int:
     """Graded position of x^i y^j: blocks by total degree, x-power first."""
-    return _tri(i + j) + j
+    return jet_dimension(i + j) + j
 
 
 def jet_dimension(order: int) -> int:
     """Number of monomials of total degree < order."""
-    return _tri(order)
+    return order * (order + 1) // 2
 
 
 class JetSubspace:
@@ -43,10 +39,24 @@ class JetSubspace:
     def __init__(self):
         # pivot column -> row whose lowest column it is, scaled to 1 there
         self._pivots = {}
+        # set by `_saturate`: the pivot columns kept without rows, and the
+        # order at which the span saturated (None if it has not)
+        self._filled = range(0)
+        self.saturated_at = None
 
     @property
     def dimension(self) -> int:
-        return len(self._pivots)
+        return len(self._pivots) + len(self._filled)
+
+    def _is_pivot(self, col: int) -> bool:
+        return col in self._pivots or col in self._filled
+
+    def _saturate(self, D: int, K: int):
+        """Make every column of degree D to K - 1 a pivot (see `_build`)."""
+        low = jet_dimension(D)
+        self._pivots = {c: row for c, row in self._pivots.items() if c < low}
+        self._filled = range(low, jet_dimension(K))
+        self.saturated_at = D + 1
 
     def insert(self, row: dict) -> bool:
         """Add one vector; returns True if it enlarged the span.
@@ -90,7 +100,7 @@ class JetSubspace:
     def pivots_cover_degree(self, k: int) -> bool:
         """Whether the span truncated at order k + 1 holds every monomial
         of degree k, read off this (possibly higher-order) build."""
-        return all(c in self._pivots for c in range(jet_dimension(k), jet_dimension(k + 1)))
+        return all(self._is_pivot(c) for c in range(jet_dimension(k), jet_dimension(k + 1)))
 
     def standard_monomials(self, order: int) -> list:
         """Exponents (i, j) of the non-pivot monomials of degree < order: a
@@ -99,19 +109,22 @@ class JetSubspace:
             (d - j, j)
             for d in range(order)
             for j in range(d + 1)
-            if monomial_index(d - j, j) not in self._pivots
+            if not self._is_pivot(monomial_index(d - j, j))
         ]
 
 
-def _build(generators, K: int, stats: dict = None):
-    """Build the image in C{x,y}/m^K of the ideal generated by `generators`,
-    yielding (D, space) once every row of degree D is in, for D = 0..K - 1.
+def _build(generators, K: int, stats: dict = None) -> JetSubspace:
+    """The image in C{x,y}/m^K of the ideal generated by `generators`.
 
     The rows are x^a y^b g, truncated at order K, for the nonzero
     generators g, in ascending degree D = a + b + ord(g); multipliers of
     higher degree land every product inside m^K.  A row of degree D has
-    its pivot at degree D or above, so at each yield the pivots below
-    degree D + 1 are final: they are those of the order-(D + 1) image.
+    its pivot at degree D or above, so once every row of degree D is in,
+    the pivots below degree D + 1 are final: they are those of the
+    order-(D + 1) image.  The build stops at the first D whose monomials
+    are all pivots: by the Nakayama jet criterion the ideal then contains
+    m^D, so every column of degree D to K - 1 is a pivot of the order-K
+    image, which `_saturate` records without rows.
     If `stats` is a dict, it counts the builds (ideal_builds), the rows
     offered to the echelon form (rows_inserted) and the highest order a
     build reached (max_order).
@@ -134,7 +147,10 @@ def _build(generators, K: int, stats: dict = None):
         if stats is not None:
             stats["rows_inserted"] = stats.get("rows_inserted", 0) + rows
             stats["max_order"] = max(stats.get("max_order", 0), D + 1)
-        yield D, space
+        if space.pivots_cover_degree(D):
+            space._saturate(D, K)
+            break
+    return space
 
 
 def _check_order(value, name="jet order", symbol="k", top=MAX_JET_ORDER):
@@ -148,16 +164,14 @@ def _check_order(value, name="jet order", symbol="k", top=MAX_JET_ORDER):
 
 
 def ideal_in_jets(generators, truncation_order: int, stats: dict = None) -> JetSubspace:
-    """Image in C{x,y}/m^K of the ideal generated by `generators`: the
-    build of `_build` run to the end (see there for `stats`), for K up to
-    MAX_JET_ORDER + 1, the order of jets up to MAX_JET_ORDER."""
+    """Image in C{x,y}/m^K of the ideal generated by `generators`, for K
+    up to MAX_JET_ORDER + 1, the order of jets up to MAX_JET_ORDER: the
+    build of `_build` (see there for `stats` and `saturated_at`)."""
     K = truncation_order
     _check_order(K, "truncation order", "K", MAX_JET_ORDER + 1)
     if not generators:
         raise InputError("need generators")
-    for _, space in _build(generators, K, stats):
-        pass
-    return space
+    return _build(generators, K, stats)
 
 
 def _require_germ(f: GermPoly):
@@ -165,61 +179,41 @@ def _require_germ(f: GermPoly):
         raise InputError("constant term nonzero: not a germ at the origin")
 
 
-def _saturation(gens, limit: int, stats: dict = None):
-    """(K, space) for the least K <= limit + 1 at which the ideal spanned
-    by gens holds every monomial of degree K - 1 modulo m^K, or None.
-
-    By the Nakayama jet criterion the ideal then contains m^(K-1), and the
-    quotient C{x,y}/I equals its image at order K - 1.  One build at order
-    limit + 1 answers every K: it stops at the first degree D = K - 1
-    whose monomials are all pivots, which are final by then.
-    """
-    for D, space in _build(gens, limit + 1, stats):
-        if space.pivots_cover_degree(D):
-            return D + 1, space
-    return None
-
-
-def _scan(f: GermPoly, gens, stats: dict = None):
-    """(K, space) of `_saturation` for gens, one of f's Jacobian ideal,
-    Tjurina ideal or determinacy frame, scanned up to f's own limit.
+def _scan(f: GermPoly, gens, stats: dict = None) -> JetSubspace:
+    """The build of gens, one of f's Jacobian ideal, Tjurina ideal or
+    determinacy frame, to f's own limit, saturated at some order K.
 
     With B = deg f_x * deg f_y (a zero partial has degree 0), an isolated
     germ has mu <= B by Bézout's theorem, once the common factors of the
     partials that miss the origin are cancelled, and its Jacobian ideal,
     of colength mu, contains m^mu.  So the Jacobian and Tjurina ideals
     saturate by K = B + 1, and the frame m*J + (f), which contains
-    m^(mu+1), by K = B + 2: a scan to limit B + 1 that does not saturate
-    proves the germ non-isolated.  The scan stops by MAX_JET_ORDER, so a
-    germ with B + 1 above it that does not saturate there is undecided.
+    m^(mu+1), by K = B + 2: a scan to jet order B + 1 that does not
+    saturate proves the germ non-isolated.  The scan stops by jet order
+    MAX_JET_ORDER, so a germ with B + 1 above it that does not saturate
+    there is undecided.
     """
     _require_germ(f)
     bound = f.partial_x().total_degree() * f.partial_y().total_degree()
-    found = _saturation(gens, min(bound + 1, MAX_JET_ORDER), stats)
-    if found is not None:
-        return found
+    space = ideal_in_jets(gens, min(bound + 1, MAX_JET_ORDER) + 1, stats)
+    if space.saturated_at is not None:
+        return space
     if bound + 1 > MAX_JET_ORDER:
         raise CeilingError(f"singularity undecided up to order {MAX_JET_ORDER} "
                            f"(its Bézout bound {bound} exceeds it)")
     raise CeilingError("singularity not isolated")
 
 
-def _quotient_basis(f: GermPoly, gens, stats: dict = None) -> list:
-    """Standard monomials (i, j) spanning C{x,y}/I for the ideal I spanned
-    by gens, read at the order K at which `_scan` saturates: the non-pivot
-    monomials of degree < K - 1, so their number is dim C{x,y}/I."""
-    K, space = _scan(f, gens, stats)
-    return space.standard_monomials(K - 1)
-
-
 def milnor_number(f: GermPoly, stats: dict = None) -> int:
     """dim C{x,y}/(f_x, f_y); raises CeilingError on non-isolated germs."""
-    return len(_quotient_basis(f, [f.partial_x(), f.partial_y()], stats))
+    space = _scan(f, [f.partial_x(), f.partial_y()], stats)
+    return len(space.standard_monomials(space.saturated_at))
 
 
 def tjurina_basis(f: GermPoly, stats: dict = None) -> list:
     """Standard monomials (i, j) spanning C{x,y}/(f, f_x, f_y)."""
-    return _quotient_basis(f, [f, f.partial_x(), f.partial_y()], stats)
+    space = _scan(f, [f, f.partial_x(), f.partial_y()], stats)
+    return space.standard_monomials(space.saturated_at)
 
 
 def tjurina_number(f: GermPoly, stats: dict = None) -> int:
@@ -242,15 +236,19 @@ def determinacy_window(f: GermPoly, stats: dict = None) -> tuple[int, int]:
     """(k_low, k_high): jets of order >= k_high determine the germ up to
     coordinate change, and k_low is the matching lower bound.
     """
-    K = _scan(f, _gradient_frame(f), stats)[0]
+    K = _scan(f, _gradient_frame(f), stats).saturated_at
     return (K - 2, K - 1)
 
 
-def scheme_length(f: GermPoly, k: int, stats: dict = None) -> int:
-    """Length of the order-k neighborhood scheme: dim C{x,y}/(f + m^{k+1})."""
+def scheme_length(f: GermPoly, k: int) -> int:
+    """Length of the order-k neighborhood scheme: dim C{x,y}/(f + m^{k+1}),
+    in closed form.  Multiplication by f embeds C{x,y}/m^(k+1-m) into
+    C{x,y}/m^(k+1), m the multiplicity, because the lowest form of f*g is
+    f_m times the lowest form of g; so (f) has that dimension there."""
     _require_germ(f)
     _check_order(k)
-    return jet_dimension(k + 1) - ideal_in_jets([f], k + 1, stats).dimension
+    cut = 0 if f.is_zero() else max(k + 1 - f.multiplicity(), 0)
+    return jet_dimension(k + 1) - jet_dimension(cut)
 
 
 def orbit_tangent_dim(f: GermPoly, k: int, stats: dict = None) -> int:
@@ -287,26 +285,19 @@ class InvariantReport(namedtuple(
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "expression": self.expression,
-            "milnor": self.milnor,
-            "tjurina": self.tjurina,
-            "multiplicity": self.multiplicity,
-            "determinacy_window": list(self.determinacy_window),
-            "k_used": self.k_used,
-            "scheme_length_at": {str(k): v for k, v in self.scheme_length_at.items()},
-            "orbit_tangent_dim": self.orbit_tangent_dim,
-            "dim_s0": self.dim_s0,
-        }
+        d = self._asdict()
+        d["determinacy_window"] = list(self.determinacy_window)
+        d["scheme_length_at"] = {str(k): v for k, v in self.scheme_length_at.items()}
+        return d
 
 
 def germ_report(f: GermPoly, k: int = None, stats: dict = None) -> InvariantReport:
     """Full invariant report at jet order k (default: upper determinacy bound).
 
     A k above MAX_JET_ORDER raises CeilingError before any build, since
-    the order-(k+1) builds grow with k.  If `stats` is a dict, it
-    receives the jet counters of `_build` summed over every build the
-    report makes, one per ideal.
+    an order-(k+1) build that does not saturate grows with k.  If `stats`
+    is a dict, it receives the jet counters of `_build` summed over every
+    build the report makes, one per ideal.
     """
     _require_germ(f)
     if k is not None:
@@ -324,7 +315,7 @@ def germ_report(f: GermPoly, k: int = None, stats: dict = None) -> InvariantRepo
         multiplicity=f.multiplicity(),
         determinacy_window=window,
         k_used=k,
-        scheme_length_at={k: scheme_length(f, k, stats)},
+        scheme_length_at={k: scheme_length(f, k)},
         orbit_tangent_dim=orbit,
         dim_s0=_dim_s0_from_orbit(f, k, orbit),
     )

@@ -131,9 +131,9 @@ def test_germ_analyze_json_reports_jet_counters(capsys):
     assert code == 0
     payload = json.loads(out)
     # one build each: mu and tau stop at order 3, the determinacy window
-    # at order 4, then scheme length and the orbit frame (shared by the
-    # orbit tangent dimension and dim S_0) at order 4
-    assert payload["stats"] == {"ideal_builds": 5, "max_order": 4, "rows_inserted": 34}
+    # at order 4, then the orbit frame (shared by the orbit tangent
+    # dimension and dim S_0) at order 4; the scheme length is a closed form
+    assert payload["stats"] == {"ideal_builds": 4, "max_order": 4, "rows_inserted": 31}
 
 
 def test_germ_catalog_listing(capsys):
@@ -175,6 +175,18 @@ def test_germ_catalog_refuses_an_empty_label_or_multiset(capsys):
     ]:
         code, out, err = run_cli(capsys, "germ", "catalog", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
+def test_parts_refuse_an_empty_label(tmp_path, capsys):
+    table = tmp_path / "a.json"
+    table.write_text(json.dumps({"entries": [[["A1"], [[[0, 0, 0, 1], "1"]]]]}))
+    for text in ("A1,,A2", "A1,A2,", ",A1", "A1, ,A1", ","):
+        for argv in (("germ", "catalog", "--parts", text),
+                     ("series", "eval", "--a-table", str(table), "--parts", text,
+                      "--chern", "1,1,1,1")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: empty label in singularity multiset {text!r}\n", argv
 
 
 def test_ceiling_help_names_the_engine_default(capsys):

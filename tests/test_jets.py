@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import curvelab
+from curvelab import jets
 from curvelab.catalog import load_catalog
 from curvelab.cli import entry
 from curvelab.errors import CeilingError, InputError
@@ -14,7 +15,6 @@ from curvelab.germs import GermPoly, parse_germ
 from curvelab.jets import (
     MAX_JET_ORDER,
     _gradient_frame,
-    _saturation,
     determinacy_window,
     dim_s0,
     germ_report,
@@ -85,8 +85,8 @@ def test_tjurina_numbers():
 def test_non_isolated_hits_ceiling():
     f = parse_germ("x^2*y^2")
     fx, fy = f.partial_x(), f.partial_y()
-    assert _saturation([fx, fy], 10) is None
-    assert _saturation(_gradient_frame(f), 10) is None
+    assert ideal_in_jets([fx, fy], 11).saturated_at is None
+    assert ideal_in_jets(_gradient_frame(f), 11).saturated_at is None
     # its Bezout bound is 3 * 3, so a scan to order 10 is a proof
     with pytest.raises(CeilingError, match="^singularity not isolated$"):
         milnor_number(f)
@@ -278,6 +278,13 @@ def test_germ_report_refuses_a_k_above_its_ceiling_before_any_build():
         germ_report(CUSP, k=10**30, stats=stats)
     assert stats == {}
     assert germ_report(CUSP, k=65).scheme_length_at == {65: 131}
+    # at the maximum every build stops where its ideal saturates, the
+    # orbit frame's at order 4, and N is a closed form
+    stats = {}
+    report = germ_report(CUSP, k=512, stats=stats)
+    assert report.scheme_length_at == {512: 1025}
+    assert (report.orbit_tangent_dim, report.dim_s0) == (131837, 1023)
+    assert stats["max_order"] == 4
     for bad in (0, -1, True, 2.0, "3"):
         with pytest.raises(InputError, match="jet order must be a positive integer"):
             germ_report(CUSP, k=bad)
@@ -376,15 +383,16 @@ def _reference_invariants(f, limit):
 
 
 def _scan_invariants(f, limit):
-    """(mu, tau, window) by `_saturation` up to `limit`, as the public
-    functions read them; None where it does not saturate."""
+    """(mu, tau, window) by the saturation record of `ideal_in_jets` at
+    order `limit` + 1, as the public functions read them; None where it
+    does not saturate."""
     fx, fy = f.partial_x(), f.partial_y()
-    mu, tau, window = (_saturation(gens, limit) for gens in (
+    mu, tau, window = (ideal_in_jets(gens, limit + 1) for gens in (
         [fx, fy], [f, fx, fy], _gradient_frame(f)))
     return (
-        mu and len(mu[1].standard_monomials(mu[0] - 1)),
-        tau and len(tau[1].standard_monomials(tau[0] - 1)),
-        window and (window[0] - 2, window[0] - 1),
+        mu.saturated_at and len(mu.standard_monomials(mu.saturated_at - 1)),
+        tau.saturated_at and len(tau.standard_monomials(tau.saturated_at - 1)),
+        window.saturated_at and (window.saturated_at - 2, window.saturated_at - 1),
     )
 
 
@@ -483,15 +491,40 @@ def test_germ_report_stats_count_every_build():
     stats = {}
     germ_report(parse_germ("x^6 - y^6"), stats=stats)
     # mu, tau and the window saturate at order 10, one build each; then
-    # scheme length and the orbit frame (shared by the orbit tangent
-    # dimension and dim S_0) at order 10
-    assert stats["ideal_builds"] == 5
+    # the orbit frame (shared by the orbit tangent dimension and dim S_0)
+    # at order 10; the scheme length is a closed form
+    assert stats["ideal_builds"] == 4
     assert stats["max_order"] == 10
-    assert stats["rows_inserted"] == 180
+    assert stats["rows_inserted"] == 170
     stats = {}
     with pytest.raises(CeilingError):
         germ_report(parse_germ("x^2*y^2"), stats=stats)
     assert stats == {"ideal_builds": 1, "rows_inserted": 72, "max_order": 11}
+
+
+@pytest.mark.parametrize("text", ["y^2 - x^3", "x^6 - y^6", "x^2*y^2"])
+def test_every_build_of_a_report_is_an_ideal_in_jets_call(text, monkeypatch):
+    # bench/tracer.py counts the builds by wrapping jets.ideal_in_jets
+    calls = []
+    build = jets.ideal_in_jets
+    monkeypatch.setattr(jets, "ideal_in_jets", lambda *args: calls.append(args) or build(*args))
+    stats = {}
+    try:
+        germ_report(parse_germ(text), stats=stats)
+    except CeilingError:
+        assert text == "x^2*y^2"
+    assert len(calls) == stats["ideal_builds"]
+
+
+def test_scheme_length_closed_form_matches_the_build_of_f():
+    # N = dim C{x,y}/((f) + m^(k+1)), read off the generator-by-generator
+    # build of (f) at order k + 1
+    germs = [entry.normal_form for entry in load_catalog().values()]
+    germs += [f for f, _ in _seeded_germs()] + [parse_germ("x"), GermPoly({})]
+    for f in germs:
+        for k in range(1, 31):
+            want = jet_dimension(k + 1) - ideal_by_generator([f], k + 1).dimension
+            assert scheme_length(f, k) == want, (f.to_string(), k)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +593,8 @@ def test_isolation_is_decided_within_the_bezout_bound():
     for f, k in _bound_family():
         B = _bezout_bound(f)
         fx, fy = f.partial_x(), f.partial_y()
-        scans = [_saturation(gens, B + 12) for gens in ([fx, fy], [f, fx, fy], _gradient_frame(f))]
+        scans = [ideal_in_jets(gens, B + 13).saturated_at
+                 for gens in ([fx, fy], [f, fx, fy], _gradient_frame(f))]
         try:
             certified = resultant_mu(f)
         except AssertionError:  # no shear certifies the resultant
@@ -569,7 +603,7 @@ def test_isolation_is_decided_within_the_bezout_bound():
             assert scans == [None, None, None] and certified is None, f.to_string()
             refused.append(f)
             continue
-        (K_mu, _), (K_tau, _), (K_frame, _) = scans
+        K_mu, K_tau, K_frame = scans
         assert K_mu <= B + 1 and K_tau <= B + 1 and K_frame <= B + 2, f.to_string()
         assert certified in (None, milnor_number(f)), f.to_string()
         if k is not None:

@@ -135,7 +135,7 @@ def test_commands_that_count_nothing_load_no_engine_or_store(series_commands):
 
 
 def test_oracle_commands_load_no_fractions():
-    # the oracles use only the term functions of curvelab.poly; fractions,
+    # the oracles compute on curvelab.poly's integer kernel; fractions,
     # which loads decimal, would cost each of them milliseconds of start-up
     for argv in [
         ("severi", "oracle", "--method", "floor", "-d", "4", "--nodes", "0"),
