@@ -29,17 +29,10 @@ class SingularityType(namedtuple(
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "flavor": self.flavor,
-            "normal_form": self.normal_form_text,
-            "k_used": self.k_used,
-            "dim_es": self.dim_es,
-            "mu": self.mu,
-            "tau": self.tau,
-            "N": self.N,
-            "codim": self.codim,
-        }
+        """The fields with normal_form spelled as its text, in place."""
+        d = self._asdict()
+        d["normal_form"] = d.pop("normal_form_text")
+        return d
 
 
 CollectionStats = namedtuple("CollectionStats", "N codim l aut")

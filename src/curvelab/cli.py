@@ -96,6 +96,8 @@ def _load_a_table(path: str) -> dict:
         raise InputError(f"a-table file {path!r} nests too deep to read") from exc
     table = {}
     try:
+        if not isinstance(obj["entries"], list):  # "" or {} would read as no entries
+            raise TypeError("the entries are a list")
         for key, poly in obj["entries"]:
             if not isinstance(key, list):  # sorted() would split a string
                 raise TypeError("a multiset is a list of labels")
@@ -165,12 +167,11 @@ def _cmd_germ_catalog(args) -> int:
         raise InputError("germ catalog takes a label or --parts, not both")
     if args.parts is not None:
         stats = collection_stats(_parse_parts(args.parts))
-        result = {"N": stats.N, "codim": stats.codim, "l": stats.l, "aut": stats.aut}
         text = (
             f"members: {stats.l}\nN total: {stats.N}\n"
             f"codim total: {stats.codim}\nsymmetry order: {stats.aut}"
         )
-        return _emit(args, result, None, text)
+        return _emit(args, stats._asdict(), None, text)
     if args.label is not None:
         entry_obj = lookup(args.label)
         d = entry_obj.to_dict()
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     ga._negative_number_matcher = re.compile(r"-[^-]")
     ga.add_argument("expr", help='germ expression, e.g. "y^2-x^3"')
     ga.add_argument("--k", type=int, default=None,
-                    help="jet order for the length/orbit block (at most 512)")
+                    help="jet order for the length/orbit block (default: upper determinacy bound)")
     _add_json(ga)
     ga.set_defaults(func=_cmd_germ_analyze)
 

@@ -17,14 +17,14 @@ class InputError(CurvelabError):
 
 
 class CeilingError(CurvelabError):
-    """A limit was hit (degree ceiling, jet order, series cap), or a germ
-    was proved not isolated. Exit 3."""
+    """A limit was hit (degree or fit-order ceiling, series cap, memo keys,
+    jet truncation order), or a germ is not isolated or undecided. Exit 3."""
 
     exit_code = 3
 
 
 class AdmissibilityError(CurvelabError):
-    """Request outside the admissible range, or a scan found nothing. Exit 3."""
+    """Request outside the admissible range. Exit 3."""
 
     exit_code = 3
 

@@ -15,9 +15,9 @@ from fractions import Fraction
 from .errors import CeilingError, InputError, is_int
 from .germs import GermPoly
 
-# every jet build stops by order MAX_JET_ORDER + 1: a scan that reaches it
-# costs about 1.3 s of CPU (`x^20*y^20`, CPython 3.11), and a k above it is
-# refused before any build, since a build that never saturates grows with k
+# every jet build stops by order MAX_JET_ORDER + 1, where `ideal_in_jets`
+# refuses a higher K: a scan that reaches it costs about 1.3 s of CPU
+# (`x^20*y^20`, CPython 3.11).  No build's order depends on a jet order k.
 MAX_JET_ORDER = 512
 
 _ZERO = Fraction(0)
@@ -153,14 +153,10 @@ def _build(generators, K: int, stats: dict = None) -> JetSubspace:
     return space
 
 
-def _check_order(value, name="jet order", symbol="k", top=MAX_JET_ORDER):
-    """Refuse an order `value` that is not an int of at least 1 with
-    InputError, and one above `top` with CeilingError, before any build:
-    a build's work grows with its order."""
+def _check_order(value, name="jet order"):
+    """Refuse an order `value` that is not an int of at least 1."""
     if not is_int(value) or value < 1:
         raise InputError(f"{name} must be a positive integer")
-    if value > top:
-        raise CeilingError(f"{name} {symbol} = {value} exceeds its maximum {top}")
 
 
 def ideal_in_jets(generators, truncation_order: int, stats: dict = None) -> JetSubspace:
@@ -168,7 +164,9 @@ def ideal_in_jets(generators, truncation_order: int, stats: dict = None) -> JetS
     up to MAX_JET_ORDER + 1, the order of jets up to MAX_JET_ORDER: the
     build of `_build` (see there for `stats` and `saturated_at`)."""
     K = truncation_order
-    _check_order(K, "truncation order", "K", MAX_JET_ORDER + 1)
+    _check_order(K, "truncation order")
+    if K > MAX_JET_ORDER + 1:
+        raise CeilingError(f"truncation order K = {K} exceeds its maximum {MAX_JET_ORDER + 1}")
     if not generators:
         raise InputError("need generators")
     return _build(generators, K, stats)
@@ -251,11 +249,17 @@ def scheme_length(f: GermPoly, k: int) -> int:
     return jet_dimension(k + 1) - jet_dimension(cut)
 
 
+def _dimension_in_jets(space: JetSubspace, k: int) -> int:
+    """Dimension in order-k jets, at any k, of an ideal whose scan saturated
+    at order S: it contains m^(S-1), so its standard monomials lie below."""
+    return jet_dimension(k + 1) - len(space.standard_monomials(min(k + 1, space.saturated_at)))
+
+
 def orbit_tangent_dim(f: GermPoly, k: int, stats: dict = None) -> int:
     """Tangent dimension of the equivalence-class orbit inside order-k jets."""
     _require_germ(f)
     _check_order(k)
-    return ideal_in_jets(_gradient_frame(f), k + 1, stats).dimension
+    return _dimension_in_jets(_scan(f, _gradient_frame(f), stats), k)
 
 
 def dim_s0(f: GermPoly, k: int, stats: dict = None) -> int:
@@ -294,20 +298,20 @@ class InvariantReport(namedtuple(
 def germ_report(f: GermPoly, k: int = None, stats: dict = None) -> InvariantReport:
     """Full invariant report at jet order k (default: upper determinacy bound).
 
-    A k above MAX_JET_ORDER raises CeilingError before any build, since
-    an order-(k+1) build that does not saturate grows with k.  If `stats`
-    is a dict, it receives the jet counters of `_build` summed over every
-    build the report makes, one per ideal.
+    It makes three scans, of the Jacobian and Tjurina ideals and of the
+    frame, whose one scan gives both the determinacy window and the
+    orbit.  If `stats` is a dict, it receives the jet counters of
+    `_build` summed over the three.
     """
     _require_germ(f)
     if k is not None:
         _check_order(k)
     mu = milnor_number(f, stats)
     tau = tjurina_number(f, stats)
-    window = determinacy_window(f, stats)
-    if k is None:
-        k = window[1]
-    orbit = orbit_tangent_dim(f, k, stats)
+    frame = _scan(f, _gradient_frame(f), stats)
+    window = (frame.saturated_at - 2, frame.saturated_at - 1)
+    k = window[1] if k is None else k
+    orbit = _dimension_in_jets(frame, k)
     return InvariantReport(
         expression=f.to_string(),
         milnor=mu,

@@ -9,8 +9,9 @@ The arguments come from a small hostile vocabulary, and its ints are
 small, so that a draw the entry point accepts stays cheap: plane degrees
 up to 3, bidegrees up to (2,2), and fits up to order 2 on the fit's own
 rows, counted by one shared engine.  A germ draw sets only the order
-(`k`, or the truncation order of `ideal_in_jets`), and the huge one,
-10**30, must be refused before any build.
+(`k`, or the truncation order of `ideal_in_jets`); the huge one, 10**30,
+is answered at once as a k, since no build's order depends on k, and
+refused before any build as a truncation order.
 """
 
 import random

@@ -115,12 +115,14 @@ def test_germ_analyze_scans_as_far_as_the_germ_needs(capsys):
     assert "unrecognized arguments: --ceiling 64" in capsys.readouterr().err
 
 
-def test_germ_analyze_k_is_bounded_by_the_ceiling(capsys):
-    # an unbounded --k once built order-(k+1) ideals for minutes; a k above
-    # the jet order maximum is refused before any build
+def test_germ_analyze_takes_any_k(capsys):
+    # no build's order depends on --k: the orbit is read off the frame's
+    # scan, which stops where the frame saturates, and N is a closed form
     code, out, err = run_cli(capsys, "germ", "analyze", "x^2+y^3", "--k", "513")
-    assert (code, out) == (3, "")
-    assert err.splitlines() == ["error: jet order k = 513 exceeds its maximum 512"]
+    assert (code, err) == (0, "")
+    assert out.endswith("scheme length N at k=513: 1027\n"
+                        "orbit tangent dim at k=513: 132351\n"
+                        "equisingular stratum dim: 1025\n")
     code, out, _ = run_cli(capsys, "germ", "analyze", "x^2+y^3", "--k", "65")
     assert code == 0
     assert "scheme length N at k=65: 131" in out
@@ -130,10 +132,10 @@ def test_germ_analyze_json_reports_jet_counters(capsys):
     code, out, _ = run_cli(capsys, "germ", "analyze", "y^2-x^3", "--json")
     assert code == 0
     payload = json.loads(out)
-    # one build each: mu and tau stop at order 3, the determinacy window
-    # at order 4, then the orbit frame (shared by the orbit tangent
-    # dimension and dim S_0) at order 4; the scheme length is a closed form
-    assert payload["stats"] == {"ideal_builds": 4, "max_order": 4, "rows_inserted": 31}
+    # one scan each: mu and tau stop at order 3, the frame at order 4; the
+    # determinacy window, the orbit tangent dimension and dim S_0 are read
+    # off the frame's scan, and the scheme length is a closed form
+    assert payload["stats"] == {"ideal_builds": 3, "max_order": 4, "rows_inserted": 20}
 
 
 def test_germ_catalog_listing(capsys):
@@ -210,24 +212,31 @@ def test_fit_commands_take_no_ceiling(capsys):
 def test_a_huge_jet_ceiling_is_refused_at_once():
     # a huge --ceiling used to scan a non-isolated germ up to it, for
     # ever, and a huge --k to build up to it: the germ lab now takes no
-    # ceiling, and refuses a k above its maximum at once.  Run in a child,
-    # so that such a scan fails by the timeout, not a hang
+    # ceiling, and no build's order depends on k, so a huge --k is
+    # answered, or the germ refused, at once.  Run in a child, so that
+    # such a scan fails by the timeout, not a hang
     src = os.path.dirname(os.path.dirname(curvelab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     huge = "9" * 30
-    for flag, code, message in [
-        ("--ceiling", 2, f"unrecognized arguments: --ceiling {huge}\n"),
-        ("--k", 3, f"error: jet order k = {huge} exceeds its maximum 512\n"),
+    k = int(huge)
+    cusp = ("germ: y^2 - x^3\nmultiplicity: 2\nmilnor: 2\ntjurina: 2\n"
+            f"determinacy window: (2, 3)\nscheme length N at k={huge}: {2 * k + 1}\n"
+            f"orbit tangent dim at k={huge}: {(k + 1) * (k + 2) // 2 - 4}\n"
+            f"equisingular stratum dim: {2 * k - 1}\n")
+    for expr, flag, code, out, err in [
+        ("x^2*y^2", "--ceiling", 2, "", f"unrecognized arguments: --ceiling {huge}\n"),
+        ("x^2*y^2", "--k", 3, "", "error: singularity not isolated\n"),
+        ("y^2 - x^3", "--k", 0, cusp, ""),
     ]:
         proc = subprocess.run(
-            [sys.executable, "-m", "curvelab", "germ", "analyze", "x^2*y^2", flag, huge],
+            [sys.executable, "-m", "curvelab", "germ", "analyze", expr, flag, huge],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
             timeout=20,
         )
-        assert (proc.returncode, proc.stdout) == (code, ""), flag
-        assert proc.stderr.endswith(message), flag
+        assert (proc.returncode, proc.stdout) == (code, out), (expr, flag)
+        assert proc.stderr.endswith(err), (expr, flag)
 
 
 def test_severi_counts(capsys):
@@ -487,6 +496,17 @@ def test_a_table_rejects_a_multiset_given_as_a_string(tmp_path, capsys):
     for argv in _series_commands(table):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: malformed a-table file {table!r}\n")
+
+
+def test_a_table_rejects_entries_that_are_not_a_list(tmp_path, capsys):
+    # "" and {} iterate as no entries: read as entries, they would be an
+    # empty table, which `series assemble` prints as an empty line
+    for entries in ("", {}, "A1", {"A1": "1"}):
+        table = _write_a_table(tmp_path / "atable.json", entries)
+        for argv in _series_commands(table):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: malformed a-table file {table!r}\n"), (
+                entries, argv)
 
 
 def test_cache_flag_round_trip(tmp_path, capsys):

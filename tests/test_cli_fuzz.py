@@ -141,8 +141,10 @@ def test_cli_draws_exit_cleanly(tmp_path, monkeypatch, capsys, cache_bytes):
     monkeypatch.chdir(workdir)
     leaves = commands(build_parser())
     limits = set()
-    # between them these seeds draw every limit's refusal (seed 6 the
-    # jet order's, which seeds 1-4 draw only behind a bad expression)
+    answered_k = []
+    # between them these seeds draw every limit's refusal, and seed 6 a
+    # germ analyzed at a jet order past the scans' maximum, which seeds
+    # 1-4 draw only behind a bad expression
     for seed in (1, 2, 3, 4, 6):
         rng = random.Random(seed)
         for _ in range(60):
@@ -158,8 +160,11 @@ def test_cli_draws_exit_cleanly(tmp_path, monkeypatch, capsys, cache_bytes):
                 assert run(argv, workdir, cache_bytes, capsys)[:3] == (code, out, err), argv
             if code == 3:
                 limits.add(err)
+            if not code and argv[:2] == ["germ", "analyze"] and "--k" in argv:
+                answered_k.append(int(argv[argv.index("--k") + 1]))
     # each limit's refusal was drawn
-    for refusal in ("error: degree .* exceeds ceiling", "error: jet order k = .* exceeds",
-                    "not isolated", "exceeds the order ceiling",
-                    "exceeds the cap ceiling"):
+    for refusal in ("error: degree .* exceeds ceiling", "not isolated",
+                    "exceeds the order ceiling", "exceeds the cap ceiling"):
         assert any(re.search(refusal, err) for err in limits), refusal
+    # a jet order is no limit: k = 513 and a huge k were each answered
+    assert {MAX_JET_ORDER + 1, int(HUGE)} <= set(answered_k)

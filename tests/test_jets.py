@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -95,15 +97,16 @@ def test_non_isolated_hits_ceiling():
 
 
 def test_ceiling_must_be_an_integer():
-    # MAX_JET_ORDER is the one ceiling of the germ lab: it bounds k, and a
-    # k above it is refused before any build
+    # MAX_JET_ORDER is the one ceiling of the germ lab: it bounds the scans,
+    # not k, so a k above it reaches the scans, which refuse x^2*y^2 as
+    # they do at any k
     for bad in [True, "64", 64.0]:
         with pytest.raises(InputError, match="jet order must be a positive integer"):
             germ_report(CUSP, k=bad)
     stats = {}
-    with pytest.raises(CeilingError, match=f"jet order k = {MAX_JET_ORDER + 1} exceeds its maximum"):
+    with pytest.raises(CeilingError, match="^singularity not isolated$"):
         germ_report(parse_germ("x^2*y^2"), k=MAX_JET_ORDER + 1, stats=stats)
-    assert stats == {}
+    assert stats == {"ideal_builds": 1, "rows_inserted": 72, "max_order": 11}
     # a scan whose Bezout bound lies past the maximum stops there, undecided
     stats = {}
     with pytest.raises(CeilingError, match=(
@@ -272,27 +275,31 @@ def test_quasi_homogeneous_mu_equals_tau():
         assert milnor_number(f) == tjurina_number(f)
 
 
-def test_germ_report_refuses_a_k_above_its_ceiling_before_any_build():
-    stats = {}
-    with pytest.raises(CeilingError, match=r"jet order k = 10+ exceeds its maximum 512"):
-        germ_report(CUSP, k=10**30, stats=stats)
-    assert stats == {}
+def test_germ_report_takes_any_k():
     assert germ_report(CUSP, k=65).scheme_length_at == {65: 131}
-    # at the maximum every build stops where its ideal saturates, the
-    # orbit frame's at order 4, and N is a closed form
-    stats = {}
-    report = germ_report(CUSP, k=512, stats=stats)
-    assert report.scheme_length_at == {512: 1025}
-    assert (report.orbit_tangent_dim, report.dim_s0) == (131837, 1023)
-    assert stats["max_order"] == 4
+    # no build's order depends on k: the three scans stop where their
+    # ideals saturate, the frame's at order 4, the orbit is read off the
+    # frame's scan and N is a closed form, so k = 512 and k = 10**30 cost
+    # the same as the default
+    for k in (512, 10**30):
+        stats = {}
+        report = germ_report(CUSP, k=k, stats=stats)
+        assert report.scheme_length_at == {k: 2 * k + 1}
+        assert (report.orbit_tangent_dim, report.dim_s0) == (jet_dimension(k + 1) - 4, 2 * k - 1)
+        assert stats == {"ideal_builds": 3, "rows_inserted": 20, "max_order": 4}
+        if k == 512:
+            assert (report.orbit_tangent_dim, report.dim_s0) == (131837, 1023)
     for bad in (0, -1, True, 2.0, "3"):
         with pytest.raises(InputError, match="jet order must be a positive integer"):
             germ_report(CUSP, k=bad)
 
 
 def test_orders_above_the_maximum_are_refused_at_once():
-    # each of these once built toward order 10**30, for ever: run in a
-    # child, so that such a build fails by the timeout, not a hang
+    # ideal_in_jets refuses a truncation order K above MAX_JET_ORDER + 1,
+    # and the functions of a jet order k answer any k from scans that stop
+    # where their ideals saturate.  Each of these once built toward order
+    # 10**30, for ever: run in a child, so that such a build fails by the
+    # timeout, not a hang
     src = os.path.dirname(os.path.dirname(curvelab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
@@ -300,14 +307,13 @@ def test_orders_above_the_maximum_are_refused_at_once():
         "from curvelab import *\n"
         "f = parse_germ('y^2 - x^3')\n"
         "for k in map(int, sys.argv[1:]):\n"
-        "    for call in (lambda: ideal_in_jets([f], k + 1), lambda: scheme_length(f, k),\n"
-        "                 lambda: orbit_tangent_dim(f, k), lambda: dim_s0(f, k)):\n"
-        "        try:\n"
-        "            call()\n"
-        "        except CeilingError as exc:\n"
-        "            print(exc)\n"
+        "    print(scheme_length(f, k), orbit_tangent_dim(f, k), dim_s0(f, k))\n"
+        "    try:\n"
+        "        ideal_in_jets([f], k)\n"
+        "    except CeilingError as exc:\n"
+        "        print(exc)\n"
     )
-    orders = (MAX_JET_ORDER + 1, 10**30)
+    orders = (MAX_JET_ORDER + 2, 10**30)
     proc = subprocess.run(
         [sys.executable, "-c", code, *map(str, orders)],
         capture_output=True,
@@ -319,9 +325,23 @@ def test_orders_above_the_maximum_are_refused_at_once():
     assert proc.stdout.splitlines() == [
         line
         for k in orders
-        for line in (f"truncation order K = {k + 1} exceeds its maximum {MAX_JET_ORDER + 1}",
-                     *[f"jet order k = {k} exceeds its maximum {MAX_JET_ORDER}"] * 3)
+        for line in (f"{2 * k + 1} {jet_dimension(k + 1) - 4} {2 * k - 1}",
+                     f"truncation order K = {k} exceeds its maximum {MAX_JET_ORDER + 1}")
     ]
+
+
+def test_orbit_and_dim_s0_refuse_a_germ_that_is_not_isolated():
+    # the orbit is read off the frame's scan, which refuses such a germ at
+    # any k, as germ_report does: x^2*y^2 after one build to its Bezout
+    # bound 9 plus 2, and the zero germ, whose bound is 0, at order 2
+    for f, counters in [(parse_germ("x^2*y^2"), (1, 140, 11)), (GermPoly({}), (1, 0, 2))]:
+        for fn in (orbit_tangent_dim, dim_s0):
+            for k in (3, 10**30):
+                stats = {}
+                with pytest.raises(CeilingError, match="^singularity not isolated$"):
+                    fn(f, k, stats)
+                assert stats == dict(zip(("ideal_builds", "rows_inserted", "max_order"),
+                                         counters)), (f.to_string(), fn.__name__, k)
 
 
 def test_germ_report_defaults_to_upper_window_bound():
@@ -490,12 +510,12 @@ def test_nonisolated_refusal_makes_one_build():
 def test_germ_report_stats_count_every_build():
     stats = {}
     germ_report(parse_germ("x^6 - y^6"), stats=stats)
-    # mu, tau and the window saturate at order 10, one build each; then
-    # the orbit frame (shared by the orbit tangent dimension and dim S_0)
-    # at order 10; the scheme length is a closed form
-    assert stats["ideal_builds"] == 4
+    # mu, tau and the frame saturate at order 10, one build each; the
+    # determinacy window, the orbit tangent dimension and dim S_0 are read
+    # off the frame's build, and the scheme length is a closed form
+    assert stats["ideal_builds"] == 3
     assert stats["max_order"] == 10
-    assert stats["rows_inserted"] == 170
+    assert stats["rows_inserted"] == 120
     stats = {}
     with pytest.raises(CeilingError):
         germ_report(parse_germ("x^2*y^2"), stats=stats)
@@ -513,7 +533,29 @@ def test_every_build_of_a_report_is_an_ideal_in_jets_call(text, monkeypatch):
         germ_report(parse_germ(text), stats=stats)
     except CeilingError:
         assert text == "x^2*y^2"
-    assert len(calls) == stats["ideal_builds"]
+    # three scans per isolated germ: Jacobian, Tjurina and frame
+    assert len(calls) == stats["ideal_builds"] == (1 if text == "x^2*y^2" else 3)
+
+
+def test_germ_reports_are_pinned():
+    # the sha256 of every report (its sorted compact JSON) or refusal on the
+    # catalog forms and the seeded germs at nine jet orders, as computed
+    # when the orbit came from a separate order-(k + 1) build of the frame:
+    # reading it off the frame's scan changed no byte
+    germs = [entry.normal_form for entry in load_catalog().values()]
+    germs += [f for f, _ in _seeded_germs()]
+    lines = []
+    for f in germs:
+        for k in (None, 1, 2, 3, 5, 8, 13, 65, 512):
+            try:
+                out = json.dumps(germ_report(f, k).to_dict(), sort_keys=True,
+                                 separators=(",", ":"))
+            except (CeilingError, InputError) as exc:
+                out = str(exc)
+            lines.append(f"{f.to_string()} {k} {out}")
+    assert len(lines) == 468
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "4109b298fb3dc09083579e46e0e86c3f03e4d433a0c72ed5b6b0080488665dab")
 
 
 def test_scheme_length_closed_form_matches_the_build_of_f():
