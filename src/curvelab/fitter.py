@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import CeilingError, InconsistencyError, InputError, is_int
+from .poly import RowEchelon
 from .series import ChernPolynomial, TruncatedSeries, exp_series, log_series
 from .severi import DEFAULT_DEGREE_CEILING, SeveriEngine
 from .surfaces import PLANE, QUADRIC
@@ -73,38 +74,20 @@ def _log_coefficients(counts) -> list:
 
 
 def _solve_linear4(equations) -> tuple:
-    """Solve a (possibly overdetermined) 4-unknown rational system.
-
-    Returns the solution of a full-rank subsystem; callers must verify
-    the remaining equations themselves.
-    """
-    aug = [[Fraction(v) for v in vec] + [Fraction(rhs)] for vec, rhs in equations]
-    pivot_rows = []
-    used = set()
-    for col in range(4):
-        pivot = None
-        for i, row in enumerate(aug):
-            if i not in used and row[col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        used.add(pivot)
-        pivot_rows.append((col, aug[pivot]))
-        inv = 1 / aug[pivot][col]
-        norm = [v * inv for v in aug[pivot]]
-        aug[pivot] = norm
-        for i, row in enumerate(aug):
-            if i not in used and row[col] != 0:
-                factor = row[col]
-                aug[i] = [v - factor * w for v, w in zip(row, norm)]
-    if len(pivot_rows) < 4:
-        raise InconsistencyError(
-            f"fit rows span only {len(pivot_rows)} of the 4 Chern directions")
+    """Solve a (possibly overdetermined) 4-unknown rational system by back-
+    substitution over the Chern pivot rows of its echelon, right-hand side
+    in column 4: a full-rank subsystem, so callers verify the rest."""
+    echelon = RowEchelon()
+    for vec, rhs in equations:
+        echelon.insert({c: Fraction(v) for c, v in enumerate((*vec, rhs)) if v})
+    rank = sum(col < 4 for col in echelon.pivots)
+    if rank < 4:
+        raise InconsistencyError(f"fit rows span only {rank} of the 4 Chern directions")
     solution = [Fraction(0)] * 4
-    for col, row in reversed(pivot_rows):
-        value = row[4] - sum(row[j] * solution[j] for j in range(4) if j != col)
-        solution[col] = value / row[col]
+    for col in reversed(range(4)):
+        row = echelon.pivots[col]
+        solution[col] = Fraction(row.get(4, 0)) - sum(
+            v * solution[c] for c, v in row.items() if col < c < 4)
     return tuple(solution)
 
 

@@ -10,17 +10,15 @@ rows are infeasible.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import CeilingError, InputError, is_int
 from .germs import GermPoly
+from .poly import RowEchelon
 
 # every jet build stops by order MAX_JET_ORDER + 1, where `ideal_in_jets`
 # refuses a higher K: a scan that reaches it costs about 1.3 s of CPU
 # (`x^20*y^20`, CPython 3.11).  No build's order depends on a jet order k.
 MAX_JET_ORDER = 512
-
-_ZERO = Fraction(0)
 
 
 def monomial_index(i: int, j: int) -> int:
@@ -33,65 +31,27 @@ def jet_dimension(order: int) -> int:
     return order * (order + 1) // 2
 
 
-class JetSubspace:
+class JetSubspace(RowEchelon):
     """Linear span of truncated polynomials, kept in echelon form."""
 
-    def __init__(self):
-        # pivot column -> row whose lowest column it is, scaled to 1 there
-        self._pivots = {}
-        # set by `_saturate`: the pivot columns kept without rows, and the
-        # order at which the span saturated (None if it has not)
-        self._filled = range(0)
-        self.saturated_at = None
+    # set by `_saturate`: the pivot columns kept without rows, and the
+    # order at which the span saturated (None if it has not)
+    _filled = range(0)
+    saturated_at = None
 
     @property
     def dimension(self) -> int:
-        return len(self._pivots) + len(self._filled)
+        return len(self.pivots) + len(self._filled)
 
     def _is_pivot(self, col: int) -> bool:
-        return col in self._pivots or col in self._filled
+        return col in self.pivots or col in self._filled
 
     def _saturate(self, D: int, K: int):
         """Make every column of degree D to K - 1 a pivot (see `_build`)."""
         low = jet_dimension(D)
-        self._pivots = {c: row for c, row in self._pivots.items() if c < low}
+        self.pivots = {c: row for c, row in self.pivots.items() if c < low}
         self._filled = range(low, jet_dimension(K))
         self.saturated_at = D + 1
-
-    def insert(self, row: dict) -> bool:
-        """Add one vector; returns True if it enlarged the span.
-
-        The row is reduced by the pivot rows, each step clearing its lowest
-        column and touching only higher ones.  Where it meets a pivot row
-        longer than itself, the two swap: the row becomes the pivot row of
-        that column and the old pivot row is reduced on in its place.  That
-        keeps pivot rows short and their coefficients small; the span and
-        its pivots are the same whichever row holds a column.  The basis
-        stays in echelon form only: reducing earlier rows by a new pivot
-        would change no pivot, and the pivots are all that the invariants
-        read.
-        """
-        row = dict(row)
-        pivots = self._pivots
-        while row:
-            col = min(row)
-            factor = row[col]
-            pivot_row = pivots.get(col)
-            if pivot_row is None or len(row) < len(pivot_row):
-                if factor != 1:
-                    inv = Fraction(1) / factor
-                    row = {c: inv * v for c, v in row.items()}
-                pivots[col] = row
-                if pivot_row is None:
-                    return True
-                row, pivot_row, factor = pivot_row, row, 1
-            for c, v in pivot_row.items():
-                nv = row.get(c, _ZERO) - factor * v
-                if nv:
-                    row[c] = nv
-                else:
-                    del row[c]
-        return False
 
     # Each pivot is the lowest column of its row and the columns are graded
     # by degree, so the pivots below jet_dimension(K) are exactly the pivots
@@ -262,20 +222,25 @@ def orbit_tangent_dim(f: GermPoly, k: int, stats: dict = None) -> int:
     return _dimension_in_jets(_scan(f, _gradient_frame(f), stats), k)
 
 
+def _check_s0_order(f: GermPoly, k: int):
+    """Refuse, before any build, a jet order k that is not a positive int
+    or, for a nonzero germ, is below its multiplicity: dim S_0 needs k >= m."""
+    _require_germ(f)
+    _check_order(k)
+    if not f.is_zero() and k < f.multiplicity():
+        raise InputError(f"jet order {k} too small for multiplicity {f.multiplicity()}")
+
+
 def dim_s0(f: GermPoly, k: int, stats: dict = None) -> int:
     """dim S_0: the dimension of the locally closed set of order-k jets
-    equivalent to f, counted inside the versal slice.
-    """
+    equivalent to f, counted inside the versal slice."""
+    _check_s0_order(f, k)
     return _dim_s0_from_orbit(f, k, orbit_tangent_dim(f, k, stats))
 
 
 def _dim_s0_from_orbit(f: GermPoly, k: int, orbit: int) -> int:
-    """dim S_0 from orbit = orbit_tangent_dim(f, k)."""
-    m = f.multiplicity()
-    cut = k + 1 - m
-    if cut < 1:
-        raise InputError(f"jet order {k} too small for multiplicity {m}")
-    return 2 + orbit - jet_dimension(cut)
+    """dim S_0 from orbit = orbit_tangent_dim(f, k), for k >= m(f)."""
+    return 2 + orbit - jet_dimension(k + 1 - f.multiplicity())
 
 
 class InvariantReport(namedtuple(
@@ -303,9 +268,8 @@ def germ_report(f: GermPoly, k: int = None, stats: dict = None) -> InvariantRepo
     orbit.  If `stats` is a dict, it receives the jet counters of
     `_build` summed over the three.
     """
-    _require_germ(f)
     if k is not None:
-        _check_order(k)
+        _check_s0_order(f, k)
     mu = milnor_number(f, stats)
     tau = tjurina_number(f, stats)
     frame = _scan(f, _gradient_frame(f), stats)

@@ -1,7 +1,8 @@
 """Polynomials as sparse dicts from exponent tuples to nonzero coefficients,
 whose term functions never coerce a coefficient, so integer terms stay
-integers (SparsePoly wraps a term dict of nonzero Fractions), and the
-dense integer kernel on Z[x] lists and Z[x][y] rows at the end.
+integers (SparsePoly wraps a term dict of nonzero Fractions); the exact
+row echelon of sparse rational rows (RowEchelon); and the dense integer
+kernel on Z[x] lists and Z[x][y] rows at the end.
 """
 
 from __future__ import annotations
@@ -155,6 +156,51 @@ class SparsePoly:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_string()})"
+
+
+class RowEchelon:
+    """Span of sparse rational rows (dicts column -> nonzero Fraction),
+    kept in row echelon form: the one exact elimination of the jet lab's
+    quotients and of the fit's linear solves."""
+
+    def __init__(self):
+        # pivot column -> row whose lowest column it is, scaled to 1 there
+        self.pivots = {}
+
+    def insert(self, row: dict) -> bool:
+        """Add one vector; returns True if it enlarged the span.
+
+        The row is reduced by the pivot rows, each step clearing its lowest
+        column and touching only higher ones.  Where it meets a pivot row
+        longer than itself, the two swap: the row becomes the pivot row of
+        that column and the old pivot row is reduced on in its place.  That
+        keeps pivot rows short and their coefficients small; the span and
+        its pivots are the same whichever row holds a column.  The basis
+        stays in echelon form only: reducing earlier rows by a new pivot
+        would change no pivot, and back-substitution needs no more.
+        """
+        row = dict(row)
+        pivots = self.pivots
+        while row:
+            col = min(row)
+            factor = row[col]
+            pivot_row = pivots.get(col)
+            if pivot_row is None or len(row) < len(pivot_row):
+                if factor != 1:
+                    inv = 1 / factor
+                    row = {c: inv * v for c, v in row.items()}
+                pivots[col] = row
+                if pivot_row is None:
+                    return True
+                row, pivot_row, factor = pivot_row, row, 1
+            for c, v in pivot_row.items():
+                nv = row.get(c)
+                nv = -factor * v if nv is None else nv - factor * v
+                if nv:
+                    row[c] = nv
+                else:
+                    del row[c]
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,15 @@ def test_germ_analyze_errors(capsys):
     assert "not isolated" in err
 
 
+def test_germ_analyze_refuses_a_k_below_the_multiplicity_first(capsys):
+    # the jet order is checked against the multiplicity before any scan,
+    # so a non-isolated germ at such a k is refused for its k (exit 2)
+    code, out, err = run_cli(capsys, "germ", "analyze", "x^2*y^2", "--k", "1")
+    assert (code, out, err) == (2, "", "error: jet order 1 too small for multiplicity 4\n")
+    code, out, err = run_cli(capsys, "germ", "analyze", "x^2*y^2", "--k", "4")
+    assert (code, out, err) == (3, "", "error: singularity not isolated\n")
+
+
 def test_germ_analyze_refuses_a_zero_denominator(capsys):
     code, out, err = run_cli(capsys, "germ", "analyze", "2/0*x^2+y^3")
     assert (code, out) == (2, "")

@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
@@ -210,6 +210,103 @@ def test_corrupted_counts_break_consistency(tmp_path, write_cache):
     poisoned = SeveriEngine(store)
     result = fit_nodes(1, engine=poisoned)
     assert not result.residual_consistent
+
+
+# sha256 of fit_nodes(r).to_json_obj() as sorted compact JSON on a cache
+# poisoned with one line, for the fits it makes inconsistent: which
+# full-rank subsystem the solve reads then shows in a
+POISONED_FIT_DIGESTS = [
+    ("P2 8 1 - 8 999", 1, "9ac1e47d608040465101c63df231a5ceaaa5bd6feb9dc1f87dfb4d5bb9b2e7bf"),
+    ("P2 8 1 - 8 999", 4, "e9b9b5b77fde524ab959b4264c4ca5fd0ada4587a3b1971775cfadde046c1213"),
+    ("P2 9 2 - 9 2000", 4, "c92d5b816b78d45bc4a415d69d7ddea4c6c5ba5448b0f5fa41575c1a6d9dbeb3"),
+    ("P1XP1 4,4 2 - 4 100", 4,
+     "c129c866526c9abb11347b9a1b622ea432bc7fcbad60848c139b248bfe74938a"),
+    ("P2 10 3 - 10 5", 8, "fdd720096ce1f8155f34e0cf6f1a7178ba9b468f4be17a918642d8c4976a1be3"),
+]
+
+
+def test_inconsistent_fits_are_pinned(tmp_path, write_cache):
+    path = tmp_path / "poisoned.memo"
+    for line, r, want in POISONED_FIT_DIGESTS:
+        write_cache(path, [line])
+        store = MemoStore()
+        store.load(path)
+        obj = fit_nodes(r, engine=SeveriEngine(store)).to_json_obj()
+        assert obj["residual_consistent"] is False, (line, r)
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, (line, r)
+
+
+def _det(matrix) -> Fraction:
+    """Leibniz determinant of a square matrix of rationals."""
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = Fraction((-1) ** inversions)
+        for i, p in enumerate(perm):
+            term *= matrix[i][p]
+        total += term
+    return total
+
+
+def _minor_rank(vectors) -> int:
+    """The largest k with a nonzero k x k minor."""
+    for k in range(min(len(vectors), 4), 0, -1):
+        for rows in combinations(vectors, k):
+            for cols in combinations(range(4), k):
+                if _det([[row[c] for c in cols] for row in rows]):
+                    return k
+    return 0
+
+
+def _cramer(equations) -> tuple:
+    """The solution of the first 4 equations with a nonzero determinant,
+    by Cramer's rule."""
+    for chosen in combinations(equations, 4):
+        matrix = [list(vec) for vec, _ in chosen]
+        det = _det(matrix)
+        if det:
+            return tuple(
+                _det([row[:j] + [rhs] + row[j + 1:] for row, (_, rhs) in zip(matrix, chosen)])
+                / det for j in range(4))
+    raise AssertionError("no full-rank 4-row subsystem")
+
+
+def test_solve_linear4_agrees_with_cramers_rule_on_random_systems():
+    rng = random.Random(40)
+
+    def entry():
+        return rng.choice([0, 0, *range(-4, 5)])
+
+    seen = {"square": 0, "overdetermined": 0, 0: 0, 1: 0, 2: 0, 3: 0}
+    for draw in range(600):
+        kind = draw % 3
+        if kind < 2:
+            # a full-rank draw, unless its rows happen to be dependent
+            x = [Fraction(entry(), rng.randint(1, 5)) for _ in range(4)]
+            vecs = [tuple(entry() for _ in range(4)) for _ in range(4 + kind * rng.randint(1, 3))]
+            equations = [(vec, sum(v * xi for v, xi in zip(vec, x))) for vec in vecs]
+        else:
+            # rows in the span of 1 to 3 vectors, with any right-hand side:
+            # never of rank 4
+            basis = [[entry() for _ in range(4)] for _ in range(rng.randint(1, 3))]
+            weights = [[rng.randint(-3, 3) for _ in basis] for _ in range(rng.randint(1, 6))]
+            vecs = [tuple(sum(w * b[c] for w, b in zip(ws, basis)) for c in range(4))
+                    for ws in weights]
+            equations = [(vec, Fraction(entry(), rng.randint(1, 5))) for vec in vecs]
+        rank = _minor_rank(vecs)
+        if rank < 4:
+            with pytest.raises(InconsistencyError,
+                               match=f"^fit rows span only {rank} of the 4 Chern directions$"):
+                _solve_linear4(equations)
+            seen[rank] += 1
+        else:
+            solution = _solve_linear4(equations)
+            assert solution == _cramer(equations) == tuple(x), equations
+            assert all(type(v) is Fraction for v in solution)
+            seen["square" if len(vecs) == 4 else "overdetermined"] += 1
+    assert min(seen[key] for key in ("square", "overdetermined", 1, 2, 3)) >= 30, seen
 
 
 def test_a_table_scaling(fit4):

@@ -332,11 +332,12 @@ def test_orders_above_the_maximum_are_refused_at_once():
 
 def test_orbit_and_dim_s0_refuse_a_germ_that_is_not_isolated():
     # the orbit is read off the frame's scan, which refuses such a germ at
-    # any k, as germ_report does: x^2*y^2 after one build to its Bezout
-    # bound 9 plus 2, and the zero germ, whose bound is 0, at order 2
+    # any k from its multiplicity 4 on, as germ_report does: x^2*y^2 after
+    # one build to its Bezout bound 9 plus 2, and the zero germ, whose
+    # bound is 0, at order 2
     for f, counters in [(parse_germ("x^2*y^2"), (1, 140, 11)), (GermPoly({}), (1, 0, 2))]:
         for fn in (orbit_tangent_dim, dim_s0):
-            for k in (3, 10**30):
+            for k in (4, 10**30):
                 stats = {}
                 with pytest.raises(CeilingError, match="^singularity not isolated$"):
                     fn(f, k, stats)
@@ -537,11 +538,31 @@ def test_every_build_of_a_report_is_an_ideal_in_jets_call(text, monkeypatch):
     assert len(calls) == stats["ideal_builds"] == (1 if text == "x^2*y^2" else 3)
 
 
+def test_a_k_below_the_multiplicity_is_refused_before_any_build():
+    # dim S_0 needs k >= m, and m is known without a scan: the isolated
+    # y^2 - x^9 used to make three builds (212 rows) first, and the
+    # non-isolated ones to scan until the scan refused them
+    for text, k, m in [("y^2 - x^9", 1, 2), ("x^2*y^2", 1, 4), ("x^2*y^2", 3, 4),
+                       ("x^10*y^10", 1, 20), ("x^10*y^10", 19, 20)]:
+        for call in (lambda f, stats: germ_report(f, k, stats),
+                     lambda f, stats: dim_s0(f, k, stats)):
+            stats = {}
+            with pytest.raises(InputError, match=f"^jet order {k} too small "
+                                                 f"for multiplicity {m}$"):
+                call(parse_germ(text), stats)
+            assert stats == {}, (text, k)
+    # at k = m the germ is scanned, and refused only if it is not isolated
+    assert dim_s0(parse_germ("y^2 - x^9"), 2) == germ_report(parse_germ("y^2 - x^9"), 2).dim_s0
+
+
 def test_germ_reports_are_pinned():
     # the sha256 of every report (its sorted compact JSON) or refusal on the
     # catalog forms and the seeded germs at nine jet orders, as computed
     # when the orbit came from a separate order-(k + 1) build of the frame:
-    # reading it off the frame's scan changed no byte
+    # reading it off the frame's scan changed no byte.  Refusing a k below
+    # the multiplicity before any scan changed only the 22 refusals of
+    # non-isolated germs at such a k, from "singularity not isolated" to
+    # "jet order k too small for multiplicity m"
     germs = [entry.normal_form for entry in load_catalog().values()]
     germs += [f for f, _ in _seeded_germs()]
     lines = []
@@ -555,7 +576,7 @@ def test_germ_reports_are_pinned():
             lines.append(f"{f.to_string()} {k} {out}")
     assert len(lines) == 468
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "4109b298fb3dc09083579e46e0e86c3f03e4d433a0c72ed5b6b0080488665dab")
+        "a761b4921aa621935c0561cf18a00bd24959d6a5251e09467cc47c2b4dbb5d54")
 
 
 def test_scheme_length_closed_form_matches_the_build_of_f():

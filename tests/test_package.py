@@ -105,6 +105,15 @@ def test_germ_analyze_loads_no_fit_oracle_or_catalog():
     assert not loaded & {"curvelab.fitter", "curvelab.oracles", "curvelab.catalog"}
 
 
+def test_fit_commands_load_no_germ_lab():
+    # the fit solves on curvelab.poly's row echelon, which the jet lab
+    # extends: the shared kernel must not pull the germ lab in
+    for argv in [("fit", "nodes", "--max-r", "1"), ("fit", "scan", "-r", "1")]:
+        loaded = _curvelab_modules_after(*argv)
+        assert "curvelab.fitter" in loaded, argv
+        assert not loaded & {"curvelab.jets", "curvelab.germs", "curvelab.catalog"}, argv
+
+
 def test_severi_count_loads_only_the_engine():
     loaded = _curvelab_modules_after("severi", "p2", "-d", "4", "--nodes", "2")
     assert loaded == {"curvelab", "curvelab.cli", "curvelab.errors", "curvelab.memo",
