@@ -35,7 +35,11 @@ value is parsed when read, not at load; and most new keys of a count
 computed on top of a cache have a head the file lacks, so a miss checks
 its head's span before it formats a line prefix (measured in CHANGES.md,
 under the memo store that keeps each value in one place and the faster
-Severi recursion).  Saving joins the
+Severi recursion).  The engine reads a value by `MemoStore.lookup`,
+which counts no hit: it is the dict's own `get` while no file is loaded,
+so a cold count makes no Python call per read, and once a file is, a
+read that falls back to the loaded lines.  The engine counts its hits
+itself and adds them to the store's.  Saving joins the
 stored spellings of only the keys put since, formatting no field, and
 merges their lines into the loaded ones as it writes; a store that holds
 exactly what it loaded is not written back.
@@ -197,8 +201,9 @@ class MemoStore:
     `_values`, of the values put since: a loaded value is parsed from its
     line, bisected for within its head's span, each time it is read, and
     the dict holds neither a parsed value nor a miss.  The engine reads and
-    writes int keys (`get_packed`, `put_packed`); `get` and `table` read
-    tuple keys, for code that uses a store without the engine.
+    writes int keys (`lookup`, `put_packed`); `get_packed` is the read that
+    counts a hit, and `get` and `table` read tuple keys, for code that uses
+    a store without the engine.
     """
 
     def __init__(self):
@@ -214,6 +219,9 @@ class MemoStore:
         self._spans = {}
         # by int key, the value of every key put since, in the order put
         self._values = {}
+        # the value of an int key, or None, counting no hit: the dict's own
+        # `get` until a load binds the read that falls back to the lines
+        self.lookup = self._values.get
 
     def __len__(self):
         return len(self._lines) + len(self._values)
@@ -224,17 +232,20 @@ class MemoStore:
         the added ones in the order they were put."""
         return _Table(self)
 
-    def _loaded_value(self, key: int):
-        """The value of int `key` in the loaded lines, or None.  The line
-        of a loaded key starts with the spelling of its head and profiles,
-        so it is found by bisection in its head's span and its value
-        parsed each time it is read; a key whose head has no span formats
-        nothing and bisects nothing."""
-        head, alpha, beta = split(key)
-        span = self._spans.get(head)
+    def _lookup_loaded(self, key: int):
+        """`lookup` once a file is loaded: the value of int `key` put since
+        the load, else in the loaded lines, else None.  The line of a
+        loaded key starts with the spelling of its head and profiles, so
+        it is found by bisection in its head's span and its value parsed
+        each time it is read; a key whose head has no span formats nothing
+        and bisects nothing."""
+        value = self._values.get(key)
+        if value is not None:
+            return value
+        span = self._spans.get(key >> 2 * ID_BITS)
         if span is None:
             return None
-        prefix = _prefix(head, alpha, beta)
+        prefix = _prefix(*split(key))
         lines = self._lines
         first, end = span
         i = bisect_left(lines, prefix, first, end)
@@ -243,17 +254,9 @@ class MemoStore:
         return None
 
     def get_packed(self, key: int):
-        # The engine's hot read, written out in full on purpose: a helper
-        # shared with `_Table.__getitem__` costs the cold counts CPU (measured
-        # in CHANGES.md, under the floor-diagram oracle's slot-by-slot count).
-        value = self._values.get(key)
-        if value is None:
-            if not self._spans:
-                return None
-            value = self._loaded_value(key)
-            if value is None:
-                return None
-        self.hits += 1
+        value = self.lookup(key)
+        if value is not None:
+            self.hits += 1
         return value
 
     def get(self, key: tuple):
@@ -261,7 +264,7 @@ class MemoStore:
         return None if packed is None else self.get_packed(packed)
 
     def put_packed(self, key: int, value: int):
-        """Store the count `value` of an int key that `get_packed` has just
+        """Store the count `value` of an int key that a read has just
         missed, without looking for it again: the store's only write."""
         if value < 0:
             raise InconsistencyError(f"negative count {value} for key {unpack(key)}")
@@ -376,6 +379,7 @@ class MemoStore:
         self._spans = {head: (first, end) for (head, first), end in zip(firsts, ends)}
         self._lines, self._body_path = lines, path
         self.loaded += len(lines)
+        self.lookup = self._lookup_loaded
 
 
 class _Table(Mapping):
@@ -392,13 +396,10 @@ class _Table(Mapping):
         # empty profile has one from the start), so a key with no id is
         # neither loaded nor put
         packed = _packed(key)
-        if packed is not None:
-            value = self._store._values.get(packed)
-            if value is None:
-                value = self._store._loaded_value(packed)
-            if value is not None:
-                return value
-        raise KeyError(key)
+        value = None if packed is None else self._store.lookup(packed)
+        if value is None:
+            raise KeyError(key)
+        return value
 
     def __iter__(self):
         store = self._store

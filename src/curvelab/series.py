@@ -9,7 +9,6 @@ variables (x, y, z, t) with rational coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import factorial, lcm
 
 from .errors import CeilingError, InputError, is_int, label_tuple
@@ -331,19 +330,39 @@ def extract_universal(series: TruncatedSeries, parts) -> ChernPolynomial:
     return series.coefficient(key)
 
 
-def _sub_multisets(parts: tuple) -> list:
+def _sub_multisets(parts: tuple):
+    """Every nonempty sub-multiset of the sorted tuple `parts`, lazily,
+    by size and then in order: a caller that stops at the first one it
+    lacks lists no more of them than it has.  A sub-multiset is held as
+    the count it takes of each label; within a size, the next one takes
+    one fewer of the last label it can and then as many as it can of
+    each later label."""
     labels = sorted(set(parts))
     counts = [parts.count(lab) for lab in labels]
-    subs = []
-    for picks in product(*(range(c + 1) for c in counts)):
-        if not any(picks):
-            continue
-        key = []
-        for lab, take in zip(labels, picks):
-            key.extend([lab] * take)
-        subs.append(tuple(key))
-    subs.sort(key=lambda k: (len(k), k))
-    return subs
+    # room[i]: how many labels the positions from i on can take
+    room = [0] * (len(labels) + 1)
+    for i in range(len(labels) - 1, -1, -1):
+        room[i] = room[i + 1] + counts[i]
+
+    def fill(picks, first, size):
+        for i in range(first, len(labels)):
+            picks[i] = take = min(counts[i], size)
+            size -= take
+
+    for size in range(1, len(parts) + 1):
+        picks = [0] * len(labels)
+        fill(picks, 0, size)
+        while True:
+            yield tuple(lab for lab, take in zip(labels, picks) for _ in range(take))
+            tail = 0
+            for i in range(len(labels) - 1, -1, -1):
+                if picks[i] and room[i + 1] > tail:
+                    break
+                tail += picks[i]
+            else:
+                break
+            picks[i] -= 1
+            fill(picks, i + 1, tail + 1)
 
 
 def assemble_from_table(a_table: dict, chern, parts, stats: dict = None):
@@ -356,10 +375,11 @@ def assemble_from_table(a_table: dict, chern, parts, stats: dict = None):
     """
     table = normalize_table(a_table)
     parts = tuple(sorted(label_tuple(parts)))
-    subs = _sub_multisets(parts)
-    for needed in subs:
+    subs = []
+    for needed in _sub_multisets(parts):
         if needed not in table:
             raise InputError(f"missing entry {','.join(needed)}")
+        subs.append(needed)
 
     from .catalog import codim_weights
 

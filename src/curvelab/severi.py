@@ -7,7 +7,10 @@ residual curve with adjusted profiles and node count.  One step function
 maps a memo key to its weighted child keys, read from tables built once
 per distinct tangency profile, and one evaluator walks those edges
 depth-first on an explicit stack, so the depth of the recursion is
-bounded by memory, not by the Python call stack.  The surfaces differ
+bounded by memory, not by the Python call stack.  The part of a key's
+sum left when the fixed line splits off is shared by every key that
+splits the same way, so the walk sums it once, as a split node, and
+reuses it.  The surfaces differ
 only in their rows of `surfaces.SURFACES`: the base case, the residual
 class, its intersection with the fixed line and its node cap.  Every
 value is an exact arbitrary-precision integer, memoized in a
@@ -19,10 +22,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cache
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .errors import AdmissibilityError, CeilingError, InputError, is_int
-from .memo import HEADS, PROFILES, MemoStore, head_id, join, profile_id, split, trim
+from .memo import HEADS, ID_BITS, PROFILES, MemoStore, head_id, join, profile_id, trim
 from .surfaces import PLANE, QUADRIC, SURFACES
 
 DEFAULT_DEGREE_CEILING = 12
@@ -34,7 +37,9 @@ DEFAULT_DEGREE_CEILING = 12
 # A query's tens of thousands of memo keys hold only a few hundred
 # distinct profiles, interned to ids by `memo.profile_id`.  So the profile
 # arithmetic of an edge is read from tables built once per profile id
-# (`_moment`, `_promotions`, `_raised`, `_alpha_splits`, `_gamma_moves`).
+# (`_moment`, `_promotions`, `_raised`, `_alpha_splits`), or once per
+# beta id and shape of gamma (`_gamma_moves` for one number of parts,
+# `_split_moves` for a range of them).
 # A table that gives a part of a child key gives it in the bits of its
 # field: a beta id, alpha bits `join(0, a, 0)` or head bits
 # `join(h, 0, 0)`, so a child key is the OR of three table entries and no
@@ -164,6 +169,15 @@ def _gamma_moves(beta: int, rem: int, k: int) -> tuple:
     return tuple(out)
 
 
+@cache
+def _split_moves(beta: int, rem: int, least: int, most: int) -> tuple:
+    """(factors, ks, betas): parallel tuples over the gamma moves of every
+    k from least to most, of the factor, of k - least and of the beta id."""
+    moves = [(factor, k - least, beta_p) for k in range(least, most + 1)
+             for factor, beta_p in _gamma_moves(beta, rem, k)]
+    return tuple(zip(*moves)) or ((), (), ())
+
+
 # ---------------------------------------------------------------------------
 # the engine
 
@@ -178,14 +192,39 @@ def quadric_node_cap(a: int, b: int) -> int:
     return QUADRIC.node_cap((a, b))
 
 
+# A split node stands for the split-off part of a key's sum for one
+# alpha': the sum over k and gamma of factor * N(child), which depends on
+# (head, alpha', beta) and not on alpha, so parents that share it share
+# one node.  Its int is the key bits of (head, alpha', beta) with its
+# number of terms in the bits above them, which no memo key sets.  A part
+# of fewer than SPLIT_TERMS terms is summed inline by its parent: most
+# parts have one term, and a node for each costs more time and memory than
+# it saves (measured in CHANGES.md).
+SPLIT_SHIFT = 3 * ID_BITS
+SPLIT_TERMS = 4
+_ID_MASK = (1 << ID_BITS) - 1
+_ALPHA_MASK = join(0, _ID_MASK, 0)
+
+
 @cache
-def _residual_heads(head: int) -> tuple:
-    """(meet, least, heads) for a head id: the residual left when the fixed
-    line splits off meets it in `meet` points and keeps delta - meet + k
-    nodes, k the parts of gamma; heads[k - least] is the residual's head
-    bits for each k it admits."""
+def _head_rule(head: int) -> tuple:
+    """(head bits, base, meet, least, tops, heads, terms) of a head id.
+    `base` is None unless the head's keys are base keys, and then maps
+    their alpha and beta ids to their value.  The residual left when the
+    fixed line splits off meets it in `meet` points and keeps
+    delta - meet + k nodes, k the parts of gamma, least <= k <= most:
+    heads[k - least] is the residual's head bits.  A split-off part whose
+    gamma has moment rem takes k up to tops[rem] = min(rem, most), and
+    has terms[rem] edges whatever its beta."""
     surface, degree, delta = HEADS[head]
     rule = SURFACES[surface]
+    head_bits = join(head, 0, 0)
+    # whether a key is a base key depends on its head alone
+    if rule.base(degree, delta, (), ()) is not None:
+        def base(alpha, beta):
+            return rule.base(degree, delta, PROFILES[alpha], PROFILES[beta])
+
+        return head_bits, base, 0, 0, (), (), ()
     residual = rule.residual(degree)
     meet = rule.meet(residual)
     # the residual's node count must lie in 0..cap, and k is at most
@@ -194,37 +233,48 @@ def _residual_heads(head: int) -> tuple:
     heads = tuple(
         join(head_id((surface, residual, delta - meet + k)), 0, 0) for k in range(least, most + 1)
     )
-    return meet, least, heads
+    tops = tuple(min(rem, most) for rem in range(meet + 1))
+    terms = tuple(sum(len(_partitions_with_parts(rem, k)) for k in range(least, top + 1))
+                  for rem, top in enumerate(tops))
+    return head_bits, None, meet, least, tops, heads, terms
 
 
 def _step(key: int):
-    """(base value, iterator of (factor, child key) edges) of an int memo
-    key: its count is the base value plus the sum of factor * child count."""
-    head, alpha, beta = split(key)
-    surface, degree, delta = HEADS[head]
-    base = SURFACES[surface].base(degree, delta, PROFILES[alpha], PROFILES[beta])
-    return (base, ()) if base is not None else (0, _edges(head, alpha, beta))
+    """(base value, iterator of (factor, child) edges) of an int memo key
+    or split node: its value is the base value plus the sum of factor *
+    child value."""
+    if key >> SPLIT_SHIFT:
+        alpha_bits, beta = key & _ALPHA_MASK, key & _ID_MASK
+        _, _, meet, least, tops, heads, _ = _head_rule(key >> 2 * ID_BITS & _ID_MASK)
+        rem = meet - _moment(beta) - _moment(alpha_bits >> ID_BITS)
+        factors, ks, betas = _split_moves(beta, rem, least, tops[rem])
+        return 0, zip(factors, map(or_, map(heads.__getitem__, ks), map(alpha_bits.__or__, betas)))
+    rule = _head_rule(key >> 2 * ID_BITS)
+    if rule[1] is not None:
+        return rule[1](key >> ID_BITS & _ID_MASK, key & _ID_MASK), ()
+    return 0, _edges(rule, key >> ID_BITS & _ID_MASK, key & _ID_MASK)
 
 
-def _edges(head: int, alpha: int, beta: int):
+def _edges(rule, alpha: int, beta: int):
+    head_bits, _, meet, least, tops, heads, terms = rule
     # promote one unassigned contact of order i+1 to an assigned one
-    head_bits = join(head, 0, 0)
     for i, beta_p in _promotions(beta):
         yield i + 1, head_bits | _raised(alpha, i) | beta_p
     # split off the fixed line; the residual meets it in `meet` points,
     # of which `free` are not taken by the contacts in beta, and k >= least
     # is the number of parts of gamma, whose moment rem is at least k: so
     # only the alpha' of moment at most free - least leave room for gamma
-    meet, least, heads = _residual_heads(head)
     free = meet - _moment(beta)
     moments, bits, combs = _alpha_splits(alpha)
     for j in range(bisect_right(moments, free - least)):
         rem = free - moments[j]
-        alpha_p, comb_alpha = bits[j], combs[j]
-        for k, head_p in zip(range(least, rem + 1), heads):
-            parent = head_p | alpha_p
-            for factor, beta_p in _gamma_moves(beta, rem, k):
-                yield comb_alpha * factor, parent | beta_p
+        n, comb_alpha, alpha_p = terms[rem], combs[j], bits[j]
+        if n >= SPLIT_TERMS:
+            yield comb_alpha, n << SPLIT_SHIFT | head_bits | alpha_p | beta
+        elif n:
+            factors, ks, betas = _split_moves(beta, rem, least, tops[rem])
+            for factor, k, beta_p in zip(factors, ks, betas):
+                yield comb_alpha * factor, heads[k] | alpha_p | beta_p
 
 
 class SeveriEngine:
@@ -264,31 +314,49 @@ class SeveriEngine:
         Each edge costs one store lookup, and a finished child hands its
         value straight to its parent, so every computed key is missed
         exactly once and the store's counters do not depend on the order
-        of the walk.
+        of the walk.  A split node is summed once per walk and then read
+        from `sums`; each read adds its number of terms to the hits, the
+        lookups that summing it again would have found, so the counters
+        are those of a walk without split nodes.  The walk counts its hits
+        locally and adds them to the store's once, when it ends.
         """
         store = self.store
-        get = store.get_packed
-        value = get(key)
+        lookup = store.lookup
+        value = lookup(key)
         if value is not None:
+            store.hits += 1
             return value
+        hits = 0
+        sums = {}
         # frame: [key, running total, edge iterator, factor in the parent]
         stack = [[key, *_step(key), 1]]
-        while True:
-            frame = stack[-1]
-            total = frame[1]
-            for factor, child in frame[2]:
-                value = get(child)
-                if value is None:
-                    frame[1] = total
-                    stack.append([child, *_step(child), factor])
-                    break
-                total += factor * value
-            else:
-                key, _, _, factor = stack.pop()
-                store.put_packed(key, total)
-                if not stack:
-                    return total
-                stack[-1][1] += factor * total
+        try:
+            while True:
+                frame = stack[-1]
+                total = frame[1]
+                for factor, child in frame[2]:
+                    value = lookup(child)
+                    if value is None:
+                        value = sums.get(child)
+                        if value is None:
+                            frame[1] = total
+                            stack.append([child, *_step(child), factor])
+                            break
+                        hits += child >> SPLIT_SHIFT
+                    else:
+                        hits += 1
+                    total += factor * value
+                else:
+                    key, _, _, factor = stack.pop()
+                    if key >> SPLIT_SHIFT:
+                        sums[key] = total
+                    else:
+                        store.put_packed(key, total)
+                    if not stack:
+                        return total
+                    stack[-1][1] += factor * total
+        finally:
+            store.hits += hits
 
 
 def severi_p2(d: int, delta: int, engine: SeveriEngine = None) -> int:

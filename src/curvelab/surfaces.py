@@ -10,7 +10,8 @@ and cache lines; lower-cased, on the command line) and the `word` and
 L.K, c1^2, c2), its node cap (the most nodes of a reduced curve in it),
 the highest order at which the fit lets it vote, and the Caporaso-Harris
 data relative to a fixed line (a ruling on the quadric): the value of a
-base key (None for other keys), the residual class left when the fixed
+base key (None for other keys; whether a key is a base key depends on
+its class and node count alone), the residual class left when the fixed
 line splits off, and the points in which a class meets that line.
 `pencil` is the pencil oracle's sampler row of a class, refusing a class
 out of its range, or None; `floor` says if the floor oracle covers it.

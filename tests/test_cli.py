@@ -460,6 +460,35 @@ def _write_a_table(path, entries):
     return str(path)
 
 
+def test_series_eval_stops_at_the_first_missing_entry(tmp_path):
+    # sixteen labels ten times each have 11^16 - 1 sub-multisets, and the
+    # table lacks A1,A1: they are listed lazily, so the eval refuses at
+    # once.  Run in a child with a timeout and an address-space limit of
+    # its own, so that listing them all fails the test, not the machine
+    labels = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+    table = _write_a_table(tmp_path / "atable.json",
+                           [[[label], [[[1, 0, 0, 0], "1"]]] for label in labels])
+    parts = ",".join(label for label in labels for _ in range(10))
+
+    def limit_memory():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(curvelab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvelab", "series", "eval", "--a-table", table,
+         "--parts", parts, "--chern", "36,-18,9,3"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=30,
+        preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: missing entry A1,A1\n")
+
+
 def _series_commands(table):
     return [
         ("series", "assemble", "--a-table", table),

@@ -290,3 +290,24 @@ def test_parts_must_be_a_sequence_of_labels():
             assemble_from_table({("A1",): A1}, chern, bad)
     assert extract_universal(series, ["A1"]) == A1
     assert assemble_from_table({("A1",): A1}, chern, iter(["A1"])) == 27
+
+
+def test_sub_multisets_come_in_size_then_label_order():
+    # the lazy walk lists what listing every pick of each label and
+    # sorting by (size, labels) lists, so the first missing entry an eval
+    # names is the same
+    from itertools import product
+
+    from curvelab.series import _sub_multisets
+
+    def listed(parts):
+        labels = sorted(set(parts))
+        subs = [tuple(lab for lab, take in zip(labels, picks) for _ in range(take))
+                for picks in product(*(range(parts.count(lab) + 1) for lab in labels))]
+        return sorted((sub for sub in subs if sub), key=lambda sub: (len(sub), sub))
+
+    rng = random.Random(11)
+    labels = ["A1", "A2", "A3", "A10", "D4", "E6"]
+    for _ in range(400):
+        parts = tuple(sorted(rng.choice(labels) for _ in range(rng.randint(0, 7))))
+        assert list(_sub_multisets(parts)) == listed(parts), parts
