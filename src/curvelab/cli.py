@@ -372,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     series = sub.add_parser("series", help="generating-series assembly and evaluation")
     esub = series.add_subparsers(dest="subcommand", required=True)
     ev = esub.add_parser("eval", help="predicted count for a singularity multiset")
+    ev._negative_number_matcher = re.compile(r"-\d")
     ev.add_argument("--a-table", required=True, dest="a_table", metavar="PATH")
     ev.add_argument("--parts", required=True, help="e.g. A1,A1")
     ev.add_argument("--chern", required=True, help="e.g. 16,-12,9,3")

@@ -97,7 +97,7 @@ def fit_nodes(r_max: int, engine: SeveriEngine = None) -> FitResult:
     if not is_int(r_max) or r_max < 0:
         raise InputError("r_max must be a nonnegative integer")
     if r_max > MAX_ORDER:
-        raise CeilingError(f"r_max {r_max} exceeds the order ceiling {MAX_ORDER}")
+        raise CeilingError(f"fit order {r_max} exceeds the order ceiling {MAX_ORDER}")
 
     engine = engine if engine is not None else SeveriEngine()
 

@@ -10,8 +10,8 @@ ids below 2^B (B = `ID_BITS` = 20), each id naming one shared tuple, so
 a key is below 2^60 and costs 32 bytes where the 5-tuple cost 80.
 `join` and `split` are the layout's only spelling.  A new head or
 profile whose id would reach 2^B is refused, so two keys never share an
-int.  Only the store's boundary sees tuples or text: `get`, `table` and
-error messages unpack a key, and each head and profile is spelled for
+int.  Only the store's boundary sees tuples or text: `table` and error
+messages unpack a key, and each head and profile is spelled for
 cache lines once, when it gets its id, by `%d`, which spells an int
 subclass by its value; a cache field is read back through a map from
 spelling to id, so a process parses each distinct spelling once.
@@ -201,9 +201,8 @@ class MemoStore:
     `_values`, of the values put since: a loaded value is parsed from its
     line, bisected for within its head's span, each time it is read, and
     the dict holds neither a parsed value nor a miss.  The engine reads and
-    writes int keys (`lookup`, `put_packed`); `get_packed` is the read that
-    counts a hit, and `get` and `table` read tuple keys, for code that uses
-    a store without the engine.
+    writes int keys (`lookup`, `put_packed`) and counts the hits; `table`
+    reads tuple keys, for code that uses a store without the engine.
     """
 
     def __init__(self):
@@ -252,16 +251,6 @@ class MemoStore:
         if i < end and lines[i].startswith(prefix):
             return int(lines[i][len(prefix):])
         return None
-
-    def get_packed(self, key: int):
-        value = self.lookup(key)
-        if value is not None:
-            self.hits += 1
-        return value
-
-    def get(self, key: tuple):
-        packed = _packed(key)
-        return None if packed is None else self.get_packed(packed)
 
     def put_packed(self, key: int, value: int):
         """Store the count `value` of an int key that a read has just
@@ -403,12 +392,8 @@ class _Table(Mapping):
 
     def __iter__(self):
         store = self._store
-        # each key is built straight from the ids its line names: packing
-        # and unpacking it would take half as long again
-        heads, profiles = HEADS.by_spelling, PROFILES.by_spelling
         for raw in store._lines:
-            head, alpha, beta, _ = raw.rsplit(b" ", 3)
-            yield HEADS[heads[head]] + (PROFILES[profiles[alpha]], PROFILES[profiles[beta]])
+            yield unpack(_parse_line(raw)[0])
         yield from map(unpack, store._values)
 
 

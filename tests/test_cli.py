@@ -369,6 +369,13 @@ def test_fit_scan(capsys):
     assert json.loads(out)["result"] == 3
 
 
+def test_a_fit_past_the_order_ceiling_is_refused_by_its_order(capsys):
+    # the refusal once named `r_max`, which neither command takes
+    message = "error: fit order 9 exceeds the order ceiling 8\n"
+    for argv in (("fit", "nodes", "--max-r", "9"), ("fit", "scan", "-r", "9")):
+        assert run_cli(capsys, *argv) == (3, "", message), argv
+
+
 def test_a_table_round_trip(tmp_path, capsys):
     table_path = tmp_path / "atable.json"
     code, _, _ = run_cli(
@@ -453,6 +460,23 @@ def test_series_eval_errors(tmp_path, capsys):
         "--parts", "A1", "--chern", "16,-12,9",
     )
     assert code == 2
+
+
+def test_series_eval_reads_a_negative_first_chern_entry(tmp_path, capsys):
+    # argparse once took the "-36,-18,9,3" of "--chern -36,-18,9,3" for an
+    # option and refused the command; "--chern=-36,-18,9,3" read it
+    table_path = tmp_path / "atable.json"
+    run_cli(capsys, "fit", "nodes", "--max-r", "4", "--a-table-out", str(table_path))
+    head = ("series", "eval", "--a-table", str(table_path), "--parts", "A1,A1")
+    for chern in (("--chern=-36,-18,9,3",), ("--chern", "-36,-18,9,3")):
+        assert run_cli(capsys, *head, *chern) == (0, "11010\n", ""), chern
+    # an option is still no Chern vector, and a stray one is still refused
+    for argv, message in ((("--chern", "-q"), "argument --chern: expected one argument"),
+                          (("--chern", "36,-18,9,3", "-q"), "unrecognized arguments: -q")):
+        with pytest.raises(SystemExit) as info:
+            entry([*head, *argv])
+        assert info.value.code == 2, argv
+        assert capsys.readouterr().err.endswith(f"error: {message}\n"), argv
 
 
 def _write_a_table(path, entries):

@@ -120,6 +120,20 @@ def test_severi_count_loads_only_the_engine():
                       "curvelab.severi", "curvelab.surfaces"}
 
 
+def test_only_a_cache_file_loads_hashlib(tmp_path):
+    # hashlib loads OpenSSL, which the memo store imports for cache files alone
+    for argv in [
+        ("severi", "p2", "-d", "4", "--nodes", "2"),
+        ("fit", "scan", "-r", "2"),
+        ("severi", "oracle", "--method", "pencil", "-d", "3", "--seed", "5"),
+        ("germ", "catalog", "--parts", "A1,A1"),
+    ]:
+        assert "hashlib" not in _modules_loaded_by(*argv), argv
+    cache = str(tmp_path / "memo.txt")
+    assert "hashlib" in _modules_loaded_by("severi", "p2", "-d", "4", "--nodes", "2",
+                                           "--cache", cache)
+
+
 @pytest.fixture
 def series_commands(tmp_path):
     table = tmp_path / "a.json"

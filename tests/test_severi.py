@@ -547,7 +547,7 @@ def test_values_hold_only_the_keys_put_since_the_load(tmp_path):
     # a replay reads loaded values and keeps none of them, nor its misses
     replay = MemoStore()
     replay.load(path)
-    assert replay.get(("P2", 99, 0, (), (99,))) is None
+    assert replay.table.get(("P2", 99, 0, (), (99,))) is None
     _run(SeveriEngine(replay), LOADED_QUERY)
     assert replay.stats() == {"computed": 0, "hits": 1, "loaded": 27, "size": 27}
     assert replay._values == {}
@@ -813,8 +813,8 @@ def test_a_store_that_only_loads_finds_every_key(tmp_path):
         "store.load(sys.argv[1])\n"
         "table = dict(store.table.items())\n"
         "key = min(key for key in table if key[3] == ())\n"
-        "assert key in store.table and store.get(key) == table[key]\n"
-        "assert store.stats()['hits'] == 1\n"
+        "assert key in store.table and store.table.get(key) == table[key]\n"
+        "assert store.stats()['hits'] == 0\n"
         "print(repr(table))\n"
     )
     src = os.path.dirname(os.path.dirname(curvelab.__file__))
@@ -855,14 +855,52 @@ def test_lookup_assigns_no_id():
     head, profile = ("P2", n, 0), (0, 0, n, 0, 1)
     key = head + ((), profile)
     store = MemoStore()
-    assert store.get(key) is None and key not in store.table
+    assert store.table.get(key) is None and key not in store.table
     assert profile not in memo.PROFILES.ids and head not in memo.HEADS.ids
-    assert store.get("P2") is None and 5 not in store.table
+    assert store.table.get("P2") is None and 5 not in store.table
     packed = _key_int(key)
-    assert store.get_packed(packed) is None
+    assert store.lookup(packed) is None
     store.put_packed(packed, 5)
-    assert store.get(key) == 5 and store.table[key] == 5
+    assert store.table.get(key) == 5 and store.table[key] == 5
     assert memo.PROFILES[memo.PROFILES.ids[profile]] is profile
+
+
+def test_table_reads_every_loaded_and_computed_value(tmp_path):
+    # the one read of tuple keys, on a store that loaded a file and then
+    # grew by a count: it gives every value, loaded or computed, misses
+    # every other key and counts no hit
+    path = tmp_path / "a.txt"
+    _run(SeveriEngine(), LOADED_QUERY).save(path)
+    store = MemoStore()
+    store.load(path)
+    _run(SeveriEngine(store), *GROWN_QUERIES)
+    cold = _run(SeveriEngine(), LOADED_QUERY, *GROWN_QUERIES)
+    expected = {memo.unpack(key): value for key, value in cold._values.items()}
+    loaded = _file_table(path)
+    assert loaded.items() <= expected.items() and 0 < store.loaded < len(expected) == len(store)
+    stats, heads, profiles = store.stats(), len(memo.HEADS), len(memo.PROFILES)
+    table = store.table
+    for key, value in expected.items():
+        assert table[key] == table.get(key) == value and key in table, key
+    assert dict(table) == expected
+    # keys whose parts all have ids, but that no count put: one with a
+    # loaded head, which is bisected for, and one with a computed head
+    key = next(iter(loaded))
+    loaded_heads, betas = {k[:3] for k in loaded}, {k[4] for k in expected}
+    grown_head = next(k[:3] for k in expected if k[:3] not in loaded_heads)
+    absent = [next(head + ((), beta) for beta in betas if head + ((), beta) not in expected)
+              for head in (key[:3], grown_head)]
+    n = next(_FRESH)
+    misses = [
+        *absent, ("P2", n, 0, (), (n,)), key[:4], key + ((),), list(key),
+        _TupleSubclass(key), " ".join(map(str, key)), None, 5,
+        key[:3] + ([], key[4]), ({},) + key[1:], key[:4] + ({1: 1},),
+    ]
+    for key in misses:
+        assert table.get(key) is None and key not in table, key
+        with pytest.raises(KeyError):
+            table[key]
+    assert store.stats() == stats and (len(memo.HEADS), len(memo.PROFILES)) == (heads, profiles)
 
 
 class _TupleSubclass(tuple):
@@ -905,7 +943,7 @@ def test_store_tuple_boundary_fuzz(tmp_path):
     # hostile tuple keys through every lookup, on an empty, a computed and
     # a loaded store: a lookup gives a value, None or False, or raises
     # KeyError, and changes no store
-    assert MemoStore().get(("P2", 3, 1, [], (3,))) is None
+    assert MemoStore().table.get(("P2", 3, 1, [], (3,))) is None
     computed = _run(SeveriEngine(), LOADED_QUERY, *GROWN_QUERIES)
     path = tmp_path / "memo.txt"
     _run(SeveriEngine(), LOADED_QUERY).save(path)
@@ -913,6 +951,7 @@ def test_store_tuple_boundary_fuzz(tmp_path):
     loaded.load(path)
     stores = [MemoStore(), computed, loaded]
     tables = [dict(store.table) for store in stores]
+    stats = [store.stats() for store in stores]
     canonical = list(computed.table)
     for seed in range(3):
         rng = random.Random(seed)
@@ -925,8 +964,9 @@ def test_store_tuple_boundary_fuzz(tmp_path):
                     value = None
                 assert value is None or type(value) is int, key
                 assert (key in store.table) is (value is not None), key
-                assert store.get(key) == value, key
+                assert store.table.get(key) == value, key
     assert [dict(store.table) for store in stores] == tables
+    assert [store.stats() for store in stores] == stats
     assert loaded._values == {}
 
 
@@ -984,14 +1024,14 @@ def test_put_refuses_a_value_that_is_not_an_int(tmp_path, write_cache):
     # the engine's write refuses a negative count before it stores it
     store = MemoStore()
     packed = _key_int(key)
-    assert store.get_packed(packed) is None
+    assert store.lookup(packed) is None
     with pytest.raises(InconsistencyError, match="negative"):
         store.put_packed(packed, -12)
     assert len(store) == 0 and store.computed == 0
     store.put_packed(packed, 12)
     store.save(path)
     assert path.read_bytes().split(b"\n", 1)[1] == b"P2 %d 1 - %d 12\n" % (n, n)
-    assert store.get(key) == 12 and type(store.get(key)) is int
+    assert store.table[key] == 12 and type(store.table[key]) is int
 
 
 def test_a_key_is_the_or_of_its_fields():
@@ -1021,7 +1061,7 @@ def test_an_id_past_the_width_is_refused(monkeypatch):
     # the last ids of the width make a key of their own
     assert packed == memo.join(full - 1, 0, full - 1)
     assert packed.bit_length() == 3 * memo.ID_BITS
-    assert memo.unpack(packed) == key and store.get(key) == 12
+    assert memo.unpack(packed) == key and store.table[key] == 12
     # a new profile or head past the width is refused
     with pytest.raises(CeilingError):
         memo.PROFILES.id((1, 1))
