@@ -73,15 +73,6 @@ def _parse_parts(text: str) -> tuple:
     return parts
 
 
-def _parse_chern(text: str) -> tuple:
-    from .series import parse_rational
-
-    fields = [f.strip() for f in text.split(",")]
-    if len(fields) != 4:
-        raise InputError("a Chern vector has exactly four entries")
-    return tuple(parse_rational(f) for f in fields)
-
-
 def _load_a_table(path: str) -> dict:
     from .series import ChernPolynomial
 
@@ -263,9 +254,8 @@ def _cmd_series_eval(args) -> int:
 
     table = _load_a_table(args.a_table)
     parts = _parse_parts(args.parts)
-    chern = _parse_chern(args.chern)
     stats = {}
-    value = assemble_from_table(table, chern, parts, stats)
+    value = assemble_from_table(table, [f.strip() for f in args.chern.split(",")], parts, stats)
     text = format_rational(value)
     return _emit(args, value if isinstance(value, int) else text, stats, text)
 
@@ -275,11 +265,8 @@ def _cmd_series_assemble(args) -> int:
     from .series import assemble_series
 
     table = _load_a_table(args.a_table)
-    weights = codim_weights(table)
-    default_cap = max((sum(weights[l] for l in key) for key in table), default=0)
-    cap = args.cap if args.cap is not None else default_cap
     stats = {}
-    series = assemble_series(table, weights, cap, stats)
+    series = assemble_series(table, codim_weights(table), args.cap, stats)
     if args.json:
         return _emit(args, series.to_json_obj(), stats)
     keys = sorted((k for k in series.coeffs if k), key=lambda k: (len(k), k))

@@ -36,12 +36,12 @@ def fit_rows(r_max: int) -> tuple:
 
 def chern_p2(d: int) -> tuple:
     """Chern vector (L^2, L.K, c1^2, c2) of (P^2, O(d))."""
-    return PLANE.chern(d)
+    return PLANE.chern(PLANE.checked(d))
 
 
 def chern_quadric(a: int, b: int) -> tuple:
     """Chern vector of (P^1 x P^1, O(a,b))."""
-    return QUADRIC.chern((a, b))
+    return QUADRIC.chern(QUADRIC.checked((a, b)))
 
 
 class FitResult(namedtuple("FitResult", "r_max a T residual_consistent")):
@@ -95,7 +95,7 @@ def fit_nodes(r_max: int, engine: SeveriEngine = None) -> FitResult:
     """Fit the node-count polynomials up to order r_max on the rows of
     fit_rows(r_max), counted by `engine` (a fresh SeveriEngine if None)."""
     if not is_int(r_max) or r_max < 0:
-        raise InputError("r_max must be a nonnegative integer")
+        raise InputError(f"fit order must be a nonnegative integer, got {r_max!r}")
     if r_max > MAX_ORDER:
         raise CeilingError(f"fit order {r_max} exceeds the order ceiling {MAX_ORDER}")
 

@@ -8,7 +8,12 @@ engine and the store a key is one int, `head << 2B | alpha << B | beta`:
 the head `(surface, degree, delta)` and the two profiles are interned to
 ids below 2^B (B = `ID_BITS` = 20), each id naming one shared tuple, so
 a key is below 2^60 and costs 32 bytes where the 5-tuple cost 80.
-`join` and `split` are the layout's only spelling.  A new head or
+`join` and `split` spell the layout at the store's boundary.  It is
+spelled again inline where a call per key would cost: the Severi walk's
+`_step` and `_edges` (with `SPLIT_SHIFT`, `_ID_MASK` and `_ALPHA_MASK`;
+a split node sets the bits above a key's), so that the walk makes no
+call per edge, and `MemoStore._lookup_loaded`, which shifts out a key's
+head.  A change to the layout changes all three.  A new head or
 profile whose id would reach 2^B is refused, so two keys never share an
 int.  Only the store's boundary sees tuples or text: `table` and error
 messages unpack a key, and each head and profile is spelled for
@@ -95,7 +100,8 @@ class _Parts(list):
         raise InputError(f"bad field {field.decode('ascii', 'replace')!r}")
 
 
-# `join` and `split` are the only code that knows the bit layout of a key
+# the bit layout of a key, which the hot paths also spell inline (see the
+# module docstring)
 def join(head: int, alpha: int, beta: int) -> int:
     """The int key of a head id and two profile ids.  Each id fills its
     own bits, so a key is the OR of its three fields: `join(h, a, b) ==

@@ -77,10 +77,15 @@ class SparsePoly:
 
         table = {}
         if terms:
-            for key, c in dict(terms).items():
-                c = Fraction(c)
-                if c != 0:
-                    table[self._key(key)] = c
+            try:
+                for key, c in dict(terms).items():
+                    c = Fraction(c)
+                    if c != 0:
+                        table[self._key(key)] = c
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise InputError(
+                    f"polynomial terms map exponent tuples to rationals, got {terms!r}"
+                ) from exc
         self.terms = table
 
     @classmethod

@@ -8,6 +8,7 @@ variables (x, y, z, t) with rational coefficients.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -24,6 +25,21 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse rational {text!r}") from exc
+
+
+def chern_vector(point) -> tuple:
+    """The Chern vector `point` as four Fractions.  It is a sequence, not a
+    string, of four ints, Fractions or rational strings; a bool is text."""
+    if isinstance(point, (str, bytes)) or not hasattr(point, "__iter__"):
+        raise InputError(f"a Chern vector is a sequence of four rationals, got {point!r}")
+    point = tuple(point)
+    if len(point) != 4:
+        raise InputError("a Chern vector has exactly four entries")
+    try:
+        return tuple(parse_rational(v) if isinstance(v, (str, bool)) else Fraction(v)
+                     for v in point)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"a Chern vector has four rational entries, got {point!r}") from exc
 
 
 class ChernPolynomial(SparsePoly):
@@ -57,9 +73,7 @@ class ChernPolynomial(SparsePoly):
         return all(sum(k) == 1 for k in self.terms)
 
     def evaluate(self, point) -> Fraction:
-        vals = [Fraction(v) for v in point]
-        if len(vals) != 4:
-            raise InputError("a Chern vector has exactly four entries")
+        vals = chern_vector(point)
         total = Fraction(0)
         for key, c in self.terms.items():
             term = c
@@ -111,22 +125,17 @@ class TruncatedSeries:
             raise InputError("truncation cap must be a nonnegative integer")
         if cap > MAX_CAP:
             raise CeilingError(f"truncation cap {cap} exceeds the cap ceiling {MAX_CAP}")
-        for label, w in dict(weights).items():
+        if not isinstance(weights, Mapping):
+            raise InputError(f"weights map labels to integers, got {weights!r}")
+        self.weights = dict(weights)
+        for label, w in self.weights.items():
             if not is_int(w) or w < 1:
                 raise InputError(f"weight of {label!r} must be a positive integer")
-        self.weights = dict(weights)
         self.cap = cap
-        table = {}
-        if coeffs:
-            for key, poly in dict(coeffs).items():
-                key = tuple(sorted(key))
-                if not isinstance(poly, ChernPolynomial):
-                    poly = ChernPolynomial(poly)
-                if poly.is_zero():
-                    continue
-                if self.key_weight(key) <= cap:
-                    table[key] = poly
-        self.coeffs = table
+        self.coeffs = {
+            key: poly for key, poly in normalize_table(coeffs or {}).items()
+            if not poly.is_zero() and self.key_weight(key) <= cap
+        }
 
     def key_weight(self, key) -> int:
         total = 0
@@ -282,11 +291,11 @@ def normalize_table(a_table: dict) -> dict:
     """The a-table keyed by sorted label multisets with ChernPolynomial
     values; a bare label is a one-label multiset, and two keys that sort
     to one multiset are refused."""
+    if not isinstance(a_table, Mapping):
+        raise InputError(f"a table maps label multisets to polynomials, got {a_table!r}")
     out = {}
     for key, poly in a_table.items():
-        if isinstance(key, str):
-            key = (key,)
-        key = tuple(sorted(key))
+        key = tuple(sorted((key,) if isinstance(key, str) else label_tuple(key)))
         if key in out:
             raise InputError(f"a-table lists the multiset {','.join(key)} twice")
         if not isinstance(poly, ChernPolynomial):
@@ -313,10 +322,13 @@ def scaled_entries(table: dict) -> dict:
 
 
 def assemble_series(
-    a_table: dict, weights: dict, cap: int = 10, stats: dict = None
+    a_table: dict, weights: dict, cap: int = None, stats: dict = None
 ) -> TruncatedSeries:
-    """Build the generating series exp(sum a_key/#Aut(key) * x_key)."""
+    """Build the generating series exp(sum a_key/#Aut(key) * x_key),
+    truncated at `cap`, by default the weight of the heaviest table key."""
     entries = scaled_entries(normalize_table(a_table))
+    if cap is None:
+        cap = max(map(TruncatedSeries(weights, 0).key_weight, entries), default=0)
     return exp_series(TruncatedSeries(weights, cap, entries), stats)
 
 
@@ -368,11 +380,13 @@ def _sub_multisets(parts: tuple):
 def assemble_from_table(a_table: dict, chern, parts, stats: dict = None):
     """Predicted count for a singularity multiset from user-supplied
     log-coefficients; every sub-multiset of `parts` must be tabulated.
+    The Chern vector is checked first, then the table, then `parts`.
 
     Evaluation at `chern` is a ring homomorphism, so only the entries of
     the sub-multisets of `parts` are evaluated and that numeric series is
     exponentiated; `stats` receives the counters of exp_series.
     """
+    chern = chern_vector(chern)
     table = normalize_table(a_table)
     parts = tuple(sorted(label_tuple(parts)))
     subs = []

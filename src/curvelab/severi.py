@@ -184,12 +184,12 @@ def _split_moves(beta: int, rem: int, least: int, most: int) -> tuple:
 
 def plane_node_cap(d: int) -> int:
     """Most nodes a reduced degree-d curve carries (d generic lines)."""
-    return PLANE.node_cap(d)
+    return PLANE.node_cap(PLANE.checked(d))
 
 
 def quadric_node_cap(a: int, b: int) -> int:
     """Most nodes on a reduced (a,b) curve (union of rulings)."""
-    return QUADRIC.node_cap((a, b))
+    return QUADRIC.node_cap(QUADRIC.checked((a, b)))
 
 
 # A split node stands for the split-off part of a key's sum for one

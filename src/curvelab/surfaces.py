@@ -78,6 +78,12 @@ class Surface(namedtuple("Surface", "name word kind flags chern node_cap vote_or
         return (type(values) is tuple and len(values) == len(self.flags)
                 and all(is_int(v) and v >= 1 for v in values))
 
+    def checked(self, klass):
+        """`klass` if it is a class, else InputError."""
+        if not self.valid(klass):
+            raise InputError(f"need {self.kind} {', '.join(self.flags)} >= 1, got {klass!r}")
+        return klass
+
     def spell(self, klass) -> str:
         """A class as a cache line spells it by value, e.g. `5` or `2,3`."""
         return ",".join("%d" % v for v in klass) if len(self.flags) > 1 else "%d" % klass

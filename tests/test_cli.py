@@ -376,6 +376,13 @@ def test_a_fit_past_the_order_ceiling_is_refused_by_its_order(capsys):
         assert run_cli(capsys, *argv) == (3, "", message), argv
 
 
+def test_a_negative_fit_order_is_refused_by_its_order(capsys):
+    # the refusal once named `r_max`, which neither command takes
+    message = "error: fit order must be a nonnegative integer, got -1\n"
+    for argv in (("fit", "nodes", "--max-r", "-1"), ("fit", "scan", "-r", "-1")):
+        assert run_cli(capsys, *argv) == (2, "", message), argv
+
+
 def test_a_table_round_trip(tmp_path, capsys):
     table_path = tmp_path / "atable.json"
     code, _, _ = run_cli(
@@ -460,6 +467,16 @@ def test_series_eval_errors(tmp_path, capsys):
         "--parts", "A1", "--chern", "16,-12,9",
     )
     assert code == 2
+
+
+def test_series_eval_reads_each_chern_field_stripped(tmp_path, capsys):
+    table_path = tmp_path / "atable.json"
+    run_cli(capsys, "fit", "nodes", "--max-r", "1", "--a-table-out", str(table_path))
+    head = ("series", "eval", "--a-table", str(table_path), "--parts", "A1", "--chern")
+    assert run_cli(capsys, *head, " 16, -12 ,9,3 ") == (0, "27\n", "")
+    for chern, message in (("1, x,3,4", "cannot parse rational 'x'"),
+                           ("1234", "a Chern vector has exactly four entries")):
+        assert run_cli(capsys, *head, chern) == (2, "", f"error: {message}\n"), chern
 
 
 def test_series_eval_reads_a_negative_first_chern_entry(tmp_path, capsys):

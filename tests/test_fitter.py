@@ -164,7 +164,7 @@ def test_parameter_validation():
         fit_nodes(-1)
     with pytest.raises(InputError):
         fit_nodes("2")
-    with pytest.raises(InputError, match="r_max must be a nonnegative integer"):
+    with pytest.raises(InputError, match="fit order must be a nonnegative integer, got True"):
         fit_nodes(True)
     with pytest.raises(CeilingError):
         fit_nodes(9)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from curvelab.errors import CeilingError, InputError
+from curvelab.germs import GermPoly
 from curvelab.series import (
     MAX_CAP,
     ChernPolynomial,
@@ -11,6 +12,7 @@ from curvelab.series import (
     assemble_from_table,
     assemble_series,
     aut_count,
+    chern_vector,
     exp_series,
     extract_universal,
     format_rational,
@@ -290,6 +292,72 @@ def test_parts_must_be_a_sequence_of_labels():
             assemble_from_table({("A1",): A1}, chern, bad)
     assert extract_universal(series, ["A1"]) == A1
     assert assemble_from_table({("A1",): A1}, chern, iter(["A1"])) == 27
+
+
+def test_series_keys_follow_the_a_table_rule():
+    # TruncatedSeries once kept the later of two keys that name one
+    # multiset, and read a bare label as its characters ("label '1' has no
+    # assigned weight")
+    x, y = ChernPolynomial.linear(1, 0, 0, 0), ChernPolynomial.linear(0, 1, 0, 0)
+    w = {"A1": 1, "A2": 2}
+    with pytest.raises(InputError, match="multiset A1,A2 twice"):
+        TruncatedSeries(w, 5, {("A1", "A2"): x, ("A2", "A1"): y})
+    s = TruncatedSeries(w, 5, {"A1": x, ("A2",): {(0, 1, 0, 0): 1}})
+    assert s.coeffs == {("A1",): x, ("A2",): y}
+
+
+def test_a_chern_vector_is_four_rationals():
+    want = (Fraction(1, 2), Fraction(3), Fraction(1, 3), Fraction(-2))
+    assert chern_vector(["1/2", " 3 ", Fraction(1, 3), -2]) == want
+    assert chern_vector(iter([0.1, 0, 0, 0]))[0] == Fraction(0.1)  # its exact binary value
+    # a string was once read as its characters, and a bool as 0 or 1: both
+    # gave assemble_from_table's count 11 at the vector (1, 2, 3, 4)
+    assert assemble_from_table({("A1",): A1}, (1, 2, 3, 4), ("A1",)) == 11
+    for bad, message in (("1234", "a sequence of four rationals"),
+                         (b"1234", "a sequence of four rationals"),
+                         (None, "a sequence of four rationals"),
+                         ((True, 2, 3, 4), "cannot parse rational True"),
+                         ((1, 2, "x", 4), "cannot parse rational 'x'"),
+                         ((1, 2, None, 4), "four rational entries, got \\(1, 2, None, 4\\)"),
+                         ((float("inf"), 2, 3, 4), "four rational entries, got \\(inf, 2"),
+                         ((1, 2, 3), "exactly four entries")):
+        with pytest.raises(InputError, match=message):
+            assemble_from_table({("A1",): A1}, bad, ("A1",))
+        with pytest.raises(InputError, match=message):
+            A1.evaluate(bad)
+
+
+def test_each_series_input_is_refused_where_it_is_read():
+    # each of these once raised a bare TypeError, ValueError or
+    # AttributeError
+    p, w = A1, {"A1": 1}
+    calls = [
+        lambda: ChernPolynomial(5),
+        lambda: GermPoly(5),
+        lambda: ChernPolynomial({(1, 0, 0, 0): "x"}),
+        lambda: GermPoly({(1, 0): "1/0"}),
+        lambda: TruncatedSeries("A1", 2),
+        lambda: assemble_series({("A1",): p}, None, 2),
+        lambda: assemble_series(5, w, 2),
+        lambda: assemble_series({5: p}, w, 2),
+        lambda: assemble_series({(1, "A"): p}, w, 2),
+        lambda: assemble_from_table({("A1",): p}, (1, 2, "x", 4), ["A1"]),
+        lambda: p.evaluate(None),
+    ]
+    for call in calls:
+        with pytest.raises(InputError):
+            call()
+
+
+def test_the_default_cap_is_the_heaviest_table_key():
+    w = {"A1": 1, "A2": 2}
+    table = {("A1",): A1, ("A1", "A2"): A1}
+    assert assemble_series(table, w).cap == 3
+    assert assemble_series(table, w) == assemble_series(table, w, 3)
+    assert assemble_series({}, w) == TruncatedSeries(w, 0, {(): ONE})
+    assert assemble_series(table, w, 0) == TruncatedSeries(w, 0, {(): ONE})
+    with pytest.raises(InputError, match="label 'A2' has no assigned weight"):
+        assemble_series(table, {"A1": 1})
 
 
 def test_sub_multisets_come_in_size_then_label_order():
