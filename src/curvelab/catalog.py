@@ -142,10 +142,14 @@ def lookup(label: str) -> SingularityType:
 
 def codim_weights(keys) -> dict:
     """Series weights: each label named in the label multisets `keys`
-    mapped to its catalog codim, looked up in order of appearance."""
+    mapped to its catalog codim, looked up in order of appearance.  An
+    alias is refused: it would be a second series variable for its label."""
     weights = {}
     for key in keys:
         for label in key:
+            if label in ALIASES:
+                raise InputError(f"series labels are catalog labels: "
+                                 f"write {ALIASES[label]}, not its alias {label!r}")
             if label not in weights:
                 weights[label] = lookup(label).codim
     return weights

@@ -74,7 +74,7 @@ def _parse_parts(text: str) -> tuple:
 
 
 def _load_a_table(path: str) -> dict:
-    from .series import ChernPolynomial
+    from .series import ChernPolynomial, normalize_table
 
     try:
         with open(path, encoding="utf-8") as fh:
@@ -85,23 +85,20 @@ def _load_a_table(path: str) -> dict:
         raise InputError(f"a-table file {path!r} is not valid JSON") from exc
     except RecursionError as exc:
         raise InputError(f"a-table file {path!r} nests too deep to read") from exc
-    table = {}
+    pairs = []
     try:
         if not isinstance(obj["entries"], list):  # "" or {} would read as no entries
             raise TypeError("the entries are a list")
         for key, poly in obj["entries"]:
-            if not isinstance(key, list):  # sorted() would split a string
+            if not isinstance(key, list):  # a string would read as one label
                 raise TypeError("a multiset is a list of labels")
-            key = tuple(sorted(key))
-            if key in table:
-                raise InputError(
-                    f"a-table file {path!r} lists the multiset "
-                    f"{','.join(map(str, key))} twice"
-                )
-            table[key] = ChernPolynomial.from_json_obj(poly)
+            pairs.append((key, ChernPolynomial.from_json_obj(poly)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed a-table file {path!r}") from exc
-    return table
+    try:
+        return normalize_table(pairs)
+    except InputError as exc:
+        raise InputError(f"a-table file {path!r}: {exc}") from exc
 
 
 def _check_writable(path: str, kind: str):

@@ -35,14 +35,14 @@ class InconsistencyError(CurvelabError):
     exit_code = 4
 
 
-def label_tuple(parts) -> tuple:
+def label_tuple(parts, name="parts") -> tuple:
     """The label multiset `parts`, an iterable of strings but not a string
-    (sorted() would split one), as a tuple; else InputError."""
+    (sorted() would split one), as a tuple; else InputError naming `name`."""
     if not isinstance(parts, str) and hasattr(parts, "__iter__"):
         labels = tuple(parts)
         if all(isinstance(label, str) for label in labels):
             return labels
-    raise InputError(f"parts must be a sequence of singularity labels, got {parts!r}")
+    raise InputError(f"{name} must be a sequence of singularity labels, got {parts!r}")
 
 
 def is_int(value) -> bool:

@@ -8,6 +8,7 @@ variables (x, y, z, t) with rational coefficients.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, lcm
@@ -146,7 +147,7 @@ class TruncatedSeries:
         return total
 
     def coefficient(self, key) -> ChernPolynomial:
-        return self.coeffs.get(tuple(sorted(key)), ChernPolynomial.zero())
+        return self.coeffs.get(multiset(key), ChernPolynomial.zero())
 
     def constant_coefficient(self) -> ChernPolynomial:
         return self.coeffs.get((), ChernPolynomial.zero())
@@ -287,15 +288,25 @@ def log_series(t: TruncatedSeries) -> TruncatedSeries:
     return _from_numerators(t, bits, d, h, {})
 
 
-def normalize_table(a_table: dict) -> dict:
-    """The a-table keyed by sorted label multisets with ChernPolynomial
-    values; a bare label is a one-label multiset, and two keys that sort
-    to one multiset are refused."""
-    if not isinstance(a_table, Mapping):
-        raise InputError(f"a table maps label multisets to polynomials, got {a_table!r}")
+def multiset(key) -> tuple:
+    """The label multiset `key` as a sorted tuple: a bare label is the
+    one-label multiset, and a sequence of labels is checked by label_tuple."""
+    return (key,) if isinstance(key, str) else tuple(sorted(label_tuple(key, "a multiset key")))
+
+
+def normalize_table(a_table) -> dict:
+    """The a-table, a mapping or a list of (key, polynomial) pairs, keyed by
+    label multisets (see `multiset`) with ChernPolynomial values; two keys
+    that name one multiset are refused."""
+    if isinstance(a_table, Mapping):
+        a_table = a_table.items()
+    elif not isinstance(a_table, list) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in a_table):
+        raise InputError(f"a table is a mapping or a list of (key, polynomial) pairs, "
+                         f"got {a_table!r}")
     out = {}
-    for key, poly in a_table.items():
-        key = tuple(sorted((key,) if isinstance(key, str) else label_tuple(key)))
+    for key, poly in a_table:
+        key = multiset(key)
         if key in out:
             raise InputError(f"a-table lists the multiset {','.join(key)} twice")
         if not isinstance(poly, ChernPolynomial):
@@ -345,36 +356,24 @@ def extract_universal(series: TruncatedSeries, parts) -> ChernPolynomial:
 def _sub_multisets(parts: tuple):
     """Every nonempty sub-multiset of the sorted tuple `parts`, lazily,
     by size and then in order: a caller that stops at the first one it
-    lacks lists no more of them than it has.  A sub-multiset is held as
-    the count it takes of each label; within a size, the next one takes
-    one fewer of the last label it can and then as many as it can of
-    each later label."""
-    labels = sorted(set(parts))
-    counts = [parts.count(lab) for lab in labels]
-    # room[i]: how many labels the positions from i on can take
-    room = [0] * (len(labels) + 1)
-    for i in range(len(labels) - 1, -1, -1):
-        room[i] = room[i + 1] + counts[i]
+    lacks lists no more of them than it has."""
 
-    def fill(picks, first, size):
-        for i in range(first, len(labels)):
-            picks[i] = take = min(counts[i], size)
-            size -= take
+    def walk(start, size):
+        # the sub-multisets of `size` labels of parts[start:], in order: as
+        # many of the first label as can be taken, then fewer, each followed
+        # by those of the later labels, until these cannot fill the size
+        if not size:
+            yield ()
+            return
+        end = bisect_right(parts, parts[start], start)
+        for take in range(min(end - start, size), -1, -1):
+            if len(parts) - end < size - take:
+                return
+            for rest in walk(end, size - take):
+                yield parts[start:start + take] + rest
 
     for size in range(1, len(parts) + 1):
-        picks = [0] * len(labels)
-        fill(picks, 0, size)
-        while True:
-            yield tuple(lab for lab, take in zip(labels, picks) for _ in range(take))
-            tail = 0
-            for i in range(len(labels) - 1, -1, -1):
-                if picks[i] and room[i + 1] > tail:
-                    break
-                tail += picks[i]
-            else:
-                break
-            picks[i] -= 1
-            fill(picks, i + 1, tail + 1)
+        yield from walk(0, size)
 
 
 def assemble_from_table(a_table: dict, chern, parts, stats: dict = None):
@@ -405,5 +404,5 @@ def assemble_from_table(a_table: dict, chern, parts, stats: dict = None):
     # refuses a nonzero one as it does in assemble_series
     values[()] = entries.get((), ChernPolynomial.zero())
     series = exp_series(TruncatedSeries(weights, cap, values), stats)
-    value = extract_universal(series, parts).constant_part()
+    value = series.coefficient(parts).constant_part()
     return int(value) if value.denominator == 1 else value

@@ -555,7 +555,7 @@ def test_a_table_rejects_a_repeated_multiset(tmp_path, capsys):
         for argv in _series_commands(table):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "")
-            assert err == (f"error: a-table file {table!r} lists the multiset "
+            assert err == (f"error: a-table file {table!r}: a-table lists the multiset "
                            f"{','.join(sorted(first))} twice\n")
 
 
@@ -567,6 +567,30 @@ def test_a_table_rejects_a_file_it_cannot_decode(tmp_path, capsys):
         for argv in _series_commands(str(path)):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out, err) == (2, "", f"error: a-table file {str(path)!r} {why}\n")
+
+
+def test_a_table_key_with_a_label_that_is_not_a_string_is_refused_alike(tmp_path, capsys):
+    # the file's own key check once admitted [1]: `series eval` then named
+    # `parts` and `series assemble` named `lookup`
+    table = _write_a_table(tmp_path / "atable.json", [[[1], [[[1, 0, 0, 0], "3"]]]])
+    for argv in _series_commands(table):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", (
+            f"error: a-table file {table!r}: a multiset key must be a sequence of "
+            "singularity labels, got [1]\n")), argv
+
+
+def test_series_refuses_an_alias_in_the_table(tmp_path, capsys):
+    # "node" once became a second series variable beside "A1", so
+    # --parts A1,node printed a count that --parts A1,A1 does not
+    line = [[[1, 0, 0, 0], "3"]]
+    table = _write_a_table(tmp_path / "atable.json", [
+        [["A1"], line], [["node"], line], [["A1", "node"], line], [["A1", "A1"], line]])
+    for argv in [("series", "eval", "--a-table", table, "--parts", "A1,node",
+                  "--chern", "16,-12,9,3"), ("series", "assemble", "--a-table", table)]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (
+            2, "", "error: series labels are catalog labels: write A1, not its alias 'node'\n")
 
 
 def test_a_table_rejects_a_multiset_given_as_a_string(tmp_path, capsys):

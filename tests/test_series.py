@@ -271,6 +271,19 @@ def test_assemble_accepts_a_bare_label_key():
     assert assemble_from_table({"A1": A1}, chern, ("A1",)) == 27
 
 
+def test_series_refuses_an_alias():
+    line = ChernPolynomial.linear(3)
+    table = {("A1",): line, ("node",): line, ("A1", "node"): line, ("A1", "A1"): line}
+    with pytest.raises(InputError, match="write A1, not its alias 'node'"):
+        assemble_from_table(table, (16, -12, 9, 3), ("A1", "node"))
+
+
+def test_coefficient_reads_a_key_as_a_table_does():
+    # coefficient once sorted a bare label into its characters
+    series = assemble_series({("A1",): A1}, {"A1": 1}, 2)
+    assert series.coefficient("A1") == series.coefficient(("A1",)) == A1
+
+
 def test_extract_universal_respects_cap():
     series = assemble_series({("A1",): A1}, {"A1": 1}, cap=2)
     with pytest.raises(InputError) as err:
@@ -375,7 +388,11 @@ def test_sub_multisets_come_in_size_then_label_order():
         return sorted((sub for sub in subs if sub), key=lambda sub: (len(sub), sub))
 
     rng = random.Random(11)
-    labels = ["A1", "A2", "A3", "A10", "D4", "E6"]
-    for _ in range(400):
-        parts = tuple(sorted(rng.choice(labels) for _ in range(rng.randint(0, 7))))
+    labels = ["A1", "A2", "A3", "A4", "A10", "D4", "D5", "E6", "E7", "E8"]
+    # up to ten distinct labels, and runs of one label up to twelve long
+    draws = [rng.choices(labels, k=rng.randint(0, 10)) for _ in range(300)] + [labels]
+    draws += [[rng.choice(labels)] * n + rng.choices(labels, k=rng.randint(0, 3))
+              for n in range(13)]
+    for parts in draws:
+        parts = tuple(sorted(parts))
         assert list(_sub_multisets(parts)) == listed(parts), parts
