@@ -12,15 +12,11 @@ from fractions import Fraction
 from .errors import InputError
 from .poly import SparsePoly
 
-_TERM_RE = re.compile(
-    r"""^
-    (?:(?P<coeff>[0-9]+(?:/[0-9]+)?)(?P<star1>\*)?)?
-    (?:x(?:\^(?P<xe>[0-9]+))?)?
-    (?P<star2>\*)?
-    (?:y(?:\^(?P<ye>[0-9]+))?)?
-    $""",
-    re.VERBOSE,
-)
+# a term, read by fullmatch with its ASCII spaces removed: [n or n/m][x[^i]][y[^j]],
+# not empty, with a '*' only after the coefficient or the x part, before a variable
+_TERM_RE = re.compile(r"""(?=[0-9xy]) (?P<coeff>[0-9]+(?:/[0-9]+)?)?
+    (?P<x>(?:(?<=[0-9])\*)?x(?:\^(?P<xe>[0-9]+))?)?
+    (?P<y>(?:(?<=[0-9x])\*)?y(?:\^(?P<ye>[0-9]+))?)?""", re.VERBOSE)
 
 
 class GermPoly(SparsePoly):
@@ -49,60 +45,46 @@ class GermPoly(SparsePoly):
         return self.partial(1)
 
 
-def _parse_term(text: str) -> tuple[Fraction, int, int]:
-    t = text.replace(" ", "")
-    m = _TERM_RE.match(t)
-    if not m or not t:
-        raise InputError(f"cannot parse term {text!r}")
-    coeff, xe, ye = m.group("coeff"), m.group("xe"), m.group("ye")
-    has_x = "x" in t
-    has_y = "y" in t
-    if coeff is None and not has_x and not has_y:
-        raise InputError(f"cannot parse term {text!r}")
-    if m.group("star1") and not (has_x or has_y):
-        raise InputError(f"dangling '*' in term {text!r}")
-    if m.group("star2") and not (has_x and has_y):
-        raise InputError(f"misplaced '*' in term {text!r}")
+def require_germ(f, at_origin: bool = True) -> GermPoly:
+    """f, if it is a GermPoly that vanishes at the origin or `at_origin` is
+    false (an ideal's generator may be a unit); else InputError."""
+    if not isinstance(f, GermPoly):
+        raise InputError(f"a germ must be a GermPoly, got {f!r}")
+    if at_origin and f.constant_term() != 0:
+        raise InputError("constant term nonzero: a germ must vanish at the origin")
+    return f
+
+
+def _parse_term(term: str) -> tuple[Fraction, int, int]:
+    m = _TERM_RE.fullmatch(term.replace(" ", ""))
+    if not m:
+        raise InputError(f"cannot parse term {term!r}")
+    coeff, x, xe, y, ye = m.group("coeff", "x", "xe", "y", "ye")
     try:
-        c = Fraction(coeff) if coeff is not None else Fraction(1)
-        i = int(xe) if xe is not None else (1 if has_x else 0)
-        j = int(ye) if ye is not None else (1 if has_y else 0)
+        return Fraction(coeff or 1), int(xe or x is not None), int(ye or y is not None)
     except ZeroDivisionError:
-        raise InputError(f"zero denominator in term {text!r}") from None
+        raise InputError(f"zero denominator in term {term!r}") from None
     except ValueError:  # more digits than int() converts
-        raise InputError(f"number too long in term {text!r}") from None
-    return c, i, j
+        raise InputError(f"number too long in term {term!r}") from None
 
 
 def parse_germ(text: str) -> GermPoly:
-    """Parse an expression like "y^2 - x^3" or "1/2*x*y + x^4".
+    """Parse an expression like "y^2 - x^3", "1/2*x*y + x^4" or "2xy^3".
 
-    Terms are joined by + or -; each term is [coeff][*]x[^i][*][y[^j]] with
-    an integer or p/q rational coefficient. The constant term must vanish
-    (germs live in the maximal ideal).
+    Terms, the first of which may carry a sign, are joined by + or -; each
+    is [coeff][x[^i]][y[^j]] as `_TERM_RE` reads it.  The constant term must
+    vanish (germs live in the maximal ideal).
     """
+    if not isinstance(text, str):
+        raise InputError(f"a germ expression must be a string, got {text!r}")
     s = text.strip()
     if not s:
         raise InputError("empty germ expression")
-    pieces = re.split(r"([+-])", s)
-    signed = []
-    if pieces[0].strip():
-        signed.append((1, pieces[0]))
-    i = 1
-    while i < len(pieces):
-        sign = 1 if pieces[i] == "+" else -1
-        if i + 1 >= len(pieces) or not pieces[i + 1].strip():
-            raise InputError(f"dangling sign in {text!r}")
-        signed.append((sign, pieces[i + 1]))
-        i += 2
-    if not signed:
-        raise InputError(f"cannot parse {text!r}")
+    pieces = re.split(r"([+-])", s if s[0] in "+-" else "+" + s)
+    if not all(chunk.strip() for chunk in pieces[2::2]):
+        raise InputError(f"dangling sign in {text!r}")
     terms = {}
-    for sign, chunk in signed:
-        c, xi, yj = _parse_term(chunk.strip())
-        key = (xi, yj)
-        terms[key] = terms.get(key, Fraction(0)) + sign * c
-    f = GermPoly(terms)
-    if f.constant_term() != 0:
-        raise InputError("constant term nonzero: a germ must vanish at the origin")
-    return f
+    for sign, chunk in zip(pieces[1::2], pieces[2::2]):
+        c, i, j = _parse_term(chunk.strip())
+        terms[i, j] = terms.get((i, j), 0) + (c if sign == "+" else -c)
+    return require_germ(GermPoly(terms))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import CeilingError, InputError, is_int
-from .germs import GermPoly
+from .germs import GermPoly, require_germ
 from .poly import RowEchelon
 
 # every jet build stops by order MAX_JET_ORDER + 1, where `ideal_in_jets`
@@ -129,12 +129,7 @@ def ideal_in_jets(generators, truncation_order: int, stats: dict = None) -> JetS
         raise CeilingError(f"truncation order K = {K} exceeds its maximum {MAX_JET_ORDER + 1}")
     if not generators:
         raise InputError("need generators")
-    return _build(generators, K, stats)
-
-
-def _require_germ(f: GermPoly):
-    if f.constant_term() != 0:
-        raise InputError("constant term nonzero: not a germ at the origin")
+    return _build([require_germ(g, at_origin=False) for g in generators], K, stats)
 
 
 def _scan(f: GermPoly, gens, stats: dict = None) -> JetSubspace:
@@ -151,7 +146,6 @@ def _scan(f: GermPoly, gens, stats: dict = None) -> JetSubspace:
     MAX_JET_ORDER, so a germ with B + 1 above it that does not saturate
     there is undecided.
     """
-    _require_germ(f)
     bound = f.partial_x().total_degree() * f.partial_y().total_degree()
     space = ideal_in_jets(gens, min(bound + 1, MAX_JET_ORDER) + 1, stats)
     if space.saturated_at is not None:
@@ -164,12 +158,14 @@ def _scan(f: GermPoly, gens, stats: dict = None) -> JetSubspace:
 
 def milnor_number(f: GermPoly, stats: dict = None) -> int:
     """dim C{x,y}/(f_x, f_y); raises CeilingError on non-isolated germs."""
+    require_germ(f)
     space = _scan(f, [f.partial_x(), f.partial_y()], stats)
     return len(space.standard_monomials(space.saturated_at))
 
 
 def tjurina_basis(f: GermPoly, stats: dict = None) -> list:
     """Standard monomials (i, j) spanning C{x,y}/(f, f_x, f_y)."""
+    require_germ(f)
     space = _scan(f, [f, f.partial_x(), f.partial_y()], stats)
     return space.standard_monomials(space.saturated_at)
 
@@ -194,6 +190,7 @@ def determinacy_window(f: GermPoly, stats: dict = None) -> tuple[int, int]:
     """(k_low, k_high): jets of order >= k_high determine the germ up to
     coordinate change, and k_low is the matching lower bound.
     """
+    require_germ(f)
     K = _scan(f, _gradient_frame(f), stats).saturated_at
     return (K - 2, K - 1)
 
@@ -203,7 +200,7 @@ def scheme_length(f: GermPoly, k: int) -> int:
     in closed form.  Multiplication by f embeds C{x,y}/m^(k+1-m) into
     C{x,y}/m^(k+1), m the multiplicity, because the lowest form of f*g is
     f_m times the lowest form of g; so (f) has that dimension there."""
-    _require_germ(f)
+    require_germ(f)
     _check_order(k)
     cut = 0 if f.is_zero() else max(k + 1 - f.multiplicity(), 0)
     return jet_dimension(k + 1) - jet_dimension(cut)
@@ -217,7 +214,7 @@ def _dimension_in_jets(space: JetSubspace, k: int) -> int:
 
 def orbit_tangent_dim(f: GermPoly, k: int, stats: dict = None) -> int:
     """Tangent dimension of the equivalence-class orbit inside order-k jets."""
-    _require_germ(f)
+    require_germ(f)
     _check_order(k)
     return _dimension_in_jets(_scan(f, _gradient_frame(f), stats), k)
 
@@ -225,7 +222,6 @@ def orbit_tangent_dim(f: GermPoly, k: int, stats: dict = None) -> int:
 def _check_s0_order(f: GermPoly, k: int):
     """Refuse, before any build, a jet order k that is not a positive int
     or, for a nonzero germ, is below its multiplicity: dim S_0 needs k >= m."""
-    _require_germ(f)
     _check_order(k)
     if not f.is_zero() and k < f.multiplicity():
         raise InputError(f"jet order {k} too small for multiplicity {f.multiplicity()}")
@@ -234,6 +230,7 @@ def _check_s0_order(f: GermPoly, k: int):
 def dim_s0(f: GermPoly, k: int, stats: dict = None) -> int:
     """dim S_0: the dimension of the locally closed set of order-k jets
     equivalent to f, counted inside the versal slice."""
+    require_germ(f)
     _check_s0_order(f, k)
     return _dim_s0_from_orbit(f, k, orbit_tangent_dim(f, k, stats))
 
@@ -268,6 +265,7 @@ def germ_report(f: GermPoly, k: int = None, stats: dict = None) -> InvariantRepo
     orbit.  If `stats` is a dict, it receives the jet counters of
     `_build` summed over the three.
     """
+    require_germ(f)
     if k is not None:
         _check_s0_order(f, k)
     mu = milnor_number(f, stats)

@@ -1,7 +1,6 @@
 """A seeded fuzz of the Python entry points that take a surface class,
-of the germ lab's entry points that take a jet order, on a fixed
-isolated germ, and of the series layer's entry points and polynomial
-constructors.
+of the germ lab's entry points and its parser, and of the series
+layer's entry points and polynomial constructors.
 
 Every draw must return its result (an int, a `FitResult` from `fit_nodes`,
 an `InvariantReport` from `germ_report`, a `JetSubspace` from
@@ -11,10 +10,14 @@ anything else is a defect.
 The arguments come from a small hostile vocabulary, and its ints are
 small, so that a draw the entry point accepts stays cheap: plane degrees
 up to 3, bidegrees up to (2,2), and fits up to order 2 on the fit's own
-rows, counted by one shared engine.  A germ draw sets only the order
-(`k`, or the truncation order of `ideal_in_jets`); the huge one, 10**30,
-is answered at once as a k, since no build's order depends on k, and
-refused before any build as a truncation order.
+rows, counted by one shared engine.  A germ draw takes its germ (or the
+one generator of `ideal_in_jets`) from GERMS: small germs, one with a
+nonzero constant term, and values that are not a GermPoly; and its
+order (`k`, or the truncation order of `ideal_in_jets`) from the ints
+above.  The huge one, 10**30, is answered at once as a k, since no
+build's order depends on k, and refused before any build as a
+truncation order.  `parse_germ` reads strings of GERM_WORDS, or a value
+of OTHERS.
 
 The series draws take their a-tables, weights, caps, Chern vectors,
 label multisets and polynomial terms from a vocabulary of their own
@@ -47,6 +50,7 @@ from curvelab import (
     chern_p2,
     chern_quadric,
     collection_stats,
+    determinacy_window,
     dim_s0,
     exp_series,
     extract_universal,
@@ -56,6 +60,7 @@ from curvelab import (
     ideal_in_jets,
     log_series,
     lookup,
+    milnor_number,
     orbit_tangent_dim,
     parse_germ,
     pencil_discriminant_oracle,
@@ -64,6 +69,7 @@ from curvelab import (
     scheme_length,
     severi_p2,
     severi_quadric,
+    tjurina_number,
 )
 from curvelab.series import MAX_CAP
 
@@ -72,6 +78,10 @@ from curvelab.series import MAX_CAP
 OTHERS = (True, False, 0.5, 2.0, "", "2", "p2", None)
 SURFACE_NAMES = ("p2", "P2", "p1xp1", "P1XP1", "P3")
 CUSP = parse_germ("y^2 - x^3")
+GERMS = (CUSP, parse_germ("x*y"), parse_germ("x + y^2"), GermPoly(), GermPoly({(0, 0): 1}),
+         "y^2 - x^3", None, 0, 5, ChernPolynomial.constant(1))
+GERM_WORDS = ("x", "y", "x*y", "y^2", " - x^3", "^2", "^", "*", "/", "1/2", "3", "1/0", " ",
+              " + ", "-", "\t", "\u0663", "9" * 300)
 
 ENTRY_POINTS = {
     "severi_p2": lambda engine, *args, **kwargs: severi_p2(*args, engine=engine, **kwargs),
@@ -86,15 +96,20 @@ ENTRY_POINTS = {
     "pencil_discriminant_oracle": lambda engine, *args, **kwargs: pencil_discriminant_oracle(
         *args, **kwargs),
     "floor_diagram_oracle": lambda engine, *args, **kwargs: floor_diagram_oracle(*args, **kwargs),
-    "germ_report": lambda engine, *args, **kwargs: germ_report(CUSP, *args, **kwargs),
-    "ideal_in_jets": lambda engine, *args, **kwargs: ideal_in_jets([CUSP], *args, **kwargs),
-    "scheme_length": lambda engine, *args, **kwargs: scheme_length(CUSP, *args, **kwargs),
-    "orbit_tangent_dim": lambda engine, *args, **kwargs: orbit_tangent_dim(CUSP, *args, **kwargs),
-    "dim_s0": lambda engine, *args, **kwargs: dim_s0(CUSP, *args, **kwargs),
+    "germ_report": lambda engine, *args, **kwargs: germ_report(*args, **kwargs),
+    "ideal_in_jets": lambda engine, germ, *args: ideal_in_jets([germ], *args),
+    "scheme_length": lambda engine, *args: scheme_length(*args),
+    "orbit_tangent_dim": lambda engine, *args: orbit_tangent_dim(*args),
+    "dim_s0": lambda engine, *args: dim_s0(*args),
+    "milnor_number": lambda engine, *args: milnor_number(*args),
+    "tjurina_number": lambda engine, *args: tjurina_number(*args),
+    "determinacy_window": lambda engine, *args: determinacy_window(*args),
+    "parse_germ": lambda engine, *args: parse_germ(*args),
 }
 RESULT_TYPES = {"fit_nodes": FitResult, "germ_report": InvariantReport,
                 "ideal_in_jets": JetSubspace, "SeveriEngine": SeveriEngine,
-                "chern_p2": tuple, "chern_quadric": tuple}
+                "chern_p2": tuple, "chern_quadric": tuple, "determinacy_window": tuple,
+                "parse_germ": GermPoly}
 
 
 def _value(rng, top=3, depth=0):
@@ -120,9 +135,13 @@ def draws(seed: int, rounds: int = 150) -> list:
         surface = rng.choice(SURFACE_NAMES) if rng.random() < 0.8 else _value(rng)
         out.append(("pencil_discriminant_oracle", (surface, _value(rng)), {"seed": _value(rng)}))
         out.append(("floor_diagram_oracle", (_value(rng), _value(rng)), {}))
-        out.append(("germ_report", (), {"k": _value(rng)}))
+        out.append(("germ_report", (rng.choice(GERMS),), {"k": _value(rng)}))
         for name in ("ideal_in_jets", "scheme_length", "orbit_tangent_dim", "dim_s0"):
-            out.append((name, (_value(rng),), {}))
+            out.append((name, (rng.choice(GERMS), _value(rng)), {}))
+        for name in ("milnor_number", "tjurina_number", "determinacy_window"):
+            out.append((name, (rng.choice(GERMS),), {}))
+        text = "".join(rng.choice(GERM_WORDS) for _ in range(rng.randint(0, 6)))
+        out.append(("parse_germ", (text if rng.random() < 0.8 else rng.choice(OTHERS),), {}))
         out.append(("SeveriEngine", (_value(rng),), {}))
         out.append(("chern_p2", (_value(rng),), {}))
         out.append(("chern_quadric", (_value(rng), _value(rng)), {}))
@@ -253,10 +272,6 @@ EXEMPT = (
     ("JetSubspace", "takes no argument; ideal_in_jets fills one"),
     ("MemoStore", "takes no argument; its cache files are fuzzed through the CLI's --cache"),
     ("load_catalog", "takes no argument"),
-    ("parse_germ", "fuzzed through the CLI's germ expressions"),
-    ("determinacy_window", "takes only a germ, fuzzed through the CLI's germ analyze"),
-    ("milnor_number", "takes only a germ, fuzzed through the CLI's germ analyze"),
-    ("tjurina_number", "takes only a germ, fuzzed through the CLI's germ analyze"),
     ("threshold_scan", "takes a FitResult, which only fit_nodes builds"),
 )
 

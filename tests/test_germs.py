@@ -103,3 +103,53 @@ def test_to_string_round_trip():
     for text in ["x*y", "y^2 - x^3", "x^3 + x*y^3", "1/2*x^2 + y^7 - 4*x*y"]:
         f = parse_germ(text)
         assert parse_germ(f.to_string()) == f
+
+
+def test_the_printer_is_the_parsers_spec():
+    # seeded germs of one to four terms: x-only, y-only and mixed
+    # monomials with exponents 0..12, signed integer and p/q coefficients
+    rng = random.Random(5)
+    for _ in range(2000):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            i, j = rng.choice([(rng.randint(1, 12), 0), (0, rng.randint(1, 12)),
+                               (rng.randint(0, 12), rng.randint(1, 12))])
+            terms[i, j] = Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 7, 12]))
+        f = GermPoly(terms)
+        assert parse_germ(f.to_string()) == f, f.to_string()
+
+
+@pytest.mark.parametrize("text, want", [
+    ("xy", {(1, 1): 1}),
+    ("2x", {(1, 0): 2}),
+    ("2*y", {(0, 1): 2}),
+    ("x^2y", {(2, 1): 1}),
+    ("1/2 x", {(1, 0): Fraction(1, 2)}),
+    ("x ^ 2", {(2, 0): 1}),
+    ("2 * x * y", {(1, 1): 2}),
+    ("x^02", {(2, 0): 1}),
+    ("yx", "cannot parse term 'yx'"),
+    ("y*x", "cannot parse term 'y*x'"),
+    ("x*", "cannot parse term 'x*'"),
+    ("*y", "cannot parse term '*y'"),
+    ("2*", "cannot parse term '2*'"),
+    ("x**y", "cannot parse term 'x**y'"),
+    ("x\ty", "cannot parse term 'x\\ty'"),
+    ("x+", "dangling sign in 'x+'"),
+    ("+-x", "dangling sign in '+-x'"),
+])
+def test_spellings_of_a_term(text, want):
+    # the x part comes first, a '*' stands only between two parts, and
+    # ASCII spaces inside a term are ignored
+    if isinstance(want, dict):
+        assert parse_germ(text).terms == want
+    else:
+        with pytest.raises(InputError, match=f"^{re.escape(want)}$"):
+            parse_germ(text)
+
+
+@pytest.mark.parametrize("value", [5, None, ["x"], b"x*y"])
+def test_parse_germ_refuses_a_value_that_is_not_a_string(value):
+    with pytest.raises(InputError, match=f"^a germ expression must be a string, got "
+                                         f"{re.escape(repr(value))}$"):
+        parse_germ(value)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -76,6 +77,39 @@ def test_milnor_numbers():
 
 def test_milnor_smooth_germ_is_zero():
     assert milnor_number(parse_germ("x + y^2")) == 0
+
+
+def test_every_entry_refuses_a_non_germ_before_any_build():
+    # a value that is not a GermPoly, or one that does not vanish at the
+    # origin, is refused by one rule, before a partial is taken
+    calls = [
+        lambda f, stats: milnor_number(f, stats),
+        lambda f, stats: tjurina_number(f, stats),
+        lambda f, stats: determinacy_window(f, stats),
+        lambda f, stats: orbit_tangent_dim(f, 2, stats),
+        lambda f, stats: dim_s0(f, 2, stats),
+        lambda f, stats: germ_report(f, None, stats),
+        lambda f, stats: germ_report(f, 2, stats),
+        lambda f, stats: scheme_length(f, 2),
+    ]
+    unit = GermPoly({(0, 0): 1, (1, 1): 1})
+    for f, message in [(None, "a germ must be a GermPoly, got None"),
+                       ("y^2-x^3", "a germ must be a GermPoly, got 'y^2-x^3'"),
+                       (curvelab.ChernPolynomial.constant(1), "a germ must be a GermPoly"),
+                       (unit, "constant term nonzero: a germ must vanish at the origin")]:
+        for call in calls:
+            stats = {}
+            with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+                call(f, stats)
+            assert stats == {}
+        if f is not unit:
+            with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+                ideal_in_jets([NODE, f], 3)
+    # the parser refuses a constant term by the same rule, but a generator
+    # of an ideal may be a unit: its ideal is the whole ring
+    with pytest.raises(InputError, match="^constant term nonzero: a germ must vanish"):
+        parse_germ("1 + x*y")
+    assert ideal_in_jets([unit], 3).dimension == jet_dimension(3)
 
 
 def test_tjurina_numbers():
