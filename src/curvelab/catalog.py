@@ -3,7 +3,10 @@
 Entries live in data/catalog.json (label, flavor, normal form, jet order,
 equisingular-stratum dimension, and the cached numeric invariants).  The
 cache is never trusted: every number of an entry is recomputed the first
-time the entry is used, and a mismatch aborts loudly.
+time the entry is used, and a mismatch aborts loudly.  An analytic entry
+has dim_es 0 and codim tau; a topological one has a quasi-homogeneous
+normal form, dim_es the Tjurina basis monomials on or above its Newton
+boundary, and codim tau - dim_es.
 """
 
 from __future__ import annotations
@@ -38,20 +41,19 @@ class SingularityType(namedtuple(
 CollectionStats = namedtuple("CollectionStats", "N codim l aut")
 
 
-def _ordinary_point_moduli(label: str, f: GermPoly, basis: list) -> int:
-    """dim_es of an ordinary m-fold point: the Tjurina basis monomials on
-    or above the Newton boundary i + j = m, whose deformations of f keep mu
-    and the topological type (0, 1, 3, 6 for m = 3..6).
-
-    A homogeneous f of finite mu has m distinct tangents, so the check
-    below is what makes the entry an ordinary m-fold point.
-    """
-    m = f.multiplicity()
-    if any(i + j != m for i, j in f.terms):
-        raise InconsistencyError(
-            f"catalog entry {label}: topological normal form must be homogeneous"
-        )
-    return sum(1 for i, j in basis if i + j >= m)
+def _moduli(label: str, f: GermPoly, basis: list) -> int:
+    """dim_es of a topological entry: the Tjurina basis monomials on or above
+    f's Newton boundary a*i + b*j = d, the segment from f's first term to its
+    last in sorted order, on which every term must lie (0, 1, 3, 6 for the
+    ordinary m-fold points x^m - y^m, m = 3..6; 1 for E12 = x^3 + y^7)."""
+    support = sorted(f.terms)
+    (i0, j0), (i1, j1) = support[0], support[-1]
+    a, b = j0 - j1, i1 - i0  # in sorted order, a > 0 (a negative slope) forces b > 0
+    d = a * i0 + b * j0
+    if a <= 0 or any(a * i + b * j != d for i, j in support):
+        raise InconsistencyError(f"catalog entry {label}: topological normal form "
+                                 "must be quasi-homogeneous")
+    return sum(1 for i, j in basis if a * i + b * j >= d)
 
 
 def _validate(raw: dict) -> SingularityType:
@@ -69,31 +71,23 @@ def _validate(raw: dict) -> SingularityType:
 
     def check(name, stored, computed):
         if stored != computed:
-            raise InconsistencyError(
-                f"catalog entry {label}: stored {name}={stored} "
-                f"but germ computation gives {computed}"
-            )
+            raise InconsistencyError(f"catalog entry {label}: stored {name}={stored} "
+                                     f"but germ computation gives {computed}")
 
     check("mu", raw["mu"], mu)
     check("tau", raw["tau"], tau)
     check("N", raw["N"], n_len)
     if flavor == "analytic":
         dim_es = 0
-        check("dim_es", raw["dim_es"], dim_es)
-        check("codim", raw["codim"], tau)
     elif flavor == "topological":
-        dim_es = _ordinary_point_moduli(label, f, basis)
-        check("dim_es", raw["dim_es"], dim_es)
-        check("codim", raw["codim"], tau - dim_es)
-        # m(m+1)/2 conditions on the (m-1)-jet at a point moving in 2 dimensions
-        m = f.multiplicity()
-        check("codim", raw["codim"], m * (m + 1) // 2 - 2)
+        dim_es = _moduli(label, f, basis)
     else:
         raise InconsistencyError(f"catalog entry {label}: unknown flavor {flavor!r}")
+    check("dim_es", raw["dim_es"], dim_es)
+    check("codim", raw["codim"], tau - dim_es)
     if k_used < window[0]:
-        raise InconsistencyError(
-            f"catalog entry {label}: k_used={k_used} below determinacy window {window}"
-        )
+        raise InconsistencyError(f"catalog entry {label}: k_used={k_used} "
+                                 f"below determinacy window {window}")
     return SingularityType(
         label=label,
         flavor=flavor,

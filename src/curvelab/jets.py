@@ -129,6 +129,8 @@ def ideal_in_jets(generators, truncation_order: int, stats: dict = None) -> JetS
         raise CeilingError(f"truncation order K = {K} exceeds its maximum {MAX_JET_ORDER + 1}")
     if not generators:
         raise InputError("need generators")
+    if not hasattr(generators, "__iter__"):
+        raise InputError(f"generators must be an iterable of germs, got {generators!r}")
     return _build([require_germ(g, at_origin=False) for g in generators], K, stats)
 
 

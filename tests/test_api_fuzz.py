@@ -11,7 +11,8 @@ The arguments come from a small hostile vocabulary, and its ints are
 small, so that a draw the entry point accepts stays cheap: plane degrees
 up to 3, bidegrees up to (2,2), and fits up to order 2 on the fit's own
 rows, counted by one shared engine.  A germ draw takes its germ (or the
-one generator of `ideal_in_jets`) from GERMS: small germs, one with a
+one generator of `ideal_in_jets`, whose whole generators argument is now
+and then a value of OTHERS) from GERMS: small germs, one with a
 nonzero constant term, and values that are not a GermPoly; and its
 order (`k`, or the truncation order of `ideal_in_jets`) from the ints
 above.  The huge one, 10**30, is answered at once as a k, since no
@@ -97,7 +98,7 @@ ENTRY_POINTS = {
         *args, **kwargs),
     "floor_diagram_oracle": lambda engine, *args, **kwargs: floor_diagram_oracle(*args, **kwargs),
     "germ_report": lambda engine, *args, **kwargs: germ_report(*args, **kwargs),
-    "ideal_in_jets": lambda engine, germ, *args: ideal_in_jets([germ], *args),
+    "ideal_in_jets": lambda engine, *args: ideal_in_jets(*args),
     "scheme_length": lambda engine, *args: scheme_length(*args),
     "orbit_tangent_dim": lambda engine, *args: orbit_tangent_dim(*args),
     "dim_s0": lambda engine, *args: dim_s0(*args),
@@ -136,7 +137,9 @@ def draws(seed: int, rounds: int = 150) -> list:
         out.append(("pencil_discriminant_oracle", (surface, _value(rng)), {"seed": _value(rng)}))
         out.append(("floor_diagram_oracle", (_value(rng), _value(rng)), {}))
         out.append(("germ_report", (rng.choice(GERMS),), {"k": _value(rng)}))
-        for name in ("ideal_in_jets", "scheme_length", "orbit_tangent_dim", "dim_s0"):
+        generators = [rng.choice(GERMS)] if rng.random() < 0.8 else rng.choice(OTHERS)
+        out.append(("ideal_in_jets", (generators, _value(rng)), {}))
+        for name in ("scheme_length", "orbit_tangent_dim", "dim_s0"):
             out.append((name, (rng.choice(GERMS), _value(rng)), {}))
         for name in ("milnor_number", "tjurina_number", "determinacy_window"):
             out.append((name, (rng.choice(GERMS),), {}))

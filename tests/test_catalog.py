@@ -7,6 +7,7 @@ from curvelab import catalog
 from curvelab.errors import InconsistencyError, InputError
 from curvelab.germs import parse_germ
 from curvelab.jets import determinacy_window, dim_s0, scheme_length, tjurina_number
+from reference import milnor_orlik_mu
 
 
 def test_catalog_loads_and_validates():
@@ -129,11 +130,41 @@ def test_topological_dim_es_is_recomputed():
     # the cross-ratio count alone, with the codimension it implied
     with pytest.raises(InconsistencyError, match="dim_es=2"):
         catalog._validate({**stored, "dim_es": 2, "codim": 14})
-    # consistent with tau - dim_es but not with m(m+1)/2 - 2
     with pytest.raises(InconsistencyError, match="codim=14"):
         catalog._validate({**stored, "codim": 14})
-    with pytest.raises(InconsistencyError, match="homogeneous"):
+    # quasi-homogeneous of weights (6, 5), with dim_es 3 and codim 20 - 3
+    with pytest.raises(InconsistencyError, match="codim=13"):
         catalog._validate({**stored, "normal_form": "x^5 - y^6", "mu": 20, "tau": 20})
+    # x^2*y^3 lies below the segment from y^6 to x^5; x*y has one term
+    for form, mu, tau, n_len in [("x^5 + x^2*y^3 - y^6", 17, 15, 25), ("x*y", 1, 1, 13)]:
+        with pytest.raises(InconsistencyError, match="quasi-homogeneous"):
+            catalog._validate({**stored, "normal_form": form, "mu": mu, "tau": tau,
+                               "N": n_len})
+
+
+# Arnold's unimodal exceptional families, each quasi-homogeneous of the
+# weights given, with its modality 1 as dim_es: (label, form, weights,
+# mu = tau, k_used, N)
+UNIMODAL = [
+    ("E12", "x^3 + y^7", (7, 3), 12, 7, 21),
+    ("W12", "x^4 + y^5", (5, 4), 12, 6, 22),
+    ("E13", "x^3 + x*y^5", (5, 2), 13, 9, 27),
+    ("E14", "x^3 + y^8", (8, 3), 14, 8, 24),
+]
+
+
+def test_quasi_homogeneous_topological_entries_pass_with_their_modality():
+    for label, form, (w1, w2), mu, k_used, n_len in UNIMODAL:
+        terms = {key: int(c) for key, c in parse_germ(form).terms.items()}
+        assert milnor_orlik_mu(terms, w1, w2) == mu, label
+        raw = {"label": label, "flavor": "topological", "normal_form": form,
+               "k_used": k_used, "dim_es": 1, "mu": mu, "tau": mu, "N": n_len,
+               "codim": mu - 1}
+        e = catalog._validate(raw)
+        assert (e.dim_es, e.codim, e.tau) == (1, mu - 1, mu), label
+        for dim_es in (0, 2):
+            with pytest.raises(InconsistencyError, match=f"stored dim_es={dim_es} "):
+                catalog._validate({**raw, "dim_es": dim_es, "codim": mu - dim_es})
 
 
 def test_k_used_within_window():

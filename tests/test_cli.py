@@ -159,6 +159,46 @@ def test_germ_catalog_listing(capsys):
         assert flavor == flavors[label]
 
 
+def test_germ_catalog_output_is_pinned(capsys):
+    # the sha256 of `germ catalog`, of `germ catalog --json` and of
+    # `germ catalog LABEL --json` for each label, as computed when only
+    # the homogeneous ordinary points had a topological moduli rule
+    pinned = {
+        (): "dc0d6a173eb285c19258628a2d7eb7537f5e3f95be6d35af1e4bcf9e6aaec178",
+        ("--json",): "c109589b4862a17b8d13d83b4a46d22acce2979105fef155d118c8e047ad980a",
+    }
+    by_label = {
+        "A1": "d3975f5a8b841700752b84d3988696a090ddac4bed32e42d8a6b995bf7da4493",
+        "A2": "3952c1c179bf14a7128fdfd9a9854993c9e454958dabdf1723c64f12fc96bc1c",
+        "A3": "0031bb1ff6121f9102304fb63e2e3c875d87e729b885db26e4e1f1512bf331be",
+        "A4": "a8a0add50e96d7782fb921b602b1c2dc6fff7ebb055a7d6d7111781ec2a574da",
+        "A5": "f4fd77ff50a8a73cc54d8c2cb721dd34f84efcc84c0e4474b56d94c1b4a662eb",
+        "A6": "49eba095d5e2c6f1313cf16c768d450ec36cb131b93c409e781e348a725afb94",
+        "A7": "cb2b9658d7d048a38ab3cf543f2fa7973c9c121b1d79e69dbc35d616782be543",
+        "A8": "6f371d9558c74b02cfab76dfca5454ed6a5e31e6ba7d619f313c90f069c46628",
+        "D4": "0e51e2181ccf821226f5e70c84c2c919ce083e7d30d6109a2cf88f6fbe2d0c4f",
+        "D5": "3bfd4b660d214ad155ed885ca2fcee92bdebbd2e6e63c2ec73d3f4c93f01b0b5",
+        "D6": "19a51366be1c87e6659012fcae4dd8d20b5452b174a929afdc15a175d845ce74",
+        "D7": "2018614c1203f15a315b9582601e869eb362436243b72970d5b683131d9ed40d",
+        "D8": "1c677359a687fc8ad258aed7d8eca304936e28b3f84ed3ac1d4b3dd5f3b4658d",
+        "E6": "b9fca311c71cf0fb4b252bea86fa268e3d981b8fc1b2a69fdee099583c07182d",
+        "E7": "235a8203a0b87f153ed87383bc865656223ed2326fed445bfc8811b87da6088f",
+        "E8": "64d24b7b2ba609b6f36ebec328b984930b9a37199334f7d47cf1510debe3d0bb",
+        "ord3-analytic": "cdee0c08469a9acd0928d269a7b47d05f2b5873856f29955a20aa9277e0f81c4",
+        "ord3-topological": "4cb5507720a68fc219b73f8effcad1ed8d4a6db8d842d586e6f14c2fc38bac81",
+        "ord4-analytic": "3bc5f5d36fa9bc27355210c09d9ed486d720f4325858b6f1da5e616f4b02a7ad",
+        "ord4-topological": "08dd36792b2e57249b5415fce4ef86acb55368628f57dc8b6f9a8861cabc2e7b",
+        "ord5-analytic": "14c667a2d063067a662f8b38462829f19488848caa9c219f44cc0d6956e0e8a0",
+        "ord5-topological": "854c54cb764b2299d918ad4312587723d05dba0062b7d26e5fa2c99eea082f20",
+        "ord6-analytic": "49c00daa438d7879f91bd331e45462dda31dab84500b2f4fb15480b0066b70b4",
+        "ord6-topological": "e6f54d8ef08b224e67520ffd741148410eeebf3e4d6a4432db2197edaec26bfc",
+    }
+    assert sorted(by_label) == sorted(load_catalog())
+    pinned.update({(label, "--json"): digest for label, digest in by_label.items()})
+    for argv, digest in pinned.items():
+        code, out, _ = run_cli(capsys, "germ", "catalog", *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
 def test_germ_catalog_single_and_alias(capsys):
     code, out, _ = run_cli(capsys, "germ", "catalog", "cusp")
     assert code == 0

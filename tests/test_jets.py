@@ -53,6 +53,17 @@ def test_ideal_in_jets_cusp():
     assert jet_dimension(4) - space.dimension == 7
 
 
+def test_ideal_in_jets_refuses_generators_that_are_not_iterable():
+    # a scalar or a bare germ used to raise a bare TypeError, "... object
+    # is not iterable"; an empty value still needs generators
+    for bad in (5, True, 2.0, CUSP):
+        with pytest.raises(InputError, match="generators must be an iterable of germs"):
+            ideal_in_jets(bad, 3)
+    for empty in (None, 0, []):
+        with pytest.raises(InputError, match="need generators"):
+            ideal_in_jets(empty, 3)
+
+
 def test_ideal_in_jets_requires_something():
     with pytest.raises(InputError):
         ideal_in_jets([], 3)
