@@ -10,7 +10,7 @@ ids below 2^B (B = `ID_BITS` = 20), each id naming one shared tuple, so
 a key is below 2^60 and costs 32 bytes where the 5-tuple cost 80.
 `join` and `split` spell the layout at the store's boundary.  It is
 spelled again inline where a call per key would cost: the Severi walk's
-`_step` and `_edges` (with `SPLIT_SHIFT`, `_ID_MASK` and `_ALPHA_MASK`;
+`_step` and `_edges` (with `SPLIT_SHIFT`, `ID_MASK` and `_ALPHA_MASK`;
 a split node sets the bits above a key's), so that the walk makes no
 call per edge, and `MemoStore._lookup_loaded`, which shifts out a key's
 head.  A change to the layout changes all three.  A new head or
@@ -60,7 +60,7 @@ from .errors import CeilingError, CurvelabError, InconsistencyError, InputError
 from .surfaces import SURFACES
 
 ID_BITS = 20
-_MASK = (1 << ID_BITS) - 1
+ID_MASK = (1 << ID_BITS) - 1
 
 
 class _Parts(list):
@@ -111,7 +111,7 @@ def join(head: int, alpha: int, beta: int) -> int:
 
 def split(key: int) -> tuple:
     """(head id, alpha id, beta id) of an int key."""
-    return key >> 2 * ID_BITS, key >> ID_BITS & _MASK, key & _MASK
+    return key >> 2 * ID_BITS, key >> ID_BITS & ID_MASK, key & ID_MASK
 
 
 def _packed(key: tuple):

@@ -71,8 +71,6 @@ def _marking_count(d: int, edges: list) -> int:
         in_w[j] += w
         mu *= w * w
     ground = [1 - in_w[v] + out_w[v] for v in range(1, d + 1)]
-    if min(ground) < 0:
-        return 0
     marks = Counter((i, j - 1) for (i, j, _) in edges)
     marks += Counter({(0, v - 1): g for v, g in enumerate(ground, 1)})
     spans = sorted(marks)
@@ -116,11 +114,8 @@ def floor_diagram_oracle(d: int, delta: int, stats: dict = None) -> int:
     if not (1 <= d <= 6) or not (0 <= delta <= 4):
         raise InputError("out of supported range: need 1 <= d <= 6 and 0 <= delta <= 4")
     edge_target = d * (d - 1) // 2 - delta
-    if edge_target < 0:
-        return 0
 
     total = 0
-    in_w = [0] * (d + 1)
     out_w = [0] * (d + 1)
     edges = []
 
@@ -134,9 +129,10 @@ def floor_diagram_oracle(d: int, delta: int, stats: dict = None) -> int:
         if len(edges) > edge_target:
             return
         # Targets t = j, .., 2 take at most ub_t more edges each, with
-        # ub_t = S + ub_(t+1) + .. + ub_j and S = 1 + (in-weight above j):
-        # so ub_t = 2^(j-t) S, and all of them S (2^(j-1) - 1).
-        if len(edges) + (1 + sum(in_w[j + 1:])) * (2 ** (j - 1) - 1) < edge_target:
+        # ub_t = S + ub_(t+1) + .. + ub_j and S = 1 + (weight of the edges
+        # placed so far, all of which end above j): so ub_t = 2^(j-t) S,
+        # and all of them S (2^(j-1) - 1).
+        if len(edges) + (1 + sum(w for _, _, w in edges)) * (2 ** (j - 1) - 1) < edge_target:
             return
         budget = 1 + out_w[j]
 
@@ -146,13 +142,10 @@ def floor_diagram_oracle(d: int, delta: int, stats: dict = None) -> int:
                 fill_target(j - 1)
                 return
             for weights in _weight_multisets(left):
-                used = sum(weights)
                 for w in weights:
                     edges.append((i, j, w))
                     out_w[i] += w
-                in_w[j] += used
-                pick_source(i - 1, left - used)
-                in_w[j] -= used
+                pick_source(i - 1, left - sum(weights))
                 for w in weights:
                     edges.pop()
                     out_w[i] -= w

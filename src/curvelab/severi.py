@@ -25,7 +25,7 @@ from math import comb
 from operator import itemgetter, or_
 
 from .errors import AdmissibilityError, CeilingError, InputError, is_int
-from .memo import HEADS, ID_BITS, PROFILES, MemoStore, head_id, join, profile_id, trim
+from .memo import HEADS, ID_BITS, ID_MASK, PROFILES, MemoStore, head_id, join, profile_id, trim
 from .surfaces import PLANE, QUADRIC, SURFACES
 
 DEFAULT_DEGREE_CEILING = 12
@@ -82,25 +82,30 @@ def _subprofiles(profile) -> list:
 
 @cache
 def _partitions_with_parts(n: int, k: int) -> tuple:
-    """All profiles gamma with sum of (i+1)*gamma[i] = n and k parts."""
+    """All profiles gamma with sum of (i+1)*gamma[i] = n and k parts.
+
+    Taking 1 from each of the k parts leaves a partition mu of n - k into
+    at most k parts: gamma[0] = k - len(mu), and gamma[p] is the number of
+    parts of mu equal to p.  The mu are built one part at a time, largest
+    first and in descending order, so the recursion is at most n - k deep
+    however large k is."""
 
     def rec(remaining, parts, max_part):
-        if parts == 0:
-            if remaining == 0:
-                yield ()
+        if remaining == 0:
+            yield ()
             return
-        # the largest part is at least remaining / parts and leaves at
-        # least 1 for each of the other parts
-        smallest = max(-(-remaining // parts), 1)
-        for part in range(min(max_part, remaining - parts + 1), smallest - 1, -1):
+        # the largest part is at least remaining / parts
+        for part in range(min(max_part, remaining), -(-remaining // parts) - 1, -1):
             for tail in rec(remaining - part, parts - 1, part):
                 yield (part,) + tail
 
+    if k == 0 or n < k:
+        return ((),) if n == k else ()
     out = []
-    for parts in rec(n, k, n):
-        gamma = [0] * (parts[0] if parts else 0)
-        for p in parts:
-            gamma[p - 1] += 1
+    for mu in rec(n - k, k, n - k):
+        gamma = [k - len(mu)] + [0] * (mu[0] if mu else 0)
+        for p in mu:
+            gamma[p] += 1
         out.append(tuple(gamma))
     return tuple(out)
 
@@ -202,8 +207,7 @@ def quadric_node_cap(a: int, b: int) -> int:
 # it saves (measured in CHANGES.md).
 SPLIT_SHIFT = 3 * ID_BITS
 SPLIT_TERMS = 4
-_ID_MASK = (1 << ID_BITS) - 1
-_ALPHA_MASK = join(0, _ID_MASK, 0)
+_ALPHA_MASK = join(0, ID_MASK, 0)
 
 
 @cache
@@ -244,15 +248,15 @@ def _step(key: int):
     or split node: its value is the base value plus the sum of factor *
     child value."""
     if key >> SPLIT_SHIFT:
-        alpha_bits, beta = key & _ALPHA_MASK, key & _ID_MASK
-        _, _, meet, least, tops, heads, _ = _head_rule(key >> 2 * ID_BITS & _ID_MASK)
+        alpha_bits, beta = key & _ALPHA_MASK, key & ID_MASK
+        _, _, meet, least, tops, heads, _ = _head_rule(key >> 2 * ID_BITS & ID_MASK)
         rem = meet - _moment(beta) - _moment(alpha_bits >> ID_BITS)
         factors, ks, betas = _split_moves(beta, rem, least, tops[rem])
         return 0, zip(factors, map(or_, map(heads.__getitem__, ks), map(alpha_bits.__or__, betas)))
     rule = _head_rule(key >> 2 * ID_BITS)
     if rule[1] is not None:
-        return rule[1](key >> ID_BITS & _ID_MASK, key & _ID_MASK), ()
-    return 0, _edges(rule, key >> ID_BITS & _ID_MASK, key & _ID_MASK)
+        return rule[1](key >> ID_BITS & ID_MASK, key & ID_MASK), ()
+    return 0, _edges(rule, key >> ID_BITS & ID_MASK, key & ID_MASK)
 
 
 def _edges(rule, alpha: int, beta: int):

@@ -83,7 +83,7 @@ def test_marking_count_matches_a_linear_extension_count(monkeypatch):
     reached = []
 
     def record(d, edges):
-        reached.append((d, list(edges)))
+        reached.append((d, delta, list(edges)))
         return marking_count(d, edges)
 
     marking_count = oracles._marking_count
@@ -94,8 +94,16 @@ def test_marking_count_matches_a_linear_extension_count(monkeypatch):
     assert len(reached) == sum(
         _FLOOR_PINS[d, delta][1] for d in range(1, 5) for delta in range(0, 5)
     )
-    for d, edges in reached:
+    for d, delta, edges in reached:
         assert marking_count(d, edges) == floor_markings(d, edges), (d, edges)
+        # the walk reaches only diagrams with every ground 1 - in(v) + out(v)
+        # >= 0 and exactly the target number of edges, so the count need
+        # not refuse any
+        ground = [1] * (d + 1)
+        for i, j, w in edges:
+            ground[i] += w
+            ground[j] -= w
+        assert min(ground) >= 0 and len(edges) == d * (d - 1) // 2 - delta, (d, delta, edges)
 
 
 def test_floor_diagram_range_errors():

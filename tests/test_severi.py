@@ -673,6 +673,27 @@ def test_partitions_by_part_count():
     assert len(_all_partition_profiles(20, 20)) == 627
 
 
+def test_partitions_into_many_parts_recurse_shallowly():
+    # Profiles of n into k parts are built from what is left after taking 1
+    # from each part, so the recursion is n - k deep, not k deep: a large
+    # class at few nodes asks for k up to the meet with the fixed line.
+    assert len(severi._partitions_with_parts(2000, 1990)) == 42  # partitions of 10
+
+
+def test_a_count_needs_no_stack_that_grows_with_the_class():
+    code = (
+        "import sys\n"
+        "sys.setrecursionlimit(150)\n"
+        "from curvelab.severi import SeveriEngine\n"
+        "assert SeveriEngine(degree_ceiling=160).severi_p2(160, 1) == 3 * 159**2\n"
+    )
+    src = os.path.dirname(os.path.dirname(curvelab.__file__))
+    path_env = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path_env}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _reference_edges(key, rule):
     """The edges of a memo key, building every profile afresh: the step
     function as it was before the edge tables."""
